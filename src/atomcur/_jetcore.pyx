@@ -15,9 +15,3 @@ def cauchy_mul_f64(double[::1] a, double[::1] b, double[::1] out,
     cdef Py_ssize_t t, m = oi.shape[0]
     for t in range(m):
         out[oi[t]] += a[ai[t]] * b[bi[t]]
-
-
-def axpy_f64(double alpha, double[::1] x, double[::1] y):
-    cdef Py_ssize_t i, m = x.shape[0]
-    for i in range(m):
-        y[i] += alpha * x[i]

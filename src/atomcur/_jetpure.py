@@ -18,9 +18,3 @@ def cauchy_mul_f64(a, b, out, oi, ai, bi):
     """
     for t in range(len(oi)):
         out[oi[t]] += a[ai[t]] * b[bi[t]]
-
-
-def axpy_f64(alpha, x, y):
-    """y += alpha * x, elementwise."""
-    for i in range(len(x)):
-        y[i] += alpha * x[i]

@@ -23,9 +23,9 @@ from fractions import Fraction
 from . import covderiv as cd
 from . import expr as ex
 from .connection import ChartConnection
-from .covderiv import FD, FU, TU, Field
+from .covderiv import TU, Field
 from .jets import FLOAT, Jet, as_point, as_scalar
-from .multialg import (TensorExtElement, anti_indices, basis_element,
+from .multialg import (TensorExtElement, anti_indices, basis_element, det,
                        gradlex_key, iterated_tensor_coproduct, sort_sign,
                        sorted_word, sorted_words, tensor_coproduct,
                        wedge_coproduct, word_multidegree)
@@ -426,25 +426,12 @@ def transition_matrix(chartA: ChartConnection, chartB: ChartConnection,
     ybar = [j.truncate(r) - j.value for j in yjets_hi]
     jac = [[yjets_hi[l].derivative(m) for m in range(n)] for l in range(n)]
 
-    def jdet(rows):
-        if not rows:
-            return Jet.const(ybar[0].space, mode, 1) if ybar else 1
-        m = len(rows)
-        if m == 1:
-            return rows[0][0]
-        total = None
-        for jj in range(m):
-            minor = [rr[:jj] + rr[jj + 1:] for rr in rows[1:]]
-            term = rows[0][jj] * jdet(minor)
-            term = term if jj % 2 == 0 else -term
-            total = term if total is None else total + term
-        return total
-
     minors = {}
     for L in anti_indices(n, k):
         for K in anti_indices(n, k):
-            rows = [[jac[l][m] for m in K] for l in L]
-            minors[(L, K)] = jdet(rows)
+            # the empty minor (k = 0) is the unit jet, so entries stay jets
+            minors[(L, K)] = det([[jac[l][m] for m in K] for l in L]) if k else \
+                Jet.const(ybar[0].space, mode, 1)
 
     out = {}
     multis = _multi_indices(n, r)
@@ -495,31 +482,3 @@ def transition_residual(ga, gb):
         for kk in set(ra) | set(rb):
             worst = max(worst, abs(ra.get(kk, 0) - rb.get(kk, 0)))
     return worst
-
-
-# ---------------------------------------------------------------------------
-# Exact linear algebra for rank checks.
-
-def exact_rank(rows):
-    """Rank of a matrix with Fraction entries, by Gaussian elimination."""
-    rows = [list(r) for r in rows]
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    for c in range(cols):
-        piv = None
-        for ri in range(rank, len(rows)):
-            if rows[ri][c] != 0:
-                piv = ri
-                break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        pv = rows[rank][c]
-        for ri in range(len(rows)):
-            if ri != rank and rows[ri][c] != 0:
-                f = Fraction(rows[ri][c], 1) / pv
-                rows[ri] = [a - f * b for a, b in zip(rows[ri], rows[rank])]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank

@@ -27,8 +27,6 @@ import json
 import sys
 import time
 from fractions import Fraction
-from functools import lru_cache
-from importlib import resources
 from pathlib import Path
 
 from . import suites as su
@@ -39,10 +37,6 @@ from .expr import ExprSyntaxError, UndeclaredSymbolError
 
 class SpecFileError(ValueError):
     pass
-
-
-def bundled_spec_path(name: str) -> Path:
-    return Path(str(resources.files("atomcur").joinpath("specs", f"{name}.json")))
 
 
 def load_spec(path) -> dict:
@@ -193,7 +187,7 @@ def run(spec_path, suite: str, r: int, k: int, mode: str, tol, seed: int,
         return 3
     ctx = su.SuiteContext(chart=chart, mode=mode, tol=tol, seed=seed,
                           r=r, k=k, probes=probes, trials=trials)
-    t0 = time.time()
+    t0 = time.perf_counter()
     try:
         if jobs > 1 and suite == "all":
             results = _run_parallel(ctx, jobs)
@@ -202,7 +196,7 @@ def run(spec_path, suite: str, r: int, k: int, mode: str, tol, seed: int,
     except (EvalDomainError, ExactModeError, ChartDomainError) as err:
         print(f"evaluation error: {err}", file=sys.stderr)
         return 3
-    wall = time.time() - t0
+    wall = time.perf_counter() - t0
     report = make_report(data, suite, ctx, results, wall)
     text = json.dumps(report, indent=2, sort_keys=True)
     if out_path:
@@ -217,11 +211,6 @@ def run(spec_path, suite: str, r: int, k: int, mode: str, tol, seed: int,
         print(f"[{status}] {row.check}: residual {row.residual:g} (tol {row.tol:g})",
               file=sys.stderr)
     return 1 if failed else 0
-
-
-def _suite_task(args):
-    name, ctx = args
-    return [r.row() for r in su.run_suite(ctx, name)]
 
 
 def _run_parallel(ctx, jobs):

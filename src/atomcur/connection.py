@@ -30,7 +30,8 @@ import threading
 from dataclasses import dataclass, field
 
 from . import expr as ex
-from .jets import FLOAT, RATIONAL, Jet, JetSpace, as_point, as_scalar
+from .jets import FLOAT, as_point
+from .multialg import det
 
 
 class ChartDomainError(ValueError):
@@ -49,28 +50,16 @@ def _expr(v, names):
     return ex.Const(v)
 
 
-def _sym_det(rows):
-    m = len(rows)
-    if m == 1:
-        return rows[0][0]
-    acc = ex.Const(0)
-    for j in range(m):
-        minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-        term = ex.ex_mul(rows[0][j], _sym_det(minor))
-        acc = ex.ex_add(acc, term) if j % 2 == 0 else ex.ex_sub(acc, term)
-    return acc
-
-
 def _sym_inverse(rows):
     """Inverse of a symbolic matrix via the adjugate; n <= 4 territory."""
     m = len(rows)
-    d = _sym_det(rows)
+    d = det(rows)
     inv = [[None] * m for _ in range(m)]
     for i in range(m):
         for j in range(m):
             minor = [[rows[r][c] for c in range(m) if c != j]
                      for r in range(m) if r != i]
-            cof = _sym_det(minor) if m > 1 else ex.Const(1)
+            cof = det(minor) if m > 1 else ex.Const(1)
             if (i + j) % 2 == 1:
                 cof = ex.ex_neg(cof)
             inv[j][i] = ex.ex_div(cof, d)
@@ -115,7 +104,7 @@ class ChartConnection:
                 metric_inverse = inv
             self.metric_inverse = tuple(tuple(_expr(metric_inverse[i][j], self.names)
                                               for j in range(self.n)) for i in range(self.n))
-            self.metric_det = _sym_det([list(r) for r in self.metric])
+            self.metric_det = det([list(r) for r in self.metric])
         self.orientation = 1 if orientation >= 0 else -1
         self._cache = {}
         self._lock = threading.Lock()

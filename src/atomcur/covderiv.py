@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 from . import expr as ex
 from .connection import ChartConnection
-from .jets import FLOAT, Jet, JetSpace, as_point, as_scalar
+from .jets import FLOAT, Jet, JetSpace, as_point
 from .multialg import (merge_sign, sort_sign, tensor_coproduct)
 
 TU, TD, FU, FD = "tu", "td", "fu", "fd"
@@ -55,9 +55,6 @@ class Field:
         for idx in self.comps:
             if len(idx) != len(self.slots):
                 raise ValueError(f"component key {idx!r} does not match slots {self.slots!r}")
-
-    def slot_dim(self, slot):
-        return self.chart.d if slot in (FU, FD) else self.chart.n
 
     def comp_jet(self, idx, p, order, mode) -> Jet:
         space = JetSpace(self.chart.n, order)

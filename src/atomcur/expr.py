@@ -24,8 +24,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .jets import (ELEMENTARY_FUNCTIONS, FLOAT, RATIONAL, EvalDomainError,
-                   ExactModeError, Jet, JetSpace, apply_elementary, as_scalar)
+from .jets import (ELEMENTARY_FUNCTIONS, FLOAT, EvalDomainError, ExactModeError,
+                   Jet, JetSpace, apply_elementary, as_scalar)
 
 __all__ = [
     "Expression", "Const", "Sym", "Add", "Sub", "Mul", "Div", "Neg", "Pow",
@@ -49,7 +49,27 @@ class UndeclaredSymbolError(ValueError):
 
 
 class Expression:
+    """Base of the immutable expression nodes.
+
+    ``+``, ``-``, ``*`` and unary ``-`` build derived expressions through
+    the folding builders (a number on the right is lifted to
+    :class:`Const`), so ring-generic code such as
+    :func:`atomcur.multialg.det` runs on expressions unchanged.
+    """
+
     __slots__ = ()
+
+    def __add__(self, other):
+        return ex_add(self, _lift(other))
+
+    def __sub__(self, other):
+        return ex_sub(self, _lift(other))
+
+    def __mul__(self, other):
+        return ex_mul(self, _lift(other))
+
+    def __neg__(self):
+        return ex_neg(self)
 
 
 class Const(Expression):
@@ -123,6 +143,10 @@ class Call(Expression):
 # expressions (Levi-Civita symbols, monomial probes, symbolic partials);
 # the parser builds raw nodes so that parsing is structure-faithful.
 
+def _lift(x):
+    return x if isinstance(x, Expression) else Const(x)
+
+
 def _is_const(e, v=None):
     return isinstance(e, Const) and (v is None or e.value == v)
 
@@ -185,13 +209,6 @@ def ex_pow(a, k):
     if _is_const(a):
         return Const(a.value ** k if k >= 0 else Fraction(1) / (a.value ** (-k)))
     return Pow(a, k)
-
-
-def ex_sum(terms):
-    acc = Const(0)
-    for t in terms:
-        acc = ex_add(acc, t)
-    return acc
 
 
 def ex_sqrt(a):

@@ -300,13 +300,6 @@ class Jet:
         return f"Jet(order={self.space.order}, value={self.value!r})"
 
 
-def jet_float(j: Jet) -> Jet:
-    """Copy of a jet with coefficients coerced to float mode."""
-    if j.mode == FLOAT:
-        return j
-    return Jet(j.space, FLOAT, array("d", (float(c) for c in j.coeffs)))
-
-
 # ---------------------------------------------------------------------------
 # Elementary function composition tables.
 

@@ -7,8 +7,10 @@ with absent keys meaning zero.  The key order used everywhere (and in
 particular for the PBW basis) is graded-lexicographic: sort by length,
 then lexicographically.
 
-Deshuffle coproducts, the determinant pairing, and the Hodge star with
-signature live here; everything is a pure function of immutable values.
+Deshuffle coproducts, the determinant pairing, the Hodge star with
+signature, and the pointwise linear algebra shared by every layer (a
+ring-generic determinant and one Gauss-Jordan elimination) live here;
+everything is a pure function of immutable values.
 """
 
 from __future__ import annotations
@@ -134,23 +136,72 @@ def wedge_coproduct(K):
 
 
 # ---------------------------------------------------------------------------
-# Determinant pairing and Hodge star.
+# Determinant, elimination, determinant pairing and Hodge star.
 
 def det(rows):
-    """Determinant by Laplace expansion; fine at fiber dimensions <= 4."""
+    """Determinant by Laplace expansion along the first row; fine at fiber
+    dimensions <= 4.
+
+    Ring-generic: entries may be numbers, Fractions, jets or expressions.
+    Numeric zero entries are skipped; the first surviving term starts the
+    sum, so jet and expression determinants carry no added zero.  The empty
+    matrix gives the integer 1.
+    """
     m = len(rows)
     if m == 0:
         return 1
     if m == 1:
         return rows[0][0]
-    total = 0
+    total = None
     for j in range(m):
-        if rows[0][j] == 0:
+        a = rows[0][j]
+        if a == 0:
             continue
-        minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-        term = rows[0][j] * det(minor)
-        total = total + term if j % 2 == 0 else total - term
-    return total
+        term = a * det([r[:j] + r[j + 1:] for r in rows[1:]])
+        if total is None:
+            total = -term if j % 2 else term
+        else:
+            total = total - term if j % 2 else total + term
+    return 0 if total is None else total
+
+
+def row_reduce(rows):
+    """Gauss-Jordan elimination with partial pivoting (largest |entry|).
+
+    Entries must come from a field (floats or Fractions).  Returns the
+    reduced rows and the pivot columns: each pivot row is scaled to a
+    leading 1 and its column cleared in every other row, so the rank is the
+    number of pivots.
+    """
+    rows = [list(r) for r in rows]
+    m = len(rows)
+    pivots = []
+    for c in range(len(rows[0]) if rows else 0):
+        top = len(pivots)
+        if top == m:
+            break
+        piv = max(range(top, m), key=lambda r: abs(rows[r][c]))
+        if rows[piv][c] == 0:
+            continue
+        rows[top], rows[piv] = rows[piv], rows[top]
+        pv = rows[top][c]
+        rows[top] = [a / pv for a in rows[top]]
+        for r in range(m):
+            if r != top and rows[r][c] != 0:
+                f = rows[r][c]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[top])]
+        pivots.append(c)
+    return rows, pivots
+
+
+def mat_inverse(M):
+    """Inverse of a square matrix by :func:`row_reduce` on [M | I]."""
+    m = len(M)
+    aug = [list(row) + [1 if i == j else 0 for j in range(m)] for i, row in enumerate(M)]
+    reduced, pivots = row_reduce(aug)
+    if pivots[:m] != list(range(m)):
+        raise ValueError("singular matrix")
+    return [row[m:] for row in reduced]
 
 
 def det_pairing(covectors, kvector):
@@ -308,9 +359,6 @@ class TensorExtElement:
 
     def degrees(self):
         return sorted({len(K) for (_w, K) in self.coeffs})
-
-    def is_zero(self, tol=0) -> bool:
-        return all(abs(c) <= tol for c in self.coeffs.values())
 
     def max_abs(self):
         return max((abs(c) for c in self.coeffs.values()), default=0)

@@ -28,18 +28,18 @@ from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 
 from . import atomic as at
 from . import covderiv as cd
 from . import expr as ex
 from .connection import ChartConnection
-from .covderiv import FD, FU, TD, TU, Field
-from .jets import (FLOAT, RATIONAL, ExactModeError, Jet, JetSpace, as_point,
-                   as_scalar)
+from .covderiv import FD, FU, TU, Field
+from .jets import (FLOAT, RATIONAL, ExactModeError, Jet, JetSpace,
+                   apply_elementary, as_point, as_scalar)
 from .multialg import (MetricSignature, TensorExtElement, anti_indices,
                        delta_coproduct, det, hodge_star, hodge_star_inverse,
-                       merge_sign, sort_sign, tensor_coproduct, wedge_merge)
+                       mat_inverse, merge_sign, sort_sign, tensor_coproduct,
+                       wedge_merge)
 
 
 class FiberEndo:
@@ -69,13 +69,6 @@ def endo_residual(a: FiberEndo, b: FiberEndo, elements) -> float:
         diff = a(x) - b(x)
         worst = max(worst, diff.max_abs())
     return worst
-
-
-def coordinate_basis(n, d, r, k):
-    """All basis lifts e_w box eps_K with |w| <= r, |K| = k."""
-    from .multialg import all_words, basis_element
-    return [basis_element(n, d, w, K)
-            for w in all_words(n, r) for K in anti_indices(d, k)]
 
 
 def _incr_items(val: dict):
@@ -159,23 +152,6 @@ def identity_endo(n, d) -> FiberEndo:
 # ---------------------------------------------------------------------------
 # Metric plumbing: orthonormal frames and the pointwise Hodge star.
 
-def _mat_inv(M):
-    m = len(M)
-    aug = [list(row) + [1 if i == j else 0 for j in range(m)] for i, row in enumerate(M)]
-    for c in range(m):
-        piv = max(range(c, m), key=lambda r: abs(aug[r][c]))
-        if aug[piv][c] == 0:
-            raise ValueError("singular matrix")
-        aug[c], aug[piv] = aug[piv], aug[c]
-        pv = aug[c][c]
-        aug[c] = [a / pv for a in aug[c]]
-        for r in range(m):
-            if r != c and aug[r][c] != 0:
-                f = aug[r][c]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[c])]
-    return [row[m:] for row in aug]
-
-
 def orthonormal_frame(chart: ChartConnection, p, mode=FLOAT):
     """Gram-Schmidt orthonormalization of the coordinate frame at p.
 
@@ -235,7 +211,7 @@ def pointwise_star(chart: ChartConnection, p, mode=FLOAT):
     increasing-key coefficient maps in the coordinate frame."""
     chart.require_metric()
     O, sig = orthonormal_frame(chart, p, mode)
-    C = _mat_inv(O) if mode == FLOAT else O  # identity fast path keeps O == C == I
+    C = mat_inverse(O) if mode == FLOAT else O  # identity fast path keeps O == C == I
     n = chart.n
 
     def apply(val, inverse):
@@ -482,12 +458,6 @@ class SharpElement:
         cur = self.coeffs.get(key)
         self.coeffs[key] = jet if cur is None else cur + jet
 
-    def value_element(self) -> TensorExtElement:
-        out = TensorExtElement(self.chart.n, self.chart.d)
-        for (w, K), jet in self.coeffs.items():
-            out.add_term(w, K, jet.value)
-        return out
-
     def truncated(self, budget) -> "SharpElement":
         return SharpElement(self.chart, self.point, self.mode, budget,
                             {key: j.truncate(budget) for key, j in self.coeffs.items()})
@@ -653,65 +623,61 @@ def boundary_via_trace(chart: ChartConnection, T: at.AtomicCurrent, mode=FLOAT) 
 # ---------------------------------------------------------------------------
 # Hodge star on form fields, codifferential, adjoint involution.
 
-def star_form_exprs(chart: ChartConnection, omega: Field) -> Field:
-    """Hodge star of a differential form field, symbolically.
+def raise_form_jets(chart: ChartConnection, omega: Field, p, mode, budget) -> dict:
+    """Jets of a k-form raised by the metric, on increasing keys:
 
-    Uses alpha wedge star(beta) = <alpha, beta>_g vol:
-    (star omega)_L = sqrt(det g) * sgn(L^c, L) * sum_M omega_M det(g^{-1}[L^c, M]).
-    Requires a metric with positive determinant on the chart domain.
-    """
-    chart.require_metric()
-    n = chart.n
-    k = len(omega.slots)
-    sqrtg = ex.ex_sqrt(chart.metric_det)
-    comps_incr = {}
-    for L in itertools.combinations(range(n), n - k):
-        Lc = tuple(i for i in range(n) if i not in L)
-        sgn = merge_sign(Lc, L)
-        acc = None
-        for M in itertools.combinations(range(n), k):
-            w = omega.comps.get(M)
-            if w is None:
-                continue
-            minor = ex.Const(1) if k == 0 else None
-            if k > 0:
-                rows = [[chart.metric_inverse[i][j] for j in M] for i in Lc]
-                minor = _sym_det_expr(rows)
-            term = ex.ex_mul(w, minor)
-            acc = term if acc is None else ex.ex_add(acc, term)
-        if acc is not None:
-            term = ex.ex_mul(sqrtg, acc)
-            comps_incr[L] = term if sgn == 1 else ex.ex_neg(term)
-    return cd.form_field(chart, n - k, comps_incr)
+    (omega^sharp)^A = sum_K omega_K det(g^{-1}[A, K]).
 
-
-def _sym_det_expr(rows):
-    m = len(rows)
-    if m == 0:
-        return ex.Const(1)
-    if m == 1:
-        return rows[0][0]
-    acc = ex.Const(0)
-    for j in range(m):
-        minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-        term = ex.ex_mul(rows[0][j], _sym_det_expr(minor))
-        acc = ex.ex_add(acc, term) if j % 2 == 0 else ex.ex_sub(acc, term)
-    return acc
-
-
-def star_form_jets(chart: ChartConnection, omega: Field, p, mode, budget,
-                   inverse=False) -> Field:
-    """Pointwise-varying Hodge star of a jet-backed form field.
-
-    ``inverse`` applies star^{-1} = (-1)^{m(n-m)} star on degree-m input
-    (Riemannian signature assumed)."""
+    Components of an expression-backed ``omega`` whose jet vanishes are
+    skipped; the result maps each anti-index A reached to its jet.  The
+    minors of g^{-1} are cached per point on the chart."""
     chart.require_metric()
     n = chart.n
     k = len(omega.slots)
     p = as_point(p, mode)
-    ginv = [[ex.eval_jet(chart.metric_inverse[i][j], p, budget, mode)
-             for j in range(n)] for i in range(n)]
-    from .jets import apply_elementary
+    cache = chart._point_cache(p, mode)
+    minors = cache.get(("ginv-minors", k, budget))
+    if minors is None:
+        ginv = [[ex.eval_jet(chart.metric_inverse[i][j], p, budget, mode)
+                 for j in range(n)] for i in range(n)]
+        minors = cache[("ginv-minors", k, budget)] = {
+            (A, K): det([[ginv[a][kk] for kk in K] for a in A])
+            for A in anti_indices(n, k) for K in anti_indices(n, k)}
+    comps = {}
+    for K in anti_indices(n, k):
+        if omega.jet_backed:
+            w = omega.comps.get(K)
+        else:
+            w = omega.comp_jet(K, p, budget, mode)
+            if all(c == 0 for c in w.coeffs):
+                w = None
+        if w is not None:
+            comps[K] = w.truncate(budget)
+    out = {}
+    for A in anti_indices(n, k):
+        acc = None
+        for K, w in comps.items():
+            term = w * minors[(A, K)]
+            acc = term if acc is None else acc + term
+        if acc is not None:
+            out[A] = acc
+    return out
+
+
+def star_form_jets(chart: ChartConnection, omega: Field, p, mode, budget,
+                   inverse=False) -> Field:
+    """Pointwise-varying Hodge star of a form field, as jets at p.
+
+    Uses alpha wedge star(beta) = <alpha, beta>_g vol: the star is the
+    raised form times sqrt(det g) and a sign,
+    (star omega)_L = sgn(L^c, L) sqrt(det g) (omega^sharp)^{L^c}.
+    ``inverse`` applies star^{-1} = (-1)^{k(n-k)} star on degree-k input
+    (Riemannian signature assumed).  Requires a positive metric determinant.
+    """
+    n = chart.n
+    k = len(omega.slots)
+    p = as_point(p, mode)
+    raised = raise_form_jets(chart, omega, p, mode, budget)
     detg = ex.eval_jet(chart.metric_det, p, budget, mode)
     if detg.value <= 0:
         raise ValueError("star of forms needs a positive metric determinant")
@@ -720,53 +686,19 @@ def star_form_jets(chart: ChartConnection, omega: Field, p, mode, budget,
         sqrtg = Jet.const(detg.space, mode, folded.value)
     else:
         sqrtg = apply_elementary("sqrt", detg)
+    flip = -1 if inverse and k * (n - k) % 2 else 1
     comps = {}
     for L in itertools.combinations(range(n), n - k):
         Lc = tuple(i for i in range(n) if i not in L)
-        sgn = merge_sign(Lc, L)
-        acc = None
-        for M in itertools.combinations(range(n), k):
-            w = omega.comps.get(M) if omega.jet_backed else None
-            if not omega.jet_backed:
-                w = omega.comp_jet(M, p, budget, mode)
-                if all(c == 0 for c in w.coeffs):
-                    w = None
-            if w is None:
-                continue
-            w = w.truncate(budget)
-            rows = [[ginv[i][j] for j in M] for i in Lc]
-            minor = _jet_det(rows, Jet.const(w.space, mode, 1))
-            term = w * minor
-            acc = term if acc is None else acc + term
+        acc = raised.get(Lc)
         if acc is not None:
             jet = sqrtg * acc
-            comps[L] = jet if sgn == 1 else -jet
-    out = cd.jet_field(chart, (FD,) * (n - k), _expand_antisym_jets(comps, n),
-                       p, budget, mode)
-    if inverse:
-        sgn = (-1) ** (k * (n - k))
-        if sgn == -1:
-            out = cd.jet_field(chart, out.slots,
-                               {i: -j for i, j in out.comps.items()}, p, budget, mode)
-    return out
+            comps[L] = jet if merge_sign(Lc, L) * flip == 1 else -jet
+    return cd.jet_field(chart, (FD,) * (n - k), _expand_antisym_jets(comps),
+                        p, budget, mode)
 
 
-def _jet_det(rows, one):
-    m = len(rows)
-    if m == 0:
-        return one
-    if m == 1:
-        return rows[0][0]
-    total = None
-    for j in range(m):
-        minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-        term = rows[0][j] * _jet_det(minor, one)
-        term = term if j % 2 == 0 else -term
-        total = term if total is None else total + term
-    return total
-
-
-def _expand_antisym_jets(comps_incr, dim):
+def _expand_antisym_jets(comps_incr):
     full = {}
     for K, jet in comps_incr.items():
         for perm in itertools.permutations(K):
@@ -780,7 +712,7 @@ def codifferential_form(chart: ChartConnection, omega: Field, p, mode=FLOAT,
     """delta omega = (-1)^k star^{-1} d star omega, as a jet-backed field at p."""
     k = len(omega.slots)
     p = as_point(p, mode)
-    st = star_form_exprs(chart, omega)
+    st = star_form_jets(chart, omega, p, mode, budget + 1)
     dst = cd.exterior_derivative(st, p, mode, out_order=budget)
     out = star_form_jets(chart, dst, p, mode, budget, inverse=True)
     if k % 2 == 1:

@@ -14,7 +14,6 @@ byte for byte.
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
@@ -24,10 +23,9 @@ from . import covderiv as cd
 from . import expr as ex
 from . import operators as op
 from .connection import ChartConnection, curvature, dual_chart
-from .jets import FLOAT, RATIONAL, Jet, JetSpace, as_point
-from .multialg import (MetricSignature, TensorExtElement, anti_indices,
-                       basis_element, det_pairing, hodge_star,
-                       hodge_star_dual, hodge_star_inverse, sorted_words,
+from .jets import FLOAT, RATIONAL, as_point
+from .multialg import (MetricSignature, anti_indices, basis_element, hodge_star,
+                       hodge_star_dual, hodge_star_inverse, row_reduce,
                        tensor_coproduct, wedge_coproduct)
 
 
@@ -217,23 +215,13 @@ def check_jets_monomial(ctx):
     n = ctx.chart.n
     p = as_point(ctx.probes[0], ctx.mode)
     worst = 0
-    for T in _multi_upto(n, 3):
+    for T in itertools.chain.from_iterable(at._multi_indices(n, 3).values()):
         mono = ex.monomial_form(p, T, ctx.chart.names)
         jet = ex.eval_jet(mono, p, sum(T), ctx.mode)
-        for S in _multi_upto(n, sum(T)):
+        for S in itertools.chain.from_iterable(at._multi_indices(n, sum(T)).values()):
             want = 1 if S == T else 0
             worst = max(worst, abs(jet.partial(S) - want))
     out.append(_result(ctx, "jets-monomial", stmt, p, worst, ctx.tolerance(1e-12)))
-    return out
-
-
-def _multi_upto(n, deg):
-    out = []
-    for w in sorted_words(n, deg):
-        T = [0] * n
-        for i in w:
-            T[i] += 1
-        out.append(tuple(T))
     return out
 
 
@@ -539,14 +527,9 @@ def check_leibniz(ctx):
                 for ia, ca in av.items():
                     for ib, cb in bv.items():
                         rhs[ia + ib] = rhs.get(ia + ib, 0) + ca * cb
-            worst = max(worst, _dict_resid(lhs, rhs))
+            worst = max(worst, cd._dict_residual(lhs, rhs))
         out.append(_result(ctx, "leibniz", stmt, p, worst, ctx.tolerance(1e-8)))
     return out
-
-
-def _dict_resid(a, b):
-    keys = set(a) | set(b)
-    return max((abs(a.get(kk, 0) - b.get(kk, 0)) for kk in keys), default=0)
 
 
 def check_shuffle(ctx):
@@ -579,7 +562,7 @@ def check_shuffle(ctx):
                         acc += sgn * va * vb
                     if acc != 0:
                         rhs[idx] = rhs.get(idx, 0) + acc
-            worst = max(worst, _dict_resid(lhs, rhs))
+            worst = max(worst, cd._dict_residual(lhs, rhs))
         out.append(_result(ctx, "shuffle", stmt, p, worst, ctx.tolerance(1e-8)))
     return out
 
@@ -637,7 +620,7 @@ def check_interior(ctx):
                         if idx[0] == b:
                             key = idx[1:]
                             rhs[key] = rhs.get(key, 0) + cx * co
-            worst = max(worst, _dict_resid(lhs, rhs))
+            worst = max(worst, cd._dict_residual(lhs, rhs))
         out.append(_result(ctx, "interior", stmt, p, worst, ctx.tolerance(1e-8)))
     return out
 
@@ -674,7 +657,7 @@ def check_cov_coproduct(ctx):
                 for key, c in cd.nabla_value(fld, v, pm, ctx.mode).items():
                     pair = (key[:la], key[la:])
                     rhs[pair] = rhs.get(pair, 0) + c
-            worst = max(worst, _dict_resid(lhs, rhs))
+            worst = max(worst, cd._dict_residual(lhs, rhs))
         out.append(_result(ctx, "cov-coproduct", stmt, p, worst, ctx.tolerance(1e-9)))
     return out
 
@@ -706,7 +689,7 @@ def check_even_order(ctx):
                         lhs[idx] = lhs.get(idx, 0) + sgn * c
                     for idx, c in cd.nabla_value(al, word, pm, ctx.mode).items():
                         rhs[idx] = rhs.get(idx, 0) + sgn * fval * c
-                worst = max(worst, _dict_resid(lhs, rhs))
+                worst = max(worst, cd._dict_residual(lhs, rhs))
         out.append(_result(ctx, "even-order", stmt, p, worst, ctx.tolerance(1e-8)))
     return out
 
@@ -763,13 +746,13 @@ def check_covariant_product(ctx):
                 ei = tuple(1 if t == i else 0 for t in range(ctx.chart.n))
                 acc += Vv.get((i,), 0) * jW.partial(ei) - Wv.get((i,), 0) * jV.partial(ei)
             rhs[(kk,)] = rhs.get((kk,), 0) + acc
-        res1 = _dict_resid(lhs, rhs)
+        res1 = cd._dict_residual(lhs, rhs)
         out.append(_result(ctx, "covariant-product-bracket",
                            "V(.)W - W(.)V = V(x)W - W(x)V + [V,W]", p, res1,
                            ctx.tolerance(1e-9)))
         one = cd.tensor_field(ctx.chart, 0, {(): 1})
         oy = cd.covariant_product_value(one, W, pm, ctx.mode)
-        res2 = _dict_resid(oy, Wv)
+        res2 = cd._dict_residual(oy, Wv)
         out.append(_result(ctx, "covariant-product-unit", "1 (.) Y = Y", p, res2,
                            ctx.tolerance(1e-12)))
         X = rand_vector_field(ctx, rng)
@@ -782,7 +765,7 @@ def check_covariant_product(ctx):
         lv = {kk: j.value for kk, j in l.items()}
         rv = {kk: j.value for kk, j in r2.items()}
         out.append(_result(ctx, "covariant-product-assoc",
-                           "(X(.)Y)(.)Z = X(.)(Y(.)Z)", p, _dict_resid(lv, rv),
+                           "(X(.)Y)(.)Z = X(.)(Y(.)Z)", p, cd._dict_residual(lv, rv),
                            ctx.tolerance(1e-7)))
     return out
 
@@ -819,16 +802,9 @@ def check_exterior_derivative(ctx):
     return out
 
 
-_PERTURBED = {}
-
-
 def _perturbed_chart(chart):
     """A second torsion-free connection on the same chart: Gamma + symmetric
     polynomial perturbation."""
-    key = id(chart)
-    hit = _PERTURBED.get(key)
-    if hit is not None:
-        return hit
     n = chart.n
     names = chart.names
     gamma = [[[None] * n for _ in range(n)] for _ in range(n)]
@@ -839,10 +815,8 @@ def _perturbed_chart(chart):
                     if i <= j else gamma[kk][j][i]
                 base = chart.base_gamma[kk][i][j]
                 gamma[kk][i][j] = ex.ex_add(base, bump) if i <= j else bump
-    pert = ChartConnection(names, gamma, chart.domain, name=chart.name + "+bump",
+    return ChartConnection(names, gamma, chart.domain, name=chart.name + "+bump",
                            validate=False)
-    _PERTURBED[key] = pert
-    return pert
 
 
 # ---------------------------------------------------------------------------
@@ -880,7 +854,7 @@ def check_pbw(ctx):
                             probe = at.probe_form(ctx.chart, p, T, L, ctx.mode)
                             row.append(at.phi_apply(ctx.chart, el, probe, p, ctx.mode))
                 rows.append(row)
-        rank = at.exact_rank(rows)
+        rank = len(row_reduce(rows)[1])
         out.append(_result(ctx, "pbw-image-rank", stmt2, p,
                            abs(rank - at.pbw_dimension(n, d, r, k)), 0))
     else:
@@ -891,7 +865,7 @@ def check_pbw(ctx):
     for (I, K) in at.pbw_keys(n, d, min(r, 2), k):
         cur = at.to_pbw(ctx.chart, at.pbw_lift(n, d, I, K), p, r, k, ctx.mode)
         expect = {(I, K): 1}
-        worst = max(worst, _dict_resid(cur.coeffs, expect))
+        worst = max(worst, cd._dict_residual(cur.coeffs, expect))
     out.append(_result(ctx, "pbw-roundtrip", stmt3, p, worst, 0))
     # flat collapse: to_pbw depends only on symmetrization
     stmt4 = "flat chart: to_pbw(v box alpha) depends only on the symmetrization of v"
@@ -967,12 +941,12 @@ def check_coalgebra(ctx):
         Tr.add(kr[0], kr[1], 1)
         for (krl, krr), c2 in at.coproduct(Tr).items():
             rhs[(kl, krl, krr)] = rhs.get((kl, krl, krr), 0) + c * c2
-    worst = max(worst, _dict_resid(lhs, rhs))
+    worst = max(worst, cd._dict_residual(lhs, rhs))
     left = {}
     for ((kl, kr)), c in pairs.items():
         if kl == ((), ()):
             left[kr] = left.get(kr, 0) + c
-    worst = max(worst, _dict_resid(left, T.coeffs))
+    worst = max(worst, cd._dict_residual(left, T.coeffs))
     out.append(_result(ctx, "coalgebra-counit", stmt2, p, worst, 0))
     # connection independence
     stmt3 = "coproduct is connection independent (two torsion-free connections)"
@@ -1243,7 +1217,7 @@ def check_perp_duality(ctx):
     for kk in range(n + 1):
         for K in anti_indices(n, kk):
             om = rand_form_field(ctx, rng, n - kk)
-            st = op.star_form_exprs(ctx.chart, om)
+            st = op.star_form_jets(ctx.chart, om, p, ctx.mode, 1)
             for w in [(), (0,)]:
                 x = basis_element(n, n, w, K)
                 lhs = at.phi_apply(ctx.chart, P(x), om, p, ctx.mode)
@@ -1350,7 +1324,7 @@ def check_boundary(ctx):
         expect = {((0,), (1,)): 1, ((1,), (0,)): -1}
         out.append(_result(ctx, "boundary-hand-value",
                            "flat: boundary(Dirac box e0^e1) = +(e0,{1}) - (e1,{0})", p,
-                           _dict_resid(bT.coeffs, expect), ctx.tolerance(1e-10)))
+                           cd._dict_residual(bT.coeffs, expect), ctx.tolerance(1e-10)))
     # duality, square zero, counit
     worst_d, worst_sq, worst_eps = 0, 0, 0
     for _ in range(ctx.n_trials(30)):
@@ -1452,12 +1426,13 @@ def _codifferential_twin_residual(ctx, p):
             for K in anti_indices(n, kdeg):
                 x = basis_element(n, n, w, K)
                 tx = trDE(x)
-                for T in _multi_upto(n, len(w) + 1):
+                multis = at._multi_indices(n, len(w) + 1).values()
+                for T in itertools.chain.from_iterable(multis):
                     for L in anti_indices(n, kdeg + 1):
                         mono = ex.monomial_form(p, T, chart.names)
-                        omsharp = _raise_form(dch, chart, {L: mono}, kdeg + 1)
-                        lhs = at.phi_apply(dch, tx, omsharp, p, ctx.mode)
                         omf = cd.form_field(chart, kdeg + 1, {L: mono})
+                        omsharp = _raise_jet_form(dch, chart, omf, p, len(w) + 1, ctx.mode)
+                        lhs = at.phi_apply(dch, tx, omsharp, p, ctx.mode)
                         dl = op.codifferential_form(chart, omf, p, ctx.mode,
                                                     budget=len(w) + 1)
                         mdl = _raise_jet_form(dch, chart, dl, p, len(w) + 1, ctx.mode)
@@ -1466,41 +1441,11 @@ def _codifferential_twin_residual(ctx, p):
     return worst
 
 
-def _raise_form(dch, chart, om_comps, k):
-    comps = {}
-    for A in anti_indices(chart.n, k):
-        acc = None
-        for K in anti_indices(chart.n, k):
-            if K not in om_comps:
-                continue
-            rows = [[chart.metric_inverse[a][kk] for kk in K] for a in A]
-            minor = op._sym_det_expr(rows) if k else ex.Const(1)
-            t = ex.ex_mul(minor, om_comps[K])
-            acc = t if acc is None else ex.ex_add(acc, t)
-        if acc is not None:
-            comps[A] = acc
-    return cd.form_field(dch, k, comps)
-
-
-def _raise_jet_form(dch, chart, jf, p, budget, mode):
-    k = len(jf.slots)
-    ginv = [[ex.eval_jet(chart.metric_inverse[i][j], p, budget, mode)
-             for j in range(chart.n)] for i in range(chart.n)]
-    comps = {}
-    for A in anti_indices(chart.n, k):
-        acc = None
-        for K in anti_indices(chart.n, k):
-            jet = jf.comps.get(K)
-            if jet is None:
-                continue
-            rows = [[ginv[a][kk] for kk in K] for a in A]
-            minor = op._jet_det(rows, Jet.const(jet.space, mode, 1))
-            t = jet * minor
-            acc = t if acc is None else acc + t
-        if acc is not None:
-            comps[A] = acc
-    full = op._expand_antisym_jets(comps, chart.n)
-    return cd.jet_field(dch, (cd.FD,) * k, full, p, budget, mode)
+def _raise_jet_form(dch, chart, form, p, budget, mode):
+    """The metric-raised form on the dual-fiber chart, as a jet-backed field."""
+    comps = op.raise_form_jets(chart, form, p, mode, budget)
+    return cd.jet_field(dch, (cd.FD,) * len(form.slots), op._expand_antisym_jets(comps),
+                        p, budget, mode)
 
 
 def check_trace_frame_independence(ctx):

@@ -200,8 +200,3 @@ def test_current_json_roundtrip():
     T.add((), (1,), -2)
     back = at.AtomicCurrent.from_json(T.point, 2, 1, T.to_json())
     assert back.coeffs == T.coeffs
-
-
-def test_exact_rank():
-    rows = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)], [Fraction(0), Fraction(1)]]
-    assert at.exact_rank(rows) == 2

@@ -117,12 +117,18 @@ def test_report_determinism(tmp_path):
 
 
 def test_jobs_flag(tmp_path):
-    out = tmp_path / "r.json"
-    code = run_cli(["run", str(SPECS / "flat-r1.json"), "--suite", "all",
-                    "--mode", "rational", "--jobs", "2", "--trials", "2",
-                    "--out", str(out)])
-    assert code == 0
-    assert json.loads(out.read_text())["summary"]["failed"] == 0
+    reports = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"r{jobs}.json"
+        code = run_cli(["run", str(SPECS / "flat-r1.json"), "--suite", "all",
+                        "--mode", "rational", "--jobs", jobs, "--trials", "2",
+                        "--out", str(out)])
+        assert code == 0
+        report = json.loads(out.read_text())
+        report.pop("timing")
+        reports.append(report)
+    assert reports[1]["summary"]["failed"] == 0
+    assert json.dumps(reports[1], sort_keys=True) == json.dumps(reports[0], sort_keys=True)
 
 
 def test_entry_point_runs():

@@ -194,6 +194,21 @@ def test_exterior_derivative_connection_independent(s2):
         assert abs((a.value if a else 0) - (b.value if b else 0)) < 1e-8
 
 
+def test_perturbed_chart_follows_its_chart():
+    # batches of charts are created and dropped in turn, so CPython hands
+    # new charts the ids of freed ones; each perturbation must still be of
+    # the chart passed in
+    from atomcur.connection import ChartConnection
+    from atomcur.suites import _perturbed_chart
+    for n in (2, 3, 2, 3):
+        charts = [ChartConnection.flat(n) for _ in range(30)]
+        for b in charts:
+            pert = _perturbed_chart(b)
+            assert pert.n == b.n
+            assert pert.names == b.names
+        del charts, b, pert
+
+
 def test_leibniz_rule(s2):
     rng = random.Random(31)
     p = (1.0, 1.5)

@@ -2,8 +2,10 @@ from fractions import Fraction
 
 import pytest
 
+from atomcur import expr as ex
+from atomcur.jets import FLOAT, RATIONAL, Jet, JetSpace
 from atomcur.multialg import (MetricSignature, TensorExtElement, anti_indices,
-                              basis_element, det_pairing, hodge_star,
+                              basis_element, det, det_pairing, mat_inverse, row_reduce, hodge_star,
                               hodge_star_dual, hodge_star_inverse, sorted_words,
                               tensor_coproduct, wedge_coproduct, wedge_merge,
                               word_multidegree, sorted_word)
@@ -117,3 +119,63 @@ def test_wedge_merge():
     assert wedge_merge((0,), (1,)) == (1, (0, 1))
     assert wedge_merge((1,), (0,)) == (-1, (0, 1))
     assert wedge_merge((0,), (0,)) == (0, ())
+
+
+def test_det_numbers():
+    assert det([]) == 1
+    assert det([[7]]) == 7
+    assert det([[2, 1], [1, 3]]) == 5
+    m = [[Fraction(1, 2), Fraction(1, 3), 0],
+         [0, Fraction(2), Fraction(-1, 4)],
+         [Fraction(3), 0, Fraction(1)]]
+    # 1/2*(2 - 0) - 1/3*(0 + 3/4) + 0
+    assert det(m) == Fraction(3, 4)
+    # a zero first row skips every term
+    assert det([[0, 0], [1, 2]]) == 0
+    assert det([[0.5, 0.25], [2.0, 4.0]]) == 1.5
+
+
+def test_det_jets():
+    # det [[x, y], [-y, x]] = x^2 + y^2 at (1, 2), coefficientwise
+    for mode, point in ((FLOAT, (1.0, 2.0)), (RATIONAL, (Fraction(1), Fraction(2)))):
+        sp = JetSpace(2, 2)
+        x = Jet.variable(sp, mode, 0, point[0])
+        y = Jet.variable(sp, mode, 1, point[1])
+        d = det([[x, y], [-y, x]])
+        assert isinstance(d, Jet)
+        want = {(0, 0): 5, (1, 0): 2, (0, 1): 4, (2, 0): 1, (1, 1): 0, (0, 2): 1}
+        assert {T: d.coeff(T) for T in sp.indices} == want
+
+
+def test_det_expressions_fold_like_the_builders():
+    names = ("x", "y")
+    a, b, c, e = (ex.parse(t, names) for t in ("x", "y^2", "1 + x", "x*y"))
+    got = det([[a, b], [c, e]])
+    assert ex.to_string(got) == ex.to_string(ex.ex_sub(ex.ex_mul(a, e), ex.ex_mul(b, c)))
+    assert ex.evaluate(got, (Fraction(2), Fraction(3)), RATIONAL) == 2 * 6 - 9 * 3
+    # constant entries fold exactly
+    one, zero = ex.Const(1), ex.Const(0)
+    folded = det([[one, zero], [zero, ex.Const("1/3")]])
+    assert isinstance(folded, ex.Const) and folded.value == Fraction(1, 3)
+
+
+def test_row_reduce_rank():
+    rows = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)], [Fraction(0), Fraction(1)]]
+    reduced, pivots = row_reduce(rows)
+    assert pivots == [0, 1]
+    assert reduced == [[1, 0], [0, 1], [0, 0]]
+    assert row_reduce([[Fraction(0), Fraction(0)]])[1] == []
+    assert row_reduce([])[1] == []
+
+
+def test_mat_inverse():
+    m = [[Fraction(2), Fraction(1)], [Fraction(7), Fraction(4)]]
+    assert mat_inverse(m) == [[4, -1], [-7, 2]]
+    f = [[0.0, 2.0, 1.0], [1.0, 0.5, 0.0], [3.0, 0.0, 1.0]]
+    inv = mat_inverse(f)
+    for i in range(3):
+        for j in range(3):
+            got = sum(f[i][l] * inv[l][j] for l in range(3))
+            assert abs(got - (1.0 if i == j else 0.0)) < 1e-14
+    with pytest.raises(ValueError):
+        mat_inverse([[1.0, 2.0], [2.0, 4.0]])
