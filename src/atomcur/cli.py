@@ -154,19 +154,9 @@ def _check_rational_ok(chart: ChartConnection):
             return rational(e.a)
         return False  # elementary function call
 
-    tables = [chart.base_gamma, chart.fiber_gamma]
-    for table in tables:
-        for plane in table:
-            for row in plane:
-                for e in row:
-                    if not rational(e):
-                        return False
-    if chart.metric is not None:
-        for row in chart.metric:
-            for e in row:
-                if not rational(e):
-                    return False
-    return True
+    planes = [chart.metric] + list(chart.base_gamma or ()) + list(chart.fiber_gamma or ())
+    return all(rational(e) for plane in planes if plane is not None
+               for row in plane for e in row)
 
 
 def run(spec_path, suite: str, r: int, k: int, mode: str, tol, seed: int,

@@ -5,6 +5,10 @@ box), first-order Christoffel symbols for the base connection on the
 tangent bundle, first-order coefficients for a fiber bundle E (the
 tangent bundle by default), and optionally a metric with orientation.
 
+A chart built from a metric stores only the metric expressions: its
+Levi-Civita symbols, g^{-1} and det g are assembled at each point from the
+jets of g (see ``_levi_civita_table``), never by symbolic differentiation.
+
 The higher-order symbols are defined by contracting the higher covariant
 derivative of a coordinate frame field against the frame,
 
@@ -26,11 +30,13 @@ never invalidated.
 
 from __future__ import annotations
 
+import copy
 import threading
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from . import expr as ex
-from .jets import FLOAT, as_point
+from .jets import FLOAT, Jet, JetSpace, as_point
 from .multialg import det
 
 
@@ -43,6 +49,9 @@ class ChartValidationError(ValueError):
 
 
 def _expr(v, names):
+    """Expression of a string or number; nested lists give nested tuples."""
+    if isinstance(v, (list, tuple)):
+        return tuple(_expr(x, names) for x in v)
     if isinstance(v, ex.Expression):
         return v
     if isinstance(v, str):
@@ -50,61 +59,49 @@ def _expr(v, names):
     return ex.Const(v)
 
 
-def _sym_inverse(rows):
-    """Inverse of a symbolic matrix via the adjugate; n <= 4 territory."""
-    m = len(rows)
-    d = det(rows)
-    inv = [[None] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(m):
-            minor = [[rows[r][c] for c in range(m) if c != j]
-                     for r in range(m) if r != i]
-            cof = det(minor) if m > 1 else ex.Const(1)
-            if (i + j) % 2 == 1:
-                cof = ex.ex_neg(cof)
-            inv[j][i] = ex.ex_div(cof, d)
-    return inv, d
+def _expression_table(gamma):
+    """Symbols gamma[k][i][j] given as expressions, evaluated as a table
+    [i][j] -> jets over k."""
+    def table(p, order, mode):
+        return [[[ex.eval_jet(plane[i][j], p, order, mode) for plane in gamma]
+                 for j in range(len(gamma[0][0]))] for i in range(len(gamma[0]))]
+    return table
 
 
 class ChartConnection:
-    """Immutable chart + connection data with a synchronized jet cache."""
+    """Immutable chart + connection data with a synchronized jet cache.
+
+    ``base_gamma`` is ``None`` for the Levi-Civita connection of ``metric``.
+    """
 
     def __init__(self, names, base_gamma, domain, fiber_gamma=None,
-                 metric=None, metric_inverse=None, orientation=1,
-                 check_points=None, name="chart", validate=True):
+                 metric=None, orientation=1, check_points=None, name="chart",
+                 validate=True):
         self.name = name
         self.names = tuple(names)
         self.n = len(self.names)
         self.domain = tuple((float(lo), float(hi)) for lo, hi in domain)
         if len(self.domain) != self.n:
             raise ChartValidationError("domain box must give one interval per coordinate")
-        self.base_gamma = tuple(
-            tuple(tuple(_expr(base_gamma[k][i][j], self.names) for j in range(self.n))
-                  for i in range(self.n))
-            for k in range(self.n))
+        self.metric = None if metric is None else _expr(metric, self.names)
+        if base_gamma is None:
+            if self.metric is None:
+                raise ChartValidationError("a chart needs Christoffel symbols or a metric")
+            self.base_gamma = None
+            self._base_table = self._levi_civita_table
+        else:
+            self.base_gamma = _expr(base_gamma, self.names)
+            self._base_table = _expression_table(self.base_gamma)
         if fiber_gamma is None:
             self.d = self.n
             self.fiber_gamma = self.base_gamma
             self.fiber_is_tangent = True
+            self._fiber_table = None
         else:
             self.d = len(fiber_gamma)
-            self.fiber_gamma = tuple(
-                tuple(tuple(_expr(fiber_gamma[b][i][a], self.names) for a in range(self.d))
-                      for i in range(self.n))
-                for b in range(self.d))
+            self.fiber_gamma = _expr(fiber_gamma, self.names)
             self.fiber_is_tangent = False
-        self.metric = None
-        self.metric_inverse = None
-        self.metric_det = None
-        if metric is not None:
-            self.metric = tuple(tuple(_expr(metric[i][j], self.names)
-                                      for j in range(self.n)) for i in range(self.n))
-            if metric_inverse is None:
-                inv, _ = _sym_inverse([list(r) for r in self.metric])
-                metric_inverse = inv
-            self.metric_inverse = tuple(tuple(_expr(metric_inverse[i][j], self.names)
-                                              for j in range(self.n)) for i in range(self.n))
-            self.metric_det = det([list(r) for r in self.metric])
+            self._fiber_table = _expression_table(self.fiber_gamma)
         self.orientation = 1 if orientation >= 0 else -1
         self._cache = {}
         self._lock = threading.Lock()
@@ -117,54 +114,49 @@ class ChartConnection:
     @staticmethod
     def flat(n, names=None, lo=-2.0, hi=2.0, name="flat"):
         names = names or tuple(f"x{i}" for i in range(n))
-        zero = ex.Const(0)
-        gamma = [[[zero] * n for _ in range(n)] for _ in range(n)]
-        eye = [[ex.Const(1 if i == j else 0) for j in range(n)] for i in range(n)]
-        return ChartConnection(names, gamma, [(lo, hi)] * n, metric=eye,
-                               metric_inverse=eye, name=name)
+        eye = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+        return ChartConnection.from_metric(names, eye, [(lo, hi)] * n, name=name)
 
     @staticmethod
     def from_metric(names, metric, domain, name="chart", check_points=None):
         """Levi-Civita connection of a metric given by expressions."""
-        names = tuple(names)
-        n = len(names)
-        g = [[_expr(metric[i][j], names) for j in range(n)] for i in range(n)]
-        ginv, _ = _sym_inverse(g)
-        dg = [[[ex.partial_derivative(g[i][j], k) for j in range(n)]
-               for i in range(n)] for k in range(n)]
-        gamma = [[[None] * n for _ in range(n)] for _ in range(n)]
-        half = ex.Const("1/2")
-        for k in range(n):
-            for i in range(n):
-                for j in range(n):
-                    acc = ex.Const(0)
-                    for l in range(n):
-                        inner = ex.ex_sub(ex.ex_add(dg[i][l][j], dg[j][l][i]), dg[l][i][j])
-                        acc = ex.ex_add(acc, ex.ex_mul(ginv[k][l], inner))
-                    gamma[k][i][j] = ex.ex_mul(half, acc)
-        return ChartConnection(names, gamma, domain, metric=g, metric_inverse=ginv,
-                               name=name, check_points=check_points)
+        return ChartConnection(names, None, domain, metric=metric, name=name,
+                               check_points=check_points)
 
     def with_fiber(self, fiber_gamma, name=None):
-        """Same chart with an explicit fiber connection (e.g. the dual one)."""
-        return ChartConnection(self.names,
-                               [[[self.base_gamma[k][i][j] for j in range(self.n)]
-                                 for i in range(self.n)] for k in range(self.n)],
-                               self.domain, fiber_gamma=fiber_gamma,
-                               metric=self.metric, metric_inverse=self.metric_inverse,
+        """Same chart with an explicit fiber connection given by expressions."""
+        return ChartConnection(self.names, self.base_gamma, self.domain,
+                               fiber_gamma=fiber_gamma, metric=self.metric,
                                orientation=self.orientation,
                                name=name or self.name, validate=False)
+
+    def _derived(self, name, base_table=None, fiber_table=None):
+        """A chart on the same coordinates whose symbols are computed from this
+        chart's cached jets.  ``base_table`` replaces the base symbols (and
+        drops the metric); ``fiber_table`` gives a non-tangent fiber.  Each
+        maps (point, order, mode) to a table [i][j] -> jets over k."""
+        ch = copy.copy(self)
+        ch.name, ch._cache, ch._lock = name, {}, threading.Lock()
+        ch.base_gamma = ch.fiber_gamma = None
+        ch._base_table = lambda p, order, mode: self._symbols(p, order, mode)
+        if base_table is not None:
+            ch._base_table, ch.metric = base_table, None
+        ch._fiber_table, ch.fiber_is_tangent = fiber_table, fiber_table is None
+        if fiber_table is None:
+            ch.d = ch.n
+        return ch
 
     def _midpoint(self):
         return tuple((lo + hi) / 2 for lo, hi in self.domain)
 
     def _validate(self):
         for p in self._check_points:
+            gam = self._symbols(p, 0, FLOAT)
             for k in range(self.n):
                 for i in range(self.n):
                     for j in range(i + 1, self.n):
-                        a = ex.evaluate(self.base_gamma[k][i][j], p)
-                        b = ex.evaluate(self.base_gamma[k][j][i], p)
+                        a = gam[i][j][k].value
+                        b = gam[j][i][k].value
                         if abs(a - b) > 1e-9 * max(1.0, abs(a)):
                             raise ChartValidationError(
                                 f"torsion-free violation at probe {p}: "
@@ -175,16 +167,15 @@ class ChartConnection:
     def _check_metric_compat(self, p):
         # d_k g_ij = Gamma_{ikj} + Gamma_{jki} with lowered symbols
         n = self.n
-        g = [[ex.evaluate(self.metric[i][j], p) for j in range(n)] for i in range(n)]
+        g1 = self._metric_jets(p, 1, FLOAT)
+        g = [[jet.value for jet in row] for row in g1]
+        gam = self._symbols(p, 0, FLOAT)
         for k in range(n):
             for i in range(n):
                 for j in range(n):
-                    dg = ex.eval_jet(self.metric[i][j], p, 1).partial(
-                        tuple(1 if t == k else 0 for t in range(n)))
-                    low = sum(g[i][l] * ex.evaluate(self.base_gamma[l][k][j], p)
-                              for l in range(n))
-                    low += sum(g[j][l] * ex.evaluate(self.base_gamma[l][k][i], p)
-                               for l in range(n))
+                    dg = g1[i][j].partial(tuple(1 if t == k else 0 for t in range(n)))
+                    low = sum(g[i][l] * gam[k][j][l].value for l in range(n))
+                    low += sum(g[j][l] * gam[k][i][l].value for l in range(n))
                     if abs(dg - low) > 1e-8 * max(1.0, abs(dg)):
                         raise ChartValidationError(
                             f"metric incompatibility at probe {p} (k,i,j)=({k},{i},{j})")
@@ -206,17 +197,67 @@ class ChartConnection:
         with self._lock:
             return self._cache.setdefault(key, {})
 
-    def gamma1_jet(self, i, j, p, order, mode, fiber=False):
-        """Jet of the first-order symbol (base Gamma^._{i j} or fiber A^._{i j})."""
+    def _memo(self, p, mode, key, build):
         cache = self._point_cache(p, mode)
-        key = ("g1", i, j, order, fiber)
         hit = cache.get(key)
         if hit is None:
-            table = self.fiber_gamma if fiber else self.base_gamma
-            dim = self.d if fiber else self.n
-            hit = [ex.eval_jet(table[k][i][j], p, order, mode) for k in range(dim)]
-            cache[key] = hit
+            hit = cache[key] = build()
         return hit
+
+    def _symbols(self, p, order, mode, fiber=False):
+        """First-order symbols at p as a table [i][j] -> jets over k, cached per
+        (point, order); a tangent fiber shares the base table."""
+        fiber = fiber and not self.fiber_is_tangent
+        table = self._fiber_table if fiber else self._base_table
+        return self._memo(p, mode, ("g1", order, fiber), lambda: table(p, order, mode))
+
+    def _metric_jets(self, p, order, mode):
+        """Jets of g at p."""
+        return self._memo(p, mode, ("g", order), lambda: [
+            [ex.eval_jet(e, p, order, mode) for e in row] for row in self.metric])
+
+    def _metric_inverse_jets(self, p, order, mode):
+        """(g^{-1}, det g) as jets at p: the cofactors of g over one
+        reciprocal of det g."""
+        def build():
+            g = self._metric_jets(p, order, mode)
+            n = self.n
+            detg = det(g)
+            inv = detg.reciprocal()
+            ginv = [[None] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(n):
+                    cof = det([row[:j] + row[j + 1:] for r, row in enumerate(g) if r != i])
+                    ginv[j][i] = -(cof * inv) if (i + j) % 2 else cof * inv
+            return ginv, detg
+        return self._memo(p, mode, ("ginv", order), build)
+
+    def _levi_civita_table(self, p, order, mode):
+        """Gamma^k_{ij} = 1/2 g^{kl} (d_i g_lj + d_j g_li - d_l g_ij) from the jets
+        of g one order higher.  Vanishing brackets are skipped, so a constant
+        metric needs no g^{-1}."""
+        n = self.n
+        dg = [[[gab.derivative(c) for c in range(n)] for gab in row]
+              for row in self._metric_jets(p, order + 1, mode)]
+        zero = Jet.zero(JetSpace(n, order), mode)
+        half = Fraction(1, 2)
+        ginv = None
+        table = []
+        for i in range(n):
+            row = []
+            for j in range(n):
+                low = [(l, dg[l][j][i] + dg[l][i][j] - dg[i][j][l]) for l in range(n)]
+                low = [(l, b) for l, b in low if any(b.coeffs)]
+                if low and ginv is None:
+                    ginv = self._metric_inverse_jets(p, order, mode)[0]
+                row.append([sum((ginv[k][l] * b for l, b in low), zero).scale(half)
+                            for k in range(n)])
+            table.append(row)
+        return table
+
+    def gamma1_jet(self, i, j, p, order, mode, fiber=False):
+        """Jet of the first-order symbol (base Gamma^._{i j} or fiber A^._{i j})."""
+        return self._symbols(p, order, mode, fiber)[i][j]
 
     def higher_gamma_jets(self, I, j, p, order, mode, fiber=False):
         """Jets of Gamma^k_{I,j} for all k, by the inductive formula."""
@@ -224,6 +265,7 @@ class ChartConnection:
         if not I:
             raise ValueError("higher-order symbols need |I| >= 1")
         p = tuple(p)
+        fiber = fiber and not self.fiber_is_tangent
         cache = self._point_cache(p, mode)
         key = ("gh", I, j, order, fiber)
         hit = cache.get(key)
@@ -269,13 +311,12 @@ class ChartConnection:
 
     def metric_value(self, p, mode=FLOAT):
         self.require_metric()
-        return [[ex.evaluate(self.metric[i][j], p, mode) for j in range(self.n)]
-                for i in range(self.n)]
+        return [[jet.value for jet in row] for row in self._metric_jets(p, 0, mode)]
 
     def metric_inverse_value(self, p, mode=FLOAT):
         self.require_metric()
-        return [[ex.evaluate(self.metric_inverse[i][j], p, mode) for j in range(self.n)]
-                for i in range(self.n)]
+        return [[jet.value for jet in row]
+                for row in self._metric_inverse_jets(p, 0, mode)[0]]
 
 
 @dataclass
@@ -337,17 +378,16 @@ def levi_civita(names, metric, domain, name="chart", check_points=None) -> Chart
                                        check_points=check_points)
 
 
-def dual_connection(cc: ChartConnection):
-    """Fiber coefficients of the dual connection on E*.
+def dual_chart(cc: ChartConnection, name=None) -> ChartConnection:
+    """Chart with the fiber replaced by its dual bundle.
 
     Defined so that covariant differentiation commutes with contraction:
     (nabla*_X omega)(Y) = X(omega(Y)) - omega(nabla_X Y), which on the
-    coordinate co-frame gives A*^a_{i b} = -A^b_{i a}.
+    coordinate co-frame gives A*^a_{i b} = -A^b_{i a}, the negated
+    transpose of cc's fiber jets.
     """
-    return [[[ex.ex_neg(cc.fiber_gamma[b][i][a]) for b in range(cc.d)]
-             for i in range(cc.n)] for a in range(cc.d)]
-
-
-def dual_chart(cc: ChartConnection, name=None) -> ChartConnection:
-    """Chart with the fiber replaced by its dual bundle."""
-    return cc.with_fiber(dual_connection(cc), name=name or (cc.name + "*"))
+    def fiber(p, order, mode):
+        A = cc._symbols(p, order, mode, fiber=True)
+        return [[[-A[i][a][b] for a in range(cc.d)] for b in range(cc.d)]
+                for i in range(cc.n)]
+    return cc._derived(name or (cc.name + "*"), fiber_table=fiber)

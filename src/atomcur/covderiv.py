@@ -112,13 +112,12 @@ def _as_expr(chart, e):
     return ex.Const(e)
 
 
-def _antisymmetrize(chart, slot, k, comps_incr):
+def _antisymmetrize(chart, comps_incr):
     """Expand components given on increasing keys to full antisymmetric tuples."""
     full = {}
     for K, c in comps_incr.items():
         K = tuple(K)
         e = _as_expr(chart, c)
-        dim = chart.d if slot in (FU, FD) else chart.n
         for perm in itertools.permutations(K):
             s = sort_sign(perm)
             full[perm] = e if s == 1 else ex.ex_neg(e)
@@ -127,12 +126,12 @@ def _antisymmetrize(chart, slot, k, comps_incr):
 
 def form_field(chart, k, comps_incr) -> Field:
     """A k-form on E: section of wedge^k(E*), components on increasing keys."""
-    return Field(chart, (FD,) * k, _antisymmetrize(chart, FD, k, comps_incr))
+    return Field(chart, (FD,) * k, _antisymmetrize(chart, comps_incr))
 
 
 def kvector_field(chart, k, comps_incr) -> Field:
     """A k-vector on E: section of wedge^k(E), components on increasing keys."""
-    return Field(chart, (FU,) * k, _antisymmetrize(chart, FU, k, comps_incr))
+    return Field(chart, (FU,) * k, _antisymmetrize(chart, comps_incr))
 
 
 def jet_field(chart, slots, comps, point, budget, mode) -> Field:

@@ -30,7 +30,7 @@ from .jets import (ELEMENTARY_FUNCTIONS, FLOAT, EvalDomainError, ExactModeError,
 __all__ = [
     "Expression", "Const", "Sym", "Add", "Sub", "Mul", "Div", "Neg", "Pow",
     "Call", "parse", "to_string", "eval_jet", "evaluate", "monomial_form",
-    "partial_derivative", "ExprSyntaxError", "UndeclaredSymbolError",
+    "ExprSyntaxError", "UndeclaredSymbolError",
     "EvalDomainError", "ExactModeError",
 ]
 
@@ -140,8 +140,8 @@ class Call(Expression):
 
 # ---------------------------------------------------------------------------
 # Builders with light constant folding.  Used when assembling derived
-# expressions (Levi-Civita symbols, monomial probes, symbolic partials);
-# the parser builds raw nodes so that parsing is structure-faithful.
+# expressions (monomial probes, products and sums of fields); the parser
+# builds raw nodes so that parsing is structure-faithful.
 
 def _lift(x):
     return x if isinstance(x, Expression) else Const(x)
@@ -476,46 +476,3 @@ def monomial_form(point, T, names) -> Expression:
         base = ex_sub(Sym(i, names[i]), Const(point[i]))
         acc = ex_mul(acc, ex_pow(base, t))
     return ex_div(acc, Const(fact))
-
-
-def partial_derivative(e: Expression, i: int) -> Expression:
-    """Symbolic partial derivative with respect to coordinate ``i``.
-
-    Stays within the expression grammar (used to assemble Levi-Civita
-    symbols from a metric); no simplification beyond constant folding.
-    """
-    if isinstance(e, Const):
-        return Const(0)
-    if isinstance(e, Sym):
-        return Const(1 if e.index == i else 0)
-    if isinstance(e, Add):
-        return ex_add(partial_derivative(e.a, i), partial_derivative(e.b, i))
-    if isinstance(e, Sub):
-        return ex_sub(partial_derivative(e.a, i), partial_derivative(e.b, i))
-    if isinstance(e, Neg):
-        return ex_neg(partial_derivative(e.a, i))
-    if isinstance(e, Mul):
-        return ex_add(ex_mul(partial_derivative(e.a, i), e.b),
-                      ex_mul(e.a, partial_derivative(e.b, i)))
-    if isinstance(e, Div):
-        num = ex_sub(ex_mul(partial_derivative(e.a, i), e.b),
-                     ex_mul(e.a, partial_derivative(e.b, i)))
-        return ex_div(num, ex_pow(e.b, 2))
-    if isinstance(e, Pow):
-        inner = partial_derivative(e.a, i)
-        return ex_mul(ex_mul(Const(e.k), ex_pow(e.a, e.k - 1)), inner)
-    if isinstance(e, Call):
-        inner = partial_derivative(e.a, i)
-        u = e.a
-        table = {
-            "sin": lambda: Call("cos", u),
-            "cos": lambda: ex_neg(Call("sin", u)),
-            "tan": lambda: ex_div(Const(1), ex_pow(Call("cos", u), 2)),
-            "exp": lambda: Call("exp", u),
-            "log": lambda: ex_div(Const(1), u),
-            "sqrt": lambda: ex_div(Const(1), ex_mul(Const(2), Call("sqrt", u))),
-            "sinh": lambda: Call("cosh", u),
-            "cosh": lambda: Call("sinh", u),
-        }
-        return ex_mul(table[e.fn](), inner)
-    raise TypeError(f"not an expression: {e!r}")

@@ -635,14 +635,10 @@ def raise_form_jets(chart: ChartConnection, omega: Field, p, mode, budget) -> di
     n = chart.n
     k = len(omega.slots)
     p = as_point(p, mode)
-    cache = chart._point_cache(p, mode)
-    minors = cache.get(("ginv-minors", k, budget))
-    if minors is None:
-        ginv = [[ex.eval_jet(chart.metric_inverse[i][j], p, budget, mode)
-                 for j in range(n)] for i in range(n)]
-        minors = cache[("ginv-minors", k, budget)] = {
-            (A, K): det([[ginv[a][kk] for kk in K] for a in A])
-            for A in anti_indices(n, k) for K in anti_indices(n, k)}
+    ginv = chart._metric_inverse_jets(p, budget, mode)[0]
+    minors = chart._memo(p, mode, ("ginv-minors", k, budget), lambda: {
+        (A, K): det([[ginv[a][kk] for kk in K] for a in A])
+        for A in anti_indices(n, k) for K in anti_indices(n, k)})
     comps = {}
     for K in anti_indices(n, k):
         if omega.jet_backed:
@@ -678,14 +674,8 @@ def star_form_jets(chart: ChartConnection, omega: Field, p, mode, budget,
     k = len(omega.slots)
     p = as_point(p, mode)
     raised = raise_form_jets(chart, omega, p, mode, budget)
-    detg = ex.eval_jet(chart.metric_det, p, budget, mode)
-    if detg.value <= 0:
-        raise ValueError("star of forms needs a positive metric determinant")
-    folded = ex.ex_sqrt(chart.metric_det)
-    if isinstance(folded, ex.Const):
-        sqrtg = Jet.const(detg.space, mode, folded.value)
-    else:
-        sqrtg = apply_elementary("sqrt", detg)
+    sqrtg = chart._memo(p, mode, ("sqrt-det", budget),
+                        lambda: _sqrt_det(chart._metric_inverse_jets(p, budget, mode)[1]))
     flip = -1 if inverse and k * (n - k) % 2 else 1
     comps = {}
     for L in itertools.combinations(range(n), n - k):
@@ -696,6 +686,18 @@ def star_form_jets(chart: ChartConnection, omega: Field, p, mode, budget,
             comps[L] = jet if merge_sign(Lc, L) * flip == 1 else -jet
     return cd.jet_field(chart, (FD,) * (n - k), _expand_antisym_jets(comps),
                         p, budget, mode)
+
+
+def _sqrt_det(detg):
+    """sqrt(det g) as a jet; exact when det g is a constant rational square,
+    otherwise through the float series (ExactModeError in rational mode)."""
+    if detg.value <= 0:
+        raise ValueError("star of forms needs a positive metric determinant")
+    if not any(detg.coeffs[1:]):
+        folded = ex.ex_sqrt(ex.Const(detg.value))
+        if isinstance(folded, ex.Const):
+            return Jet.const(detg.space, detg.mode, folded.value)
+    return apply_elementary("sqrt", detg)
 
 
 def _expand_antisym_jets(comps_incr):

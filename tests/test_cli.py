@@ -171,3 +171,47 @@ def test_fiber_spec_block(tmp_path):
                     "--trials", "6", "--out", str(out)])
     assert code == 0
     assert json.loads(out.read_text())["summary"]["failed"] == 0
+
+
+def test_metric_fiber_spec_block(tmp_path):
+    # a Levi-Civita base (metric) with an explicit expression fiber
+    spec = {
+        "spec_version": 1, "name": "metric-fibered", "dimension": 2,
+        "coordinates": ["x", "y"],
+        "domain": {"x": [-1, 1], "y": [-1, 1]},
+        "metric": [["1 + x^2", "x*y/2"], ["x*y/2", "1 + y^2"]],
+        "fiber": {"dimension": 2,
+                  "connection": {"0,0,1": "x", "1,0,0": "y/2", "0,1,0": "x*y"}},
+        "probe_points": [["1/4", "-1/3"]],
+    }
+    path = tmp_path / "metric-fibered.json"
+    path.write_text(json.dumps(spec))
+    out = tmp_path / "rep.json"
+    code = run_cli(["run", str(path), "--suite", "composition", "--mode", "rational",
+                    "--trials", "6", "--out", str(out)])
+    assert code == 0
+    report = json.loads(out.read_text())
+    assert report["summary"]["failed"] == 0 and report["summary"]["passed"] > 0
+
+
+# sha256 of rational reports minus "timing", computed as
+# perfbench/run.py::report_digest does.  Rational mode is the exact oracle:
+# a refactor that moves one of these digests changed a result, not a rounding.
+ORACLE_DIGESTS = [
+    ("flat-r1", "all", "1dc97e505de4f2dc5d84f25a6c59750affe64f3193bfbb4940a5431f53281496"),
+    ("poly2", "connection", "4af6f24eabc58f2e27b1b11ab96e96a75a27a8dc79317e7cbfcd8b4ea6aec8d3"),
+    ("hyperbolic", "connection", "1a259b9de1795f7cadd20b9e217fe970ef6cae37a17e66ddc2d0ce18dcb84b62"),
+    ("poly2", "boundary", "e158bc51c03979849674d3a8416b33afff354687c1e4841e69d0d7dd614e10d5"),
+]
+
+
+def test_rational_reports_match_recorded_digests(tmp_path):
+    import hashlib
+    for spec, suite, digest in ORACLE_DIGESTS:
+        out = tmp_path / f"{spec}-{suite}.json"
+        code = run_cli(["run", str(SPECS / f"{spec}.json"), "--suite", suite,
+                        "--mode", "rational", "--seed", "0", "--out", str(out)])
+        assert code == 0
+        body = {k: v for k, v in json.loads(out.read_text()).items() if k != "timing"}
+        got = hashlib.sha256(json.dumps(body, sort_keys=True).encode()).hexdigest()
+        assert got == digest, (spec, suite)

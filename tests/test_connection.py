@@ -7,9 +7,8 @@ import pytest
 from atomcur import covderiv as cd
 from atomcur import expr as ex
 from atomcur.connection import (ChartConnection, ChartDomainError,
-                                ChartValidationError, curvature, dual_chart,
-                                dual_connection)
-from atomcur.jets import RATIONAL
+                                ChartValidationError, curvature, dual_chart)
+from atomcur.jets import FLOAT, RATIONAL
 
 
 def test_flat_gammas_vanish(flat3):
@@ -46,7 +45,7 @@ def test_s2_levi_civita_fd_oracle(s2):
                         pm = list(p); pm[direction] -= h
                         return (g(pp)[a][b] - g(pm)[a][b]) / (2 * h)
                     acc += 0.5 * ginv[k][l] * (dg(l, j, i) + dg(l, i, j) - dg(i, j, l))
-                got = ex.evaluate(s2.base_gamma[k][i][j], p)
+                got = s2.gamma1_jet(i, j, p, 0, FLOAT)[k].value
                 assert abs(got - acc) < 1e-8
 
 
@@ -101,16 +100,14 @@ def test_curvature_flat_and_s2(flat2, s2):
 
 def test_dual_connection_s2(s2):
     theta = 1.1
-    coeffs = dual_connection(s2)
+    # fiber jets of the dual chart: A*^a_{i b} for a = 0, 1 at (i, b) = (theta, phi)
+    coeffs = dual_chart(s2).gamma1_jet(0, 1, (theta, 0.8), 0, FLOAT, fiber=True)
     # nabla*_{e_theta} dphi = -cot(theta) dphi
-    val = ex.evaluate(coeffs[1][0][1], (theta, 0.8))
-    assert abs(val + math.cos(theta) / math.sin(theta)) < 1e-12
-    assert ex.evaluate(coeffs[1][0][0], (theta, 0.8)) == 0
+    assert abs(coeffs[1].value + math.cos(theta) / math.sin(theta)) < 1e-12
+    assert coeffs[0].value == 0
 
 
 def test_dual_connection_contraction(s2):
-    dch = dual_chart(s2)
-    rng = random.Random(3)
     p = (1.4, 2.1)
     omega = cd.form_field(s2, 1, {(0,): "theta*phi", (1,): "phi^2"})
     Y = cd.vector_field(s2, {0: "1 + theta", 1: "phi"})

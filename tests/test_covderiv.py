@@ -172,10 +172,9 @@ def test_exterior_derivative_flat_example(flat2):
 
 
 def test_exterior_derivative_d_squared(s2):
-    f = cd.scalar_field(s2, "theta^2*phi")
-    df = cd.form_field(s2, 1, {(i,): ex.partial_derivative(f.comps[()], i)
-                               for i in range(2)})
     p = (1.6, 3.0)
+    f = cd.scalar_field(s2, "theta^2*phi").comp_jet((), p, 2, "float")
+    df = cd.jet_field(s2, (cd.FD,), {(i,): f.derivative(i) for i in range(2)}, p, 1, "float")
     ddf = cd.exterior_derivative(df, p, "float", 0)
     assert max((abs(j.value) for j in ddf.comps.values()), default=0) < 1e-9
 

@@ -127,12 +127,3 @@ def test_roundtrip_bitwise_rational(e):
     e2 = ex.parse(text, _names)
     p = (Fraction(3, 7), Fraction(-2, 5))
     assert ex.evaluate(e, p, RATIONAL) == ex.evaluate(e2, p, RATIONAL)
-
-
-def test_partial_derivative_matches_jets():
-    e = ex.parse("sin(x)*y^2 + exp(x*y)", ["x", "y"])
-    p = (0.4, -0.3)
-    for i in range(2):
-        de = ex.partial_derivative(e, i)
-        T = tuple(1 if t == i else 0 for t in range(2))
-        assert abs(ex.evaluate(de, p) - ex.eval_jet(e, p, 1).partial(T)) < 1e-12

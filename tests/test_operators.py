@@ -7,7 +7,7 @@ from atomcur import atomic as at
 from atomcur import covderiv as cd
 from atomcur import expr as ex
 from atomcur import operators as op
-from atomcur.connection import ChartConnection, dual_chart
+from atomcur.connection import ChartConnection
 from atomcur.jets import RATIONAL
 from atomcur.multialg import anti_indices, basis_element
 
@@ -316,3 +316,21 @@ def test_trace_frame_independence(s2):
     ctx = SuiteContext(chart=s2, probes=[(1.1, 0.8)], seed=1, r=2, k=1)
     results = check_trace_frame_independence(ctx)
     assert all(r.passed for r in results)
+
+
+def test_star_form_jets_reuses_metric_jets(monkeypatch):
+    # det g and its square root come from the per-point cache: a second star
+    # at the same (point, budget) evaluates no expression
+    chart = ChartConnection.from_metric(
+        ["x", "y"], [["1 + x^2", "x*y/2"], ["x*y/2", "1 + y^2"]],
+        [(-1.0, 1.0), (-1.0, 1.0)], name="poly2")
+    p = (0.25, -0.5)
+    om = cd.form_field(chart, 1, {(0,): "x*y", (1,): "1 + x"})
+    first = op.star_form_jets(chart, om, p, "float", 2)
+    calls = []
+    real = ex.eval_jet
+    monkeypatch.setattr(ex, "eval_jet", lambda *a, **kw: calls.append(a) or real(*a, **kw))
+    second = op.star_form_jets(chart, om, p, "float", 2)
+    assert calls == []
+    assert {i: list(j.coeffs) for i, j in second.comps.items()} == \
+        {i: list(j.coeffs) for i, j in first.comps.items()}
