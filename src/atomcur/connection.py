@@ -247,7 +247,7 @@ class ChartConnection:
             row = []
             for j in range(n):
                 low = [(l, dg[l][j][i] + dg[l][i][j] - dg[i][j][l]) for l in range(n)]
-                low = [(l, b) for l, b in low if any(b.coeffs)]
+                low = [(l, b) for l, b in low if not b.is_zero()]
                 if low and ginv is None:
                     ginv = self._metric_inverse_jets(p, order, mode)[0]
                 row.append([sum((ginv[k][l] * b for l, b in low), zero).scale(half)
@@ -288,7 +288,7 @@ class ChartConnection:
         for r in range(len(rest)):
             for l in range(self.n):
                 gam = self.gamma1_jet(i1, rest[r], p, order, mode, fiber=False)[l]
-                if all(c == 0 for c in gam.coeffs):
+                if gam.is_zero():
                     continue
                 replaced = rest[:r] + (l,) + rest[r + 1:]
                 sub = self.higher_gamma_jets(replaced, j, p, order, mode, fiber)

@@ -147,10 +147,6 @@ def _add_jet(acc: dict, idx, jet: Jet):
     acc[idx] = jet if cur is None else cur + jet
 
 
-def _is_zero_jet(jet: Jet) -> bool:
-    return all(c == 0 for c in jet.coeffs)
-
-
 def covariant_step(chart, slots, comps, i, p, order, mode):
     """One covariant derivative along e_i of a section with component jets.
 
@@ -166,18 +162,18 @@ def covariant_step(chart, slots, comps, i, p, order, mode):
         up = sl in (TU, FU)
         for idx, jet in comps.items():
             jt = jet.truncate(order)
-            if _is_zero_jet(jt):
+            if jt.is_zero():
                 continue
             a = idx[pos]
             if up:
                 gam = chart.gamma1_jet(i, a, p, order, mode, fiber=fiber)
                 for b in range(dim):
-                    if not _is_zero_jet(gam[b]):
+                    if not gam[b].is_zero():
                         _add_jet(out, idx[:pos] + (b,) + idx[pos + 1:], gam[b] * jt)
             else:
                 for b in range(dim):
                     gam = chart.gamma1_jet(i, b, p, order, mode, fiber=fiber)[a]
-                    if not _is_zero_jet(gam):
+                    if not gam.is_zero():
                         _add_jet(out, idx[:pos] + (b,) + idx[pos + 1:], -(gam * jt))
     return out
 
@@ -201,7 +197,7 @@ def nabla_word_jets(field: Field, I, p, order, mode):
         for r in range(len(rest)):
             gam = chart.gamma1_jet(i1, rest[r], p, order, mode, fiber=False)
             for l in range(chart.n):
-                if _is_zero_jet(gam[l]):
+                if gam[l].is_zero():
                     continue
                 sub = nabla_word_jets(field, rest[:r] + (l,) + rest[r + 1:], p, order, mode)
                 for idx, jet in sub.items():
@@ -227,7 +223,7 @@ def nabla(field: Field, I, p, mode=FLOAT) -> CovariantTensorValue:
     field.chart.check_point(p)
     p = as_point(p, mode)
     jets = nabla_word_jets(field, tuple(I), p, 0, mode)
-    comps = {idx: j.value for idx, j in jets.items() if j.value != 0}
+    comps = {idx: v for idx, j in jets.items() if (v := j.value) != 0}
     return CovariantTensorValue(point=p, word=tuple(I), comps=comps)
 
 
@@ -405,7 +401,7 @@ def covariant_product(X, Y, p, mode=FLOAT, out_order=0) -> dict:
             raise ValueError("covariant product is defined for tangent tensor fields")
         for w in Xf.comps:
             Xw = Xf.comp_jet(w, p, out_order, mode)
-            if _is_zero_jet(Xw):
+            if Xw.is_zero():
                 continue
             for (A, B) in tensor_coproduct(w):
                 nb = nabla_jets_mixed(Y, B, p, out_order, mode)
@@ -416,7 +412,7 @@ def covariant_product(X, Y, p, mode=FLOAT, out_order=0) -> dict:
 
 def covariant_product_value(X, Y, p, mode=FLOAT) -> dict:
     jets = covariant_product(X, Y, p, mode, 0)
-    return {w: j.value for w, j in jets.items() if j.value != 0}
+    return {w: v for w, j in jets.items() if (v := j.value) != 0}
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +440,7 @@ def exterior_derivative(omega: Field, p, mode=FLOAT, out_order=0) -> Field:
                 continue
             term = jet if j % 2 == 0 else -jet
             acc = term if acc is None else acc + term
-        if acc is not None and not _is_zero_jet(acc):
+        if acc is not None and not acc.is_zero():
             comps[idx] = acc
     return jet_field(chart, (FD,) * (k + 1), comps, p, out_order, mode)
 
@@ -469,7 +465,7 @@ def curvature_field(chart: ChartConnection, which: str, p, mode, budget) -> Fiel
             for a in range(dim):
                 for b in range(dim):
                     jet = guv[a][b] - gvu[a][b]
-                    if _is_zero_jet(jet):
+                    if jet.is_zero():
                         continue
                     comps[(b, a, u, v)] = jet
                     comps[(b, a, v, u)] = -jet

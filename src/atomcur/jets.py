@@ -9,9 +9,13 @@ a prefix slice.
 
 Two scalar modes exist and are never mixed inside one computation:
 
-* ``rational``: coefficients are ``fractions.Fraction``; exact, available
-  for polynomial/rational expressions only.
-* ``float``: 64-bit floats; the general mode.
+* ``rational``: exact, available for polynomial/rational expressions only.
+  A rational jet stores integer numerators over one shared positive
+  denominator (the representation of FLINT's ``fmpq_poly``), kept
+  canonical: gcd(den, *numerators) == 1, so the zero jet has den 1.  A
+  product is integer multiply-adds followed by one gcd for the whole jet.
+  ``value``, ``coeff`` and ``partial`` return exact ``Fraction``s.
+* ``float``: 64-bit floats in an ``array('d')``; the general mode.
 
 Float-mode products run through a kernel selected at import time: the
 compiled extension ``atomcur._jetcore`` when present, otherwise the pure
@@ -25,7 +29,8 @@ import math
 import os
 from array import array
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from math import gcd, lcm
 
 RATIONAL = "rational"
 FLOAT = "float"
@@ -105,6 +110,19 @@ class JetSpace:
                     tab.append((dst, self.index_of[src_T], T[i] + 1))
                 self.diff_tables.append(tuple(tab))
         self.lower = JetSpace(n, order - 1) if order >= 1 else None
+        # units[i]: position of the multi-index e_i (none at order 0)
+        self.units = tuple(self.index_of[tuple(int(k == i) for k in range(n))]
+                           for i in range(n)) if order >= 1 else ()
+
+    @cached_property
+    def mul_rows(self):
+        """The product table grouped by the first factor's index: mul_rows[ia]
+        holds the (oi, bi) pairs of every term with that ai.  Only rational
+        products read it, so float runs never build it."""
+        rows = [[] for _ in self.indices]
+        for o, a, b in zip(self.mul_oi, self.mul_ai, self.mul_bi):
+            rows[a].append((o, b))
+        return tuple(tuple(r) for r in rows)
 
     def __repr__(self):
         return f"JetSpace(n={self.n}, order={self.order})"
@@ -113,7 +131,7 @@ class JetSpace:
 def _zero_coeffs(space: JetSpace, mode: str):
     if mode == FLOAT:
         return array("d", bytes(8 * space.size))
-    return [Fraction(0)] * space.size
+    return [0] * space.size
 
 
 def as_scalar(x, mode: str):
@@ -137,46 +155,105 @@ def as_point(p, mode: str) -> tuple:
     return tuple(as_scalar(x, mode) for x in p)
 
 
+_new = object.__new__
+
+
+def _exact(space: JetSpace, nums: list, den: int) -> "Jet":
+    """Rational jet of integer numerators over den, already canonical."""
+    jet = _new(Jet)
+    jet.space = space
+    jet.mode = RATIONAL
+    jet.coeffs = nums
+    jet.den = den
+    return jet
+
+
+def _reduced(space: JetSpace, nums: list, den: int) -> "Jet":
+    """Rational jet of integer numerators over den > 0, put in canonical form
+    by one gcd over the whole jet."""
+    if den != 1:
+        g = gcd(den, *nums)
+        if g != 1:
+            nums = [c // g for c in nums]
+            den //= g
+    return _exact(space, nums, den)
+
+
+def _aligned(a: "Jet", b: "Jet"):
+    """Numerators of two rational jets over their least common denominator."""
+    if a.den == b.den:
+        return a.coeffs, b.coeffs, a.den
+    g = gcd(a.den, b.den)
+    fa, fb = b.den // g, a.den // g
+    return [x * fa for x in a.coeffs], [y * fb for y in b.coeffs], a.den * fa
+
+
 class Jet:
     """Dense truncated Taylor expansion at a point (the point itself is
-    carried by the caller; a Jet is pure coefficient data)."""
+    carried by the caller; a Jet is pure coefficient data).
 
-    __slots__ = ("space", "mode", "coeffs")
+    ``coeffs`` is storage: floats in float mode (``den`` is 1), integer
+    numerators over ``den`` in rational mode.  Read coefficients through
+    ``value``, ``coeff`` and ``partial``.
+    """
+
+    __slots__ = ("space", "mode", "coeffs", "den")
 
     def __init__(self, space: JetSpace, mode: str, coeffs):
         self.space = space
         self.mode = mode
-        self.coeffs = coeffs
+        if mode == FLOAT:
+            self.coeffs = coeffs
+            self.den = 1
+            return
+        qs = [as_scalar(c, RATIONAL) for c in coeffs]
+        den = lcm(*(q.denominator for q in qs))
+        self.coeffs = [q.numerator * (den // q.denominator) for q in qs]
+        self.den = den
 
     # -- constructors -------------------------------------------------
     @staticmethod
     def zero(space: JetSpace, mode: str) -> "Jet":
-        return Jet(space, mode, _zero_coeffs(space, mode))
+        if mode == FLOAT:
+            return Jet(space, mode, _zero_coeffs(space, mode))
+        return _exact(space, _zero_coeffs(space, mode), 1)
 
     @staticmethod
     def const(space: JetSpace, mode: str, value) -> "Jet":
         c = _zero_coeffs(space, mode)
-        c[0] = as_scalar(value, mode)
-        return Jet(space, mode, c)
+        if mode == FLOAT:
+            c[0] = float(value)
+            return Jet(space, mode, c)
+        q = value if type(value) is int else as_scalar(value, mode)
+        c[0] = q.numerator
+        return _exact(space, c, q.denominator)
 
     @staticmethod
     def variable(space: JetSpace, mode: str, i: int, base_value) -> "Jet":
         """Jet of the coordinate function x_i at a point with x_i = base_value."""
         c = _zero_coeffs(space, mode)
-        c[0] = as_scalar(base_value, mode)
-        if space.order >= 1:
-            unit = tuple(1 if k == i else 0 for k in range(space.n))
-            c[space.index_of[unit]] = as_scalar(1, mode)
-        return Jet(space, mode, c)
+        if mode == FLOAT:
+            c[0] = float(base_value)
+            if space.units:
+                c[space.units[i]] = 1.0
+            return Jet(space, mode, c)
+        q = as_scalar(base_value, mode)
+        c[0] = q.numerator
+        if space.units:
+            c[space.units[i]] = q.denominator
+        return _exact(space, c, q.denominator)
 
     # -- basic queries ------------------------------------------------
     @property
     def value(self):
-        return self.coeffs[0]
+        if self.mode == FLOAT:
+            return self.coeffs[0]
+        return Fraction(self.coeffs[0], self.den)
 
     def coeff(self, T: tuple) -> object:
         """Taylor coefficient at multi-index T, i.e. (1/T!) d^T f."""
-        return self.coeffs[self.space.index_of[tuple(T)]]
+        c = self.coeffs[self.space.index_of[tuple(T)]]
+        return c if self.mode == FLOAT else Fraction(c, self.den)
 
     def partial(self, T: tuple):
         """Plain partial derivative d^T f at the base point (T! * coeff)."""
@@ -185,22 +262,33 @@ class Jet:
             fact *= math.factorial(t)
         return self.coeff(T) * fact
 
+    def is_zero(self) -> bool:
+        """Whether every coefficient vanishes."""
+        return not any(self.coeffs)
+
+    def is_constant(self) -> bool:
+        """Whether every coefficient above the value vanishes."""
+        return not any(self.coeffs[1:])
+
+    def max_abs(self):
+        """Largest absolute coefficient (a Fraction in rational mode)."""
+        top = max(abs(c) for c in self.coeffs)
+        return top if self.mode == FLOAT else Fraction(top, self.den)
+
     # -- arithmetic ---------------------------------------------------
     def _check(self, other: "Jet"):
         if self.space is not other.space or self.mode != other.mode:
             raise ValueError("jet space/mode mismatch")
 
-    def _like(self, iterable):
-        if self.mode == FLOAT:
-            return array("d", iterable)
-        return list(iterable)
-
     def __add__(self, other):
         if not isinstance(other, Jet):
             return self + Jet.const(self.space, self.mode, other)
         self._check(other)
-        return Jet(self.space, self.mode,
-                   self._like(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        if self.mode == FLOAT:
+            return Jet(self.space, FLOAT,
+                       array("d", (a + b for a, b in zip(self.coeffs, other.coeffs))))
+        a, b, den = _aligned(self, other)
+        return _reduced(self.space, [x + y for x, y in zip(a, b)], den)
 
     __radd__ = __add__
 
@@ -208,18 +296,26 @@ class Jet:
         if not isinstance(other, Jet):
             return self - Jet.const(self.space, self.mode, other)
         self._check(other)
-        return Jet(self.space, self.mode,
-                   self._like(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        if self.mode == FLOAT:
+            return Jet(self.space, FLOAT,
+                       array("d", (a - b for a, b in zip(self.coeffs, other.coeffs))))
+        a, b, den = _aligned(self, other)
+        return _reduced(self.space, [x - y for x, y in zip(a, b)], den)
 
     def __rsub__(self, other):
         return Jet.const(self.space, self.mode, other) - self
 
     def __neg__(self):
-        return Jet(self.space, self.mode, self._like(-a for a in self.coeffs))
+        if self.mode == FLOAT:
+            return Jet(self.space, FLOAT, array("d", (-a for a in self.coeffs)))
+        return _exact(self.space, [-a for a in self.coeffs], self.den)
 
     def scale(self, alpha) -> "Jet":
         a = as_scalar(alpha, self.mode)
-        return Jet(self.space, self.mode, self._like(a * c for c in self.coeffs))
+        if self.mode == FLOAT:
+            return Jet(self.space, FLOAT, array("d", (a * c for c in self.coeffs)))
+        p = a.numerator
+        return _reduced(self.space, [p * c for c in self.coeffs], self.den * a.denominator)
 
     def __mul__(self, other):
         if not isinstance(other, Jet):
@@ -230,11 +326,17 @@ class Jet:
         if self.mode == FLOAT:
             _backend.cauchy_mul_f64(self.coeffs, other.coeffs, out,
                                     sp.mul_oi, sp.mul_ai, sp.mul_bi)
-        else:
-            a, b = self.coeffs, other.coeffs
-            for oi, ai, bi in zip(sp.mul_oi, sp.mul_ai, sp.mul_bi):
-                out[oi] += a[ai] * b[bi]
-        return Jet(sp, self.mode, out)
+            return Jet(sp, FLOAT, out)
+        # the product commutes: run the rows of the sparser factor, skipping
+        # its zero coefficients
+        a, b = self.coeffs, other.coeffs
+        if a.count(0) < b.count(0):
+            a, b = b, a
+        for x, row in zip(a, sp.mul_rows):
+            if x:
+                for o, j in row:
+                    out[o] += x * b[j]
+        return _reduced(sp, out, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -286,7 +388,9 @@ class Jet:
         out = _zero_coeffs(lower, self.mode)
         for dst, src, mult in sp.diff_tables[i]:
             out[dst] = self.coeffs[src] * mult
-        return Jet(lower, self.mode, out)
+        if self.mode == FLOAT:
+            return Jet(lower, FLOAT, out)
+        return _reduced(lower, out, self.den)
 
     def truncate(self, order: int) -> "Jet":
         if order == self.space.order:
@@ -294,7 +398,9 @@ class Jet:
         if order > self.space.order:
             raise ValueError("cannot raise jet order by truncation")
         sp = JetSpace(self.space.n, order)
-        return Jet(sp, self.mode, self.coeffs[: sp.size])
+        if self.mode == FLOAT:
+            return Jet(sp, FLOAT, self.coeffs[: sp.size])
+        return _reduced(sp, self.coeffs[: sp.size], self.den)
 
     def __repr__(self):
         return f"Jet(order={self.space.order}, value={self.value!r})"

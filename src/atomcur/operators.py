@@ -408,7 +408,7 @@ def op_Ddag(chart: ChartConnection, X, p, mode=FLOAT, budget=4) -> FiberEndo:
             corr_jets = {}
             for i in range(chart.n):
                 hi = head.comp_jet((i,), p, budget, mode)
-                if all(c == 0 for c in hi.coeffs):
+                if hi.is_zero():
                     continue
                 nb = cd.nabla_word_jets(rest, (i,), p, budget, mode)
                 for u, jet in nb.items():
@@ -645,7 +645,7 @@ def raise_form_jets(chart: ChartConnection, omega: Field, p, mode, budget) -> di
             w = omega.comps.get(K)
         else:
             w = omega.comp_jet(K, p, budget, mode)
-            if all(c == 0 for c in w.coeffs):
+            if w.is_zero():
                 w = None
         if w is not None:
             comps[K] = w.truncate(budget)
@@ -693,7 +693,7 @@ def _sqrt_det(detg):
     otherwise through the float series (ExactModeError in rational mode)."""
     if detg.value <= 0:
         raise ValueError("star of forms needs a positive metric determinant")
-    if not any(detg.coeffs[1:]):
+    if detg.is_constant():
         folded = ex.ex_sqrt(ex.Const(detg.value))
         if isinstance(folded, ex.Const):
             return Jet.const(detg.space, detg.mode, folded.value)
