@@ -10,8 +10,11 @@ product, covariant differentiation, their adjoints, Hodge dualization,
 boundary), and verifies the defining identities on desk-scale manifolds.
 """
 
-from .jets import FLOAT, RATIONAL, BACKEND_COMPILED, Jet, JetSpace
+from .jets import FLOAT, RATIONAL, Jet, JetSpace
 from .expr import parse, to_string, eval_jet, evaluate, monomial_form
 from .connection import ChartConnection, ChartDomainError, curvature, dual_chart, levi_civita
 
 __version__ = "0.1.0"
+
+# Jet products are pure Python; benchmark records name their backend from this.
+BACKEND_COMPILED = False

@@ -205,7 +205,8 @@ def run(spec_path, suite: str, r: int, k: int, mode: str, tol, seed: int,
 
 def _run_parallel(ctx, jobs):
     # checks are pure; parallelize across suites with threads (the work is
-    # Python-bound, so this mainly bounds wall time when jets are compiled)
+    # Python-bound and holds the interpreter lock, so this does not cut wall
+    # time; it must give the same report as --jobs 1)
     results = []
     with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
         futs = {pool.submit(su.run_suite, ctx, name): name for name in su.CHECKS}

@@ -17,16 +17,15 @@ Two scalar modes exist and are never mixed inside one computation:
   ``value``, ``coeff`` and ``partial`` return exact ``Fraction``s.
 * ``float``: 64-bit floats in an ``array('d')``; the general mode.
 
-Float-mode products run through a kernel selected at import time: the
-compiled extension ``atomcur._jetcore`` when present, otherwise the pure
-fallback ``atomcur._jetpure``.  Set ``ATOMCUR_JET_BACKEND=pure`` to force
-the fallback.
+Both modes multiply with the same truncated Cauchy product: the rows of the
+product table, left factor outer, skipping its zero coefficients.  Each
+output coefficient gets its terms in ascending left-factor index, so a float
+product is the same sum in the same order as a full table walk.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from array import array
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -34,16 +33,6 @@ from math import gcd, lcm
 
 RATIONAL = "rational"
 FLOAT = "float"
-
-if os.environ.get("ATOMCUR_JET_BACKEND", "") == "pure":
-    from . import _jetpure as _backend
-else:
-    try:
-        from . import _jetcore as _backend  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _jetpure as _backend
-
-BACKEND_COMPILED = bool(getattr(_backend, "COMPILED", False))
 
 
 class ExactModeError(ValueError):
@@ -85,19 +74,6 @@ class JetSpace:
         self.indices = _gradlex_indices(n, order)
         self.size = len(self.indices)
         self.index_of = {T: i for i, T in enumerate(self.indices)}
-        oi, ai, bi = [], [], []
-        for ia, Ta in enumerate(self.indices):
-            da = sum(Ta)
-            for ib, Tb in enumerate(self.indices):
-                if da + sum(Tb) > order:
-                    continue
-                T = tuple(x + y for x, y in zip(Ta, Tb))
-                oi.append(self.index_of[T])
-                ai.append(ia)
-                bi.append(ib)
-        self.mul_oi = array("i", oi)
-        self.mul_ai = array("i", ai)
-        self.mul_bi = array("i", bi)
         # diff_tables[i]: (dst, src, multiplier) triples realizing d/dx_i
         # into the order-1 space (empty at order 0).
         self.diff_tables = []
@@ -116,13 +92,23 @@ class JetSpace:
 
     @cached_property
     def mul_rows(self):
-        """The product table grouped by the first factor's index: mul_rows[ia]
-        holds the (oi, bi) pairs of every term with that ai.  Only rational
-        products read it, so float runs never build it."""
-        rows = [[] for _ in self.indices]
-        for o, a, b in zip(self.mul_oi, self.mul_ai, self.mul_bi):
-            rows[a].append((o, b))
-        return tuple(tuple(r) for r in rows)
+        """The truncated Cauchy product table grouped by the first factor:
+        mul_rows[ia] holds an (o, ib) pair, ib ascending, for every
+        indices[ia] + indices[ib] = indices[o] within the order."""
+        rows = []
+        for Ta in self.indices:
+            room = self.order - sum(Ta)
+            rows.append(tuple(
+                (self.index_of[tuple(x + y for x, y in zip(Ta, Tb))], ib)
+                for ib, Tb in enumerate(self.indices) if sum(Tb) <= room))
+        return tuple(rows)
+
+    @cached_property
+    def mul_oi(self):
+        """Output index of every product term, row by row.  Its length, the
+        multiply-adds of a product with no zero coefficients, is the work
+        counter that benchmark traces report."""
+        return array("i", (o for row in self.mul_rows for o, _ in row))
 
     def __repr__(self):
         return f"JetSpace(n={self.n}, order={self.order})"
@@ -322,20 +308,14 @@ class Jet:
             return self.scale(other)
         self._check(other)
         sp = self.space
-        out = _zero_coeffs(sp, self.mode)
-        if self.mode == FLOAT:
-            _backend.cauchy_mul_f64(self.coeffs, other.coeffs, out,
-                                    sp.mul_oi, sp.mul_ai, sp.mul_bi)
-            return Jet(sp, FLOAT, out)
-        # the product commutes: run the rows of the sparser factor, skipping
-        # its zero coefficients
-        a, b = self.coeffs, other.coeffs
-        if a.count(0) < b.count(0):
-            a, b = b, a
-        for x, row in zip(a, sp.mul_rows):
+        out = [0] * sp.size
+        b = other.coeffs
+        for x, row in zip(self.coeffs, sp.mul_rows):
             if x:
                 for o, j in row:
                     out[o] += x * b[j]
+        if self.mode == FLOAT:
+            return Jet(sp, FLOAT, array("d", out))
         return _reduced(sp, out, self.den * other.den)
 
     __rmul__ = __mul__
@@ -343,11 +323,12 @@ class Jet:
     def power(self, k: int) -> "Jet":
         if k < 0:
             return self.reciprocal().power(-k)
-        result = Jet.const(self.space, self.mode, 1)
-        base = self
+        if k == 0:
+            return Jet.const(self.space, self.mode, 1)
+        result, base = None, self
         while k:
             if k & 1:
-                result = result * base
+                result = base if result is None else result * base
             base = base * base if k > 1 else base
             k >>= 1
         return result

@@ -194,28 +194,38 @@ def test_metric_fiber_spec_block(tmp_path):
     assert report["summary"]["failed"] == 0 and report["summary"]["passed"] > 0
 
 
-# sha256 of rational reports minus "timing", computed as
-# perfbench/run.py::report_digest does.  Rational mode is the exact oracle:
-# a refactor that moves one of these digests changed a result, not a rounding.
+# sha256 of reports minus "timing", computed as perfbench/run.py::report_digest
+# does.  Rational mode is the exact oracle: a refactor that moves one of its
+# digests changed a result, not a rounding.
 ORACLE_DIGESTS = [
-    ("flat-r1", "all", "1dc97e505de4f2dc5d84f25a6c59750affe64f3193bfbb4940a5431f53281496"),
-    ("poly2", "connection", "4af6f24eabc58f2e27b1b11ab96e96a75a27a8dc79317e7cbfcd8b4ea6aec8d3"),
-    ("hyperbolic", "connection", "1a259b9de1795f7cadd20b9e217fe970ef6cae37a17e66ddc2d0ce18dcb84b62"),
-    ("poly2", "boundary", "e158bc51c03979849674d3a8416b33afff354687c1e4841e69d0d7dd614e10d5"),
+    ("flat-r1", "all", "rational",
+     "1dc97e505de4f2dc5d84f25a6c59750affe64f3193bfbb4940a5431f53281496"),
+    ("poly2", "connection", "rational",
+     "4af6f24eabc58f2e27b1b11ab96e96a75a27a8dc79317e7cbfcd8b4ea6aec8d3"),
+    ("hyperbolic", "connection", "rational",
+     "1a259b9de1795f7cadd20b9e217fe970ef6cae37a17e66ddc2d0ce18dcb84b62"),
+    ("poly2", "boundary", "rational",
+     "e158bc51c03979849674d3a8416b33afff354687c1e4841e69d0d7dd614e10d5"),
     # the exact oracle of the curved2-exact benchmark workload (about 4 s), read
     # from the digests the benchmark checks its own runs against
-    ("hyperbolic", "all", json.loads((SPECS.parents[2] / "perfbench" / "reference.json")
-                                     .read_text())["hyperbolic/rational"]["0"]),
+    ("hyperbolic", "all", "rational",
+     json.loads((SPECS.parents[2] / "perfbench" / "reference.json")
+                .read_text())["hyperbolic/rational"]["0"]),
+    # poly2 evaluates no elementary function, so its float report depends only
+    # on the order of the IEEE + - * / operations: this pins the float product's
+    # summation order (about 3 s)
+    ("poly2", "all", "float",
+     "48bf0e55d08977969c77d2c7ae538d409431cb95e98f1ff4cca6f1f759d0ed72"),
 ]
 
 
-def test_rational_reports_match_recorded_digests(tmp_path):
+def test_reports_match_recorded_digests(tmp_path):
     import hashlib
-    for spec, suite, digest in ORACLE_DIGESTS:
-        out = tmp_path / f"{spec}-{suite}.json"
+    for spec, suite, mode, digest in ORACLE_DIGESTS:
+        out = tmp_path / f"{spec}-{suite}-{mode}.json"
         code = run_cli(["run", str(SPECS / f"{spec}.json"), "--suite", suite,
-                        "--mode", "rational", "--seed", "0", "--out", str(out)])
+                        "--mode", mode, "--seed", "0", "--out", str(out)])
         assert code == 0
         body = {k: v for k, v in json.loads(out.read_text()).items() if k != "timing"}
         got = hashlib.sha256(json.dumps(body, sort_keys=True).encode()).hexdigest()
-        assert got == digest, (spec, suite)
+        assert got == digest, (spec, suite, mode)
