@@ -228,7 +228,23 @@ def nabla(field: Field, I, p, mode=FLOAT) -> CovariantTensorValue:
 
 
 def nabla_value(field: Field, I, p, mode=FLOAT) -> dict:
-    return nabla(field, I, p, mode).comps
+    """Nonzero components of nabla_{e_I}(field) at p, memoized on the field.
+
+    The value dict is computed once per (word, point, mode) and kept in
+    ``field._nabla_cache`` beside the jets it summarizes; later calls
+    return that same dict without re-checking the point.  It is shared, so
+    callers must treat it as read-only.  A miss runs :func:`nabla`, so an
+    out-of-domain point still raises on its first query.
+    """
+    I, p = tuple(I), tuple(p)
+    bucket = field._nabla_cache.get((p, mode))
+    if bucket is not None:
+        hit = bucket.get((I, None))
+        if hit is not None:
+            return hit
+    comps = nabla(field, I, p, mode).comps
+    field._nabla_cache.setdefault((p, mode), {})[(I, None)] = comps
+    return comps
 
 
 def nabla_mixed(field: Field, prefix, tensor_value: dict, p, mode=FLOAT) -> dict:
@@ -403,10 +419,11 @@ def covariant_product(X, Y, p, mode=FLOAT, out_order=0) -> dict:
             Xw = Xf.comp_jet(w, p, out_order, mode)
             if Xw.is_zero():
                 continue
+            unit = Xw.is_constant() and Xw.value == 1
             for (A, B) in tensor_coproduct(w):
                 nb = nabla_jets_mixed(Y, B, p, out_order, mode)
                 for u, jet in nb.items():
-                    _add_jet(out, A + u, Xw * jet)
+                    _add_jet(out, A + u, jet if unit else Xw * jet)
     return out
 
 

@@ -15,6 +15,7 @@ everything is a pure function of immutable values.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -91,18 +92,19 @@ def wedge_merge(A, B):
 def tensor_coproduct(w):
     """Deshuffle coproduct of a word: all order-preserving splits.
 
-    Returns a list of (left, right) word pairs; each subset of positions
-    contributes once, so a length-m word yields 2^m summands (with unit
-    coefficient).  Order is fixed by the position-subset bitmask.
+    Returns a fresh list of (left, right) word pairs; each subset of
+    positions contributes once, so a length-m word yields 2^m summands (with
+    unit coefficient).  Order is fixed by the position-subset bitmask.
     """
-    w = tuple(w)
+    return list(_deshuffles(tuple(w)))
+
+
+@functools.lru_cache(maxsize=4096)
+def _deshuffles(w: tuple) -> tuple:
     m = len(w)
-    out = []
-    for mask in range(1 << m):
-        left = tuple(w[i] for i in range(m) if mask >> i & 1)
-        right = tuple(w[i] for i in range(m) if not mask >> i & 1)
-        out.append((left, right))
-    return out
+    return tuple((tuple(w[i] for i in range(m) if mask >> i & 1),
+                  tuple(w[i] for i in range(m) if not mask >> i & 1))
+                 for mask in range(1 << m))
 
 
 def iterated_tensor_coproduct(w, parts: int):
@@ -323,9 +325,16 @@ class TensorExtElement:
                 self.add_term(w, K, c)
 
     def add_term(self, w, K, c):
+        """Accumulate c on the checked key (w, K); for keys from outside."""
         if c == 0:
             return
-        key = (check_word(w, self.n), check_anti_index(K, self.d))
+        self._add((check_word(w, self.n), check_anti_index(K, self.d)), c)
+
+    def _add(self, key, c):
+        """Accumulate c on a (word, anti-index) tuple key that is already
+        valid, e.g. built by a coproduct or a wedge merge of checked keys."""
+        if c == 0:
+            return
         cur = self.coeffs.get(key, 0)
         new = cur + c
         if new == 0:
@@ -347,8 +356,8 @@ class TensorExtElement:
     def __add__(self, other: "TensorExtElement") -> "TensorExtElement":
         out = TensorExtElement(self.n, self.d)
         out.coeffs = dict(self.coeffs)
-        for (w, K), c in other.coeffs.items():
-            out.add_term(w, K, c)
+        for key, c in other.coeffs.items():
+            out._add(key, c)
         return out
 
     def __sub__(self, other):

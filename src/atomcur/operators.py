@@ -78,8 +78,11 @@ def _incr_items(val: dict):
 
 
 def _nabla_values(parts, B, p, mode):
+    parts = cd.as_field_list(parts)
+    if len(parts) == 1:
+        return cd.nabla_value(parts[0], B, p, mode)
     out = {}
-    for f in cd.as_field_list(parts):
+    for f in parts:
         for idx, c in cd.nabla_value(f, B, p, mode).items():
             out[idx] = out.get(idx, 0) + c
     return {k: v for k, v in out.items() if v != 0}
@@ -102,7 +105,7 @@ def op_E(chart: ChartConnection, X: Field, p, mode=FLOAT) -> FiberEndo:
                 for KX, cx in _incr_items(val):
                     s, merged = wedge_merge(KX, K)
                     if s:
-                        out.add_term(A, merged, s * c * cx)
+                        out._add((A, merged), s * c * cx)
         return out
 
     return FiberEndo(fn, f"E[{getattr(X, 'tag', 'X')}]")
@@ -121,7 +124,7 @@ def op_D(chart: ChartConnection, Y, p, mode=FLOAT) -> FiberEndo:
             for (A, B) in tensor_coproduct(w):
                 val = _nabla_values(Y, B, p, mode)
                 for wy, cy in val.items():
-                    out.add_term(A + wy, K, c * cy)
+                    out._add((A + wy, K), c * cy)
         return out
 
     return FiberEndo(fn, "D")
@@ -139,7 +142,7 @@ def f_lrcorner(chart: ChartConnection, f: Field, p, mode=FLOAT) -> FiberEndo:
             for (A, B) in tensor_coproduct(w):
                 fa = cd.nabla_value(f, A, p, mode).get((), 0)
                 if fa != 0:
-                    out.add_term(B, K, c * fa)
+                    out._add((B, K), c * fa)
         return out
 
     return FiberEndo(fn, "f_corner")
@@ -321,7 +324,7 @@ def op_Edag(chart: ChartConnection, X: Field, p, mode=FLOAT, route="contract") -
                     continue
                 acted = _edag_fiber(lambda KL: _gram_pair(g, val, KL), r, {K: c})
                 for K2, c2 in acted.items():
-                    out.add_term(A, K2, c2)
+                    out._add((A, K2), c2)
         return out
 
     return FiberEndo(fn, "Edag")
@@ -344,7 +347,7 @@ def op_Edag_theta(chart: ChartConnection, theta: Field, p, mode=FLOAT) -> FiberE
                     continue
                 acted = _edag_fiber(lambda KL: val.get(KL, 0), r, {K: c})
                 for K2, c2 in acted.items():
-                    out.add_term(A, K2, c2)
+                    out._add((A, K2), c2)
         return out
 
     return FiberEndo(fn, "Edag_theta")
@@ -480,18 +483,29 @@ def sharp(a: SharpElement, b: SharpElement) -> SharpElement:
     if out_budget < 0:
         raise ValueError("insufficient jet budget for sharp product")
     out = SharpElement(chart, p, mode, out_budget)
+    # per-call memos: the frame tensor e_{w1} and the k-vector eps_{Ka} (so
+    # their jet caches are shared) and the covariant product, which does
+    # not depend on the term of b
+    kvecs = {Ka: cd.kvector_field(chart, len(Ka), {Ka: 1}) for (_wa, Ka) in a.coeffs}
+    frames, prods = {}, {}
     for (wb, Kb), gjet in b.coeffs.items():
+        g0 = gjet.truncate(out_budget)
         for (w1, w2) in tensor_coproduct(wb):
             for (wa, Ka), fjet in a.coeffs.items():
                 # tensor part: g * (e_{w1} (.) f e_{wa})
-                head = cd.mixed_tensor_fields(
-                    chart, {wa: fjet.truncate(out_budget + len(w1))}, p,
-                    out_budget + len(w1), mode)
-                prod = cd.covariant_product(
-                    cd.coordinate_tensor_field(chart, w1), head, p, mode, out_budget)
+                prod = prods.get((w1, (wa, Ka)))
+                if prod is None:
+                    head = cd.mixed_tensor_fields(
+                        chart, {wa: fjet.truncate(out_budget + len(w1))}, p,
+                        out_budget + len(w1), mode)
+                    ew1 = frames.get(w1)
+                    if ew1 is None:
+                        ew1 = frames[w1] = cd.coordinate_tensor_field(chart, w1)
+                    prod = prods[(w1, (wa, Ka))] = cd.covariant_product(
+                        ew1, head, p, mode, out_budget)
                 # exterior part: (nabla_{e_{w2}} eps_{Ka}) wedge eps_{Kb}
-                kvec = cd.kvector_field(chart, len(Ka), {Ka: 1})
-                nb = cd.nabla_word_jets(kvec, w2, p, out_budget, mode)
+                nb = cd.nabla_word_jets(kvecs[Ka], w2, p, out_budget, mode)
+                gprod = None
                 for KX in list(nb):
                     if not all(KX[i] < KX[i + 1] for i in range(len(KX) - 1)):
                         continue
@@ -499,9 +513,10 @@ def sharp(a: SharpElement, b: SharpElement) -> SharpElement:
                     if not s:
                         continue
                     wedge_jet = nb[KX] if s == 1 else -nb[KX]
-                    for wkey, pj in prod.items():
-                        out.add(((wkey), merged),
-                                gjet.truncate(out_budget) * pj * wedge_jet)
+                    if gprod is None:
+                        gprod = [(wkey, g0 * pj) for wkey, pj in prod.items()]
+                    for wkey, gpj in gprod:
+                        out.add((wkey, merged), gpj * wedge_jet)
     return out
 
 

@@ -131,6 +131,22 @@ def test_jobs_flag(tmp_path):
     assert json.dumps(reports[1], sort_keys=True) == json.dumps(reports[0], sort_keys=True)
 
 
+def test_jobs_flag_float_shared_caches(tmp_path):
+    # the probe fields cached on the chart carry nabla value memos that both
+    # pool threads read and fill
+    reports = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"r{jobs}.json"
+        code = run_cli(["run", str(SPECS / "flat-r2.json"), "--suite", "all",
+                        "--mode", "float", "--jobs", jobs, "--trials", "1",
+                        "--out", str(out)])
+        assert code == 0
+        report = json.loads(out.read_text())
+        report.pop("timing")
+        reports.append(report)
+    assert json.dumps(reports[1], sort_keys=True) == json.dumps(reports[0], sort_keys=True)
+
+
 def test_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "atomcur.cli", "suites"],
@@ -216,6 +232,11 @@ ORACLE_DIGESTS = [
     # summation order (about 3 s)
     ("poly2", "all", "float",
      "48bf0e55d08977969c77d2c7ae538d409431cb95e98f1ff4cca6f1f759d0ed72"),
+    # the operator suites of the curved3-float benchmark workload, whose
+    # covariant-derivative values are memoized per field: every float
+    # operation and its order must stay as before (about 5 s)
+    ("poly3", "operators", "float",
+     "06514772987b26144f2ff4013c6fa492ad0b9aad321a198430ce75aa147647fb"),
 ]
 
 

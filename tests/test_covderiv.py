@@ -274,3 +274,80 @@ def test_warning_case_nonzero(s2):
         if abs(lhs) > 1e-6:
             saw_nonzero = True
     assert saw_nonzero
+
+
+def test_nabla_value_memo_is_per_field_and_point(s2):
+    f = cd.vector_field(s2, {0: "sin(theta)", 1: "phi*theta"})
+    p = (1.1, 0.8)
+    first = cd.nabla_value(f, (0, 1), p)
+    assert cd.nabla_value(f, [0, 1], list(p)) is first
+    assert cd.nabla_value(f, (1, 0), p) is not first
+    assert cd.nabla_value(f, (0, 1), (1.2, 0.8)) != first
+    g = cd.vector_field(s2, {0: "sin(theta)", 1: "phi*theta"})
+    assert cd.nabla_value(g, (0, 1), p) == first
+    # the memo is filled only by a successful evaluation
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            cd.nabla_value(f, (0,), (5.0, 0.8))
+
+
+def test_nabla_computed_once_per_key_in_operator_suite(tmp_path, monkeypatch):
+    """Every (field, word, point, mode) value is derived once by `nabla`."""
+    from pathlib import Path
+
+    from atomcur import cli
+    seen, fields = {}, []
+    inner = cd.nabla
+
+    def counting(field, I, p, mode="float"):
+        fields.append(field)  # keeps ids unique for the whole run
+        key = (id(field), tuple(I), tuple(p), mode)
+        seen[key] = seen.get(key, 0) + 1
+        return inner(field, I, p, mode)
+
+    monkeypatch.setattr(cd, "nabla", counting)
+    spec = Path(__file__).resolve().parent.parent / "src" / "atomcur" / "specs" / "hyperbolic.json"
+    code = cli.main(["run", str(spec), "--suite", "operators", "--mode", "float",
+                     "--trials", "1", "--seed", "0", "--out", str(tmp_path / "r.json")])
+    assert code == 0
+    assert seen
+    assert max(seen.values()) == 1
+
+
+def test_nabla_value_memo_under_threads(hyperbolic):
+    """Threads that share a field's memo read the same values as a serial run."""
+    import sys
+    import threading
+    words = [w for ell in range(3) for w in itertools.product(range(2), repeat=ell)]
+    p = (0.3, 1.1)
+
+    def make():
+        return cd.vector_field(hyperbolic, {0: "x*y", 1: "y^2 - x"})
+
+    ref = make()
+    want = {w: dict(cd.nabla_value(ref, w, p)) for w in words}
+    shared = make()
+    got, errors = [None] * 6, []
+
+    def work(t):
+        # odd threads walk the words backwards, so memo misses interleave
+        order = words if t % 2 == 0 else words[::-1]
+        try:
+            got[t] = {w: cd.nabla_value(shared, w, p) for w in order}
+        except Exception as exc:  # reported below with the thread's index
+            errors.append((t, exc))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(6)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(th.is_alive() for th in threads)
+    assert errors == []
+    for vals in got:
+        assert vals == want

@@ -179,3 +179,38 @@ def test_mat_inverse():
             assert abs(got - (1.0 if i == j else 0.0)) < 1e-14
     with pytest.raises(ValueError):
         mat_inverse([[1.0, 2.0], [2.0, 4.0]])
+
+
+def test_tensor_ext_rejects_bad_keys():
+    el = TensorExtElement(2, 3)
+    with pytest.raises(ValueError):
+        el.add_term((0, 2), (0,), 1)      # letter outside 0..n-1
+    with pytest.raises(ValueError):
+        el.add_term((0,), (1, 1), 1)      # repeated anti-index
+    with pytest.raises(ValueError):
+        el.add_term((0,), (2, 0), 1)      # decreasing anti-index
+    with pytest.raises(ValueError):
+        el.add_term((0,), (3,), 1)        # anti-index outside 0..d-1
+    with pytest.raises(ValueError):
+        TensorExtElement(2, 3, {((5,), ()): 1})
+    with pytest.raises(ValueError):
+        TensorExtElement(2, 3, {((0,), (2, 1)): 1})
+    assert el.coeffs == {}
+
+
+def test_tensor_ext_sum_cancels_to_empty():
+    a = TensorExtElement(2, 2, {((0, 1), (0,)): Fraction(1, 2)})
+    b = TensorExtElement(2, 2, {((0, 1), (0,)): Fraction(-1, 2), ((1,), ()): 3})
+    assert (a + b).coeffs == {((1,), ()): 3}
+    assert (a - a).coeffs == {}
+    assert a.coeffs == {((0, 1), (0,)): Fraction(1, 2)}
+
+
+def test_tensor_coproduct_returns_fresh_lists():
+    first = tensor_coproduct((0, 1, 1))
+    want = list(first)
+    first.append(((9,), ()))
+    first[0] = None
+    assert tensor_coproduct((0, 1, 1)) == want
+    assert tensor_coproduct([0, 1, 1]) == want
+    assert tensor_coproduct((0, 1, 1)) is not tensor_coproduct((0, 1, 1))

@@ -334,3 +334,32 @@ def test_star_form_jets_reuses_metric_jets(monkeypatch):
     assert calls == []
     assert {i: list(j.coeffs) for i, j in second.comps.items()} == \
         {i: list(j.coeffs) for i, j in first.comps.items()}
+
+
+def test_sharp_one_covariant_product_per_key(s2, monkeypatch):
+    """sharp derives e_{w1} (.) f e_{wa} once per (w1, a-key), not per b-term."""
+    from atomcur.multialg import tensor_coproduct
+    p = (1.1, 0.8)
+    B = 6
+    tf = cd.tensor_field(s2, 1, {(0,): "phi", (1,): "theta"})
+    ef = cd.kvector_field(s2, 1, {(0,): "1", (1,): "theta"})
+    a = op.SharpElement.from_fields(s2, tf, ef, p, "float", B)
+    tg = cd.tensor_field(s2, 2, {(0, 1): "1", (1, 1): "theta*phi"})
+    b = op.SharpElement.from_fields(s2, tg, ef, p, "float", B)
+    calls = []
+    inner = cd.covariant_product
+
+    def counting(X, Y, *args, **kwargs):
+        (w1,) = X.comps
+        (wa,) = [w for f in cd.as_field_list(Y) for w in f.comps]
+        calls.append((w1, wa))
+        return inner(X, Y, *args, **kwargs)
+
+    monkeypatch.setattr(cd, "covariant_product", counting)
+    op.sharp(a, b)
+    w1s = {w1 for (wb, _Kb) in b.coeffs for (w1, _w2) in tensor_coproduct(wb)}
+    assert len(calls) == len(w1s) * len(a.coeffs)
+    want = sorted((w1, wa) for w1 in w1s for (wa, _Ka) in a.coeffs)
+    assert sorted(calls) == want
+    b_terms = sum(len(tensor_coproduct(wb)) for (wb, _Kb) in b.coeffs)
+    assert len(calls) < b_terms * len(a.coeffs)
