@@ -12,7 +12,7 @@ boundary), and verifies the defining identities on desk-scale manifolds.
 
 from .jets import FLOAT, RATIONAL, Jet, JetSpace
 from .expr import parse, to_string, eval_jet, evaluate, monomial_form
-from .connection import ChartConnection, ChartDomainError, curvature, dual_chart, levi_civita
+from .connection import ChartConnection, ChartDomainError, curvature, dual_chart
 
 __version__ = "0.1.0"
 

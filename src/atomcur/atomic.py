@@ -25,7 +25,7 @@ from . import expr as ex
 from .connection import ChartConnection
 from .covderiv import TU, Field
 from .jets import FLOAT, Jet, as_point, as_scalar
-from .multialg import (TensorExtElement, anti_indices, basis_element, det,
+from .multialg import (TensorExtElement, anti_indices, det,
                        gradlex_key, iterated_tensor_coproduct, sort_sign,
                        sorted_word, sorted_words, tensor_coproduct,
                        wedge_coproduct, word_multidegree)
@@ -177,13 +177,25 @@ def to_pbw(chart: ChartConnection, x: TensorExtElement, p, r=None, k=None,
         for (w, K), c in x.coeffs.items():
             cur.add(w, K, c)
         return cur
+    return _pbw_solve(chart, p, r, k,
+                      lambda probe, _T, _L: phi_apply(chart, x, probe, p, mode), mode)
+
+
+def _pbw_solve(chart: ChartConnection, p, r, k, eval_fn, mode) -> AtomicCurrent:
+    """PBW coordinates of the functional whose value on the monomial probe
+    (T, L) is ``eval_fn(probe, T, L)``, for a point already in ``mode``.
+
+    Probes run in descending total degree; each coordinate is the probe
+    value minus what the coordinates already found (all of higher word
+    length) contribute on that probe.
+    """
     cur = AtomicCurrent(p, r, k)
     multis = _multi_indices(chart.n, r)
     for g in range(r, -1, -1):
         for T in multis[g]:
             for L in anti_indices(chart.d, k):
                 probe = probe_form(chart, p, T, L, mode)
-                y = phi_apply(chart, x, probe, p, mode)
+                y = eval_fn(probe, T, L)
                 corr = 0
                 for (I, K), c in cur.coeffs.items():
                     if len(I) <= g or c == 0:
@@ -200,11 +212,6 @@ def _multi_indices(n, r):
     for I in sorted_words(n, r):
         out[len(I)].append(word_multidegree(I, n))
     return out
-
-
-def pbw_lift(n, d, I, K) -> TensorExtElement:
-    """The canonical Phi-preimage of a PBW basis functional."""
-    return basis_element(n, d, I, K)
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +261,15 @@ def kernel_element(chart: ChartConnection, p, I, i, j, J, K, mode=FLOAT) -> Tens
             return cd.nabla_value(eJ, S, p, mode)
         return {(): 1} if not S else {}
 
+    def ab_value(S, T):
+        # value of nabla_{e_S} e_i (x) nabla_{e_T} e_j, as a dict (u, v) -> scalar
+        vi, vj = nvec(ei, S), nvec(ej, T)
+        ab = {}
+        for (u,), cu in vi.items():
+            for (v,), cv in vj.items():
+                ab[(u, v)] = ab.get((u, v), 0) + cu * cv
+        return ab
+
     # group 1: e_{I1} (x) [nabla_{I2} e_i (x) nabla_{I3} e_j - (i <-> j)]
     #          (x) nabla_{I4} e_J  box eps_K
     for (I1, I2, I3, I4) in iterated_tensor_coproduct(I, 4):
@@ -262,25 +278,18 @@ def kernel_element(chart: ChartConnection, p, I, i, j, J, K, mode=FLOAT) -> Tens
         tJ = ntens(I4)
         if not tJ:
             continue
-        for (a,), ca in vi.items():
-            for (b,), cb in vj.items():
-                for wJ, cJ in tJ.items():
-                    out.add_term(I1 + (a, b) + wJ, K, ca * cb * cJ)
-        for (a,), ca in wi.items():
-            for (b,), cb in wj.items():
-                for wJ, cJ in tJ.items():
-                    out.add_term(I1 + (a, b) + wJ, K, -(ca * cb * cJ))
+        for sgn, left, right in ((1, vi, vj), (-1, wi, wj)):
+            for (a,), ca in left.items():
+                for (b,), cb in right.items():
+                    for wJ, cJ in tJ.items():
+                        out.add_term(I1 + (a, b) + wJ, K, sgn * (ca * cb * cJ))
 
     # group 2: e_{I1} (x) nabla_{I2} e_J box (nabla_{I3} R^E)_{nabla_{I4} e_i (x) nabla_{I5} e_j}(eps_K)
     for (I1, I2, I3, I4, I5) in iterated_tensor_coproduct(I, 5):
         tJ = ntens(I2)
         if not tJ:
             continue
-        vi, vj = nvec(ei, I4), nvec(ej, I5)
-        ab = {}
-        for (u,), cu in vi.items():
-            for (v,), cv in vj.items():
-                ab[(u, v)] = ab.get((u, v), 0) + cu * cv
+        ab = ab_value(I4, I5)
         if not ab:
             continue
         _, fiber_end = cd.curvature_endomorphisms(chart, I3, ab, p, mode)
@@ -294,11 +303,7 @@ def kernel_element(chart: ChartConnection, p, I, i, j, J, K, mode=FLOAT) -> Tens
         tJ = ntens(I5)
         if not tJ:
             continue
-        vi, vj = nvec(ei, I3), nvec(ej, I4)
-        ab = {}
-        for (u,), cu in vi.items():
-            for (v,), cv in vj.items():
-                ab[(u, v)] = ab.get((u, v), 0) + cu * cv
+        ab = ab_value(I3, I4)
         if not ab:
             continue
         base_end, _ = cd.curvature_endomorphisms(chart, I2, ab, p, mode)

@@ -195,12 +195,10 @@ def run(spec_path, suite: str, r: int, k: int, mode: str, tol, seed: int,
         csv_path.write_text(to_csv(results), encoding="utf-8")
     else:
         print(text)
-    failed = [r for r in results if not r.passed and not r.skipped]
     for row in results:
-        status = "skip" if row.skipped else ("pass" if row.passed else "FAIL")
-        print(f"[{status}] {row.check}: residual {row.residual:g} (tol {row.tol:g})",
+        print(f"[{row.status}] {row.check}: residual {row.residual:g} (tol {row.tol:g})",
               file=sys.stderr)
-    return 1 if failed else 0
+    return 1 if any(r.status == "FAIL" for r in results) else 0
 
 
 def _run_parallel(ctx, jobs):
@@ -231,9 +229,9 @@ def make_report(data, suite, ctx, results, wall):
         "checks": checks,
         "summary": {
             "total": len(results),
-            "passed": sum(1 for r in results if r.passed and not r.skipped),
-            "failed": sum(1 for r in results if not r.passed and not r.skipped),
-            "skipped": sum(1 for r in results if r.skipped),
+            "passed": sum(1 for r in results if r.status == "pass"),
+            "failed": sum(1 for r in results if r.status == "FAIL"),
+            "skipped": sum(1 for r in results if r.status == "skip"),
         },
         "timing": {"wall_seconds": wall},
     }
@@ -242,10 +240,9 @@ def make_report(data, suite, ctx, results, wall):
 def to_csv(results):
     lines = ["check,status,residual,tol,probe,note"]
     for r in sorted(results, key=lambda r: (r.check, str(r.probe))):
-        status = "skip" if r.skipped else ("pass" if r.passed else "FAIL")
         probe = "" if r.probe is None else " ".join(str(x) for x in r.probe)
         note = r.note.replace(",", ";")
-        lines.append(f"{r.check},{status},{r.residual:g},{r.tol:g},{probe},{note}")
+        lines.append(f"{r.check},{r.status},{r.residual:g},{r.tol:g},{probe},{note}")
     return "\n".join(lines) + "\n"
 
 

@@ -372,12 +372,6 @@ def curvature(cc: ChartConnection, p, mode=FLOAT, nabla_order=0) -> CurvatureAt:
     return out
 
 
-def levi_civita(names, metric, domain, name="chart", check_points=None) -> ChartConnection:
-    """Convenience alias for :meth:`ChartConnection.from_metric`."""
-    return ChartConnection.from_metric(names, metric, domain, name=name,
-                                       check_points=check_points)
-
-
 def dual_chart(cc: ChartConnection, name=None) -> ChartConnection:
     """Chart with the fiber replaced by its dual bundle.
 

@@ -25,7 +25,6 @@ only memoize results.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from . import expr as ex
 from .connection import ChartConnection
@@ -147,6 +146,11 @@ def _add_jet(acc: dict, idx, jet: Jet):
     acc[idx] = jet if cur is None else cur + jet
 
 
+def _sub_jet(acc: dict, idx, jet: Jet):
+    cur = acc.get(idx)
+    acc[idx] = -jet if cur is None else cur - jet
+
+
 def covariant_step(chart, slots, comps, i, p, order, mode):
     """One covariant derivative along e_i of a section with component jets.
 
@@ -174,7 +178,7 @@ def covariant_step(chart, slots, comps, i, p, order, mode):
                 for b in range(dim):
                     gam = chart.gamma1_jet(i, b, p, order, mode, fiber=fiber)[a]
                     if not gam.is_zero():
-                        _add_jet(out, idx[:pos] + (b,) + idx[pos + 1:], -(gam * jt))
+                        _sub_jet(out, idx[:pos] + (b,) + idx[pos + 1:], gam * jt)
     return out
 
 
@@ -201,30 +205,17 @@ def nabla_word_jets(field: Field, I, p, order, mode):
                     continue
                 sub = nabla_word_jets(field, rest[:r] + (l,) + rest[r + 1:], p, order, mode)
                 for idx, jet in sub.items():
-                    _add_jet(out, idx, -(gam[l] * jet))
+                    _sub_jet(out, idx, gam[l] * jet)
     cache[key] = out
     return out
 
 
-@dataclass
-class CovariantTensorValue:
-    """Value of nabla^{|word|}(field) at a point, contracted with e_word."""
-
-    point: tuple
-    word: tuple
-    comps: dict
-
-    def component(self, idx):
-        return self.comps.get(tuple(idx), 0)
-
-
-def nabla(field: Field, I, p, mode=FLOAT) -> CovariantTensorValue:
-    """The order-|I| higher covariant derivative at p along the frame word I."""
+def nabla(field: Field, I, p, mode=FLOAT) -> dict:
+    """Nonzero components of the order-|I| higher covariant derivative at p
+    along the frame word I."""
     field.chart.check_point(p)
-    p = as_point(p, mode)
-    jets = nabla_word_jets(field, tuple(I), p, 0, mode)
-    comps = {idx: v for idx, j in jets.items() if (v := j.value) != 0}
-    return CovariantTensorValue(point=p, word=tuple(I), comps=comps)
+    jets = nabla_word_jets(field, tuple(I), as_point(p, mode), 0, mode)
+    return {idx: v for idx, j in jets.items() if (v := j.value) != 0}
 
 
 def nabla_value(field: Field, I, p, mode=FLOAT) -> dict:
@@ -242,7 +233,7 @@ def nabla_value(field: Field, I, p, mode=FLOAT) -> dict:
         hit = bucket.get((I, None))
         if hit is not None:
             return hit
-    comps = nabla(field, I, p, mode).comps
+    comps = nabla(field, I, p, mode)
     field._nabla_cache.setdefault((p, mode), {})[(I, None)] = comps
     return comps
 
@@ -391,6 +382,24 @@ def mixed_tensor_fields(chart, comps: dict, p, budget, mode):
         by_len.setdefault(len(w), {})[w] = jet
     return [jet_field(chart, (TU,) * ell, d, p, budget, mode)
             for ell, d in sorted(by_len.items())]
+
+
+def covderiv(X: Field, Y: Field, p, order, mode) -> dict:
+    """nabla_X Y = sum_i X^i nabla_{e_i} Y for a vector field X, as jets of
+    order ``order`` at p keyed by the components of Y.
+
+    The component of X is the left factor of each product, which fixes
+    the summation order of the Cauchy product; components of X whose jet
+    vanishes are skipped.
+    """
+    out = {}
+    for i in range(X.chart.n):
+        xi = X.comp_jet((i,), p, order, mode)
+        if xi.is_zero():
+            continue
+        for idx, jet in nabla_word_jets(Y, (i,), p, order, mode).items():
+            _add_jet(out, idx, xi * jet)
+    return out
 
 
 def nabla_jets_mixed(parts, I, p, order, mode) -> dict:

@@ -206,30 +206,6 @@ def mat_inverse(M):
     return [row[m:] for row in reduced]
 
 
-def det_pairing(covectors, kvector):
-    """Pairing <a1 ^ ... ^ ak, v1, ..., vk> = det(ai(vj)).
-
-    ``covectors`` is a list of k coefficient tuples; ``kvector`` is either a
-    list of k vector coefficient tuples or a dict {anti-index: coeff}.
-    """
-    k = len(covectors)
-    if isinstance(kvector, dict):
-        total = 0
-        for K, c in kvector.items():
-            if len(K) != k:
-                raise ValueError("degree mismatch in det_pairing")
-            if c == 0:
-                continue
-            rows = [[cov[j] for j in K] for cov in covectors]
-            total += c * det(rows)
-        return total
-    if len(kvector) != k:
-        raise ValueError("degree mismatch in det_pairing")
-    rows = [[sum(cov[j] * vec[j] for j in range(len(vec))) for vec in kvector]
-            for cov in covectors]
-    return det(rows)
-
-
 @dataclass(frozen=True)
 class MetricSignature:
     """Diagonal signs of an ordered orthonormal frame."""

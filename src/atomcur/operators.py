@@ -21,7 +21,15 @@ All operators act fiberwise at a probe point p, on
 * ``boundary``:     dual to exterior derivative (normative duality route),
   with the trace lift sum_i D_{e_i} o Edag_{e^i} implemented and compared.
 
-Endomorphisms are pure closures over immutable chart data.
+Each lift is one Sweedler sum v_(1) box (an action of nabla_{v_(2)}), and
+shared recipes have one home here: ``_edag_contraction`` is the signed
+contraction behind op_Edag and op_Edag_theta (only the pairing differs),
+``_perp_conjugate`` is the degree-signed perp conjugation behind the
+conjugate route of op_Edag and adjoint_of_Edag, and ``_sum_D_compose``
+is the sum of D o (E or Edag) behind op_DE, op_DEdag and the trace lifts.
+PBW coordinates of a functional come from the triangular probe solve in
+:mod:`atomcur.atomic`.  Endomorphisms are pure closures over immutable
+chart data.
 """
 
 from __future__ import annotations
@@ -43,24 +51,32 @@ from .multialg import (MetricSignature, TensorExtElement, anti_indices,
 
 
 class FiberEndo:
-    """A linear endomorphism of tensor(T_p M) box wedge(E_p), tagged with
-    its construction for reporting."""
+    """A linear endomorphism of tensor(T_p M) box wedge(E_p), held as the
+    closure ``fn``; ``compose``, ``+`` and ``scaled`` wrap closures."""
 
-    def __init__(self, fn, tag: str):
+    def __init__(self, fn):
         self.fn = fn
-        self.tag = tag
 
     def __call__(self, x: TensorExtElement) -> TensorExtElement:
         return self.fn(x)
 
     def compose(self, other: "FiberEndo") -> "FiberEndo":
-        return FiberEndo(lambda x: self(other(x)), f"{self.tag}*{other.tag}")
+        return FiberEndo(lambda x: self(other(x)))
 
     def __add__(self, other: "FiberEndo") -> "FiberEndo":
-        return FiberEndo(lambda x: self(x) + other(x), f"({self.tag}+{other.tag})")
+        return FiberEndo(lambda x: self(x) + other(x))
 
     def scaled(self, a) -> "FiberEndo":
-        return FiberEndo(lambda x: self(x).scale(a), f"{a}*{self.tag}")
+        return FiberEndo(lambda x: self(x).scale(a))
+
+
+def _endo_sum(terms, n, d) -> FiberEndo:
+    """The left fold ((t1 + t2) + t3) + ... of endomorphisms, so each image
+    sums its terms in order; the zero map when there are none."""
+    endo = None
+    for term in terms:
+        endo = term if endo is None else endo + term
+    return endo if endo is not None else FiberEndo(lambda x: TensorExtElement(n, d))
 
 
 def endo_residual(a: FiberEndo, b: FiberEndo, elements) -> float:
@@ -91,24 +107,34 @@ def _nabla_values(parts, B, p, mode):
 # ---------------------------------------------------------------------------
 # Interior-product and covariant-differentiation actions.
 
+def _sweedler_lift(act) -> FiberEndo:
+    """The lift of a Sweedler-sum recipe: each term c (v box eps_K) maps to
+    the sum over deshuffles (A, B) = (v_(1), v_(2)) of v, where
+    ``act(out, A, B, K, c)`` adds one summand to ``out``."""
+
+    def fn(x: TensorExtElement) -> TensorExtElement:
+        out = TensorExtElement(x.n, x.d)
+        for (w, K), c in x.coeffs.items():
+            for (A, B) in tensor_coproduct(w):
+                act(out, A, B, K, c)
+        return out
+
+    return FiberEndo(fn)
+
+
 def op_E(chart: ChartConnection, X: Field, p, mode=FLOAT) -> FiberEndo:
     """E_X(v box alpha) = v_(1) box (nabla_{v_(2)} X) wedge alpha."""
     if not (set(X.slots) <= {FU}):
         raise ValueError("op_E takes a fiber multivector field (or scalar)")
     p = as_point(p, mode)
 
-    def fn(x: TensorExtElement) -> TensorExtElement:
-        out = TensorExtElement(x.n, x.d)
-        for (w, K), c in x.coeffs.items():
-            for (A, B) in tensor_coproduct(w):
-                val = cd.nabla_value(X, B, p, mode)
-                for KX, cx in _incr_items(val):
-                    s, merged = wedge_merge(KX, K)
-                    if s:
-                        out._add((A, merged), s * c * cx)
-        return out
+    def act(out, A, B, K, c):
+        for KX, cx in _incr_items(cd.nabla_value(X, B, p, mode)):
+            s, merged = wedge_merge(KX, K)
+            if s:
+                out._add((A, merged), s * c * cx)
 
-    return FiberEndo(fn, f"E[{getattr(X, 'tag', 'X')}]")
+    return _sweedler_lift(act)
 
 
 def op_D(chart: ChartConnection, Y, p, mode=FLOAT) -> FiberEndo:
@@ -118,16 +144,11 @@ def op_D(chart: ChartConnection, Y, p, mode=FLOAT) -> FiberEndo:
             raise ValueError("op_D takes a tangent tensor field")
     p = as_point(p, mode)
 
-    def fn(x: TensorExtElement) -> TensorExtElement:
-        out = TensorExtElement(x.n, x.d)
-        for (w, K), c in x.coeffs.items():
-            for (A, B) in tensor_coproduct(w):
-                val = _nabla_values(Y, B, p, mode)
-                for wy, cy in val.items():
-                    out._add((A + wy, K), c * cy)
-        return out
+    def act(out, A, B, K, c):
+        for wy, cy in _nabla_values(Y, B, p, mode).items():
+            out._add((A + wy, K), c * cy)
 
-    return FiberEndo(fn, "D")
+    return _sweedler_lift(act)
 
 
 def f_lrcorner(chart: ChartConnection, f: Field, p, mode=FLOAT) -> FiberEndo:
@@ -136,20 +157,16 @@ def f_lrcorner(chart: ChartConnection, f: Field, p, mode=FLOAT) -> FiberEndo:
         raise ValueError("f_lrcorner needs a scalar field")
     p = as_point(p, mode)
 
-    def fn(x: TensorExtElement) -> TensorExtElement:
-        out = TensorExtElement(x.n, x.d)
-        for (w, K), c in x.coeffs.items():
-            for (A, B) in tensor_coproduct(w):
-                fa = cd.nabla_value(f, A, p, mode).get((), 0)
-                if fa != 0:
-                    out._add((B, K), c * fa)
-        return out
+    def act(out, A, B, K, c):
+        fa = cd.nabla_value(f, A, p, mode).get((), 0)
+        if fa != 0:
+            out._add((B, K), c * fa)
 
-    return FiberEndo(fn, "f_corner")
+    return _sweedler_lift(act)
 
 
 def identity_endo(n, d) -> FiberEndo:
-    return FiberEndo(lambda x: x + TensorExtElement(n, d), "id")
+    return FiberEndo(lambda x: x + TensorExtElement(n, d))
 
 
 # ---------------------------------------------------------------------------
@@ -242,32 +259,23 @@ def op_perp(chart: ChartConnection, p, mode=FLOAT, inverse=False) -> FiberEndo:
                 out.add_term(w, K, c)
         return out
 
-    return FiberEndo(fn, "perp_inv" if inverse else "perp")
+    return FiberEndo(fn)
 
 
 # ---------------------------------------------------------------------------
 # Adjoint of interior product.
 
-def _edag_fiber(pair_fn, r, alpha: dict) -> dict:
-    """The signed contraction sum on a k-vector coefficient map:
+def _edag_fiber(pair, val: dict, r, K, c):
+    """The signed contraction sum on c eps_K, as (subset, coefficient) pairs:
 
     Edag(eps_K) = sum over r-subsets L of positions (1-based) of K of
-    (-1)^{l1+...+lr + r(r+1)/2} pair(eps_{K_L}) eps_{K minus L}."""
-    out = {}
-    for K, c in alpha.items():
-        if c == 0:
-            continue
-        k = len(K)
-        if r > k:
-            continue
-        for pos in itertools.combinations(range(k), r):
+    (-1)^{l1+...+lr + r(r+1)/2} pair(val, K_L) eps_{K minus L}."""
+    k = len(K)
+    for pos in itertools.combinations(range(k), r):
+        pv = pair(val, tuple(K[q] for q in pos))
+        if pv != 0:
             sgn = (-1) ** (sum(q + 1 for q in pos) + r * (r + 1) // 2)
-            KL = tuple(K[q] for q in pos)
-            rest = tuple(K[q] for q in range(k) if q not in pos)
-            pv = pair_fn(KL)
-            if pv != 0:
-                out[rest] = out.get(rest, 0) + sgn * pv * c
-    return {K: v for K, v in out.items() if v != 0}
+            yield tuple(K[q] for q in range(k) if q not in pos), sgn * pv * c
 
 
 def _gram_pair(g, val: dict, A) -> object:
@@ -281,6 +289,41 @@ def _gram_pair(g, val: dict, A) -> object:
         if dv != 0:
             total += c * dv
     return total
+
+
+def _edag_contraction(field: Field, p, mode, pair) -> FiberEndo:
+    """v box alpha |-> v_(1) box Edag_{nabla_{v_(2)} field} alpha, the signed
+    contraction of :func:`_edag_fiber` with ``pair(value, KL)`` pairing the
+    value dict of nabla_{v_(2)} field against eps_{KL}."""
+    r = len(field.slots)
+
+    def act(out, A, B, K, c):
+        val = cd.nabla_value(field, B, p, mode)
+        if val:
+            for K2, c2 in _edag_fiber(pair, val, r, K, c):
+                out._add((A, K2), c2)
+
+    return _sweedler_lift(act)
+
+
+def _perp_conjugate(chart: ChartConnection, endo: FiberEndo, sign, p, mode,
+                    inverse=False) -> FiberEndo:
+    """sign(k) perp o endo o perp^{-1} on each term of exterior degree k;
+    with ``inverse``, sign(k) perp^{-1} o endo o perp."""
+    perp = op_perp(chart, p, mode)
+    perp_inv = op_perp(chart, p, mode, inverse=True)
+    outer, inner = (perp_inv, perp) if inverse else (perp, perp_inv)
+
+    def fn(x: TensorExtElement) -> TensorExtElement:
+        out = TensorExtElement(x.n, x.d)
+        for (w, K), c in x.coeffs.items():
+            sgn = sign(len(K))
+            res = outer(endo(inner(TensorExtElement(x.n, x.d, {(w, K): c}))))
+            for (w2, K2), c2 in res.coeffs.items():
+                out.add_term(w2, K2, sgn * c2)
+        return out
+
+    return FiberEndo(fn)
 
 
 def op_Edag(chart: ChartConnection, X: Field, p, mode=FLOAT, route="contract") -> FiberEndo:
@@ -297,37 +340,10 @@ def op_Edag(chart: ChartConnection, X: Field, p, mode=FLOAT, route="contract") -
     r = len(X.slots)
     p = as_point(p, mode)
     if route == "conjugate":
-        perp = op_perp(chart, p, mode)
-        perp_inv = op_perp(chart, p, mode, inverse=True)
-        eX = op_E(chart, X, p, mode)
-
-        def fn(x: TensorExtElement) -> TensorExtElement:
-            out = TensorExtElement(x.n, x.d)
-            for (w, K), c in x.coeffs.items():
-                k = len(K)
-                sgn = (-1) ** (r * (k + r))
-                piece = TensorExtElement(x.n, x.d, {(w, K): c})
-                res = perp(eX(perp_inv(piece)))
-                for (w2, K2), c2 in res.coeffs.items():
-                    out.add_term(w2, K2, sgn * c2)
-            return out
-
-        return FiberEndo(fn, "Edag~perp")
+        return _perp_conjugate(chart, op_E(chart, X, p, mode),
+                               lambda k: (-1) ** (r * (k + r)), p, mode)
     g = chart.metric_value(p, mode)
-
-    def fn(x: TensorExtElement) -> TensorExtElement:
-        out = TensorExtElement(x.n, x.d)
-        for (w, K), c in x.coeffs.items():
-            for (A, B) in tensor_coproduct(w):
-                val = cd.nabla_value(X, B, p, mode)
-                if not val:
-                    continue
-                acted = _edag_fiber(lambda KL: _gram_pair(g, val, KL), r, {K: c})
-                for K2, c2 in acted.items():
-                    out._add((A, K2), c2)
-        return out
-
-    return FiberEndo(fn, "Edag")
+    return _edag_contraction(X, p, mode, lambda val, KL: _gram_pair(g, val, KL))
 
 
 def op_Edag_theta(chart: ChartConnection, theta: Field, p, mode=FLOAT) -> FiberEndo:
@@ -335,22 +351,8 @@ def op_Edag_theta(chart: ChartConnection, theta: Field, p, mode=FLOAT) -> FiberE
     the contraction pairing theta_p(alpha_{L_r}) replaces <X(p), alpha_{L_r}>."""
     if not (set(theta.slots) <= {FD}):
         raise ValueError("op_Edag_theta takes a fiber form field")
-    r = len(theta.slots)
-    p = as_point(p, mode)
-
-    def fn(x: TensorExtElement) -> TensorExtElement:
-        out = TensorExtElement(x.n, x.d)
-        for (w, K), c in x.coeffs.items():
-            for (A, B) in tensor_coproduct(w):
-                val = cd.nabla_value(theta, B, p, mode)
-                if not val:
-                    continue
-                acted = _edag_fiber(lambda KL: val.get(KL, 0), r, {K: c})
-                for K2, c2 in acted.items():
-                    out._add((A, K2), c2)
-        return out
-
-    return FiberEndo(fn, "Edag_theta")
+    return _edag_contraction(theta, as_point(p, mode), mode,
+                             lambda val, KL: val.get(KL, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -386,46 +388,33 @@ def op_Ddag(chart: ChartConnection, X, p, mode=FLOAT, budget=4) -> FiberEndo:
         # order-0 tensor: plain function, Ddag_f = f_corner adjoint-free path
         return f_lrcorner(chart, parts[0], p, mode)
     if orders == {1}:
-        endo = None
+        return _endo_sum((f_lrcorner(chart, divergence_field(chart, f, p, mode, budget),
+                                     p, mode).scaled(-1) + op_D(chart, f, p, mode).scaled(-1)
+                          for f in parts), chart.n, chart.d)
+
+    def terms():
+        # higher order: decompose each component word, attaching the scalar
+        # coefficient to the leading vector factor
         for f in parts:
-            divf = divergence_field(chart, f, p, mode, budget)
-            term = f_lrcorner(chart, divf, p, mode).scaled(-1) + \
-                op_D(chart, f, p, mode).scaled(-1)
-            endo = term if endo is None else endo + term
-        return FiberEndo(endo.fn, "Ddag")
-    # higher order: decompose each component word, attaching the scalar
-    # coefficient to the leading vector factor
-    endo = None
-    for f in parts:
-        m = len(f.slots)
-        for w in f.comps:
-            if f.jet_backed:
-                head_comp = f.comps[w]
-                head = cd.jet_field(chart, (TU,), {(w[0],): head_comp}, p, f.budget, mode)
-            else:
-                head = Field(chart, (TU,), {(w[0],): f.comps[w]})
-            rest = cd.coordinate_tensor_field(chart, w[1:])
-            d_head = op_Ddag(chart, head, p, mode, budget)
-            d_rest = op_Ddag(chart, rest, p, mode, budget)
-            # correction: Ddag_{nabla_head rest}
-            corr_jets = {}
-            for i in range(chart.n):
-                hi = head.comp_jet((i,), p, budget, mode)
-                if hi.is_zero():
-                    continue
-                nb = cd.nabla_word_jets(rest, (i,), p, budget, mode)
-                for u, jet in nb.items():
-                    cur = corr_jets.get(u)
-                    term = hi.truncate(budget) * jet
-                    corr_jets[u] = term if cur is None else cur + term
-            term = d_head.compose(d_rest)
-            if corr_jets:
-                # the correction is jet-backed at this level's budget, so the
-                # recursive divergence runs one order lower
-                corr_parts = cd.mixed_tensor_fields(chart, corr_jets, p, budget, mode)
-                term = term + op_Ddag(chart, corr_parts, p, mode, budget - 1).scaled(-1)
-            endo = term if endo is None else endo + term
-    return FiberEndo(endo.fn, "Ddag")
+            for w in f.comps:
+                if f.jet_backed:
+                    head = cd.jet_field(chart, (TU,), {(w[0],): f.comps[w]}, p, f.budget, mode)
+                else:
+                    head = Field(chart, (TU,), {(w[0],): f.comps[w]})
+                rest = cd.coordinate_tensor_field(chart, w[1:])
+                d_head = op_Ddag(chart, head, p, mode, budget)
+                d_rest = op_Ddag(chart, rest, p, mode, budget)
+                # correction: Ddag_{nabla_head rest}
+                corr_jets = cd.covderiv(head, rest, p, budget, mode)
+                term = d_head.compose(d_rest)
+                if corr_jets:
+                    # the correction is jet-backed at this level's budget, so the
+                    # recursive divergence runs one order lower
+                    corr_parts = cd.mixed_tensor_fields(chart, corr_jets, p, budget, mode)
+                    term = term + op_Ddag(chart, corr_parts, p, mode, budget - 1).scaled(-1)
+                yield term
+
+    return _endo_sum(terms(), chart.n, chart.d)
 
 
 # ---------------------------------------------------------------------------
@@ -456,14 +445,6 @@ class SharpElement:
                     jk = ext_part.comp_jet(K, p, budget, mode)
                     coeffs[(w, K)] = jw * jk
         return SharpElement(chart, p, mode, budget, coeffs)
-
-    def add(self, key, jet):
-        cur = self.coeffs.get(key)
-        self.coeffs[key] = jet if cur is None else cur + jet
-
-    def truncated(self, budget) -> "SharpElement":
-        return SharpElement(self.chart, self.point, self.mode, budget,
-                            {key: j.truncate(budget) for key, j in self.coeffs.items()})
 
 
 def unit_sharp(chart, p, mode, budget) -> SharpElement:
@@ -516,67 +497,47 @@ def sharp(a: SharpElement, b: SharpElement) -> SharpElement:
                     if gprod is None:
                         gprod = [(wkey, g0 * pj) for wkey, pj in prod.items()]
                     for wkey, gpj in gprod:
-                        out.add((wkey, merged), gpj * wedge_jet)
+                        cd._add_jet(out.coeffs, (wkey, merged), gpj * wedge_jet)
     return out
+
+
+def _sum_D_compose(chart: ChartConnection, pairs, lower, p, mode) -> FiberEndo:
+    """sum over (Y, Z) in ``pairs`` of D_Y o lower(Z), folded left in order;
+    ``lower`` is op_E, op_Edag or op_Edag_theta."""
+    return _endo_sum((op_D(chart, Y, p, mode).compose(lower(chart, Z, p, mode))
+                      for Y, Z in pairs), chart.n, chart.d)
+
+
+def _sharp_pairs(a: SharpElement):
+    """(v, eps_K) per key of a: the tensor part with its jet, the exterior
+    part as a constant k-vector field."""
+    for (w, K), jet in a.coeffs.items():
+        yield (cd.mixed_tensor_fields(a.chart, {w: jet}, a.point, a.budget, a.mode),
+               cd.kvector_field(a.chart, len(K), {K: 1}))
 
 
 def op_DE(a: SharpElement) -> FiberEndo:
     """DE_{v box alpha} = D_v o E_alpha, extended linearly over the keys of a."""
-    chart, p, mode = a.chart, a.point, a.mode
-    endo = None
-    for (w, K), jet in a.coeffs.items():
-        vf = cd.mixed_tensor_fields(chart, {w: jet}, p, a.budget, mode)
-        af = cd.kvector_field(chart, len(K), {K: 1})
-        term = op_D(chart, vf, p, mode).compose(op_E(chart, af, p, mode))
-        endo = term if endo is None else endo + term
-    if endo is None:
-        endo = FiberEndo(lambda x: TensorExtElement(chart.n, chart.d), "DE0")
-    return FiberEndo(endo.fn, "DE")
+    return _sum_D_compose(a.chart, _sharp_pairs(a), op_E, a.point, a.mode)
 
 
 def op_DEdag(a: SharpElement) -> FiberEndo:
     """DEdag_{v box alpha} = D_v o Edag_alpha (metric route on the exterior part)."""
-    chart, p, mode = a.chart, a.point, a.mode
-    endo = None
-    for (w, K), jet in a.coeffs.items():
-        vf = cd.mixed_tensor_fields(chart, {w: jet}, p, a.budget, mode)
-        af = cd.kvector_field(chart, len(K), {K: 1})
-        term = op_D(chart, vf, p, mode).compose(op_Edag(chart, af, p, mode))
-        endo = term if endo is None else endo + term
-    if endo is None:
-        endo = FiberEndo(lambda x: TensorExtElement(chart.n, chart.d), "DEdag0")
-    return FiberEndo(endo.fn, "DEdag")
+    return _sum_D_compose(a.chart, _sharp_pairs(a), op_Edag, a.point, a.mode)
 
 
 # ---------------------------------------------------------------------------
 # Boundary operator.
 
 def resolve_functional(chart, p, r, k, eval_fn, mode=FLOAT) -> at.AtomicCurrent:
-    """PBW coordinates of a functional given by probe evaluations, by
-    descending-degree back-substitution (same triangular scheme as to_pbw).
+    """PBW coordinates of a functional given by probe evaluations, by the
+    triangular probe solve that to_pbw also runs.
 
     ``eval_fn(probe, T, L)`` receives both the probe field (built on this
     chart) and its label, so evaluators tied to a different connection can
     rebuild the same monomial form on their own chart.
     """
-    from .multialg import sorted_word, word_multidegree
-    p = as_point(p, mode)
-    cur = at.AtomicCurrent(p, r, k)
-    multis = at._multi_indices(chart.n, r)
-    for g in range(r, -1, -1):
-        for T in multis[g]:
-            for L in anti_indices(chart.d, k):
-                probe = at.probe_form(chart, p, T, L, mode)
-                y = eval_fn(probe, T, L)
-                corr = 0
-                for (I, K), c in cur.coeffs.items():
-                    if len(I) <= g or c == 0:
-                        continue
-                    gval = cd.nabla_value(probe, I, p, mode).get(K, 0)
-                    if gval != 0:
-                        corr += c * gval
-                cur.add(sorted_word(T), L, y - corr)
-    return cur
+    return at._pbw_solve(chart, as_point(p, mode), r, k, eval_fn, mode)
 
 
 def boundary(chart: ChartConnection, T: at.AtomicCurrent, mode=FLOAT) -> at.AtomicCurrent:
@@ -611,14 +572,9 @@ def trace_DEdag_endo(chart: ChartConnection, p, mode=FLOAT,
     """The lift tr(DEdag) = sum_i D_{F_i} o Edag_theta_{F^i} over a frame and
     its dual coframe (coordinate frame by default; the trace is frame
     independent and metric-free in this Koszul form)."""
-    p = as_point(p, mode)
-    endo = None
-    for i in range(chart.n):
-        Fi = frame[i] if frame else frame_field(chart, i)
-        Fci = coframe[i] if coframe else coframe_field(chart, i)
-        term = op_D(chart, Fi, p, mode).compose(op_Edag_theta(chart, Fci, p, mode))
-        endo = term if endo is None else endo + term
-    return FiberEndo(endo.fn, "tr(DEdag)")
+    pairs = ((frame[i] if frame else frame_field(chart, i),
+              coframe[i] if coframe else coframe_field(chart, i)) for i in range(chart.n))
+    return _sum_D_compose(chart, pairs, op_Edag_theta, as_point(p, mode), mode)
 
 
 def boundary_via_trace(chart: ChartConnection, T: at.AtomicCurrent, mode=FLOAT) -> at.AtomicCurrent:
@@ -743,36 +699,18 @@ def trace_DE_endo(chart: ChartConnection, p, mode=FLOAT) -> FiberEndo:
     where e^i is the coordinate co-frame seen as a section of E."""
     if chart.fiber_is_tangent:
         raise ValueError("trace_DE_endo expects the dual-fiber chart")
-    p = as_point(p, mode)
-    endo = None
-    for i in range(chart.n):
-        Fi = frame_field(chart, i)
-        sec = cd.kvector_field(chart, 1, {(i,): 1})
-        term = op_D(chart, Fi, p, mode).compose(op_E(chart, sec, p, mode))
-        endo = term if endo is None else endo + term
-    return FiberEndo(endo.fn, "tr(DE)")
+    pairs = ((frame_field(chart, i), cd.kvector_field(chart, 1, {(i,): 1}))
+             for i in range(chart.n))
+    return _sum_D_compose(chart, pairs, op_E, as_point(p, mode), mode)
 
 
 def adjoint_of_Edag(chart: ChartConnection, endo: FiberEndo, r: int, p,
                     mode=FLOAT) -> FiberEndo:
     """Adjoint of a degree-lowering (Edag-type) endomorphism:
     on exterior degree m, (-1)^{r(n-m+r)} perp^{-1} o endo o perp."""
-    perp = op_perp(chart, p, mode)
-    perp_inv = op_perp(chart, p, mode, inverse=True)
     n = chart.n
-
-    def fn(x: TensorExtElement) -> TensorExtElement:
-        out = TensorExtElement(x.n, x.d)
-        for (w, K), c in x.coeffs.items():
-            m = len(K)
-            sgn = (-1) ** (r * (n - m + r))
-            piece = TensorExtElement(x.n, x.d, {(w, K): c})
-            res = perp_inv(endo(perp(piece)))
-            for key, c2 in res.coeffs.items():
-                out.add_term(key[0], key[1], sgn * c2)
-        return out
-
-    return FiberEndo(fn, f"adj({endo.tag})")
+    return _perp_conjugate(chart, endo, lambda m: (-1) ** (r * (n - m + r)), p, mode,
+                           inverse=True)
 
 
 def delta_commutation_residual(endo: FiberEndo, x: TensorExtElement):

@@ -237,6 +237,11 @@ ORACLE_DIGESTS = [
     # operation and its order must stay as before (about 5 s)
     ("poly3", "operators", "float",
      "06514772987b26144f2ff4013c6fa492ad0b9aad321a198430ce75aa147647fb"),
+    # the only pinned rational run on an orthonormal chart with n >= 2, so the
+    # exact star routes (op_Edag conjugation, adjoint_of_Edag, Clifford) run
+    # here; hyperbolic rational skips them (about 1 s)
+    ("flat-r2", "operators", "rational",
+     "21ed0bd7f3e8d8070433e03a04786c7e234bcda4e2fce0d551795a839ff64395"),
 ]
 
 

@@ -5,7 +5,7 @@ import pytest
 from atomcur import expr as ex
 from atomcur.jets import FLOAT, RATIONAL, Jet, JetSpace
 from atomcur.multialg import (MetricSignature, TensorExtElement, anti_indices,
-                              basis_element, det, det_pairing, mat_inverse, row_reduce, hodge_star,
+                              basis_element, det, mat_inverse, row_reduce, hodge_star,
                               hodge_star_dual, hodge_star_inverse, sorted_words,
                               tensor_coproduct, wedge_coproduct, wedge_merge,
                               word_multidegree, sorted_word)
@@ -36,25 +36,6 @@ def test_wedge_coproduct_singleton_and_empty():
     assert {(A, B): s for A, B, s in wedge_coproduct((0,))} == {
         ((0,), ()): 1, ((), (0,)): 1}
     assert wedge_coproduct(()) == [((), (), 1)]
-
-
-def test_det_pairing_examples():
-    e0 = (1, 0, 0)
-    e1 = (0, 1, 0)
-    e2 = (0, 0, 1)
-    # dual basis pair: <e^0 ^ e^1, e_0 ^ e_1> = 1
-    assert det_pairing([e0, e1], [(1, 0, 0), (0, 1, 0)]) == 1
-    # transposition flips the sign
-    assert det_pairing([e0, e1], [(0, 1, 0), (1, 0, 0)]) == -1
-    # mismatched wedge gives a singular matrix
-    assert det_pairing([e0, e1], [(1, 0, 0), (0, 0, 1)]) == 0
-    # dict form over anti-indices
-    assert det_pairing([e0, e1], {(0, 1): 1}) == 1
-
-
-def test_det_pairing_degree_mismatch():
-    with pytest.raises(ValueError):
-        det_pairing([(1, 0)], {(0, 1): 1})
 
 
 def test_hodge_star_euclidean_r2():

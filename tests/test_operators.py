@@ -116,6 +116,34 @@ def test_edag_routes_agree(s2):
     assert op.endo_residual(a, b, ELEMS2) < 1e-9
 
 
+@pytest.mark.parametrize("spec, mode, p, tol", [
+    ("flat-r2", RATIONAL, (Fraction(1, 4), Fraction(-1, 2)), 0),
+    ("s2", "float", (1.1, 0.8), 1e-10),
+])
+def test_edag_theta_of_lowered_field_is_edag(spec, mode, p, tol):
+    """Both pairings of the shared contraction: the metric pairing of
+    op_Edag(X) and the form pairing of op_Edag_theta(X lowered by g) agree,
+    since the connection is metric compatible."""
+    from pathlib import Path
+
+    from atomcur import cli
+    path = Path(__file__).resolve().parent.parent / "src" / "atomcur" / "specs" / f"{spec}.json"
+    chart = cli.build_chart(cli.load_spec(path))
+    x, y = chart.names
+    X = cd.kvector_field(chart, 1, {(0,): f"{x}*{y} + 1", (1,): f"{x}^2 - {y}"})
+    lowered = {}
+    for a in range(2):
+        acc = ex.Const(0)
+        for b in range(2):
+            acc = ex.ex_add(acc, ex.ex_mul(chart.metric[a][b], X.comps[(b,)]))
+        lowered[(a,)] = acc
+    theta = cd.form_field(chart, 1, lowered)
+    lhs = op.op_Edag(chart, X, p, mode)
+    rhs = op.op_Edag_theta(chart, theta, p, mode)
+    assert op.endo_residual(lhs, rhs, ELEMS2) <= tol
+    assert any(lhs(x).coeffs for x in ELEMS2)
+
+
 def test_edag_reversal_and_anticommutator(s2):
     p = (1.5, 2.5)
     X = cd.kvector_field(s2, 1, {(0,): "phi", (1,): "1"})
