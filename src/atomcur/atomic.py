@@ -125,6 +125,36 @@ def probe_form(chart: ChartConnection, p, T, L, mode) -> Field:
     return hit
 
 
+def probe_differential(chart: ChartConnection, p, T, L, out_order, mode) -> Field:
+    """d of the monomial probe (T, L) at p, with jets of order ``out_order``.
+
+    Cached beside :func:`probe_form`, so every boundary evaluated at p
+    shares one jet-backed field per probe, and with it that field's
+    covariant-derivative memo.
+    """
+    p = as_point(p, mode)
+    cache = chart._point_cache(p, mode)
+    key = ("dprobe", tuple(T), tuple(L), out_order)
+    hit = cache.get(key)
+    if hit is None:
+        hit = cd.exterior_derivative(probe_form(chart, p, T, L, mode), p, mode,
+                                     out_order=out_order)
+        cache[key] = hit
+    return hit
+
+
+def monomial_probes(chart: ChartConnection, p, r, k, mode, descending=False):
+    """The monomial probes of total degree <= r and exterior degree k at p, as
+    (T, L, probe form) triples: by total degree, ascending or descending,
+    then multi-indices in PBW word order, then k-subsets in order."""
+    multis = _multi_indices(chart.n, r)
+    subsets = anti_indices(chart.d, k)
+    for g in (range(r, -1, -1) if descending else range(r + 1)):
+        for T in multis[g]:
+            for L in subsets:
+                yield T, L, probe_form(chart, p, T, L, mode)
+
+
 def evaluate_functional(chart, coeffs, omega: Field, p, mode=FLOAT):
     """Evaluate sum c_{w,K} (nabla_{e_w} omega)_p(eps_K) for a key-coeff map."""
     total = 0
@@ -190,20 +220,17 @@ def _pbw_solve(chart: ChartConnection, p, r, k, eval_fn, mode) -> AtomicCurrent:
     length) contribute on that probe.
     """
     cur = AtomicCurrent(p, r, k)
-    multis = _multi_indices(chart.n, r)
-    for g in range(r, -1, -1):
-        for T in multis[g]:
-            for L in anti_indices(chart.d, k):
-                probe = probe_form(chart, p, T, L, mode)
-                y = eval_fn(probe, T, L)
-                corr = 0
-                for (I, K), c in cur.coeffs.items():
-                    if len(I) <= g or c == 0:
-                        continue
-                    gval = cd.nabla_value(probe, I, p, mode).get(K, 0)
-                    if gval != 0:
-                        corr += c * gval
-                cur.add(sorted_word(T), L, y - corr)
+    for T, L, probe in monomial_probes(chart, p, r, k, mode, descending=True):
+        g = sum(T)
+        y = eval_fn(probe, T, L)
+        corr = 0
+        for (I, K), c in cur.coeffs.items():
+            if len(I) <= g or c == 0:
+                continue
+            gval = cd.nabla_value(probe, I, p, mode).get(K, 0)
+            if gval != 0:
+                corr += c * gval
+        cur.add(sorted_word(T), L, y - corr)
     return cur
 
 

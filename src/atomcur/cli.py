@@ -121,8 +121,7 @@ def resolve_probes(data: dict, chart: ChartConnection, mode: str, seed: int):
                 p = tuple(Fraction(str(x)) for x in row)
             else:
                 p = tuple(float(Fraction(str(x))) for x in row)
-            chart.check_point(p)
-            probes.append(p)
+            probes.append(chart.resolve(p, mode))
         return probes
     import random
     samp = data["sampler"]
@@ -135,8 +134,7 @@ def resolve_probes(data: dict, chart: ChartConnection, mode: str, seed: int):
                   for (lo, hi) in chart.domain)
         if mode != RATIONAL:
             p = tuple(float(x) for x in p)
-        chart.check_point(p)
-        probes.append(p)
+        probes.append(chart.resolve(p, mode))
     return probes
 
 

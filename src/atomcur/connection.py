@@ -190,12 +190,22 @@ class ChartConnection:
                 raise ChartDomainError(f"point {p!r} outside chart domain box")
         return tuple(p)
 
+    def resolve(self, p, mode):
+        """The probe :class:`~atomcur.jets.Point` of p in ``mode``, after
+        checking that p lies in the domain box."""
+        p = as_point(p, mode)
+        self.check_point(p)
+        return p
+
     # -- cached jet evaluation --------------------------------------------
 
     def _point_cache(self, p, mode):
-        key = (tuple(p), mode)
-        with self._lock:
-            return self._cache.setdefault(key, {})
+        key = (p, mode)
+        hit = self._cache.get(key)
+        if hit is None:
+            with self._lock:
+                hit = self._cache.setdefault(key, {})
+        return hit
 
     def _memo(self, p, mode, key, build):
         cache = self._point_cache(p, mode)
@@ -264,7 +274,7 @@ class ChartConnection:
         I = tuple(I)
         if not I:
             raise ValueError("higher-order symbols need |I| >= 1")
-        p = tuple(p)
+        p = as_point(p, mode)
         fiber = fiber and not self.fiber_is_tangent
         cache = self._point_cache(p, mode)
         key = ("gh", I, j, order, fiber)
@@ -299,8 +309,7 @@ class ChartConnection:
 
     def higher_gamma(self, I, j, p, mode=FLOAT, fiber=False):
         """Values Gamma^k_{I,j}(p) as a list over k."""
-        self.check_point(p)
-        p = as_point(p, mode)
+        p = self.resolve(p, mode)
         return [jet.value for jet in self.higher_gamma_jets(I, j, p, 0, mode, fiber)]
 
     # -- metric helpers ----------------------------------------------------
@@ -340,8 +349,7 @@ def curvature(cc: ChartConnection, p, mode=FLOAT, nabla_order=0) -> CurvatureAt:
     frame words |S| <= nabla_order are evaluated through the derivative
     engine (Hom-bundle connection) and attached to the result.
     """
-    cc.check_point(p)
-    p = as_point(p, mode)
+    p = cc.resolve(p, mode)
     base, fiber = {}, {}
     for u in range(cc.n):
         for v in range(cc.n):
@@ -357,7 +365,7 @@ def curvature(cc: ChartConnection, p, mode=FLOAT, nabla_order=0) -> CurvatureAt:
             for a in range(cc.d):
                 for b in range(cc.d):
                     fiber[(b, a, u, v)] = fuv[a][b].value - fvu[a][b].value
-    out = CurvatureAt(point=tuple(p), base=base, fiber=fiber)
+    out = CurvatureAt(point=p, base=base, fiber=fiber)
     if nabla_order > 0:
         from . import covderiv as cd
         import itertools

@@ -38,7 +38,7 @@ class Field:
     """A field over a chart: typed slots plus a component map."""
 
     __slots__ = ("chart", "slots", "comps", "jet_backed", "point", "budget",
-                 "mode", "_jet_cache", "_nabla_cache")
+                 "mode", "_nabla_cache")
 
     def __init__(self, chart: ChartConnection, slots, comps, jet_backed=False,
                  point=None, budget=None, mode=None):
@@ -46,33 +46,31 @@ class Field:
         self.slots = tuple(slots)
         self.comps = dict(comps)
         self.jet_backed = jet_backed
-        self.point = tuple(point) if point is not None else None
+        self.point = as_point(point, mode) if point is not None else None
         self.budget = budget
         self.mode = mode
-        self._jet_cache = {}
         self._nabla_cache = {}
         for idx in self.comps:
             if len(idx) != len(self.slots):
                 raise ValueError(f"component key {idx!r} does not match slots {self.slots!r}")
 
     def comp_jet(self, idx, p, order, mode) -> Jet:
-        space = JetSpace(self.chart.n, order)
+        """Jet of one component at p; an expression component reads the jet
+        memo of its node (:func:`atomcur.expr.jet_at`), shared by every
+        field that holds the node."""
         if self.jet_backed:
-            if tuple(p) != self.point or mode != self.mode:
+            if p != self.point or mode != self.mode:
                 raise ValueError("jet-backed field queried at a foreign point or mode")
             if order > self.budget:
                 raise ValueError(f"jet budget exceeded: need {order}, have {self.budget}")
             jet = self.comps.get(idx)
-            return Jet.zero(space, mode) if jet is None else jet.truncate(order)
+            if jet is None:
+                return Jet.zero(JetSpace(self.chart.n, order), mode)
+            return jet.truncate(order)
         e = self.comps.get(idx)
         if e is None:
-            return Jet.zero(space, mode)
-        key = (idx, tuple(p), order, mode)
-        hit = self._jet_cache.get(key)
-        if hit is None:
-            hit = ex.eval_jet(e, p, order, mode)
-            self._jet_cache[key] = hit
-        return hit
+            return Jet.zero(JetSpace(self.chart.n, order), mode)
+        return ex.jet_at(e, p, order, mode)
 
     def value(self, p, mode):
         return {idx: self.comp_jet(idx, p, 0, mode).value for idx in self.comps}
@@ -117,9 +115,10 @@ def _antisymmetrize(chart, comps_incr):
     for K, c in comps_incr.items():
         K = tuple(K)
         e = _as_expr(chart, c)
+        # one negated node per key, so all odd permutations share its jets
+        neg = ex.ex_neg(e) if len(K) > 1 else None
         for perm in itertools.permutations(K):
-            s = sort_sign(perm)
-            full[perm] = e if s == 1 else ex.ex_neg(e)
+            full[perm] = e if sort_sign(perm) == 1 else neg
     return full
 
 
@@ -185,7 +184,6 @@ def covariant_step(chart, slots, comps, i, p, order, mode):
 def nabla_word_jets(field: Field, I, p, order, mode):
     """Component jets of nabla_{e_I}(field) at p, of jet order ``order``."""
     I = tuple(I)
-    p = tuple(p)
     cache = field._nabla_cache.setdefault((p, mode), {})
     key = (I, order)
     hit = cache.get(key)
@@ -213,8 +211,8 @@ def nabla_word_jets(field: Field, I, p, order, mode):
 def nabla(field: Field, I, p, mode=FLOAT) -> dict:
     """Nonzero components of the order-|I| higher covariant derivative at p
     along the frame word I."""
-    field.chart.check_point(p)
-    jets = nabla_word_jets(field, tuple(I), as_point(p, mode), 0, mode)
+    p = field.chart.resolve(p, mode)
+    jets = nabla_word_jets(field, tuple(I), p, 0, mode)
     return {idx: v for idx, j in jets.items() if (v := j.value) != 0}
 
 
@@ -227,7 +225,7 @@ def nabla_value(field: Field, I, p, mode=FLOAT) -> dict:
     callers must treat it as read-only.  A miss runs :func:`nabla`, so an
     out-of-domain point still raises on its first query.
     """
-    I, p = tuple(I), tuple(p)
+    I, p = tuple(I), as_point(p, mode)
     bucket = field._nabla_cache.get((p, mode))
     if bucket is not None:
         hit = bucket.get((I, None))
@@ -481,7 +479,7 @@ def curvature_field(chart: ChartConnection, which: str, p, mode, budget) -> Fiel
     dim = chart.d if fiber else chart.n
     slots = (FU, FD, TD, TD) if fiber else (TU, TD, TD, TD)
     comps = {}
-    p = tuple(p)
+    p = as_point(p, mode)
     for u in range(chart.n):
         for v in range(u + 1, chart.n):
             guv = [chart.higher_gamma_jets((u, v), a, p, budget, mode, fiber=fiber)

@@ -29,7 +29,7 @@ from .jets import (ELEMENTARY_FUNCTIONS, FLOAT, EvalDomainError, ExactModeError,
 
 __all__ = [
     "Expression", "Const", "Sym", "Add", "Sub", "Mul", "Div", "Neg", "Pow",
-    "Call", "parse", "to_string", "eval_jet", "evaluate", "monomial_form",
+    "Call", "parse", "to_string", "eval_jet", "jet_at", "evaluate", "monomial_form",
     "ExprSyntaxError", "UndeclaredSymbolError",
     "EvalDomainError", "ExactModeError",
 ]
@@ -55,9 +55,12 @@ class Expression:
     the folding builders (a number on the right is lifted to
     :class:`Const`), so ring-generic code such as
     :func:`atomcur.multialg.det` runs on expressions unchanged.
+
+    ``_jets`` is the node's jet memo (see :func:`jet_at`), so it is freed
+    with the node.
     """
 
-    __slots__ = ()
+    __slots__ = ("_jets", "__weakref__")
 
     def __add__(self, other):
         return ex_add(self, _lift(other))
@@ -456,6 +459,34 @@ def eval_jet(e: Expression, point, order: int, mode: str = FLOAT) -> Jet:
         raise TypeError(f"not an expression: {node!r}")
 
     return go(e)
+
+
+def jet_at(e: Expression, point, order: int, mode: str = FLOAT) -> Jet:
+    """``eval_jet(e, point, order, mode)``, memoized on the node ``e``.
+
+    Per (point, mode) the memo holds the jet at the highest order asked for
+    so far and the truncations taken from it.  Graded-lex order makes a
+    truncation a prefix of the coefficients, and a truncated jet equals the
+    jet evaluated at the lower order (bit for bit in float mode: each
+    lower-order coefficient sums the same products in the same order, and
+    the extra terms of a higher-order series all carry a factor of the
+    zero-valued deviation).  So ``eval_jet`` runs again only when the order
+    rises.  The returned jet is shared; jets are never modified in place.
+    """
+    try:
+        memo = e._jets
+    except AttributeError:
+        memo = e._jets = {}
+    key = (point, mode)
+    held = memo.get(key)
+    if held is None:
+        held = memo[key] = {}
+    hit = held.get(order)
+    if hit is None:
+        top = max(held, default=-1)
+        hit = held[top].truncate(order) if top > order else eval_jet(e, point, order, mode)
+        held[order] = hit
+    return hit
 
 
 def evaluate(e: Expression, point, mode: str = FLOAT):

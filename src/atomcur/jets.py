@@ -137,8 +137,33 @@ def as_scalar(x, mode: str):
     raise ExactModeError(f"cannot coerce {x!r} to a rational scalar")
 
 
-def as_point(p, mode: str) -> tuple:
-    return tuple(as_scalar(x, mode) for x in p)
+class Point(tuple):
+    """A probe point: the tuple of its coordinates as scalars of ``mode``.
+
+    It equals, and hashes like, the plain tuple of the same coordinates, so
+    caches keyed on it also serve plain sequences.  Its hash is computed
+    once: every per-point cache hashes its key on each lookup, and a tuple
+    of ``Fraction``s hashes each coordinate again.  ``tuple(point)`` is a
+    new plain tuple without the stored hash, so code that holds a point
+    passes it on as it is.
+    """
+
+    def __new__(cls, coords, mode: str):
+        self = tuple.__new__(cls, coords)
+        self.mode = mode
+        self._hash = tuple.__hash__(self)
+        return self
+
+    def __hash__(self):
+        return self._hash
+
+
+def as_point(p, mode: str) -> Point:
+    """The point p in the scalar type of ``mode``; a Point of that mode is
+    returned as it is."""
+    if type(p) is Point and p.mode == mode:
+        return p
+    return Point((as_scalar(x, mode) for x in p), mode)
 
 
 _new = object.__new__

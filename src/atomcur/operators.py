@@ -429,7 +429,7 @@ class SharpElement:
 
     def __init__(self, chart, point, mode, budget, coeffs=None):
         self.chart = chart
-        self.point = tuple(point)
+        self.point = as_point(point, mode)
         self.mode = mode
         self.budget = budget
         self.coeffs = dict(coeffs or {})
@@ -544,15 +544,17 @@ def boundary(chart: ChartConnection, T: at.AtomicCurrent, mode=FLOAT) -> at.Atom
     """The boundary, normatively defined by duality: (dT)(omega) = T(d omega).
 
     Probes of order r+1 and degree k-1 are evaluated against the exterior
-    derivative and the PBW coordinates re-solved.  Degree-0 input returns
-    the zero functional.
+    derivative and the PBW coordinates re-solved.  The differentiated
+    probes are cached per point (:func:`atomcur.atomic.probe_differential`),
+    so later boundaries at p derive no covariant derivative again.
+    Degree-0 input returns the zero functional.
     """
     if T.k == 0:
         return at.AtomicCurrent(T.point, T.r + 1, 0)
     p = T.point
 
-    def eval_fn(probe, _T, _L):
-        dpr = cd.exterior_derivative(probe, p, mode, out_order=T.r)
+    def eval_fn(_probe, mono, L):
+        dpr = at.probe_differential(chart, p, mono, L, T.r, mode)
         return at.current_evaluate(chart, T, dpr, mode)
 
     return resolve_functional(chart, p, T.r + 1, T.k - 1, eval_fn, mode)
@@ -739,11 +741,8 @@ def probe_annihilation_residual(chart, el: TensorExtElement, p, r_probe, k_probe
     """Worst probe evaluation of Phi(el) over monomial probes of order <=
     r_probe and degree k_probe."""
     worst = 0
-    for g in range(r_probe + 1):
-        for T in at._multi_indices(chart.n, r_probe)[g]:
-            for L in anti_indices(chart.d, k_probe):
-                probe = at.probe_form(chart, p, T, L, mode)
-                worst = max(worst, abs(at.phi_apply(chart, el, probe, p, mode)))
+    for _T, _L, probe in at.monomial_probes(chart, p, r_probe, k_probe, mode):
+        worst = max(worst, abs(at.phi_apply(chart, el, probe, p, mode)))
     return worst
 
 

@@ -86,7 +86,7 @@ class SuiteContext:
         return self.trials if self.trials is not None else default
 
 
-def _result(ctx, check, statement, probe, residual, tol, note=""):
+def _result(check, statement, probe, residual, tol, note=""):
     return CheckResult(check, statement, probe, float(residual), float(tol),
                        passed=abs(residual) <= tol, note=note)
 
@@ -179,9 +179,9 @@ def check_jets_fd(ctx):
                 worst_lo = max(worst_lo, rel)
             else:
                 worst_hi = max(worst_hi, rel)
-        out.append(_result(ctx, "jets-fd", stmt + " (order <= 2)", p, worst_lo,
+        out.append(_result("jets-fd", stmt + " (order <= 2)", p, worst_lo,
                            1e-5, note=text))
-        out.append(_result(ctx, "jets-fd-order3", stmt + " (order 3, roundoff floor)",
+        out.append(_result("jets-fd-order3", stmt + " (order 3, roundoff floor)",
                            p, worst_hi, 1e-3, note=text))
     return out
 
@@ -211,7 +211,7 @@ def check_jets_product(ctx):
         j12 = ex.eval_jet(ex.Mul(e1, e2), p, 4, ctx.mode)
         prod = j1 * j2
         worst = (j12 - prod).max_abs()
-        out.append(_result(ctx, "jets-product", stmt, p, worst, ctx.tolerance(1e-12)))
+        out.append(_result("jets-product", stmt, p, worst, ctx.tolerance(1e-12)))
     return out
 
 
@@ -228,7 +228,7 @@ def check_jets_monomial(ctx):
         for S in itertools.chain.from_iterable(at._multi_indices(n, sum(T)).values()):
             want = 1 if S == T else 0
             worst = max(worst, abs(jet.partial(S) - want))
-    out.append(_result(ctx, "jets-monomial", stmt, p, worst, ctx.tolerance(1e-12)))
+    out.append(_result("jets-monomial", stmt, p, worst, ctx.tolerance(1e-12)))
     return out
 
 
@@ -243,7 +243,7 @@ def check_roundtrip(ctx):
         e = ex.parse(rand_poly(ctx, rng, names), names)
         e2 = ex.parse(ex.to_string(e), names)
         worst = max(worst, abs(ex.evaluate(e, p, ctx.mode) - ex.evaluate(e2, p, ctx.mode)))
-    return [_result(ctx, "expr-roundtrip", stmt, p, worst, 0 if ctx.mode == RATIONAL else 0.0)]
+    return [_result("expr-roundtrip", stmt, p, worst, 0 if ctx.mode == RATIONAL else 0.0)]
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +270,7 @@ def check_coassociativity(ctx):
                 rhs[(A, B1, B2)] = rhs.get((A, B1, B2), 0) + s * s2
         keys = set(lhs) | set(rhs)
         worst = max(worst, max(abs(lhs.get(kk, 0) - rhs.get(kk, 0)) for kk in keys))
-    return [_result(ctx, "coassociativity", stmt, None, worst, 0)]
+    return [_result("coassociativity", stmt, None, worst, 0)]
 
 
 def check_counit(ctx):
@@ -280,7 +280,7 @@ def check_counit(ctx):
         left = sum(1 for (a, b) in tensor_coproduct(w) if a == () and b == w)
         right = sum(1 for (a, b) in tensor_coproduct(w) if b == () and a == w)
         worst = max(worst, abs(left - 1), abs(right - 1))
-    return [_result(ctx, "counit", stmt, None, worst, 0)]
+    return [_result("counit", stmt, None, worst, 0)]
 
 
 def check_hodge_algebra(ctx):
@@ -309,7 +309,7 @@ def check_hodge_algebra(ctx):
                 corr = ((-1) ** (k * (n - k))) * sig.product(range(n))
                 rhs = corr * _pair_dicts(sti, {J: 1})
                 worst = max(worst, abs(lhs - rhs))
-    return [_result(ctx, "hodge-star", stmt, None, worst, 0)]
+    return [_result("hodge-star", stmt, None, worst, 0)]
 
 
 def _pair_dicts(om, al):
@@ -329,7 +329,7 @@ def check_torsion_free(ctx):
                 a = ctx.chart.gamma1_jet(i, j, p, 0, ctx.mode)
                 b = ctx.chart.gamma1_jet(j, i, p, 0, ctx.mode)
                 worst = max(worst, max(abs(x.value - y.value) for x, y in zip(a, b)))
-        out.append(_result(ctx, "torsion-free", stmt, p, worst, ctx.tolerance(1e-10)))
+        out.append(_result("torsion-free", stmt, p, worst, ctx.tolerance(1e-10)))
     return out
 
 
@@ -347,7 +347,7 @@ def check_dualpath_gamma(ctx):
             v = cd.nabla_value(ej, I, p, ctx.mode)
             for kk in range(ctx.chart.n):
                 worst = max(worst, abs(a[kk] - v.get((kk,), 0)))
-        out.append(_result(ctx, "gamma-dual-path", stmt, p, worst, ctx.tolerance(1e-8)))
+        out.append(_result("gamma-dual-path", stmt, p, worst, ctx.tolerance(1e-8)))
     return out
 
 
@@ -370,7 +370,7 @@ def check_metric_compat(ctx):
                     low = sum(g[i][l] * gj[l].value for l in range(n))
                     low += sum(g[j][l] * gi[l].value for l in range(n))
                     worst = max(worst, abs(dg - low))
-        out.append(_result(ctx, "metric-compat", stmt, p, worst, ctx.tolerance(1e-9)))
+        out.append(_result("metric-compat", stmt, p, worst, ctx.tolerance(1e-9)))
     return out
 
 
@@ -391,7 +391,7 @@ def check_flat_lemma(ctx):
             ctx.chart, S, {(0, min(1, ctx.chart.n - 1)): 1}, p, ctx.mode)
         worst = max(worst, max(abs(v) for row in base_end for v in row),
                     max(abs(v) for row in fiber_end for v in row))
-    return [_result(ctx, "flat-lemma", stmt, p, worst, 0 if ctx.mode == RATIONAL else 1e-14)]
+    return [_result("flat-lemma", stmt, p, worst, 0 if ctx.mode == RATIONAL else 1e-14)]
 
 
 def _is_flat(ctx):
@@ -429,7 +429,7 @@ def check_dual_connection(ctx):
                 omv = omega.value(p, ctx.mode)
                 rhs += sum(omv.get((a,), 0) * nb_y.get((a,), 0) for a in range(ctx.chart.n))
                 worst = max(worst, abs(lhs - rhs))
-        out.append(_result(ctx, "dual-connection", stmt, p, worst, ctx.tolerance(1e-9)))
+        out.append(_result("dual-connection", stmt, p, worst, ctx.tolerance(1e-9)))
     return out
 
 
@@ -442,7 +442,7 @@ def check_curvature(ctx):
         worst_anti = 0
         for (kk, j, u, v), val in cv.base.items():
             worst_anti = max(worst_anti, abs(val + cv.base[(kk, j, v, u)]))
-        out.append(_result(ctx, "curvature-antisym", "R^k_{juv} + R^k_{jvu} = 0",
+        out.append(_result("curvature-antisym", "R^k_{juv} + R^k_{jvu} = 0",
                            p, worst_anti, ctx.tolerance(1e-12)))
         if ctx.mode == FLOAT:
             h = 1e-5
@@ -460,7 +460,7 @@ def check_curvature(ctx):
                                 acc -= _gamma_value(ctx.chart, l, u, j, p) \
                                     * _gamma_value(ctx.chart, kk, v, l, p)
                             worst = max(worst, abs(acc - cv.base[(kk, j, u, v)]))
-            out.append(_result(ctx, "curvature-fd", stmt, p, worst, 1e-5))
+            out.append(_result("curvature-fd", stmt, p, worst, 1e-5))
     return out
 
 
@@ -489,7 +489,7 @@ def check_composition(ctx):
             w = rand_word(ctx, rng, rng.randint(1, 2))
             fld = rand_form_field(ctx, rng, min(1, ctx.chart.d))
             worst = max(worst, cd.nabla_compose_check(v, w, fld, p, ctx.mode))
-        out.append(_result(ctx, "composition", stmt, p, worst, ctx.tolerance(1e-7)))
+        out.append(_result("composition", stmt, p, worst, ctx.tolerance(1e-7)))
     return out
 
 
@@ -507,7 +507,7 @@ def check_fundamental(ctx):
             b = rng.randrange(ctx.chart.n)
             fld = rand_form_field(ctx, rng, min(1, ctx.chart.d))
             worst = max(worst, cd.fundamental_commutation_check(u, v, a, b, fld, p, ctx.mode))
-        out.append(_result(ctx, "fundamental-commutation", stmt, p, worst, ctx.tolerance(1e-7)))
+        out.append(_result("fundamental-commutation", stmt, p, worst, ctx.tolerance(1e-7)))
     return out
 
 
@@ -531,7 +531,7 @@ def check_leibniz(ctx):
                     for ib, cb in bv.items():
                         rhs[ia + ib] = rhs.get(ia + ib, 0) + ca * cb
             worst = max(worst, cd._dict_residual(lhs, rhs))
-        out.append(_result(ctx, "leibniz", stmt, p, worst, ctx.tolerance(1e-8)))
+        out.append(_result("leibniz", stmt, p, worst, ctx.tolerance(1e-8)))
     return out
 
 
@@ -565,7 +565,7 @@ def check_shuffle(ctx):
                     if acc != 0:
                         rhs[idx] = rhs.get(idx, 0) + acc
             worst = max(worst, cd._dict_residual(lhs, rhs))
-        out.append(_result(ctx, "shuffle", stmt, p, worst, ctx.tolerance(1e-8)))
+        out.append(_result("shuffle", stmt, p, worst, ctx.tolerance(1e-8)))
     return out
 
 
@@ -593,7 +593,7 @@ def check_contraction(ctx):
                 b = cd.nabla_value(al, v2, p, ctx.mode)
                 rhs += sum(c * b.get(idx, 0) for idx, c in a.items())
             worst = max(worst, abs(lhs - rhs))
-        out.append(_result(ctx, "contraction", stmt, p, worst, ctx.tolerance(1e-8)))
+        out.append(_result("contraction", stmt, p, worst, ctx.tolerance(1e-8)))
     return out
 
 
@@ -621,7 +621,7 @@ def check_interior(ctx):
                             key = idx[1:]
                             rhs[key] = rhs.get(key, 0) + cx * co
             worst = max(worst, cd._dict_residual(lhs, rhs))
-        out.append(_result(ctx, "interior", stmt, p, worst, ctx.tolerance(1e-8)))
+        out.append(_result("interior", stmt, p, worst, ctx.tolerance(1e-8)))
     return out
 
 
@@ -657,7 +657,7 @@ def check_cov_coproduct(ctx):
                     pair = (key[:la], key[la:])
                     rhs[pair] = rhs.get(pair, 0) + c
             worst = max(worst, cd._dict_residual(lhs, rhs))
-        out.append(_result(ctx, "cov-coproduct", stmt, p, worst, ctx.tolerance(1e-9)))
+        out.append(_result("cov-coproduct", stmt, p, worst, ctx.tolerance(1e-9)))
     return out
 
 
@@ -688,7 +688,7 @@ def check_even_order(ctx):
                     for idx, c in cd.nabla_value(al, word, p, ctx.mode).items():
                         rhs[idx] = rhs.get(idx, 0) + sgn * fval * c
                 worst = max(worst, cd._dict_residual(lhs, rhs))
-        out.append(_result(ctx, "even-order", stmt, p, worst, ctx.tolerance(1e-8)))
+        out.append(_result("even-order", stmt, p, worst, ctx.tolerance(1e-8)))
     return out
 
 
@@ -712,7 +712,7 @@ def check_warning_case(ctx):
             if abs(lhs) > 1e-10:
                 saw_nonzero = True
         note = "left side nonzero at a probe" if saw_nonzero else "left side zero (flat)"
-        out.append(_result(ctx, "warning-case", stmt, p, worst, ctx.tolerance(1e-8), note=note))
+        out.append(_result("warning-case", stmt, p, worst, ctx.tolerance(1e-8), note=note))
     return out
 
 
@@ -743,13 +743,13 @@ def check_covariant_product(ctx):
                 acc += Vv.get((i,), 0) * jW.partial(ei) - Wv.get((i,), 0) * jV.partial(ei)
             rhs[(kk,)] = rhs.get((kk,), 0) + acc
         res1 = cd._dict_residual(lhs, rhs)
-        out.append(_result(ctx, "covariant-product-bracket",
+        out.append(_result("covariant-product-bracket",
                            "V(.)W - W(.)V = V(x)W - W(x)V + [V,W]", p, res1,
                            ctx.tolerance(1e-9)))
         one = cd.tensor_field(ctx.chart, 0, {(): 1})
         oy = cd.covariant_product_value(one, W, p, ctx.mode)
         res2 = cd._dict_residual(oy, Wv)
-        out.append(_result(ctx, "covariant-product-unit", "1 (.) Y = Y", p, res2,
+        out.append(_result("covariant-product-unit", "1 (.) Y = Y", p, res2,
                            ctx.tolerance(1e-12)))
         X = rand_vector_field(ctx, rng)
         xy = cd.covariant_product(X, V, p, ctx.mode, out_order=2)
@@ -760,7 +760,7 @@ def check_covariant_product(ctx):
                                   p, ctx.mode, 0)
         lv = {kk: j.value for kk, j in l.items()}
         rv = {kk: j.value for kk, j in r2.items()}
-        out.append(_result(ctx, "covariant-product-assoc",
+        out.append(_result("covariant-product-assoc",
                            "(X(.)Y)(.)Z = X(.)(Y(.)Z)", p, cd._dict_residual(lv, rv),
                            ctx.tolerance(1e-7)))
     return out
@@ -778,7 +778,7 @@ def check_exterior_derivative(ctx):
                                                for i in range(ctx.chart.n)}, p, 1, ctx.mode)
         ddf = cd.exterior_derivative(df, p, ctx.mode, out_order=0)
         res = max((abs(j.value) for j in ddf.comps.values()), default=0)
-        out.append(_result(ctx, "d-squared-zero", "d(df) = 0", p, res, ctx.tolerance(1e-9)))
+        out.append(_result("d-squared-zero", "d(df) = 0", p, res, ctx.tolerance(1e-9)))
         om = rand_form_field(ctx, rng, 1)
         d1 = cd.exterior_derivative(om, p, ctx.mode, out_order=0)
         pert = _perturbed_chart(ctx.chart)
@@ -790,7 +790,7 @@ def check_exterior_derivative(ctx):
             a = d1.comps.get(idx)
             b = d2.comps.get(idx)
             worst = max(worst, abs((a.value if a else 0) - (b.value if b else 0)))
-        out.append(_result(ctx, "d-connection-independent",
+        out.append(_result("d-connection-independent",
                            "d omega agrees across torsion-free connections", p,
                            worst, ctx.tolerance(1e-8)))
     return out
@@ -826,28 +826,23 @@ def check_pbw(ctx):
     stmt = "kernel basis elements annihilate every monomial probe"
     kb = at.kernel_basis(ctx.chart, p, r, k, ctx.mode)
     want = at.kernel_basis_count(n, d, r, k)
-    out.append(_result(ctx, "pbw-kernel-count",
+    out.append(_result("pbw-kernel-count",
                        "kernel basis count = (dim tensor - dim sym) * C(d,k)",
                        p, abs(len(kb) - want), 0))
     worst = 0
     for _label, el in kb:
         worst = max(worst, op.probe_annihilation_residual(ctx.chart, el, p, r, k, ctx.mode))
-    out.append(_result(ctx, "pbw-kernel-annihilation", stmt, p, worst,
+    out.append(_result("pbw-kernel-annihilation", stmt, p, worst,
                        ctx.tolerance(1e-8)))
     # image rank
     stmt2 = "probe matrix of the coordinate basis has PBW rank C(n+r,n)C(d,k)"
     if ctx.mode == RATIONAL:
         rows = []
+        probes = [probe for _T, _L, probe in at.monomial_probes(ctx.chart, p, r, k, ctx.mode)]
         for el in _op_elems(ctx, r, k):
-            row = []
-            for g in range(r + 1):
-                for T in at._multi_indices(n, r)[g]:
-                    for L in anti_indices(d, k):
-                        probe = at.probe_form(ctx.chart, p, T, L, ctx.mode)
-                        row.append(at.phi_apply(ctx.chart, el, probe, p, ctx.mode))
-            rows.append(row)
+            rows.append([at.phi_apply(ctx.chart, el, probe, p, ctx.mode) for probe in probes])
         rank = len(row_reduce(rows)[1])
-        out.append(_result(ctx, "pbw-image-rank", stmt2, p,
+        out.append(_result("pbw-image-rank", stmt2, p,
                            abs(rank - at.pbw_dimension(n, d, r, k)), 0))
     else:
         out.append(_skip("pbw-image-rank", stmt2, "rank check runs in rational mode"))
@@ -858,7 +853,7 @@ def check_pbw(ctx):
         cur = at.to_pbw(ctx.chart, basis_element(n, d, I, K), p, r, k, ctx.mode)
         expect = {(I, K): 1}
         worst = max(worst, cd._dict_residual(cur.coeffs, expect))
-    out.append(_result(ctx, "pbw-roundtrip", stmt3, p, worst, 0))
+    out.append(_result("pbw-roundtrip", stmt3, p, worst, 0))
     # flat collapse: to_pbw depends only on symmetrization
     stmt4 = "flat chart: to_pbw(v box alpha) depends only on the symmetrization of v"
     if _is_flat(ctx):
@@ -871,7 +866,7 @@ def check_pbw(ctx):
             a = at.to_pbw(ctx.chart, basis_element(n, d, w, K), p, r, k, ctx.mode)
             b = at.to_pbw(ctx.chart, basis_element(n, d, perm, K), p, r, k, ctx.mode)
             worst = max(worst, (a - b).max_abs())
-        out.append(_result(ctx, "pbw-flat-collapse", stmt4, p, worst, 0))
+        out.append(_result("pbw-flat-collapse", stmt4, p, worst, 0))
     else:
         out.append(_skip("pbw-flat-collapse", stmt4, "chart is not flat"))
     return out
@@ -894,7 +889,7 @@ def check_curvature_quotient(ctx):
                 for K2, c in acted.items():
                     rhs.add((), K2, -c)
                 worst = max(worst, (lhs - rhs).max_abs())
-    return [_result(ctx, "curvature-quotient", stmt, p, worst, ctx.tolerance(1e-8))]
+    return [_result("curvature-quotient", stmt, p, worst, ctx.tolerance(1e-8))]
 
 
 def check_coalgebra(ctx):
@@ -917,7 +912,7 @@ def check_coalgebra(ctx):
         lhs = at.coproduct_pair_evaluate(ctx.chart, T, om, et, ctx.mode)
         rhs = at.current_evaluate(ctx.chart, T, cd.wedge_fields(om, et), ctx.mode)
         worst = max(worst, abs(lhs - rhs))
-    out.append(_result(ctx, "coalgebra-duality", stmt, p, worst, ctx.tolerance(1e-8)))
+    out.append(_result("coalgebra-duality", stmt, p, worst, ctx.tolerance(1e-8)))
     # coassociativity/counit at coefficient level (exact in either mode)
     stmt2 = "current coproduct coassociative with counit, exact at the coefficient level"
     worst = 0
@@ -939,7 +934,7 @@ def check_coalgebra(ctx):
         if kl == ((), ()):
             left[kr] = left.get(kr, 0) + c
     worst = max(worst, cd._dict_residual(left, T.coeffs))
-    out.append(_result(ctx, "coalgebra-counit", stmt2, p, worst, 0))
+    out.append(_result("coalgebra-counit", stmt2, p, worst, 0))
     # connection independence
     stmt3 = "coproduct is connection independent (two torsion-free connections)"
     if ctx.chart.fiber_is_tangent:
@@ -964,7 +959,7 @@ def check_coalgebra(ctx):
             et2 = cd.form_field(pert, kk - k1, _incr_comps(et))
             rhs = at.coproduct_pair_evaluate(pert, T2, om2, et2, ctx.mode)
             worst = max(worst, abs(lhs - rhs))
-        out.append(_result(ctx, "coalgebra-connection-independent", stmt3, p, worst,
+        out.append(_result("coalgebra-connection-independent", stmt3, p, worst,
                            ctx.tolerance(1e-7)))
     else:
         out.append(_skip("coalgebra-connection-independent", stmt3, "non-tangent fiber"))
@@ -992,7 +987,7 @@ def check_f_action(ctx):
                        {i: ex.ex_mul(f.comps[()], c) for i, c in om.comps.items()})
         rhs = at.current_evaluate(ctx.chart, T, fom, ctx.mode)
         worst = max(worst, abs(lhs - rhs))
-    out.append(_result(ctx, "f-action-duality", stmt, p, worst, ctx.tolerance(1e-9)))
+    out.append(_result("f-action-duality", stmt, p, worst, ctx.tolerance(1e-9)))
     stmt2 = "f == 1 acts as the identity; f(p) = 0 kills the Dirac mass"
     one = cd.scalar_field(ctx.chart, 1)
     T = rand_current(ctx, rng, min(ctx.r, 2), min(ctx.k, ctx.chart.d))
@@ -1002,7 +997,7 @@ def check_f_action(ctx):
     van = cd.scalar_field(ctx.chart, ex.ex_sub(ex.Sym(0, ctx.chart.names[0]),
                                                ex.Const(p[0])))
     res = max(res, at.f_action(van, D, ctx.mode).max_abs())
-    out.append(_result(ctx, "f-action-unit", stmt2, p, res, 0))
+    out.append(_result("f-action-unit", stmt2, p, res, 0))
     return out
 
 
@@ -1032,20 +1027,20 @@ def check_operator_identities(ctx):
         Y2 = rand_vector_field(ctx, rng)
         lhs = op.op_E(ctx.chart, X, p, ctx.mode).compose(op.op_E(ctx.chart, X2, p, ctx.mode))
         rhs = op.op_E(ctx.chart, cd.wedge_fields(X, X2), p, ctx.mode)
-        out.append(_result(ctx, "op-EE", "E_X o E_X' = E_{X ^ X'}", p,
+        out.append(_result("op-EE", "E_X o E_X' = E_{X ^ X'}", p,
                            op.endo_residual(lhs, rhs, elems), ctx.tolerance(1e-9)))
         lhs = op.op_D(ctx.chart, Y, p, ctx.mode).compose(op.op_D(ctx.chart, Y2, p, ctx.mode))
         cp = cd.covariant_product(Y2, Y, p, ctx.mode, out_order=ctx.r + 1)
         rhs = op.op_D(ctx.chart, cd.mixed_tensor_fields(ctx.chart, cp, p, ctx.r + 1, ctx.mode),
                       p, ctx.mode)
-        out.append(_result(ctx, "op-DD", "D_Y o D_Y' = D_{Y'_(1) nabla_{Y'_(2)} Y}", p,
+        out.append(_result("op-DD", "D_Y o D_Y' = D_{Y'_(1) nabla_{Y'_(2)} Y}", p,
                            op.endo_residual(lhs, rhs, elems), ctx.tolerance(1e-8)))
         lhs = op.op_E(ctx.chart, X, p, ctx.mode).compose(op.op_D(ctx.chart, Y, p, ctx.mode))
         nbX = cd.covderiv(Y, X, p, ctx.r + 1, ctx.mode)
         nXf = cd.jet_field(ctx.chart, (cd.FU,), nbX, p, ctx.r + 1, ctx.mode)
         rhs = op.op_D(ctx.chart, Y, p, ctx.mode).compose(op.op_E(ctx.chart, X, p, ctx.mode)) \
             + op.op_E(ctx.chart, nXf, p, ctx.mode)
-        out.append(_result(ctx, "op-ED", "E_X o D_Y = D_{Y_(1)} o E_{nabla_{Y_(2)} X}", p,
+        out.append(_result("op-ED", "E_X o D_Y = D_{Y_(1)} o E_{nabla_{Y_(2)} X}", p,
                            op.endo_residual(lhs, rhs, elems), ctx.tolerance(1e-8)))
     return out
 
@@ -1074,20 +1069,20 @@ def check_adjoint_identities(ctx):
                                                ex.ex_mul(ctx.chart.metric[i][j],
                                                          Y.comps.get((j,), ex.Const(0)))))
         rhs = op.f_lrcorner(ctx.chart, cd.Field(ctx.chart, (), {(): acc}), p, ctx.mode)
-        out.append(_result(ctx, "op-anticommutator", "{E_X, Edag_Y} = <X,Y> corner", p,
+        out.append(_result("op-anticommutator", "{E_X, Edag_Y} = <X,Y> corner", p,
                            op.endo_residual(anti, rhs, elems), ctx.tolerance(1e-8)))
         lhs = op.op_Edag(ctx.chart, X, p, ctx.mode).compose(op.op_Edag(ctx.chart, Y, p, ctx.mode))
         rhs = op.op_Edag(ctx.chart, cd.wedge_fields(Y, X), p, ctx.mode)
-        out.append(_result(ctx, "op-EdagEdag", "Edag_X o Edag_X' = Edag_{X' ^ X}", p,
+        out.append(_result("op-EdagEdag", "Edag_X o Edag_X' = Edag_{X' ^ X}", p,
                            op.endo_residual(lhs, rhs, elems), ctx.tolerance(1e-9)))
         r1 = op.endo_residual(op.op_Edag(ctx.chart, X, p, ctx.mode),
                               op.op_Edag(ctx.chart, X, p, ctx.mode, route="conjugate"), elems)
-        out.append(_result(ctx, "op-Edag-routes",
+        out.append(_result("op-Edag-routes",
                            "Edag contraction route = perp conjugation route", p, r1,
                            ctx.tolerance(1e-9)))
         Edd = op.adjoint_of_Edag(ctx.chart, op.op_Edag(ctx.chart, X, p, ctx.mode),
                                  1, p, ctx.mode)
-        out.append(_result(ctx, "op-adjoint-involution", "(Edag)dag = E", p,
+        out.append(_result("op-adjoint-involution", "(Edag)dag = E", p,
                            op.endo_residual(Edd, EX, elems), ctx.tolerance(1e-9)))
         # Ddag commutators
         Xv = rand_vector_field(ctx, rng)
@@ -1108,14 +1103,14 @@ def check_adjoint_identities(ctx):
             xd = term if xd is None else xd + term
         XdivY = cd.jet_field(ctx.chart, (), {(): xd}, p, ctx.r + 2, ctx.mode)
         rhs = op.f_lrcorner(ctx.chart, XdivY, p, ctx.mode) + RXY.scaled(-1) + Dbr
-        out.append(_result(ctx, "op-DDdag",
+        out.append(_result("op-DDdag",
                            "[D_X, Ddag_Y] = X(div Y) corner - R_{X,Y} + D_{[X,Y]}", p,
                            op.endo_residual(lhs, rhs, elems), ctx.tolerance(1e-7)))
         DdX = op.op_Ddag(ctx.chart, Xv, p, ctx.mode, budget=ctx.r + 2)
         lhs = DdX.compose(DdY) + DdY.compose(DdX).scaled(-1)
         divbr = op.divergence_field(ctx.chart, br, p, ctx.mode, budget=ctx.r + 2)
         rhs = op.f_lrcorner(ctx.chart, divbr, p, ctx.mode).scaled(-1) + RXY + Dbr.scaled(-1)
-        out.append(_result(ctx, "op-DdagDdag",
+        out.append(_result("op-DdagDdag",
                            "[Ddag_X, Ddag_Y] = -div[X,Y] corner + R_{X,Y} - D_{[X,Y]}", p,
                            op.endo_residual(lhs, rhs, elems), ctx.tolerance(1e-7)))
         # tensor-case recursion for Ddag
@@ -1125,7 +1120,7 @@ def check_adjoint_identities(ctx):
         corr = cd.mixed_tensor_fields(ctx.chart, nXY, p, ctx.r + 2, ctx.mode)
         rhs = DdX.compose(DdY) + op.op_Ddag(ctx.chart, corr, p, ctx.mode,
                                             budget=ctx.r + 1).scaled(-1)
-        out.append(_result(ctx, "op-Ddag-tensor",
+        out.append(_result("op-Ddag-tensor",
                            "Ddag_{X(x)Y} = Ddag_X o Ddag_Y - Ddag_{nabla_X Y}", p,
                            op.endo_residual(lhs, rhs, elems), ctx.tolerance(1e-7)))
     return out
@@ -1177,7 +1172,7 @@ def check_clifford(ctx):
             for w in [(), (0,)]:
                 x = basis_element(n, d, w, K)
                 worst = max(worst, (prod(x).scale(sgn) - P(x)).max_abs())
-    return [_result(ctx, "op-clifford", stmt, p, worst, ctx.tolerance(1e-12))]
+    return [_result("op-clifford", stmt, p, worst, ctx.tolerance(1e-12))]
 
 
 def check_perp_duality(ctx):
@@ -1202,7 +1197,7 @@ def check_perp_duality(ctx):
                 lhs = at.phi_apply(ctx.chart, P(x), om, p, ctx.mode)
                 rhs = at.phi_apply(ctx.chart, x, st, p, ctx.mode)
                 worst = max(worst, abs(lhs - rhs))
-    return [_result(ctx, "op-perp-duality", stmt, p, worst, ctx.tolerance(1e-8))]
+    return [_result("op-perp-duality", stmt, p, worst, ctx.tolerance(1e-8))]
 
 
 def check_sharp(ctx):
@@ -1226,19 +1221,19 @@ def check_sharp(ctx):
                         - (y.coeffs[kk].value if kk in y.coeffs else 0))
                     for kk in keys), default=0)
 
-    out.append(_result(ctx, "sharp-unit", "unit element is a two-sided sharp unit", p,
+    out.append(_result("sharp-unit", "unit element is a two-sided sharp unit", p,
                        max(sharp_resid(op.sharp(a, u), a), sharp_resid(op.sharp(u, a), a)),
                        ctx.tolerance(1e-12)))
     l = op.sharp(op.sharp(a, b), c)
     r = op.sharp(a, op.sharp(b, c))
-    out.append(_result(ctx, "sharp-assoc", "sharp product is associative", p,
+    out.append(_result("sharp-assoc", "sharp product is associative", p,
                        sharp_resid(l, r), ctx.tolerance(1e-7)))
     elems = _op_elems(ctx, r=1)
     lhs = op.op_DE(op.sharp(a, b))
     rhs = op.op_DE(a).compose(op.op_DE(b))
-    out.append(_result(ctx, "op-DE-action", "DE_{a sharp b} = DE_a o DE_b", p,
+    out.append(_result("op-DE-action", "DE_{a sharp b} = DE_a o DE_b", p,
                        op.endo_residual(lhs, rhs, elems), ctx.tolerance(1e-7)))
-    out.append(_result(ctx, "op-DE-unit", "DE of the unit is the identity", p,
+    out.append(_result("op-DE-unit", "DE of the unit is the identity", p,
                        op.endo_residual(op.op_DE(u), op.identity_endo(ctx.chart.n, ctx.chart.d),
                                         elems), ctx.tolerance(1e-12)))
     if ctx.chart.metric is not None and \
@@ -1246,7 +1241,7 @@ def check_sharp(ctx):
         lhs = op.op_DEdag(op.sharp(a, b))
         rhs = op.op_DEdag(a).compose(op.op_DEdag(b))
         sgn = (-1) ** (kd * kd)
-        out.append(_result(ctx, "op-DEdag-sign",
+        out.append(_result("op-DEdag-sign",
                            "DEdag_{a sharp b} = (-1)^{|alpha||beta|} DEdag_a o DEdag_b", p,
                            op.endo_residual(lhs, rhs.scaled(sgn), elems), ctx.tolerance(1e-7)))
     else:
@@ -1284,7 +1279,7 @@ def check_kernel_preservation(ctx):
                     continue
                 worst = max(worst, op.probe_annihilation_residual(
                     ctx.chart, out_el, p, rp, kk, ctx.mode))
-    return [_result(ctx, "kernel-preservation", stmt, p, worst, ctx.tolerance(1e-8))]
+    return [_result("kernel-preservation", stmt, p, worst, ctx.tolerance(1e-8))]
 
 
 def check_boundary(ctx):
@@ -1301,7 +1296,7 @@ def check_boundary(ctx):
         T.add((), (0, 1), 1)
         bT = op.boundary(ctx.chart, T, ctx.mode)
         expect = {((0,), (1,)): 1, ((1,), (0,)): -1}
-        out.append(_result(ctx, "boundary-hand-value",
+        out.append(_result("boundary-hand-value",
                            "flat: boundary(Dirac box e0^e1) = +(e0,{1}) - (e1,{0})", p,
                            cd._dict_residual(bT.coeffs, expect), ctx.tolerance(1e-10)))
     # duality, square zero, counit
@@ -1320,11 +1315,11 @@ def check_boundary(ctx):
             worst_eps = max(worst_eps, abs(at.counit(bT)))
     T1 = rand_current(ctx, rng, r, 1)
     worst_eps = max(worst_eps, abs(at.counit(op.boundary(ctx.chart, T1, ctx.mode))))
-    out.append(_result(ctx, "boundary-duality", "(dT)(omega) = T(d omega)", p, worst_d,
+    out.append(_result("boundary-duality", "(dT)(omega) = T(d omega)", p, worst_d,
                        ctx.tolerance(1e-8)))
-    out.append(_result(ctx, "boundary-squared", "boundary o boundary = 0", p, worst_sq,
+    out.append(_result("boundary-squared", "boundary o boundary = 0", p, worst_sq,
                        ctx.tolerance(1e-9)))
-    out.append(_result(ctx, "boundary-counit", "counit o boundary = 0 on degree 1", p,
+    out.append(_result("boundary-counit", "counit o boundary = 0 on degree 1", p,
                        worst_eps, ctx.tolerance(1e-10)))
     # trace route
     worst_t = 0
@@ -1332,7 +1327,7 @@ def check_boundary(ctx):
         T = rand_current(ctx, rng, r, k)
         worst_t = max(worst_t, (op.boundary(ctx.chart, T, ctx.mode)
                                 - op.boundary_via_trace(ctx.chart, T, ctx.mode)).max_abs())
-    out.append(_result(ctx, "boundary-trace-route",
+    out.append(_result("boundary-trace-route",
                        "duality route equals the tr(DEdag) trace route", p, worst_t,
                        ctx.tolerance(1e-8)))
     # co-Leibniz through probe duality
@@ -1349,18 +1344,18 @@ def check_boundary(ctx):
         rhs = at.coproduct_pair_evaluate(ctx.chart, T, dom, et, ctx.mode) \
             + at.coproduct_pair_evaluate(ctx.chart, T, om, det_, ctx.mode)
         worst_cl = max(worst_cl, abs(lhs - rhs))
-    out.append(_result(ctx, "boundary-co-leibniz",
+    out.append(_result("boundary-co-leibniz",
                        "Delta(dT) pairs with d(omega ^ eta) = d omega ^ eta + (-1)^{|omega|} omega ^ d eta",
                        p, worst_cl, ctx.tolerance(1e-7)))
     # trace lift report
     rep = op.trace_DEdag_lift_check(ctx.chart, p, r, k, ctx.mode)
-    out.append(_result(ctx, "trace-lift-kernel",
+    out.append(_result("trace-lift-kernel",
                        "tr(DEdag) lift maps ker Phi into ker Phi", p,
                        rep["kernel_preservation"], ctx.tolerance(1e-8)))
-    out.append(_result(ctx, "trace-lift-coproduct",
+    out.append(_result("trace-lift-coproduct",
                        "tr(DEdag) lift satisfies the signed co-derivation law with Delta",
                        p, rep["delta_commutation"], 0 if ctx.mode == RATIONAL else ctx.tolerance(1e-9)))
-    out.append(_result(ctx, "trace-lift-order-degree",
+    out.append(_result("trace-lift-order-degree",
                        "tr(DEdag) raises order by one and drops degree by one", p,
                        0 if rep["order_degree_ok"] else 1, 0))
     if _is_flat(ctx) and ctx.chart.metric is not None:
@@ -1370,7 +1365,7 @@ def check_boundary(ctx):
             for K in anti_indices(n, k):
                 worst_disp = max(worst_disp, op.gamma_gamma_local_frame(
                     ctx.chart, p, w, K, ctx.mode).max_abs())
-        out.append(_result(ctx, "trace-gamma-gamma-flat",
+        out.append(_result("trace-gamma-gamma-flat",
                            "nonempty-word local-frame expansion vanishes on flat orthonormal charts",
                            p, worst_disp, 0))
     # tr^2 != 0 as a lift on curved charts
@@ -1378,14 +1373,14 @@ def check_boundary(ctx):
         endo = op.trace_DEdag_endo(ctx.chart, p, ctx.mode)
         x = basis_element(n, n, (min(1, n - 1),), tuple(range(min(2, n))))
         sq = endo(endo(x)).max_abs()
-        out.append(_result(ctx, "trace-lift-not-differential",
+        out.append(_result("trace-lift-not-differential",
                            "tr(DEdag)^2 is nonzero as a lift while boundary^2 = 0", p,
                            0 if sq > 1e-9 else 1, 0,
                            note=f"|tr^2 x| = {float(sq):.3e}"))
     # codifferential twin
     if ctx.chart.metric is not None and ctx.mode == FLOAT:
         worst_tw = _codifferential_twin_residual(ctx, p)
-        out.append(_result(ctx, "codifferential-twin",
+        out.append(_result("codifferential-twin",
                            "tr(DE) on the dual fiber is probe-dual to -delta, delta = (-1)^k star^{-1} d star",
                            p, worst_tw, ctx.tolerance(1e-7)))
     else:
@@ -1440,7 +1435,7 @@ def check_trace_frame_independence(ctx):
     t0 = op.trace_DEdag_endo(ctx.chart, p, ctx.mode)
     t1 = op.trace_DEdag_endo(ctx.chart, p, ctx.mode, frame=gen_frame, coframe=gen_cofr)
     elems = _op_elems(ctx, r=min(ctx.r, 2))
-    return [_result(ctx, "trace-frame-independence", stmt, p,
+    return [_result("trace-frame-independence", stmt, p,
                     op.endo_residual(t0, t1, elems), ctx.tolerance(1e-7))]
 
 
@@ -1456,7 +1451,7 @@ def check_transitions(ctx):
     for key, row in ident.items():
         for k2, v in row.items():
             worst = max(worst, abs(v - (1 if key == k2 else 0)))
-    out.append(_result(ctx, "transition-identity", stmt, p, worst, ctx.tolerance(1e-12)))
+    out.append(_result("transition-identity", stmt, p, worst, ctx.tolerance(1e-12)))
     stmt2 = "Cech cocycle: g_CB g_BA = g_CA over three overlapping charts"
     if ctx.mode == RATIONAL:
         out.append(_skip("transition-cocycle", stmt2,
@@ -1491,7 +1486,7 @@ def _cocycle_check(ctx, stmt):
         gCA = at.transition_matrix(A, C, changeAC, p, r, k, FLOAT)
         comp = at.compose_transitions(gCB, gBA)
         worst = max(worst, at.transition_residual(comp, gCA))
-    return _result(ctx, "transition-cocycle", stmt, None, worst, ctx.tolerance(1e-7))
+    return _result("transition-cocycle", stmt, None, worst, ctx.tolerance(1e-7))
 
 
 # ---------------------------------------------------------------------------

@@ -147,6 +147,22 @@ def test_jobs_flag_float_shared_caches(tmp_path):
     assert json.dumps(reports[1], sort_keys=True) == json.dumps(reports[0], sort_keys=True)
 
 
+def test_jobs_flag_curved_chart(tmp_path):
+    # pool threads share the expression jet memos, the differentiated probes
+    # and the probe points' caches on a curved chart
+    reports = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"r{jobs}.json"
+        code = run_cli(["run", str(SPECS / "poly2.json"), "--suite", "all",
+                        "--mode", "float", "--jobs", jobs, "--trials", "1",
+                        "--out", str(out)])
+        assert code == 0
+        report = json.loads(out.read_text())
+        report.pop("timing")
+        reports.append(report)
+    assert json.dumps(reports[1], sort_keys=True) == json.dumps(reports[0], sort_keys=True)
+
+
 def test_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "atomcur.cli", "suites"],

@@ -6,7 +6,7 @@ import pytest
 
 from atomcur import covderiv as cd
 from atomcur import expr as ex
-from atomcur.jets import RATIONAL
+from atomcur.jets import FLOAT, RATIONAL, as_point
 from atomcur.multialg import tensor_coproduct
 
 
@@ -351,3 +351,44 @@ def test_nabla_value_memo_under_threads(hyperbolic):
     assert errors == []
     for vals in got:
         assert vals == want
+
+
+def test_expression_jet_memo_is_shared_and_dies_with_its_node(s2, monkeypatch):
+    """A second field holding the same expression at the same probe reads the
+    node's jet memo, and the memo does not keep its node alive."""
+    import gc
+    import weakref
+    e = ex.parse("sin(theta)*phi + 1/phi", s2.names)
+    p = as_point((1.1, 0.8), FLOAT)
+    orders = []
+    inner = ex.eval_jet
+
+    def counting(e, point, order, mode=FLOAT):
+        orders.append(order)
+        return inner(e, point, order, mode)
+
+    monkeypatch.setattr(ex, "eval_jet", counting)
+    first = cd.scalar_field(s2, e)
+    first.comp_jet((), p, 3, FLOAT)
+    assert orders == [3]
+    second = cd.scalar_field(s2, e)
+    for order in (3, 2, 0):
+        jet = second.comp_jet((), p, order, FLOAT)
+        assert bytes(jet.coeffs) == bytes(inner(e, p, order).coeffs)
+    # a plain tuple finds the entry the probe point made
+    second.comp_jet((), (1.1, 0.8), 1, FLOAT)
+    assert orders == [3]
+    node = weakref.ref(e)
+    del e, first, second, jet
+    gc.collect()
+    assert node() is None
+
+
+def test_antisymmetrized_components_share_one_negation(flat3):
+    f = cd.form_field(flat3, 2, {(0, 1): "x0*x1", (1, 2): "x2"})
+    assert f.comps[(1, 0)] is not f.comps[(0, 1)]
+    assert f.comps[(2, 1)] is not f.comps[(1, 2)]
+    g = cd.form_field(flat3, 3, {(0, 1, 2): "x0 + x1"})
+    odd = [K for K in itertools.permutations((0, 1, 2)) if g.comps[K] is not g.comps[(0, 1, 2)]]
+    assert len(odd) == 3
+    assert all(g.comps[K] is g.comps[odd[0]] for K in odd)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from atomcur import expr as ex
-from atomcur.jets import (RATIONAL, EvalDomainError, ExactModeError)
+from atomcur.jets import (FLOAT, RATIONAL, EvalDomainError, ExactModeError)
 
 
 def test_parse_shape():
@@ -127,3 +127,91 @@ def test_roundtrip_bitwise_rational(e):
     e2 = ex.parse(text, _names)
     p = (Fraction(3, 7), Fraction(-2, 5))
     assert ex.evaluate(e, p, RATIONAL) == ex.evaluate(e2, p, RATIONAL)
+
+
+# truncating a higher-order jet gives the lower-order jet, so the expression
+# jet memo may answer every order up to the highest it holds
+
+
+def _div_pow_exprs(depth, calls):
+    leaf = st.one_of(
+        st.integers(-4, 4).map(lambda v: ex.Const(Fraction(v))),
+        st.fractions(min_value=-3, max_value=3, max_denominator=8).map(ex.Const),
+        st.sampled_from([ex.Sym(0, "x"), ex.Sym(1, "y")]),
+    )
+    if depth == 0:
+        return leaf
+    sub = _div_pow_exprs(depth - 1, calls)
+    nodes = [
+        leaf,
+        st.tuples(sub, sub).map(lambda ab: ex.Add(*ab)),
+        st.tuples(sub, sub).map(lambda ab: ex.Mul(*ab)),
+        st.tuples(sub, sub).map(lambda ab: ex.Div(*ab)),
+        sub.map(ex.Neg),
+        st.tuples(sub, st.integers(-3, 3)).map(lambda ak: ex.Pow(ak[0], ak[1])),
+    ]
+    if calls:
+        nodes.append(st.tuples(st.sampled_from(ex.ELEMENTARY_FUNCTIONS), sub)
+                     .map(lambda fa: ex.Call(*fa)))
+    return st.one_of(*nodes)
+
+
+def _rooted_exprs(calls):
+    """Trees whose root is a quotient, a negative power or (with ``calls``)
+    an elementary function, over random subtrees of the same kinds."""
+    sub = _div_pow_exprs(2, calls)
+    roots = [
+        st.tuples(sub, sub).map(lambda ab: ex.Div(*ab)),
+        st.tuples(sub, st.integers(-3, -1)).map(lambda ak: ex.Pow(ak[0], ak[1])),
+    ]
+    if calls:
+        roots.append(st.tuples(st.sampled_from(ex.ELEMENTARY_FUNCTIONS), sub)
+                     .map(lambda fa: ex.Call(*fa)))
+    return st.one_of(*roots)
+
+
+def _jets_or_none(e, p, orders, mode):
+    try:
+        return [ex.eval_jet(e, p, order, mode) for order in orders]
+    except (EvalDomainError, OverflowError, ZeroDivisionError):
+        return None
+
+
+@given(_rooted_exprs(calls=True), st.integers(0, 3), st.integers(0, 3))
+@settings(max_examples=200, deadline=None)
+def test_truncated_float_jet_is_bitwise_lower_order_jet(e, lo, extra):
+    p = (0.7, 1.3)
+    jets = _jets_or_none(e, p, (lo, lo + extra), FLOAT)
+    if jets is None:
+        return
+    low, high = jets
+    assert bytes(high.truncate(lo).coeffs) == bytes(low.coeffs), ex.to_string(e)
+
+
+@given(_rooted_exprs(calls=False), st.integers(0, 3), st.integers(0, 3))
+@settings(max_examples=200, deadline=None)
+def test_truncated_rational_jet_is_exact_lower_order_jet(e, lo, extra):
+    p = (Fraction(3, 7), Fraction(-2, 5))
+    jets = _jets_or_none(e, p, (lo, lo + extra), RATIONAL)
+    if jets is None:
+        return
+    low, high = jets
+    cut = high.truncate(lo)
+    assert (cut.coeffs, cut.den) == (low.coeffs, low.den), ex.to_string(e)
+
+
+def test_jet_memo_evaluates_only_when_the_order_rises(monkeypatch):
+    e = ex.parse("1/(1 + x^2) + tan(y)*x^-2", ["x", "y"])
+    p = (0.7, 1.3)
+    orders = []
+    inner = ex.eval_jet
+
+    def counting(e, point, order, mode=FLOAT):
+        orders.append(order)
+        return inner(e, point, order, mode)
+
+    monkeypatch.setattr(ex, "eval_jet", counting)
+    for order in (1, 0, 3, 2, 1, 3, 4, 0):
+        jet = ex.jet_at(e, p, order, FLOAT)
+        assert bytes(jet.coeffs) == bytes(inner(e, p, order).coeffs)
+    assert orders == [1, 3, 4]

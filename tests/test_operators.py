@@ -300,6 +300,32 @@ def test_boundary_trace_route(s2):
         assert (op.boundary(s2, T) - op.boundary_via_trace(s2, T)).max_abs() < 1e-8
 
 
+def test_boundary_reuses_differentiated_probes(monkeypatch):
+    """A second boundary at the same point and (r, k) derives no new
+    covariant derivative: it reads the differentiated probes of the first."""
+    chart = ChartConnection.from_metric(
+        ["x", "y"], [["1/y^2", "0"], ["0", "1/y^2"]],
+        [(-2.0, 2.0), (0.4, 3.0)], name="hyperbolic")
+    p = (Fraction(1, 4), Fraction(5, 4))
+    T = at.AtomicCurrent(p, 1, 1)
+    for i, key in enumerate(at.pbw_keys(2, 2, 1, 1)):
+        T.add(key[0], key[1], i + 1)
+    misses = []
+    inner = cd.nabla
+
+    def counting(field, I, p, mode="float"):
+        misses.append(tuple(I))
+        return inner(field, I, p, mode)
+
+    monkeypatch.setattr(cd, "nabla", counting)
+    first = op.boundary(chart, T, RATIONAL)
+    assert misses
+    misses.clear()
+    second = op.boundary(chart, T.scale(3), RATIONAL)
+    assert misses == []
+    assert second.coeffs == first.scale(3).coeffs
+
+
 def test_trace_lift_checks_rational(poly2, poly2_point):
     rep = op.trace_DEdag_lift_check(poly2, poly2_point, 2, 1, RATIONAL)
     assert rep["kernel_preservation"] == 0
