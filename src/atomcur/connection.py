@@ -222,9 +222,10 @@ class ChartConnection:
         return self._memo(p, mode, ("g1", order, fiber), lambda: table(p, order, mode))
 
     def _metric_jets(self, p, order, mode):
-        """Jets of g at p."""
+        """Jets of g at p, read through the jet memo of each metric expression
+        (:func:`atomcur.expr.jet_at`), so a lower order is a truncation."""
         return self._memo(p, mode, ("g", order), lambda: [
-            [ex.eval_jet(e, p, order, mode) for e in row] for row in self.metric])
+            [ex.jet_at(e, p, order, mode) for e in row] for row in self.metric])
 
     def _metric_inverse_jets(self, p, order, mode):
         """(g^{-1}, det g) as jets at p: the cofactors of g over one

@@ -182,13 +182,27 @@ def covariant_step(chart, slots, comps, i, p, order, mode):
 
 
 def nabla_word_jets(field: Field, I, p, order, mode):
-    """Component jets of nabla_{e_I}(field) at p, of jet order ``order``."""
+    """Component jets of nabla_{e_I}(field) at p, of jet order ``order``.
+
+    The field's memo holds each word's jets at every order asked for, and
+    under the bare word the highest order computed.  A lower order is the
+    truncation of that one: every coefficient below the cut sums the same
+    products in the same order (see :func:`atomcur.expr.jet_at`), so it
+    equals the jets derived afresh at the lower order, coefficient for
+    coefficient.  It may also keep a component whose truncated jet is
+    zero, which a fresh derivation could leave out.
+    """
     I = tuple(I)
     cache = field._nabla_cache.setdefault((p, mode), {})
     key = (I, order)
     hit = cache.get(key)
     if hit is not None:
         return hit
+    top = cache.get(I, -1)
+    if top > order:
+        out = cache[key] = {idx: jet.truncate(order)
+                            for idx, jet in cache[(I, top)].items()}
+        return out
     chart = field.chart
     if not I:
         out = {idx: field.comp_jet(idx, p, order, mode) for idx in field.comps}
@@ -205,6 +219,7 @@ def nabla_word_jets(field: Field, I, p, order, mode):
                 for idx, jet in sub.items():
                     _sub_jet(out, idx, gam[l] * jet)
     cache[key] = out
+    cache[I] = order
     return out
 
 

@@ -380,7 +380,10 @@ class Jet:
         """
         sp, mode = self.space, self.mode
         du = self - Jet.const(sp, mode, self.value)
-        acc = Jet.const(sp, mode, series[sp.order])
+        # a Horner step adds series[j] to a product whose coefficients start
+        # at +0, so a -0 value reads +0 at every order above 0; ``0 +`` makes
+        # order 0 agree, and a truncation equals the lower-order jet
+        acc = Jet.const(sp, mode, 0 + series[sp.order])
         for j in range(sp.order - 1, -1, -1):
             acc = acc * du + Jet.const(sp, mode, series[j])
         return acc

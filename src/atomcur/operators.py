@@ -28,8 +28,9 @@ contraction behind op_Edag and op_Edag_theta (only the pairing differs),
 conjugate route of op_Edag and adjoint_of_Edag, and ``_sum_D_compose``
 is the sum of D o (E or Edag) behind op_DE, op_DEdag and the trace lifts.
 PBW coordinates of a functional come from the triangular probe solve in
-:mod:`atomcur.atomic`.  Endomorphisms are pure closures over immutable
-chart data.
+:mod:`atomcur.atomic`.  Endomorphisms are closures over immutable chart
+data; a leaf lift also holds its rows, what its action reads of each
+Sweedler factor, derived once per endomorphism (``_sweedler_lift``).
 """
 
 from __future__ import annotations
@@ -107,16 +108,28 @@ def _nabla_values(parts, B, p, mode):
 # ---------------------------------------------------------------------------
 # Interior-product and covariant-differentiation actions.
 
-def _sweedler_lift(act) -> FiberEndo:
+def _sweedler_lift(key, row, act) -> FiberEndo:
     """The lift of a Sweedler-sum recipe: each term c (v box eps_K) maps to
     the sum over deshuffles (A, B) = (v_(1), v_(2)) of v, where
-    ``act(out, A, B, K, c)`` adds one summand to ``out``."""
+    ``act(out, A, B, K, c, row(key(A, B, K)))`` adds one summand to ``out``.
+
+    ``key`` names the Sweedler factor that the action reads, and ``row``
+    derives what the action needs of it with unit coefficient (a nabla
+    value, or a signed contraction).  A row is built on first use and held
+    by this endomorphism, so each is derived once however many terms and
+    deshuffles read it, and it goes when the endomorphism goes.  ``act``
+    scales the row by c with the same operations as a fresh derivation."""
+    rows = {}
 
     def fn(x: TensorExtElement) -> TensorExtElement:
         out = TensorExtElement(x.n, x.d)
         for (w, K), c in x.coeffs.items():
             for (A, B) in tensor_coproduct(w):
-                act(out, A, B, K, c)
+                rk = key(A, B, K)
+                r = rows.get(rk)
+                if r is None:
+                    r = rows[rk] = row(rk)
+                act(out, A, B, K, c, r)
         return out
 
     return FiberEndo(fn)
@@ -128,13 +141,14 @@ def op_E(chart: ChartConnection, X: Field, p, mode=FLOAT) -> FiberEndo:
         raise ValueError("op_E takes a fiber multivector field (or scalar)")
     p = as_point(p, mode)
 
-    def act(out, A, B, K, c):
-        for KX, cx in _incr_items(cd.nabla_value(X, B, p, mode)):
+    def act(out, A, B, K, c, row):
+        for KX, cx in row:
             s, merged = wedge_merge(KX, K)
             if s:
                 out._add((A, merged), s * c * cx)
 
-    return _sweedler_lift(act)
+    return _sweedler_lift(lambda A, B, K: B,
+                          lambda B: list(_incr_items(cd.nabla_value(X, B, p, mode))), act)
 
 
 def op_D(chart: ChartConnection, Y, p, mode=FLOAT) -> FiberEndo:
@@ -144,11 +158,11 @@ def op_D(chart: ChartConnection, Y, p, mode=FLOAT) -> FiberEndo:
             raise ValueError("op_D takes a tangent tensor field")
     p = as_point(p, mode)
 
-    def act(out, A, B, K, c):
-        for wy, cy in _nabla_values(Y, B, p, mode).items():
+    def act(out, A, B, K, c, row):
+        for wy, cy in row.items():
             out._add((A + wy, K), c * cy)
 
-    return _sweedler_lift(act)
+    return _sweedler_lift(lambda A, B, K: B, lambda B: _nabla_values(Y, B, p, mode), act)
 
 
 def f_lrcorner(chart: ChartConnection, f: Field, p, mode=FLOAT) -> FiberEndo:
@@ -157,12 +171,12 @@ def f_lrcorner(chart: ChartConnection, f: Field, p, mode=FLOAT) -> FiberEndo:
         raise ValueError("f_lrcorner needs a scalar field")
     p = as_point(p, mode)
 
-    def act(out, A, B, K, c):
-        fa = cd.nabla_value(f, A, p, mode).get((), 0)
+    def act(out, A, B, K, c, fa):
         if fa != 0:
             out._add((B, K), c * fa)
 
-    return _sweedler_lift(act)
+    return _sweedler_lift(lambda A, B, K: A,
+                          lambda A: cd.nabla_value(f, A, p, mode).get((), 0), act)
 
 
 def identity_endo(n, d) -> FiberEndo:
@@ -265,8 +279,8 @@ def op_perp(chart: ChartConnection, p, mode=FLOAT, inverse=False) -> FiberEndo:
 # ---------------------------------------------------------------------------
 # Adjoint of interior product.
 
-def _edag_fiber(pair, val: dict, r, K, c):
-    """The signed contraction sum on c eps_K, as (subset, coefficient) pairs:
+def _edag_fiber(pair, val: dict, r, K):
+    """The signed contraction sum on eps_K, as (subset, coefficient) pairs:
 
     Edag(eps_K) = sum over r-subsets L of positions (1-based) of K of
     (-1)^{l1+...+lr + r(r+1)/2} pair(val, K_L) eps_{K minus L}."""
@@ -275,7 +289,7 @@ def _edag_fiber(pair, val: dict, r, K, c):
         pv = pair(val, tuple(K[q] for q in pos))
         if pv != 0:
             sgn = (-1) ** (sum(q + 1 for q in pos) + r * (r + 1) // 2)
-            yield tuple(K[q] for q in range(k) if q not in pos), sgn * pv * c
+            yield tuple(K[q] for q in range(k) if q not in pos), sgn * pv
 
 
 def _gram_pair(g, val: dict, A) -> object:
@@ -294,16 +308,20 @@ def _gram_pair(g, val: dict, A) -> object:
 def _edag_contraction(field: Field, p, mode, pair) -> FiberEndo:
     """v box alpha |-> v_(1) box Edag_{nabla_{v_(2)} field} alpha, the signed
     contraction of :func:`_edag_fiber` with ``pair(value, KL)`` pairing the
-    value dict of nabla_{v_(2)} field against eps_{KL}."""
+    value dict of nabla_{v_(2)} field against eps_{KL}.  Its row per
+    (v_(2), K) holds the pairs of that contraction, pairings included."""
     r = len(field.slots)
 
-    def act(out, A, B, K, c):
+    def row(BK):
+        B, K = BK
         val = cd.nabla_value(field, B, p, mode)
-        if val:
-            for K2, c2 in _edag_fiber(pair, val, r, K, c):
-                out._add((A, K2), c2)
+        return list(_edag_fiber(pair, val, r, K)) if val else []
 
-    return _sweedler_lift(act)
+    def act(out, A, B, K, c, row):
+        for K2, v in row:
+            out._add((A, K2), v * c)
+
+    return _sweedler_lift(lambda A, B, K: (B, K), row, act)
 
 
 def _perp_conjugate(chart: ChartConnection, endo: FiberEndo, sign, p, mode,
@@ -464,29 +482,33 @@ def sharp(a: SharpElement, b: SharpElement) -> SharpElement:
     if out_budget < 0:
         raise ValueError("insufficient jet budget for sharp product")
     out = SharpElement(chart, p, mode, out_budget)
-    # per-call memos: the frame tensor e_{w1} and the k-vector eps_{Ka} (so
-    # their jet caches are shared) and the covariant product, which does
-    # not depend on the term of b
+    # per-call memos: one jet-backed head f e_{wa} per key of a, at the budget
+    # of the longest w1, so every covariant product for that key shares its
+    # nabla memo (truncation is a prefix, so no product changes); the frame
+    # tensor e_{w1} and the k-vector eps_{Ka}; and the covariant product,
+    # which does not depend on the term of b
+    head_budget = out_budget + top_b
+    heads = {akey: cd.mixed_tensor_fields(chart, {akey[0]: fjet.truncate(head_budget)},
+                                          p, head_budget, mode)
+             for akey, fjet in a.coeffs.items()}
     kvecs = {Ka: cd.kvector_field(chart, len(Ka), {Ka: 1}) for (_wa, Ka) in a.coeffs}
     frames, prods = {}, {}
     for (wb, Kb), gjet in b.coeffs.items():
         g0 = gjet.truncate(out_budget)
+        gprods = {}  # g * prod per (w1, a-key), shared by deshuffles repeating w1
         for (w1, w2) in tensor_coproduct(wb):
-            for (wa, Ka), fjet in a.coeffs.items():
+            for akey in a.coeffs:
                 # tensor part: g * (e_{w1} (.) f e_{wa})
-                prod = prods.get((w1, (wa, Ka)))
+                prod = prods.get((w1, akey))
                 if prod is None:
-                    head = cd.mixed_tensor_fields(
-                        chart, {wa: fjet.truncate(out_budget + len(w1))}, p,
-                        out_budget + len(w1), mode)
                     ew1 = frames.get(w1)
                     if ew1 is None:
                         ew1 = frames[w1] = cd.coordinate_tensor_field(chart, w1)
-                    prod = prods[(w1, (wa, Ka))] = cd.covariant_product(
-                        ew1, head, p, mode, out_budget)
+                    prod = prods[(w1, akey)] = cd.covariant_product(
+                        ew1, heads[akey], p, mode, out_budget)
                 # exterior part: (nabla_{e_{w2}} eps_{Ka}) wedge eps_{Kb}
-                nb = cd.nabla_word_jets(kvecs[Ka], w2, p, out_budget, mode)
-                gprod = None
+                nb = cd.nabla_word_jets(kvecs[akey[1]], w2, p, out_budget, mode)
+                gprod = gprods.get((w1, akey))
                 for KX in list(nb):
                     if not all(KX[i] < KX[i + 1] for i in range(len(KX) - 1)):
                         continue
@@ -495,7 +517,8 @@ def sharp(a: SharpElement, b: SharpElement) -> SharpElement:
                         continue
                     wedge_jet = nb[KX] if s == 1 else -nb[KX]
                     if gprod is None:
-                        gprod = [(wkey, g0 * pj) for wkey, pj in prod.items()]
+                        gprod = gprods[(w1, akey)] = [(wkey, g0 * pj)
+                                                      for wkey, pj in prod.items()]
                     for wkey, gpj in gprod:
                         cd._add_jet(out.coeffs, (wkey, merged), gpj * wedge_jet)
     return out

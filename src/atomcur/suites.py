@@ -1224,12 +1224,13 @@ def check_sharp(ctx):
     out.append(_result("sharp-unit", "unit element is a two-sided sharp unit", p,
                        max(sharp_resid(op.sharp(a, u), a), sharp_resid(op.sharp(u, a), a)),
                        ctx.tolerance(1e-12)))
-    l = op.sharp(op.sharp(a, b), c)
+    ab = op.sharp(a, b)
+    l = op.sharp(ab, c)
     r = op.sharp(a, op.sharp(b, c))
     out.append(_result("sharp-assoc", "sharp product is associative", p,
                        sharp_resid(l, r), ctx.tolerance(1e-7)))
     elems = _op_elems(ctx, r=1)
-    lhs = op.op_DE(op.sharp(a, b))
+    lhs = op.op_DE(ab)
     rhs = op.op_DE(a).compose(op.op_DE(b))
     out.append(_result("op-DE-action", "DE_{a sharp b} = DE_a o DE_b", p,
                        op.endo_residual(lhs, rhs, elems), ctx.tolerance(1e-7)))
@@ -1238,7 +1239,7 @@ def check_sharp(ctx):
                                         elems), ctx.tolerance(1e-12)))
     if ctx.chart.metric is not None and \
             (ctx.mode == FLOAT or _metric_is_identity(ctx.chart, p, ctx.mode)):
-        lhs = op.op_DEdag(op.sharp(a, b))
+        lhs = op.op_DEdag(ab)
         rhs = op.op_DEdag(a).compose(op.op_DEdag(b))
         sgn = (-1) ** (kd * kd)
         out.append(_result("op-DEdag-sign",
@@ -1397,19 +1398,20 @@ def _codifferential_twin_residual(ctx, p):
     worst = 0
     for kdeg in range(0, min(2, n)):
         for w in [(), (0,)]:
-            for K in anti_indices(n, kdeg):
-                x = basis_element(n, n, w, K)
-                tx = trDE(x)
-                multis = at._multi_indices(n, len(w) + 1).values()
-                for T in itertools.chain.from_iterable(multis):
-                    for L in anti_indices(n, kdeg + 1):
-                        mono = ex.monomial_form(p, T, chart.names)
-                        omf = cd.form_field(chart, kdeg + 1, {L: mono})
-                        omsharp = _raise_jet_form(dch, chart, omf, p, len(w) + 1, ctx.mode)
+            xs = [basis_element(n, n, w, K) for K in anti_indices(n, kdeg)]
+            txs = [(x, trDE(x)) for x in xs]
+            # the raised probe and its raised codifferential depend on
+            # (kdeg, len(w), T, L) only: build each once, read it for every x
+            multis = at._multi_indices(n, len(w) + 1).values()
+            for T in itertools.chain.from_iterable(multis):
+                for L in anti_indices(n, kdeg + 1):
+                    mono = ex.monomial_form(p, T, chart.names)
+                    omf = cd.form_field(chart, kdeg + 1, {L: mono})
+                    omsharp = _raise_jet_form(dch, chart, omf, p, len(w) + 1, ctx.mode)
+                    dl = op.codifferential_form(chart, omf, p, ctx.mode, budget=len(w) + 1)
+                    mdl = _raise_jet_form(dch, chart, dl, p, len(w) + 1, ctx.mode)
+                    for x, tx in txs:
                         lhs = at.phi_apply(dch, tx, omsharp, p, ctx.mode)
-                        dl = op.codifferential_form(chart, omf, p, ctx.mode,
-                                                    budget=len(w) + 1)
-                        mdl = _raise_jet_form(dch, chart, dl, p, len(w) + 1, ctx.mode)
                         rhs = -at.phi_apply(dch, x, mdl, p, ctx.mode)
                         worst = max(worst, abs(lhs - rhs))
     return worst

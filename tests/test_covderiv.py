@@ -392,3 +392,40 @@ def test_antisymmetrized_components_share_one_negation(flat3):
     odd = [K for K in itertools.permutations((0, 1, 2)) if g.comps[K] is not g.comps[(0, 1, 2)]]
     assert len(odd) == 3
     assert all(g.comps[K] is g.comps[odd[0]] for K in odd)
+
+
+def _coefficients(jets: dict, n, order):
+    """Every coefficient of every component whose jet is not zero."""
+    from atomcur.jets import JetSpace
+    space = JetSpace(n, order)
+    return {idx: [jet.coeff(T) for T in space.index_of] for idx, jet in jets.items()
+            if not jet.is_zero()}
+
+
+@pytest.mark.parametrize("mode", ["float", "rational"])
+def test_lower_order_nabla_jets_are_truncations(poly2, poly2_point, mode):
+    """After a word's jets at a high order, a lower order is answered by
+    truncation, and equals the jets a fresh field derives at that order,
+    coefficient for coefficient (bitwise in float mode)."""
+    p = poly2_point if mode == "rational" else tuple(float(x) for x in poly2_point)
+
+    def fields():
+        return [cd.vector_field(poly2, {0: "x*y + 1", 1: "x^3 - y"}),
+                cd.form_field(poly2, 2, {(0, 1): "1 + x*y^2"}),
+                cd.scalar_field(poly2, "x^2*y/(1 + y^2)")]
+
+    held = fields()
+    words = [(), (0,), (1, 0), (0, 1, 1)]
+    for f in held:
+        for I in words:
+            cd.nabla_word_jets(f, I, p, 4, mode)
+    for low in (0, 1, 2):
+        for f, g in zip(held, fields()):
+            for I in words:
+                got = cd.nabla_word_jets(f, I, p, low, mode)
+                want = cd.nabla_word_jets(g, I, p, low, mode)
+                a = _coefficients(got, poly2.n, low)
+                b = _coefficients(want, poly2.n, low)
+                assert {k: list(map(repr, v)) for k, v in a.items()} == \
+                    {k: list(map(repr, v)) for k, v in b.items()}, (I, low)
+                assert a

@@ -391,7 +391,9 @@ def test_star_form_jets_reuses_metric_jets(monkeypatch):
 
 
 def test_sharp_one_covariant_product_per_key(s2, monkeypatch):
-    """sharp derives e_{w1} (.) f e_{wa} once per (w1, a-key), not per b-term."""
+    """sharp derives e_{w1} (.) f e_{wa} once per (w1, a-key), not per b-term,
+    and builds the jet-backed head f e_{wa} once per key of a, so all the
+    covariant products of that key read one head."""
     from atomcur.multialg import tensor_coproduct
     p = (1.1, 0.8)
     B = 6
@@ -400,20 +402,77 @@ def test_sharp_one_covariant_product_per_key(s2, monkeypatch):
     a = op.SharpElement.from_fields(s2, tf, ef, p, "float", B)
     tg = cd.tensor_field(s2, 2, {(0, 1): "1", (1, 1): "theta*phi"})
     b = op.SharpElement.from_fields(s2, tg, ef, p, "float", B)
-    calls = []
-    inner = cd.covariant_product
+    calls, heads, readers = [], [], {}
+    inner, build = cd.covariant_product, cd.mixed_tensor_fields
 
     def counting(X, Y, *args, **kwargs):
         (w1,) = X.comps
         (wa,) = [w for f in cd.as_field_list(Y) for w in f.comps]
         calls.append((w1, wa))
+        readers.setdefault(id(Y), []).append(w1)
         return inner(X, Y, *args, **kwargs)
 
+    def building(*args, **kwargs):
+        heads.append(build(*args, **kwargs))
+        return heads[-1]
+
     monkeypatch.setattr(cd, "covariant_product", counting)
+    monkeypatch.setattr(cd, "mixed_tensor_fields", building)
     op.sharp(a, b)
+    assert len(heads) == len(a.coeffs)
+    assert sorted(readers) == sorted(id(h) for h in heads)
+    assert all(len(w1s) > 1 for w1s in readers.values())
     w1s = {w1 for (wb, _Kb) in b.coeffs for (w1, _w2) in tensor_coproduct(wb)}
     assert len(calls) == len(w1s) * len(a.coeffs)
     want = sorted((w1, wa) for w1 in w1s for (wa, _Ka) in a.coeffs)
     assert sorted(calls) == want
     b_terms = sum(len(tensor_coproduct(wb)) for (wb, _Kb) in b.coeffs)
     assert len(calls) < b_terms * len(a.coeffs)
+
+
+def _leaf_endos(chart, p, mode):
+    """Each leaf lift of the operator layer, built afresh on every call."""
+    X = cd.kvector_field(chart, 1, {(0,): "x*y + 1", (1,): "x - y/2"})
+    X2 = cd.kvector_field(chart, 2, {(0, 1): "1 + x^2"})
+    Y = cd.vector_field(chart, {0: "y^2", 1: "1 + x*y"})
+    theta = cd.form_field(chart, 1, {(0,): "x", (1,): "2 - y"})
+    f = cd.scalar_field(chart, "1 + x*y^2")
+    return {
+        "E": op.op_E(chart, X, p, mode),
+        "E2": op.op_E(chart, X2, p, mode),
+        "D": op.op_D(chart, Y, p, mode),
+        "D-mixed": op.op_D(chart, [Y, cd.product_field(Y, Y)], p, mode),
+        "f-corner": op.f_lrcorner(chart, f, p, mode),
+        "Edag": op.op_Edag(chart, X, p, mode),
+        "Edag2": op.op_Edag(chart, X2, p, mode),
+        "Edag-theta": op.op_Edag_theta(chart, theta, p, mode),
+    }
+
+
+@pytest.mark.parametrize("mode", ["float", RATIONAL])
+def test_leaf_endo_rows_are_derived_once(poly2, poly2_point, monkeypatch, mode):
+    """A second pass of a leaf lift over the basis reads only its held rows:
+    no nabla value and no Gram determinant is derived again, and the images
+    equal those of a freshly built endomorphism."""
+    from atomcur.suites import SuiteContext, _op_elems
+    p = poly2_point if mode == RATIONAL else tuple(float(x) for x in poly2_point)
+    ctx = SuiteContext(chart=poly2, probes=[p], seed=0, r=2, k=1, mode=mode)
+    elems = _op_elems(ctx)
+    endos = _leaf_endos(poly2, p, mode)
+    first = {name: [endo(x) for x in elems] for name, endo in endos.items()}
+    calls = []
+    nabla_value, gram_pair = cd.nabla_value, op._gram_pair
+    monkeypatch.setattr(cd, "nabla_value",
+                        lambda *a, **kw: calls.append("nabla_value") or nabla_value(*a, **kw))
+    monkeypatch.setattr(op, "_gram_pair",
+                        lambda *a, **kw: calls.append("_gram_pair") or gram_pair(*a, **kw))
+    second = {name: [endo(x) for x in elems] for name, endo in endos.items()}
+    assert calls == []
+    monkeypatch.undo()
+    fresh = _leaf_endos(poly2, p, mode)
+    for name, endo in fresh.items():
+        images = [endo(x).coeffs for x in elems]
+        assert [y.coeffs for y in second[name]] == images, name
+        assert [y.coeffs for y in first[name]] == images, name
+        assert any(images), name
+
