@@ -17,8 +17,6 @@ by probe annihilation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 
 from . import covderiv as cd
 from . import expr as ex
@@ -26,74 +24,28 @@ from .connection import ChartConnection
 from .covderiv import TU, Field
 from .jets import FLOAT, Jet, as_point, as_scalar
 from .multialg import (TensorExtElement, anti_indices, det,
-                       gradlex_key, iterated_tensor_coproduct, sort_sign,
+                       iterated_tensor_coproduct, sort_sign,
                        sorted_word, sorted_words, tensor_coproduct,
                        wedge_coproduct, word_multidegree)
 
 
-@dataclass
-class AtomicCurrent:
-    """A point-supported current in PBW coordinates.
+class AtomicCurrent(TensorExtElement):
+    """A point-supported current in PBW coordinates: the fiber element on
+    nondecreasing words that Phi at ``point`` maps to the current.
 
-    ``coeffs`` maps (nondecreasing word I, increasing subset K) to the
-    coefficient of the functional omega |-> (nabla_{e_I} omega)_p(eps_K).
+    The coefficient of (word I, increasing subset K) is that of the
+    functional omega |-> (nabla_{e_I} omega)_point(eps_K); ``r`` bounds the
+    word length and ``k`` is the exterior degree.
     """
 
-    point: tuple
-    r: int
-    k: int
-    coeffs: dict = dc_field(default_factory=dict)
+    __slots__ = ("point", "r", "k")
 
-    def add(self, I, K, c):
-        if c == 0:
-            return
-        key = (tuple(I), tuple(K))
-        cur = self.coeffs.get(key, 0)
-        new = cur + c
-        if new == 0:
-            self.coeffs.pop(key, None)
-        else:
-            self.coeffs[key] = new
+    def __init__(self, point, r: int, k: int, d: int):
+        super().__init__(len(point), d)
+        self.point, self.r, self.k = point, r, k
 
-    def items(self):
-        return sorted(self.coeffs.items(),
-                      key=lambda kv: (gradlex_key(kv[0][0]), kv[0][1]))
-
-    def scale(self, a):
-        out = AtomicCurrent(self.point, self.r, self.k)
-        if a != 0:
-            out.coeffs = {key: a * c for key, c in self.coeffs.items()}
-        return out
-
-    def __add__(self, other):
-        out = AtomicCurrent(self.point, max(self.r, other.r), self.k)
-        out.coeffs = dict(self.coeffs)
-        for (I, K), c in other.coeffs.items():
-            out.add(I, K, c)
-        return out
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def max_abs(self):
-        return max((abs(c) for c in self.coeffs.values()), default=0)
-
-    def to_json(self):
-        out = {}
-        for (I, K), c in self.items():
-            key = ",".join(map(str, I)) + "|" + ",".join(map(str, K))
-            out[key] = str(c) if isinstance(c, Fraction) else float(c)
-        return out
-
-    @staticmethod
-    def from_json(point, r, k, data):
-        cur = AtomicCurrent(tuple(point), r, k)
-        for key, c in data.items():
-            ws, ks = key.split("|")
-            I = tuple(int(x) for x in ws.split(",") if x != "")
-            K = tuple(int(x) for x in ks.split(",") if x != "")
-            cur.add(I, K, Fraction(c) if isinstance(c, str) else c)
-        return cur
+    def _like(self) -> "AtomicCurrent":
+        return AtomicCurrent(self.point, self.r, self.k, self.d)
 
 
 def pbw_keys(n: int, d: int, r: int, k: int):
@@ -203,9 +155,8 @@ def to_pbw(chart: ChartConnection, x: TensorExtElement, p, r=None, k=None,
         raise ValueError(f"element has tensor order {x.max_order()} > r={r}")
     # pure sorted-word elements are their own PBW coordinates
     if all(w == tuple(sorted(w)) for (w, _K) in x.coeffs):
-        cur = AtomicCurrent(p, r, k)
-        for (w, K), c in x.coeffs.items():
-            cur.add(w, K, c)
+        cur = AtomicCurrent(p, r, k, chart.d)
+        cur.coeffs = dict(x.coeffs)
         return cur
     return _pbw_solve(chart, p, r, k,
                       lambda probe, _T, _L: phi_apply(chart, x, probe, p, mode), mode)
@@ -219,7 +170,7 @@ def _pbw_solve(chart: ChartConnection, p, r, k, eval_fn, mode) -> AtomicCurrent:
     value minus what the coordinates already found (all of higher word
     length) contribute on that probe.
     """
-    cur = AtomicCurrent(p, r, k)
+    cur = AtomicCurrent(p, r, k, chart.d)
     for T, L, probe in monomial_probes(chart, p, r, k, mode, descending=True):
         g = sum(T)
         y = eval_fn(probe, T, L)
@@ -230,7 +181,7 @@ def _pbw_solve(chart: ChartConnection, p, r, k, eval_fn, mode) -> AtomicCurrent:
             gval = cd.nabla_value(probe, I, p, mode).get(K, 0)
             if gval != 0:
                 corr += c * gval
-        cur.add(sorted_word(T), L, y - corr)
+        cur._add((sorted_word(T), L), y - corr)
     return cur
 
 
@@ -409,24 +360,6 @@ def coproduct_pair_evaluate(chart, T: AtomicCurrent, omega: Field, eta: Field,
             continue
         total += c * a * b
     return total
-
-
-# ---------------------------------------------------------------------------
-# Module action of scalar functions.
-
-def f_action(f: Field, T: AtomicCurrent, mode=FLOAT) -> AtomicCurrent:
-    """f-corner action: (f |_ T)(omega) = T(f omega), via the lift
-    f |_ (v box alpha) = (nabla_{v_(1)} f) v_(2) box alpha."""
-    if f.slots != ():
-        raise ValueError("f_action needs a scalar field")
-    p = T.point
-    out = AtomicCurrent(p, T.r, T.k)
-    for (I, K), c in T.coeffs.items():
-        for (A, B) in tensor_coproduct(I):
-            fa = cd.nabla_value(f, A, p, mode).get((), 0)
-            if fa != 0:
-                out.add(B, K, c * fa)
-    return out
 
 
 # ---------------------------------------------------------------------------

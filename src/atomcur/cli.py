@@ -109,8 +109,7 @@ def build_chart(data: dict) -> ChartConnection:
         k, i, j = (int(x) for x in key.split(","))
         gamma[k][i][j] = text
     return ChartConnection(coords, gamma, domain, fiber_gamma=fiber_gamma,
-                           orientation=data.get("orientation", 1), name=data["name"],
-                           check_points=check_points)
+                           name=data["name"], check_points=check_points)
 
 
 def resolve_probes(data: dict, chart: ChartConnection, mode: str, seed: int):

@@ -3,7 +3,7 @@
 A :class:`ChartConnection` holds a chart (coordinate names and a domain
 box), first-order Christoffel symbols for the base connection on the
 tangent bundle, first-order coefficients for a fiber bundle E (the
-tangent bundle by default), and optionally a metric with orientation.
+tangent bundle by default), and optionally a metric.
 
 A chart built from a metric stores only the metric expressions: its
 Levi-Civita symbols, g^{-1} and det g are assembled at each point from the
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import copy
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import expr as ex
@@ -75,7 +75,7 @@ class ChartConnection:
     """
 
     def __init__(self, names, base_gamma, domain, fiber_gamma=None,
-                 metric=None, orientation=1, check_points=None, name="chart",
+                 metric=None, check_points=None, name="chart",
                  validate=True):
         self.name = name
         self.names = tuple(names)
@@ -102,7 +102,6 @@ class ChartConnection:
             self.fiber_gamma = _expr(fiber_gamma, self.names)
             self.fiber_is_tangent = False
             self._fiber_table = _expression_table(self.fiber_gamma)
-        self.orientation = 1 if orientation >= 0 else -1
         self._cache = {}
         self._lock = threading.Lock()
         self._check_points = tuple(tuple(p) for p in (check_points or [self._midpoint()]))
@@ -127,7 +126,6 @@ class ChartConnection:
         """Same chart with an explicit fiber connection given by expressions."""
         return ChartConnection(self.names, self.base_gamma, self.domain,
                                fiber_gamma=fiber_gamma, metric=self.metric,
-                               orientation=self.orientation,
                                name=name or self.name, validate=False)
 
     def _derived(self, name, base_table=None, fiber_table=None):
@@ -332,24 +330,17 @@ class ChartConnection:
 @dataclass
 class CurvatureAt:
     """Curvature components at a point: R(e_u, e_v) e_j = base[(k, j, u, v)] e_k,
-    and likewise for the fiber bundle.  ``nabla_base`` / ``nabla_fiber`` hold
-    the requested covariant derivatives, keyed by frame word."""
+    and likewise for the fiber bundle.  Covariant derivatives of R are read
+    through ``covderiv.curvature_field``."""
 
     point: tuple
     base: dict
     fiber: dict
-    nabla_base: dict = field(default_factory=dict)
-    nabla_fiber: dict = field(default_factory=dict)
 
 
-def curvature(cc: ChartConnection, p, mode=FLOAT, nabla_order=0) -> CurvatureAt:
+def curvature(cc: ChartConnection, p, mode=FLOAT) -> CurvatureAt:
     """Curvature from the antisymmetrized order-2 symbols:
-    R^k_{j u v} = Gamma^k_{(u,v),j} - Gamma^k_{(v,u),j}.
-
-    With ``nabla_order`` > 0, covariant derivatives nabla_{e_S} R for all
-    frame words |S| <= nabla_order are evaluated through the derivative
-    engine (Hom-bundle connection) and attached to the result.
-    """
+    R^k_{j u v} = Gamma^k_{(u,v),j} - Gamma^k_{(v,u),j}."""
     p = cc.resolve(p, mode)
     base, fiber = {}, {}
     for u in range(cc.n):
@@ -366,19 +357,7 @@ def curvature(cc: ChartConnection, p, mode=FLOAT, nabla_order=0) -> CurvatureAt:
             for a in range(cc.d):
                 for b in range(cc.d):
                     fiber[(b, a, u, v)] = fuv[a][b].value - fvu[a][b].value
-    out = CurvatureAt(point=p, base=base, fiber=fiber)
-    if nabla_order > 0:
-        from . import covderiv as cd
-        import itertools
-        for s in range(1, nabla_order + 1):
-            for S in itertools.product(range(cc.n), repeat=s):
-                bf = cd.curvature_field(cc, "base", p, mode, s)
-                ff = cd.curvature_field(cc, "fiber", p, mode, s)
-                out.nabla_base[S] = {idx: j.value for idx, j in
-                                     cd.nabla_word_jets(bf, S, p, 0, mode).items()}
-                out.nabla_fiber[S] = {idx: j.value for idx, j in
-                                      cd.nabla_word_jets(ff, S, p, 0, mode).items()}
-    return out
+    return CurvatureAt(point=p, base=base, fiber=fiber)
 
 
 def dual_chart(cc: ChartConnection, name=None) -> ChartConnection:

@@ -318,19 +318,24 @@ class TensorExtElement:
         else:
             self.coeffs[key] = new
 
+    def _like(self) -> "TensorExtElement":
+        """An empty element of the same kind, so that a subclass keeps its
+        own data through ``scale``, ``+`` and ``-``."""
+        return TensorExtElement(self.n, self.d)
+
     def items(self):
         return sorted(self.coeffs.items(),
                       key=lambda kv: (gradlex_key(kv[0][0]), gradlex_key(kv[0][1])))
 
     def scale(self, a) -> "TensorExtElement":
-        out = TensorExtElement(self.n, self.d)
+        out = self._like()
         if a != 0:
             for (w, K), c in self.coeffs.items():
                 out.coeffs[(w, K)] = a * c
         return out
 
     def __add__(self, other: "TensorExtElement") -> "TensorExtElement":
-        out = TensorExtElement(self.n, self.d)
+        out = self._like()
         out.coeffs = dict(self.coeffs)
         for key, c in other.coeffs.items():
             out._add(key, c)

@@ -189,9 +189,9 @@ def test_criterion_7_curvature_in_quotient(charts):
                     lhs = at.to_pbw(chart, x, p, 2, k)
                     M = [[cv.fiber[(bb, aa, a, b)] for aa in range(2)]
                          for bb in range(2)]
-                    rhs = at.AtomicCurrent(tuple(p), 2, k)
+                    rhs = at.AtomicCurrent(tuple(p), 2, k, 2)
                     for K2, c in at._apply_end_to_kvector(M, {K: 1}).items():
-                        rhs.add((), K2, -c)
+                        rhs.add_term((), K2, -c)
                     worst = max(worst, (lhs - rhs).max_abs())
     _report(7, "curvature in the quotient", worst < 1e-8, f"worst {worst:.2e}")
 
@@ -227,9 +227,9 @@ def test_criterion_9_boundary(charts):
     p = (1.1, 0.8)
     worst_sq = worst_eps = worst_dual = 0
     for _ in range(30):
-        T = at.AtomicCurrent(p, 1, rng.choice((1, 2)))
+        T = at.AtomicCurrent(p, 1, rng.choice((1, 2)), 2)
         for key in at.pbw_keys(2, 2, 1, T.k):
-            T.add(key[0], key[1], rng.randint(-3, 3))
+            T.add_term(key[0], key[1], rng.randint(-3, 3))
         om = su.rand_form_field(
             su.SuiteContext(chart=s2, probes=[p], seed=rng.randint(0, 99)),
             rng, T.k - 1)
@@ -242,8 +242,8 @@ def test_criterion_9_boundary(charts):
         if T.k == 1:
             worst_eps = max(worst_eps, abs(at.counit(bT)))
     flat = charts["flat2"]
-    T = at.AtomicCurrent((0.25, -0.5), 0, 2)
-    T.add((), (0, 1), 1)
+    T = at.AtomicCurrent((0.25, -0.5), 0, 2, 2)
+    T.add_term((), (0, 1), 1)
     bT = op.boundary(flat, T)
     hand_ok = abs(bT.coeffs.get(((0,), (1,)), 0) - 1) < 1e-12 and \
         abs(bT.coeffs.get(((1,), (0,)), 0) + 1) < 1e-12 and len(bT.coeffs) == 2

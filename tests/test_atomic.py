@@ -10,7 +10,7 @@ from atomcur import expr as ex
 from atomcur import operators as op
 from atomcur.connection import ChartConnection, curvature
 from atomcur.jets import RATIONAL
-from atomcur.multialg import anti_indices, basis_element
+from atomcur.multialg import TensorExtElement, anti_indices, basis_element
 
 
 def test_phi_zeroth_derivative(s2):
@@ -74,9 +74,9 @@ def test_to_pbw_s2_curvature(s2):
     x = basis_element(2, 2, (0, 1), (0, 1)) + basis_element(2, 2, (1, 0), (0, 1)).scale(-1)
     lhs = at.to_pbw(s2, x, p, 2, 2)
     M = [[cv.fiber[(b, a, 0, 1)] for a in range(2)] for b in range(2)]
-    rhs = at.AtomicCurrent(p, 2, 2)
+    rhs = at.AtomicCurrent(p, 2, 2, 2)
     for K, c in at._apply_end_to_kvector(M, {(0, 1): 1}).items():
-        rhs.add((), K, -c)
+        rhs.add_term((), K, -c)
     assert (lhs - rhs).max_abs() < 1e-8
 
 
@@ -109,8 +109,8 @@ def test_kernel_annihilation_exact(poly2, poly2_point):
 
 
 def test_coproduct_dirac_grouplike():
-    D = at.AtomicCurrent((0.0, 0.0), 0, 0)
-    D.add((), (), 1)
+    D = at.AtomicCurrent((0.0, 0.0), 0, 0, 2)
+    D.add_term((), (), 1)
     assert at.coproduct(D) == {(((), ()), ((), ())): 1}
 
 
@@ -119,9 +119,9 @@ def test_coproduct_duality(s2):
     p = (1.1, 0.8)
     worst = 0
     for _ in range(25):
-        T = at.AtomicCurrent(p, 2, 2)
+        T = at.AtomicCurrent(p, 2, 2, 2)
         for key in at.pbw_keys(2, 2, 2, 2):
-            T.add(key[0], key[1], rng.randint(-3, 3))
+            T.add_term(key[0], key[1], rng.randint(-3, 3))
         om = cd.form_field(s2, 1, {(0,): f"{rng.randint(-2,2)}*theta", (1,): "phi"})
         et = cd.form_field(s2, 1, {(0,): "1", (1,): f"{rng.randint(-2,2)}*theta*phi"})
         lhs = at.coproduct_pair_evaluate(s2, T, om, et)
@@ -133,9 +133,9 @@ def test_coproduct_duality(s2):
 def test_counit_law(s2):
     rng = random.Random(9)
     p = (1.3, 2.0)
-    T = at.AtomicCurrent(p, 2, 1)
+    T = at.AtomicCurrent(p, 2, 1, 2)
     for key in at.pbw_keys(2, 2, 2, 1):
-        T.add(key[0], key[1], Fraction(rng.randint(-3, 3)))
+        T.add_term(key[0], key[1], Fraction(rng.randint(-3, 3)))
     assert at.counit(T) == 0  # degree 1 pairs to zero with the constant 1
     left = {}
     for ((kl, kr)), c in at.coproduct(T).items():
@@ -149,23 +149,56 @@ def test_f_action(s2):
     p = (1.1, 0.8)
     f = cd.scalar_field(s2, "theta^2*phi + sin(theta)")
     for _ in range(10):
-        T = at.AtomicCurrent(p, 2, 1)
+        T = at.AtomicCurrent(p, 2, 1, 2)
         for key in at.pbw_keys(2, 2, 2, 1):
-            T.add(key[0], key[1], rng.randint(-2, 2))
+            T.add_term(key[0], key[1], rng.randint(-2, 2))
         om = cd.form_field(s2, 1, {(0,): "theta", (1,): "phi^2"})
-        fT = at.f_action(f, T)
-        lhs = at.current_evaluate(s2, fT, om)
+        fT = op.f_lrcorner(s2, f, p)(T)
+        lhs = at.phi_apply(s2, fT, om, p)
         fom = cd.Field(s2, om.slots,
                        {i: ex.ex_mul(f.comps[()], c) for i, c in om.comps.items()})
         rhs = at.current_evaluate(s2, T, fom)
         assert abs(lhs - rhs) < 1e-9
     one = cd.scalar_field(s2, 1)
-    assert (at.f_action(one, T) - T).max_abs() == 0
-    D = at.AtomicCurrent(p, 0, 0)
-    D.add((), (), 1)
+    assert (op.f_lrcorner(s2, one, p)(T) - T).max_abs() == 0
+    D = at.AtomicCurrent(p, 0, 0, 2)
+    D.add_term((), (), 1)
     vanish = cd.scalar_field(s2, ex.ex_sub(ex.Sym(0, "theta"), ex.Const(Fraction(11, 10))))
     # f(p) = 0 within float resolution kills the Dirac mass
-    assert at.f_action(vanish, D).max_abs() < 1e-12
+    assert op.f_lrcorner(s2, vanish, p)(D).max_abs() < 1e-12
+
+
+def test_f_lrcorner_current_exact(poly2, poly2_point):
+    """On a rational current the module action lands on nondecreasing words
+    (a deshuffle of a sorted word is sorted) and (f corner T)(omega) =
+    T(f omega) holds exactly."""
+    rng = random.Random(11)
+    p = poly2_point
+    T = at.AtomicCurrent(p, 2, 1, poly2.d)
+    for key in at.pbw_keys(2, 2, 2, 1):
+        T.add_term(key[0], key[1], Fraction(rng.randint(-3, 3), rng.randint(1, 4)))
+    f = cd.scalar_field(poly2, "x^2*y - 3*x + 2")
+    om = cd.form_field(poly2, 1, {(0,): "x*y", (1,): "y^2 - x"})
+    fT = op.f_lrcorner(poly2, f, p, RATIONAL)(T)
+    assert fT.coeffs
+    assert all(list(w) == sorted(w) for (w, _K) in fT.coeffs)
+    fom = cd.Field(poly2, om.slots,
+                   {i: ex.ex_mul(f.comps[()], c) for i, c in om.comps.items()})
+    assert at.phi_apply(poly2, fT, om, p, RATIONAL) == \
+        at.current_evaluate(poly2, T, fom, RATIONAL)
+
+
+def test_current_arithmetic_keeps_current():
+    p = (Fraction(1, 2), Fraction(0))
+    T = at.AtomicCurrent(p, 2, 1, 3)
+    T.add_term((0, 1), (2,), Fraction(3, 7))
+    U = at.AtomicCurrent(p, 2, 1, 3)
+    U.add_term((), (0,), 5)
+    for out in (T.scale(2), T + U, T - U, T.scale(0)):
+        assert isinstance(out, at.AtomicCurrent)
+        assert (out.point, out.r, out.k, out.n, out.d) == (p, 2, 1, 2, 3)
+    assert (T + U).coeffs == {((0, 1), (2,)): Fraction(3, 7), ((), (0,)): 5}
+    assert (T - T).coeffs == {}
 
 
 def test_transition_identity(s2):
@@ -195,8 +228,8 @@ def test_transition_cocycle_sphere():
 
 
 def test_current_json_roundtrip():
-    T = at.AtomicCurrent((Fraction(1, 2), Fraction(0)), 2, 1)
-    T.add((0, 1), (0,), Fraction(3, 7))
-    T.add((), (1,), -2)
-    back = at.AtomicCurrent.from_json(T.point, 2, 1, T.to_json())
+    T = at.AtomicCurrent((Fraction(1, 2), Fraction(0)), 2, 1, 2)
+    T.add_term((0, 1), (0,), Fraction(3, 7))
+    T.add_term((), (1,), -2)
+    back = TensorExtElement.from_json(T.n, T.d, T.to_json())
     assert back.coeffs == T.coeffs

@@ -258,6 +258,10 @@ ORACLE_DIGESTS = [
     # here; hyperbolic rational skips them (about 1 s)
     ("flat-r2", "operators", "rational",
      "21ed0bd7f3e8d8070433e03a04786c7e234bcda4e2fce0d551795a839ff64395"),
+    # the whole curved3-float benchmark workload: every float operation of
+    # every suite, not only the operators, keeps its order (about 2.5 s)
+    ("poly3", "all", "float",
+     "cadbb170353f7aa5cb12211f735497d0b703033699372dcfde2c7794c598beef"),
 ]
 
 

@@ -244,17 +244,17 @@ def test_tensoriality_in_word_slots(s2):
 
 
 def test_curvature_with_derivative_orders(s2, flat2, poly2, poly2_point):
-    from atomcur.connection import curvature
+    def nabla_R(chart, which, S, p, mode=FLOAT):
+        field = cd.curvature_field(chart, which, p, mode, len(S))
+        return {idx: j.value for idx, j in cd.nabla_word_jets(field, S, p, 0, mode).items()}
+
     # the round sphere is locally symmetric: nabla R vanishes identically
-    cv = curvature(s2, (1.1, 0.8), nabla_order=1)
-    assert all(abs(v) < 1e-12 for v in cv.nabla_base[(0,)].values())
-    # a generic polynomial metric has nonvanishing nabla R
-    cvp = curvature(poly2, poly2_point, RATIONAL, nabla_order=2)
-    assert ((0,) in cvp.nabla_base) and ((0, 1) in cvp.nabla_fiber)
-    assert any(v != 0 for v in cvp.nabla_base[(0,)].values())
-    cvf = curvature(flat2, (0.2, 0.3), nabla_order=2)
-    for S, comps in cvf.nabla_base.items():
-        assert all(v == 0 for v in comps.values())
+    assert all(abs(v) < 1e-12 for v in nabla_R(s2, "base", (0,), (1.1, 0.8)).values())
+    # a generic polynomial metric has nonvanishing nabla R, base and fiber
+    assert any(v != 0 for v in nabla_R(poly2, "base", (0,), poly2_point, RATIONAL).values())
+    assert any(v != 0 for v in nabla_R(poly2, "fiber", (0, 1), poly2_point, RATIONAL).values())
+    for S in [(0,), (1,)] + list(itertools.product(range(2), repeat=2)):
+        assert all(v == 0 for v in nabla_R(flat2, "base", S, (0.2, 0.3)).values())
 
 
 def test_warning_case_nonzero(s2):

@@ -84,11 +84,16 @@ def test_words_and_multidegree():
 
 
 def test_tensor_ext_element_json():
+    from atomcur.atomic import AtomicCurrent
     el = TensorExtElement(2, 2)
     el.add_term((0, 1), (1,), Fraction(3, 2))
     el.add_term((1,), (0, 1), -2)
-    back = TensorExtElement.from_json(2, 2, el.to_json())
-    assert back.coeffs == el.coeffs
+    cur = AtomicCurrent((Fraction(1, 2), Fraction(0)), 2, 1, 2)
+    cur.add_term((0, 1), (0,), Fraction(3, 7))
+    cur.add_term((), (1,), -2)
+    for x in (el, cur):
+        back = TensorExtElement.from_json(2, 2, x.to_json())
+        assert back.coeffs == x.coeffs
 
 
 def test_tensor_ext_element_cancellation():
