@@ -23,10 +23,9 @@ from . import expr as ex
 from .connection import ChartConnection
 from .covderiv import TU, Field
 from .jets import FLOAT, Jet, as_point, as_scalar
-from .multialg import (TensorExtElement, anti_indices, det,
-                       iterated_tensor_coproduct, sort_sign,
-                       sorted_word, sorted_words, tensor_coproduct,
-                       wedge_coproduct, word_multidegree)
+from .multialg import (TensorExtElement, anti_indices, delta_coproduct, det,
+                       iterated_tensor_coproduct, sort_sign, sorted_word,
+                       sorted_words, word_multidegree)
 
 
 class AtomicCurrent(TensorExtElement):
@@ -107,31 +106,22 @@ def monomial_probes(chart: ChartConnection, p, r, k, mode, descending=False):
                 yield T, L, probe_form(chart, p, T, L, mode)
 
 
-def evaluate_functional(chart, coeffs, omega: Field, p, mode=FLOAT):
-    """Evaluate sum c_{w,K} (nabla_{e_w} omega)_p(eps_K) for a key-coeff map."""
-    total = 0
-    for (w, K), c in coeffs:
-        if c == 0:
-            continue
-        val = cd.nabla_value(omega, w, p, mode)
-        v = val.get(tuple(K), 0)
-        if v != 0:
-            total += c * v
-    return total
-
-
 def phi_apply(chart: ChartConnection, x: TensorExtElement, omega: Field, p, mode=FLOAT):
-    """Phi_p(x) evaluated on a form field."""
+    """Phi_p(x) evaluated on a form field: the sum over the terms of x, in
+    PBW key order, of c_{w,K} (nabla_{e_w} omega)_p(eps_K)."""
     degs = x.degrees()
     if len(degs) > 1:
         raise ValueError("phi_apply needs a homogeneous exterior degree")
     if degs and degs[0] != len(omega.slots):
         raise ValueError("degree mismatch between element and form")
-    return evaluate_functional(chart, x.items(), omega, p, mode)
-
-
-def current_evaluate(chart, T: AtomicCurrent, omega: Field, mode=FLOAT):
-    return evaluate_functional(chart, T.items(), omega, T.point, mode)
+    total = 0
+    for (w, K), c in x.items():
+        if c == 0:
+            continue
+        v = cd.nabla_value(omega, w, p, mode).get(K, 0)
+        if v != 0:
+            total += c * v
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -318,26 +308,6 @@ def kernel_basis_count(n: int, d: int, r: int, k: int) -> int:
 # ---------------------------------------------------------------------------
 # Co-algebra structure on currents.
 
-def coproduct(T: AtomicCurrent):
-    """Coproduct dual to wedge product, as a map {(keyL, keyR): coeff}.
-
-    Sorted-word PBW lifts stay sorted under the deshuffle coproducts, so
-    re-projection is the identity on coefficients: the whole operation is
-    combinatorial and exact in both scalar modes.
-    """
-    out = {}
-    for (I, K), c in T.coeffs.items():
-        for (Il, Ir) in tensor_coproduct(I):
-            for (Kl, Kr, s) in wedge_coproduct(K):
-                key = ((Il, Kl), (Ir, Kr))
-                cur = out.get(key, 0) + s * c
-                if cur == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = cur
-    return out
-
-
 def counit(T: AtomicCurrent):
     """epsilon(T) = T(1): the coefficient of the Dirac mass, zero unless k = 0."""
     return T.coeffs.get(((), ()), 0)
@@ -345,8 +315,12 @@ def counit(T: AtomicCurrent):
 
 def coproduct_pair_evaluate(chart, T: AtomicCurrent, omega: Field, eta: Field,
                             mode=FLOAT):
-    """(omega tensor eta)(Delta T), evaluated through PBW functionals."""
-    pairs = coproduct(T)
+    """(omega tensor eta)(Delta T), evaluated through PBW functionals.
+
+    Sorted-word PBW lifts stay sorted under the deshuffle coproducts, so
+    the summands of :func:`~atomcur.multialg.delta_coproduct` are already
+    PBW keys of the two factors."""
+    pairs = delta_coproduct(T)
     p = T.point
     total = 0
     for ((Il, Kl), (Ir, Kr)), c in pairs.items():
@@ -440,10 +414,5 @@ def compose_transitions(g2, g1):
 
 def transition_residual(ga, gb):
     """Max absolute entry difference between two transition matrices."""
-    keys = set(ga) | set(gb)
-    worst = 0
-    for key in keys:
-        ra, rb = ga.get(key, {}), gb.get(key, {})
-        for kk in set(ra) | set(rb):
-            worst = max(worst, abs(ra.get(kk, 0) - rb.get(kk, 0)))
-    return worst
+    return max((cd._dict_residual(ga.get(key, {}), gb.get(key, {}))
+                for key in set(ga) | set(gb)), default=0)

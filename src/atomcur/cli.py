@@ -97,12 +97,9 @@ def build_chart(data: dict) -> ChartConnection:
             b, i, a = (int(x) for x in key.split(","))
             fiber_gamma[b][i][a] = text
     if "metric" in data:
-        chart = ChartConnection.from_metric(coords, data["metric"], domain,
-                                            name=data["name"],
-                                            check_points=check_points)
-        if fiber_gamma is not None:
-            chart = chart.with_fiber(fiber_gamma, name=data["name"])
-        return chart
+        return ChartConnection.from_metric(coords, data["metric"], domain,
+                                           name=data["name"], check_points=check_points,
+                                           fiber_gamma=fiber_gamma)
     n = data["dimension"]
     gamma = [[["0"] * n for _ in range(n)] for _ in range(n)]
     for key, text in data["christoffel"].items():

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import expr as ex
-from .jets import FLOAT, Jet, JetSpace, as_point
+from .jets import FLOAT, Jet, JetSpace, as_point, as_scalar
 from .multialg import det
 
 
@@ -46,17 +46,6 @@ class ChartDomainError(ValueError):
 
 class ChartValidationError(ValueError):
     """Construction-time check (torsion, metric compatibility) failed."""
-
-
-def _expr(v, names):
-    """Expression of a string or number; nested lists give nested tuples."""
-    if isinstance(v, (list, tuple)):
-        return tuple(_expr(x, names) for x in v)
-    if isinstance(v, ex.Expression):
-        return v
-    if isinstance(v, str):
-        return ex.parse(v, names)
-    return ex.Const(v)
 
 
 def _expression_table(gamma):
@@ -75,22 +64,21 @@ class ChartConnection:
     """
 
     def __init__(self, names, base_gamma, domain, fiber_gamma=None,
-                 metric=None, check_points=None, name="chart",
-                 validate=True):
+                 metric=None, check_points=None, name="chart"):
         self.name = name
         self.names = tuple(names)
         self.n = len(self.names)
         self.domain = tuple((float(lo), float(hi)) for lo, hi in domain)
         if len(self.domain) != self.n:
             raise ChartValidationError("domain box must give one interval per coordinate")
-        self.metric = None if metric is None else _expr(metric, self.names)
+        self.metric = None if metric is None else ex.as_expr(metric, self.names)
         if base_gamma is None:
             if self.metric is None:
                 raise ChartValidationError("a chart needs Christoffel symbols or a metric")
             self.base_gamma = None
             self._base_table = self._levi_civita_table
         else:
-            self.base_gamma = _expr(base_gamma, self.names)
+            self.base_gamma = ex.as_expr(base_gamma, self.names)
             self._base_table = _expression_table(self.base_gamma)
         if fiber_gamma is None:
             self.d = self.n
@@ -99,14 +87,13 @@ class ChartConnection:
             self._fiber_table = None
         else:
             self.d = len(fiber_gamma)
-            self.fiber_gamma = _expr(fiber_gamma, self.names)
+            self.fiber_gamma = ex.as_expr(fiber_gamma, self.names)
             self.fiber_is_tangent = False
             self._fiber_table = _expression_table(self.fiber_gamma)
         self._cache = {}
         self._lock = threading.Lock()
         self._check_points = tuple(tuple(p) for p in (check_points or [self._midpoint()]))
-        if validate:
-            self._validate()
+        self._validate()
 
     # -- construction helpers ------------------------------------------
 
@@ -117,16 +104,12 @@ class ChartConnection:
         return ChartConnection.from_metric(names, eye, [(lo, hi)] * n, name=name)
 
     @staticmethod
-    def from_metric(names, metric, domain, name="chart", check_points=None):
-        """Levi-Civita connection of a metric given by expressions."""
-        return ChartConnection(names, None, domain, metric=metric, name=name,
-                               check_points=check_points)
-
-    def with_fiber(self, fiber_gamma, name=None):
-        """Same chart with an explicit fiber connection given by expressions."""
-        return ChartConnection(self.names, self.base_gamma, self.domain,
-                               fiber_gamma=fiber_gamma, metric=self.metric,
-                               name=name or self.name, validate=False)
+    def from_metric(names, metric, domain, name="chart", check_points=None,
+                    fiber_gamma=None):
+        """Levi-Civita connection of a metric given by expressions, with an
+        optional fiber connection given by expressions."""
+        return ChartConnection(names, None, domain, fiber_gamma=fiber_gamma,
+                               metric=metric, name=name, check_points=check_points)
 
     def _derived(self, name, base_table=None, fiber_table=None):
         """A chart on the same coordinates whose symbols are computed from this
@@ -311,6 +294,28 @@ class ChartConnection:
         p = self.resolve(p, mode)
         return [jet.value for jet in self.higher_gamma_jets(I, j, p, 0, mode, fiber)]
 
+    def curvature_jets(self, p, order, mode, fiber=False) -> dict:
+        """Jets of the curvature R^b_{a,u,v} = Gamma^b_{(u,v),a} - Gamma^b_{(v,u),a}
+        of the fiber connection (``fiber``) or the base connection, keyed
+        (b, a, u, v).  Only u != v can be nonzero: each pair u < v is derived
+        once and (b, a, v, u) holds the negated jet.  Zero jets are left out."""
+        dim = self.d if fiber else self.n
+        out = {}
+        for u in range(self.n):
+            for v in range(u + 1, self.n):
+                guv = [self.higher_gamma_jets((u, v), a, p, order, mode, fiber)
+                       for a in range(dim)]
+                gvu = [self.higher_gamma_jets((v, u), a, p, order, mode, fiber)
+                       for a in range(dim)]
+                for a in range(dim):
+                    for b in range(dim):
+                        jet = guv[a][b] - gvu[a][b]
+                        if jet.is_zero():
+                            continue
+                        out[(b, a, u, v)] = jet
+                        out[(b, a, v, u)] = -jet
+        return out
+
     # -- metric helpers ----------------------------------------------------
 
     def require_metric(self):
@@ -320,11 +325,6 @@ class ChartConnection:
     def metric_value(self, p, mode=FLOAT):
         self.require_metric()
         return [[jet.value for jet in row] for row in self._metric_jets(p, 0, mode)]
-
-    def metric_inverse_value(self, p, mode=FLOAT):
-        self.require_metric()
-        return [[jet.value for jet in row]
-                for row in self._metric_inverse_jets(p, 0, mode)[0]]
 
 
 @dataclass
@@ -339,25 +339,18 @@ class CurvatureAt:
 
 
 def curvature(cc: ChartConnection, p, mode=FLOAT) -> CurvatureAt:
-    """Curvature from the antisymmetrized order-2 symbols:
-    R^k_{j u v} = Gamma^k_{(u,v),j} - Gamma^k_{(v,u),j}."""
+    """Curvature values at p, dense over every index tuple: the order-0
+    values of :meth:`ChartConnection.curvature_jets`, zero elsewhere."""
     p = cc.resolve(p, mode)
-    base, fiber = {}, {}
-    for u in range(cc.n):
-        for v in range(cc.n):
-            guv = [cc.higher_gamma_jets((u, v), j, p, 0, mode) for j in range(cc.n)]
-            gvu = [cc.higher_gamma_jets((v, u), j, p, 0, mode) for j in range(cc.n)]
-            for j in range(cc.n):
-                for k in range(cc.n):
-                    base[(k, j, u, v)] = guv[j][k].value - gvu[j][k].value
-            fuv = [cc.higher_gamma_jets((u, v), a, p, 0, mode, fiber=True)
-                   for a in range(cc.d)]
-            fvu = [cc.higher_gamma_jets((v, u), a, p, 0, mode, fiber=True)
-                   for a in range(cc.d)]
-            for a in range(cc.d):
-                for b in range(cc.d):
-                    fiber[(b, a, u, v)] = fuv[a][b].value - fvu[a][b].value
-    return CurvatureAt(point=p, base=base, fiber=fiber)
+    zero = as_scalar(0, mode)
+
+    def dense(fiber, dim):
+        jets = cc.curvature_jets(p, 0, mode, fiber)
+        return {(b, a, u, v): jets[(b, a, u, v)].value if (b, a, u, v) in jets else zero
+                for u in range(cc.n) for v in range(cc.n)
+                for a in range(dim) for b in range(dim)}
+
+    return CurvatureAt(point=p, base=dense(False, cc.n), fiber=dense(True, cc.d))
 
 
 def dual_chart(cc: ChartConnection, name=None) -> ChartConnection:

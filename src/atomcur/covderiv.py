@@ -80,12 +80,12 @@ class Field:
 # Field constructors.
 
 def scalar_field(chart, e) -> Field:
-    return Field(chart, (), {(): _as_expr(chart, e)})
+    return Field(chart, (), {(): ex.as_expr(e, chart.names)})
 
 
 def tensor_field(chart, order, comps) -> Field:
     return Field(chart, (TU,) * order,
-                 {tuple(w): _as_expr(chart, c) for w, c in comps.items()})
+                 {tuple(w): ex.as_expr(c, chart.names) for w, c in comps.items()})
 
 
 def vector_field(chart, comps) -> Field:
@@ -101,35 +101,29 @@ def coordinate_tensor_field(chart, w) -> Field:
     return Field(chart, (TU,) * len(w), {tuple(w): ex.Const(1)})
 
 
-def _as_expr(chart, e):
-    if isinstance(e, ex.Expression):
-        return e
-    if isinstance(e, str):
-        return ex.parse(e, chart.names)
-    return ex.Const(e)
-
-
-def _antisymmetrize(chart, comps_incr):
-    """Expand components given on increasing keys to full antisymmetric tuples."""
+def antisymmetrize(comps_incr, neg) -> dict:
+    """Expand components given on increasing keys to full antisymmetric
+    tuples.  ``neg`` negates a component (an expression or a jet); it runs
+    once per key, so all odd permutations of the key share one negation."""
     full = {}
     for K, c in comps_incr.items():
         K = tuple(K)
-        e = _as_expr(chart, c)
-        # one negated node per key, so all odd permutations share its jets
-        neg = ex.ex_neg(e) if len(K) > 1 else None
+        minus = neg(c) if len(K) > 1 else None
         for perm in itertools.permutations(K):
-            full[perm] = e if sort_sign(perm) == 1 else neg
+            full[perm] = c if sort_sign(perm) == 1 else minus
     return full
 
 
 def form_field(chart, k, comps_incr) -> Field:
     """A k-form on E: section of wedge^k(E*), components on increasing keys."""
-    return Field(chart, (FD,) * k, _antisymmetrize(chart, comps_incr))
+    comps = {K: ex.as_expr(c, chart.names) for K, c in comps_incr.items()}
+    return Field(chart, (FD,) * k, antisymmetrize(comps, ex.ex_neg))
 
 
 def kvector_field(chart, k, comps_incr) -> Field:
     """A k-vector on E: section of wedge^k(E), components on increasing keys."""
-    return Field(chart, (FU,) * k, _antisymmetrize(chart, comps_incr))
+    comps = {K: ex.as_expr(c, chart.names) for K, c in comps_incr.items()}
+    return Field(chart, (FU,) * k, antisymmetrize(comps, ex.ex_neg))
 
 
 def jet_field(chart, slots, comps, point, budget, mode) -> Field:
@@ -287,7 +281,7 @@ def product_field(a: Field, b: Field) -> Field:
 
 
 def scale_field(f: Field, factor) -> Field:
-    e = _as_expr(f.chart, factor)
+    e = ex.as_expr(factor, f.chart.names)
     return Field(f.chart, f.slots, {i: ex.ex_mul(e, c) for i, c in f.comps.items()})
 
 
@@ -488,27 +482,13 @@ def exterior_derivative(omega: Field, p, mode=FLOAT, out_order=0) -> Field:
 # Curvature as a field, and curvature-derivative actions.
 
 def curvature_field(chart: ChartConnection, which: str, p, mode, budget) -> Field:
-    """R as a jet-backed field: fiber slots (fu, fd, td, td) with components
-    R^b_{a,u,v} = Gamma^b_{(u,v),a} - Gamma^b_{(v,u),a}; base analogously."""
+    """R as a jet-backed field: fiber slots (fu, fd, td, td) with the
+    components of :meth:`ChartConnection.curvature_jets`; base analogously."""
     fiber = which == "fiber"
-    dim = chart.d if fiber else chart.n
     slots = (FU, FD, TD, TD) if fiber else (TU, TD, TD, TD)
-    comps = {}
     p = as_point(p, mode)
-    for u in range(chart.n):
-        for v in range(u + 1, chart.n):
-            guv = [chart.higher_gamma_jets((u, v), a, p, budget, mode, fiber=fiber)
-                   for a in range(dim)]
-            gvu = [chart.higher_gamma_jets((v, u), a, p, budget, mode, fiber=fiber)
-                   for a in range(dim)]
-            for a in range(dim):
-                for b in range(dim):
-                    jet = guv[a][b] - gvu[a][b]
-                    if jet.is_zero():
-                        continue
-                    comps[(b, a, u, v)] = jet
-                    comps[(b, a, v, u)] = -jet
-    return jet_field(chart, slots, comps, p, budget, mode)
+    return jet_field(chart, slots, chart.curvature_jets(p, budget, mode, fiber),
+                     p, budget, mode)
 
 
 def curvature_endomorphisms(chart, S, ab_value: dict, p, mode=FLOAT):

@@ -29,7 +29,7 @@ from .jets import (ELEMENTARY_FUNCTIONS, FLOAT, EvalDomainError, ExactModeError,
 
 __all__ = [
     "Expression", "Const", "Sym", "Add", "Sub", "Mul", "Div", "Neg", "Pow",
-    "Call", "parse", "to_string", "eval_jet", "jet_at", "evaluate", "monomial_form",
+    "Call", "parse", "as_expr", "to_string", "eval_jet", "jet_at", "evaluate", "monomial_form",
     "ExprSyntaxError", "UndeclaredSymbolError",
     "EvalDomainError", "ExactModeError",
 ]
@@ -51,28 +51,12 @@ class UndeclaredSymbolError(ValueError):
 class Expression:
     """Base of the immutable expression nodes.
 
-    ``+``, ``-``, ``*`` and unary ``-`` build derived expressions through
-    the folding builders (a number on the right is lifted to
-    :class:`Const`), so ring-generic code such as
-    :func:`atomcur.multialg.det` runs on expressions unchanged.
-
-    ``_jets`` is the node's jet memo (see :func:`jet_at`), so it is freed
-    with the node.
+    Nodes define no arithmetic operators: derived expressions are built by
+    the folding builders (``ex_add``, ``ex_mul``, ...).  ``_jets`` is the
+    node's jet memo (see :func:`jet_at`), so it is freed with the node.
     """
 
     __slots__ = ("_jets", "__weakref__")
-
-    def __add__(self, other):
-        return ex_add(self, _lift(other))
-
-    def __sub__(self, other):
-        return ex_sub(self, _lift(other))
-
-    def __mul__(self, other):
-        return ex_mul(self, _lift(other))
-
-    def __neg__(self):
-        return ex_neg(self)
 
 
 class Const(Expression):
@@ -145,10 +129,6 @@ class Call(Expression):
 # Builders with light constant folding.  Used when assembling derived
 # expressions (monomial probes, products and sums of fields); the parser
 # builds raw nodes so that parsing is structure-faithful.
-
-def _lift(x):
-    return x if isinstance(x, Expression) else Const(x)
-
 
 def _is_const(e, v=None):
     return isinstance(e, Const) and (v is None or e.value == v)
@@ -367,6 +347,18 @@ def parse(text: str, symbols) -> Expression:
     if not symbols or len(set(symbols)) != len(tuple(symbols)):
         raise ValueError("chart symbols must be non-empty and distinct")
     return _Parser(text, tuple(symbols)).parse()
+
+
+def as_expr(v, names):
+    """Expression of a string (parsed over ``names``) or a number; an
+    expression is returned as is, and nested lists give nested tuples."""
+    if isinstance(v, (list, tuple)):
+        return tuple(as_expr(x, names) for x in v)
+    if isinstance(v, Expression):
+        return v
+    if isinstance(v, str):
+        return parse(v, names)
+    return Const(v)
 
 
 # ---------------------------------------------------------------------------

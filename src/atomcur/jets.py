@@ -313,9 +313,6 @@ class Jet:
         a, b, den = _aligned(self, other)
         return _reduced(self.space, [x - y for x, y in zip(a, b)], den)
 
-    def __rsub__(self, other):
-        return Jet.const(self.space, self.mode, other) - self
-
     def __neg__(self):
         if self.mode == FLOAT:
             return Jet(self.space, FLOAT, array("d", (-a for a in self.coeffs)))

@@ -144,10 +144,9 @@ def det(rows):
     """Determinant by Laplace expansion along the first row; fine at fiber
     dimensions <= 4.
 
-    Ring-generic: entries may be numbers, Fractions, jets or expressions.
-    Numeric zero entries are skipped; the first surviving term starts the
-    sum, so jet and expression determinants carry no added zero.  The empty
-    matrix gives the integer 1.
+    Ring-generic: entries may be numbers, Fractions or jets.  Numeric zero
+    entries are skipped; the first surviving term starts the sum, so jet
+    determinants carry no added zero.  The empty matrix gives the integer 1.
     """
     m = len(rows)
     if m == 0:
@@ -383,16 +382,25 @@ def basis_element(n, d, w, K, c=1) -> TensorExtElement:
     return el
 
 
-def delta_coproduct(x: TensorExtElement):
-    """Coproduct on tensor(T_p) box wedge(E_p): deshuffle both factors.
+def delta_coproduct(x: TensorExtElement) -> dict:
+    """Coproduct dual to wedge product on tensor(T_p) box wedge(E_p):
+    deshuffle both factors, with Koszul signs on the wedge side.
 
-    Returns a list of ((wL, KL), (wR, KR), coeff) summands.
+    Returns the merged map {((wL, KL), (wR, KR)): coeff}.  Summands are
+    added in the insertion order of ``x.coeffs``, and keys whose sum is zero
+    are dropped.  The operation is combinatorial and exact in both scalar
+    modes.
     """
-    out = []
-    for (w, K), c in x.items():
+    out = {}
+    for (w, K), c in x.coeffs.items():
         for (wl, wr) in tensor_coproduct(w):
             for (Kl, Kr, s) in wedge_coproduct(K):
-                out.append(((wl, Kl), (wr, Kr), s * c))
+                key = ((wl, Kl), (wr, Kr))
+                cur = out.get(key, 0) + s * c
+                if cur == 0:
+                    out.pop(key, None)
+                else:
+                    out[key] = cur
     return out
 
 

@@ -47,7 +47,7 @@ from .jets import (FLOAT, RATIONAL, ExactModeError, Jet, JetSpace,
                    apply_elementary, as_point, as_scalar)
 from .multialg import (MetricSignature, TensorExtElement, anti_indices,
                        delta_coproduct, det, hodge_star, hodge_star_inverse,
-                       mat_inverse, merge_sign, sort_sign, tensor_coproduct,
+                       mat_inverse, merge_sign, tensor_coproduct,
                        wedge_merge)
 
 
@@ -579,7 +579,7 @@ def boundary(chart: ChartConnection, T: at.AtomicCurrent, mode=FLOAT) -> at.Atom
 
     def eval_fn(_probe, mono, L):
         dpr = at.probe_differential(chart, p, mono, L, T.r, mode)
-        return at.current_evaluate(chart, T, dpr, mode)
+        return at.phi_apply(chart, T, dpr, p, mode)
 
     return resolve_functional(chart, p, T.r + 1, T.k - 1, eval_fn, mode)
 
@@ -678,7 +678,7 @@ def star_form_jets(chart: ChartConnection, omega: Field, p, mode, budget,
         if acc is not None:
             jet = sqrtg * acc
             comps[L] = jet if merge_sign(Lc, L) * flip == 1 else -jet
-    return cd.jet_field(chart, (FD,) * (n - k), _expand_antisym_jets(comps),
+    return cd.jet_field(chart, (FD,) * (n - k), cd.antisymmetrize(comps, Jet.__neg__),
                         p, budget, mode)
 
 
@@ -692,15 +692,6 @@ def _sqrt_det(detg):
         if isinstance(folded, ex.Const):
             return Jet.const(detg.space, detg.mode, folded.value)
     return apply_elementary("sqrt", detg)
-
-
-def _expand_antisym_jets(comps_incr):
-    full = {}
-    for K, jet in comps_incr.items():
-        for perm in itertools.permutations(K):
-            s = sort_sign(perm)
-            full[perm] = jet if s == 1 else -jet
-    return full
 
 
 def codifferential_form(chart: ChartConnection, omega: Field, p, mode=FLOAT,
@@ -741,11 +732,9 @@ def delta_commutation_residual(endo: FiberEndo, x: TensorExtElement):
     Delta(endo x) = (endo tensor id)(Delta x) + (-1)^{k1} (id tensor endo)(Delta x),
     with k1 the exterior degree of the left factor of each summand."""
     n, d = x.n, x.d
-    lhs = {}
-    for (kl, kr, c) in delta_coproduct(endo(x)):
-        lhs[(kl, kr)] = lhs.get((kl, kr), 0) + c
+    lhs = delta_coproduct(endo(x))
     rhs = {}
-    for (kl, kr, c) in delta_coproduct(x):
+    for (kl, kr), c in delta_coproduct(x).items():
         for key1, c1 in endo(TensorExtElement(n, d, {kl: 1})).coeffs.items():
             kk = (key1, kr)
             rhs[kk] = rhs.get(kk, 0) + c * c1
@@ -753,8 +742,7 @@ def delta_commutation_residual(endo: FiberEndo, x: TensorExtElement):
         for key2, c2 in endo(TensorExtElement(n, d, {kr: 1})).coeffs.items():
             kk = (kl, key2)
             rhs[kk] = rhs.get(kk, 0) + s * c * c2
-    keys = set(lhs) | set(rhs)
-    return max((abs(lhs.get(kk, 0) - rhs.get(kk, 0)) for kk in keys), default=0)
+    return cd._dict_residual(lhs, rhs)
 
 
 def probe_annihilation_residual(chart, el: TensorExtElement, p, r_probe, k_probe,

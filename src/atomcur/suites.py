@@ -24,9 +24,9 @@ from . import expr as ex
 from . import operators as op
 from .connection import ChartConnection, curvature, dual_chart
 from .jets import FLOAT, RATIONAL, Jet, JetSpace, as_point
-from .multialg import (MetricSignature, anti_indices, basis_element, hodge_star,
-                       hodge_star_dual, hodge_star_inverse, merge_sign, row_reduce,
-                       tensor_coproduct, wedge_coproduct)
+from .multialg import (MetricSignature, anti_indices, basis_element, delta_coproduct,
+                       hodge_star, hodge_star_dual, hodge_star_inverse, merge_sign,
+                       row_reduce, tensor_coproduct, wedge_coproduct)
 
 
 @dataclass
@@ -393,16 +393,19 @@ def check_flat_lemma(ctx):
 
 
 def _is_flat(ctx):
-    """The base symbol jets vanish to order 6 at every probe, which covers
-    every symbol and curvature derivative the flat checks evaluate there
-    (order 0 first: it fails fast on curved charts)."""
+    """The base and fiber symbol jets vanish to order 6 at every probe, which
+    covers every symbol and curvature derivative (R^TM and R^E) the flat
+    checks evaluate there (order 0 first: it fails fast on curved charts).
+    On a tangent fiber the fiber symbols are the base symbols."""
     chart = ctx.chart
     for order in (0, 6):
         for p in ctx.probes:
-            for i in range(chart.n):
-                for j in range(chart.n):
-                    if not all(jet.is_zero() for jet in chart.gamma1_jet(i, j, p, order, ctx.mode)):
-                        return False
+            for fiber, dim in ((False, chart.n), (True, chart.d)):
+                for i in range(chart.n):
+                    for j in range(dim):
+                        jets = chart.gamma1_jet(i, j, p, order, ctx.mode, fiber)
+                        if not all(jet.is_zero() for jet in jets):
+                            return False
     return True
 
 
@@ -903,23 +906,19 @@ def check_coalgebra(ctx):
         om = rand_form_field(ctx, rng, k1)
         et = rand_form_field(ctx, rng, kk - k1)
         lhs = at.coproduct_pair_evaluate(ctx.chart, T, om, et, ctx.mode)
-        rhs = at.current_evaluate(ctx.chart, T, cd.wedge_fields(om, et), ctx.mode)
+        rhs = at.phi_apply(ctx.chart, T, cd.wedge_fields(om, et), p, ctx.mode)
         worst = max(worst, abs(lhs - rhs))
     out.append(_result("coalgebra-duality", stmt, p, worst, ctx.tolerance(1e-8)))
     # coassociativity/counit at coefficient level (exact in either mode)
     stmt2 = "current coproduct coassociative with counit, exact at the coefficient level"
     worst = 0
     T = rand_current(ctx, rng, r, min(k, d))
-    pairs = at.coproduct(T)
+    pairs = delta_coproduct(T)
     lhs, rhs = {}, {}
     for ((kl, kr)), c in pairs.items():
-        Tl = at.AtomicCurrent(p, r, len(kl[1]), d)
-        Tl.add_term(kl[0], kl[1], 1)
-        for (kll, klr), c2 in at.coproduct(Tl).items():
+        for (kll, klr), c2 in delta_coproduct(basis_element(n, d, *kl)).items():
             lhs[(kll, klr, kr)] = lhs.get((kll, klr, kr), 0) + c * c2
-        Tr = at.AtomicCurrent(p, r, len(kr[1]), d)
-        Tr.add_term(kr[0], kr[1], 1)
-        for (krl, krr), c2 in at.coproduct(Tr).items():
+        for (krl, krr), c2 in delta_coproduct(basis_element(n, d, *kr)).items():
             rhs[(kl, krl, krr)] = rhs.get((kl, krl, krr), 0) + c * c2
     worst = max(worst, cd._dict_residual(lhs, rhs))
     left = {}
@@ -945,7 +944,7 @@ def check_coalgebra(ctx):
             # basis; the probe must be differentiated with T's own connection
             def eval_fn(_probe, Tm, L, T=T):
                 own = at.probe_form(ctx.chart, p, Tm, L, ctx.mode)
-                return at.current_evaluate(ctx.chart, T, own, ctx.mode)
+                return at.phi_apply(ctx.chart, T, own, p, ctx.mode)
 
             T2 = op.resolve_functional(pert, p, r, kk, eval_fn, ctx.mode)
             om2 = cd.form_field(pert, k1, _incr_comps(om))
@@ -978,7 +977,7 @@ def check_f_action(ctx):
         lhs = at.phi_apply(ctx.chart, fT, om, p, ctx.mode)
         fom = cd.Field(ctx.chart, om.slots,
                        {i: ex.ex_mul(f.comps[()], c) for i, c in om.comps.items()})
-        rhs = at.current_evaluate(ctx.chart, T, fom, ctx.mode)
+        rhs = at.phi_apply(ctx.chart, T, fom, p, ctx.mode)
         worst = max(worst, abs(lhs - rhs))
     out.append(_result("f-action-duality", stmt, p, worst, ctx.tolerance(1e-9)))
     stmt2 = "f == 1 acts as the identity; f(p) = 0 kills the Dirac mass"
@@ -1050,6 +1049,8 @@ def check_adjoint_identities(ctx):
     if not exact_ok:
         return [_skip("op-adjoints", stmt_need,
                       "rational mode needs an orthonormal chart for star routes")]
+    if not ctx.chart.fiber_is_tangent:
+        return [_skip("op-adjoints", stmt_need, "needs metric + tangent fiber")]
     for p in ctx.probes[: ctx.n_trials(5)]:
         X = rand_kvector_field(ctx, rng, 1)
         Y = rand_kvector_field(ctx, rng, 1)
@@ -1152,6 +1153,8 @@ def check_clifford(ctx):
     if not _metric_is_identity(ctx.chart, p, ctx.mode):
         return [_skip("op-clifford", stmt,
                       "factorization stated in an orthonormal frame; run on flat specs")]
+    if not ctx.chart.fiber_is_tangent:
+        return [_skip("op-clifford", stmt, "needs metric + tangent fiber")]
     n, d = ctx.chart.n, ctx.chart.d
     P = op.op_perp(ctx.chart, p, ctx.mode)
     prod = None
@@ -1229,14 +1232,17 @@ def check_sharp(ctx):
     out.append(_result("op-DE-unit", "DE of the unit is the identity", p,
                        op.endo_residual(op.op_DE(u), op.identity_endo(ctx.chart.n, ctx.chart.d),
                                         elems), ctx.tolerance(1e-12)))
-    if ctx.chart.metric is not None and \
-            (ctx.mode == FLOAT or _metric_is_identity(ctx.chart, p, ctx.mode)):
+    metric_ok = ctx.chart.metric is not None and \
+        (ctx.mode == FLOAT or _metric_is_identity(ctx.chart, p, ctx.mode))
+    if metric_ok and ctx.chart.fiber_is_tangent:
         lhs = op.op_DEdag(ab)
         rhs = op.op_DEdag(a).compose(op.op_DEdag(b))
         sgn = (-1) ** (kd * kd)
         out.append(_result("op-DEdag-sign",
                            "DEdag_{a sharp b} = (-1)^{|alpha||beta|} DEdag_a o DEdag_b", p,
                            op.endo_residual(lhs, rhs.scaled(sgn), elems), ctx.tolerance(1e-7)))
+    elif metric_ok:
+        out.append(_skip("op-DEdag-sign", "DEdag sign law", "needs metric + tangent fiber"))
     else:
         out.append(_skip("op-DEdag-sign", "DEdag sign law", "needs metric (orthonormal in rational mode)"))
     return out
@@ -1257,7 +1263,7 @@ def check_kernel_preservation(ctx):
              ("D", op.op_D(ctx.chart, Y, p, ctx.mode), r + 1, k),
              ("f", op.f_lrcorner(ctx.chart, f, p, ctx.mode), r, k),
              ("trDEdag", op.trace_DEdag_endo(ctx.chart, p, ctx.mode), r + 1, k - 1)]
-    if ctx.chart.metric is not None and \
+    if ctx.chart.metric is not None and ctx.chart.fiber_is_tangent and \
             (ctx.mode == FLOAT or _metric_is_identity(ctx.chart, p, ctx.mode)):
         endos.append(("Edag", op.op_Edag(ctx.chart, X, p, ctx.mode), r, k - 1))
         endos.append(("Ddag", op.op_Ddag(ctx.chart, Y, p, ctx.mode, budget=r + 2), r + 1, k))
@@ -1298,10 +1304,10 @@ def check_boundary(ctx):
         T = rand_current(ctx, rng, r, k)
         om = rand_form_field(ctx, rng, k - 1)
         bT = op.boundary(ctx.chart, T, ctx.mode)
-        lhs = at.current_evaluate(ctx.chart, bT, om, ctx.mode)
-        rhs = at.current_evaluate(ctx.chart, T,
-                                  cd.exterior_derivative(om, p, ctx.mode, out_order=T.r),
-                                  ctx.mode)
+        lhs = at.phi_apply(ctx.chart, bT, om, p, ctx.mode)
+        rhs = at.phi_apply(ctx.chart, T,
+                           cd.exterior_derivative(om, p, ctx.mode, out_order=T.r),
+                           p, ctx.mode)
         worst_d = max(worst_d, abs(lhs - rhs))
         worst_sq = max(worst_sq, op.boundary(ctx.chart, bT, ctx.mode).max_abs())
         if k == 1:
@@ -1412,8 +1418,8 @@ def _codifferential_twin_residual(ctx, p):
 def _raise_jet_form(dch, chart, form, p, budget, mode):
     """The metric-raised form on the dual-fiber chart, as a jet-backed field."""
     comps = op.raise_form_jets(chart, form, p, mode, budget)
-    return cd.jet_field(dch, (cd.FD,) * len(form.slots), op._expand_antisym_jets(comps),
-                        p, budget, mode)
+    return cd.jet_field(dch, (cd.FD,) * len(form.slots),
+                        cd.antisymmetrize(comps, Jet.__neg__), p, budget, mode)
 
 
 def check_trace_frame_independence(ctx):

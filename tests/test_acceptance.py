@@ -234,9 +234,9 @@ def test_criterion_9_boundary(charts):
             su.SuiteContext(chart=s2, probes=[p], seed=rng.randint(0, 99)),
             rng, T.k - 1)
         bT = op.boundary(s2, T)
-        lhs = at.current_evaluate(s2, bT, om)
-        rhs = at.current_evaluate(
-            s2, T, cd.exterior_derivative(om, p, FLOAT, out_order=T.r))
+        lhs = at.phi_apply(s2, bT, om, p)
+        rhs = at.phi_apply(
+            s2, T, cd.exterior_derivative(om, p, FLOAT, out_order=T.r), p)
         worst_dual = max(worst_dual, abs(lhs - rhs))
         worst_sq = max(worst_sq, op.boundary(s2, bT).max_abs())
         if T.k == 1:

@@ -10,7 +10,7 @@ from atomcur import expr as ex
 from atomcur import operators as op
 from atomcur.connection import ChartConnection, curvature
 from atomcur.jets import RATIONAL
-from atomcur.multialg import TensorExtElement, anti_indices, basis_element
+from atomcur.multialg import TensorExtElement, anti_indices, basis_element, delta_coproduct
 
 
 def test_phi_zeroth_derivative(s2):
@@ -111,7 +111,20 @@ def test_kernel_annihilation_exact(poly2, poly2_point):
 def test_coproduct_dirac_grouplike():
     D = at.AtomicCurrent((0.0, 0.0), 0, 0, 2)
     D.add_term((), (), 1)
-    assert at.coproduct(D) == {(((), ()), ((), ())): 1}
+    assert delta_coproduct(D) == {(((), ()), ((), ())): 1}
+    # a repeated letter: both single-letter splits of (0, 0) land on one key
+    x = basis_element(2, 2, (0, 0), (1,), 3)
+    assert delta_coproduct(x) == {
+        (((), ()), ((0, 0), (1,))): 3, (((), (1,)), ((0, 0), ())): 3,
+        (((0,), ()), ((0,), (1,))): 6, (((0,), (1,)), ((0,), ())): 6,
+        (((0, 0), ()), ((), (1,))): 3, (((0, 0), (1,)), ((), ())): 3}
+    # Koszul signs on the wedge side; keys whose sum cancels are dropped
+    y = basis_element(2, 2, (0, 1), (0, 1)) + basis_element(2, 2, (1, 0), (0, 1), -1)
+    got = delta_coproduct(y)
+    assert got[(((), (1,)), ((0, 1), (0,)))] == -1
+    assert got[(((), (1,)), ((1, 0), (0,)))] == 1
+    assert (((0,), ()), ((1,), (0, 1))) not in got
+    assert len(got) == 2 * 4 * 2
 
 
 def test_coproduct_duality(s2):
@@ -125,7 +138,7 @@ def test_coproduct_duality(s2):
         om = cd.form_field(s2, 1, {(0,): f"{rng.randint(-2,2)}*theta", (1,): "phi"})
         et = cd.form_field(s2, 1, {(0,): "1", (1,): f"{rng.randint(-2,2)}*theta*phi"})
         lhs = at.coproduct_pair_evaluate(s2, T, om, et)
-        rhs = at.current_evaluate(s2, T, cd.wedge_fields(om, et))
+        rhs = at.phi_apply(s2, T, cd.wedge_fields(om, et), p)
         worst = max(worst, abs(lhs - rhs))
     assert worst < 1e-8
 
@@ -138,7 +151,7 @@ def test_counit_law(s2):
         T.add_term(key[0], key[1], Fraction(rng.randint(-3, 3)))
     assert at.counit(T) == 0  # degree 1 pairs to zero with the constant 1
     left = {}
-    for ((kl, kr)), c in at.coproduct(T).items():
+    for ((kl, kr)), c in delta_coproduct(T).items():
         if kl == ((), ()):
             left[kr] = left.get(kr, 0) + c
     assert left == T.coeffs
@@ -157,7 +170,7 @@ def test_f_action(s2):
         lhs = at.phi_apply(s2, fT, om, p)
         fom = cd.Field(s2, om.slots,
                        {i: ex.ex_mul(f.comps[()], c) for i, c in om.comps.items()})
-        rhs = at.current_evaluate(s2, T, fom)
+        rhs = at.phi_apply(s2, T, fom, p)
         assert abs(lhs - rhs) < 1e-9
     one = cd.scalar_field(s2, 1)
     assert (op.f_lrcorner(s2, one, p)(T) - T).max_abs() == 0
@@ -185,7 +198,7 @@ def test_f_lrcorner_current_exact(poly2, poly2_point):
     fom = cd.Field(poly2, om.slots,
                    {i: ex.ex_mul(f.comps[()], c) for i, c in om.comps.items()})
     assert at.phi_apply(poly2, fT, om, p, RATIONAL) == \
-        at.current_evaluate(poly2, T, fom, RATIONAL)
+        at.phi_apply(poly2, T, fom, p, RATIONAL)
 
 
 def test_current_arithmetic_keeps_current():

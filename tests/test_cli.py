@@ -184,9 +184,14 @@ def test_gen_poly_spec_roundtrip(tmp_path):
     assert json.loads(report.read_text())["summary"]["failed"] == 0
 
 
+def _statuses(report):
+    return {row["check"]: (row["status"], row["note"]) for row in report["checks"]}
+
+
 def test_fiber_spec_block(tmp_path):
     # explicit fiber connection on a flat base: composition suite is
-    # fiber-generic and must still hold
+    # fiber-generic and must still hold; the flat-chart checks also need
+    # R^E = 0, so on this curved fiber they skip
     spec = {
         "spec_version": 1, "name": "fibered", "dimension": 2,
         "coordinates": ["x", "y"],
@@ -203,6 +208,13 @@ def test_fiber_spec_block(tmp_path):
                     "--trials", "6", "--out", str(out)])
     assert code == 0
     assert json.loads(out.read_text())["summary"]["failed"] == 0
+    code = run_cli(["run", str(path), "--suite", "all", "--mode", "rational",
+                    "--out", str(out)])
+    report = json.loads(out.read_text())
+    assert code == 0 and report["summary"]["failed"] == 0
+    rows = _statuses(report)
+    for check in ("flat-lemma", "pbw-flat-collapse"):
+        assert rows[check] == ("skip", "chart is not flat")
 
 
 def test_metric_fiber_spec_block(tmp_path):
@@ -224,6 +236,17 @@ def test_metric_fiber_spec_block(tmp_path):
     assert code == 0
     report = json.loads(out.read_text())
     assert report["summary"]["failed"] == 0 and report["summary"]["passed"] > 0
+    # the metric-based adjoint checks need the tangent fiber, so they skip
+    # instead of raising; the flat-chart checks skip as on any curved chart
+    code = run_cli(["run", str(path), "--suite", "all", "--mode", "float",
+                    "--out", str(out)])
+    report = json.loads(out.read_text())
+    assert code == 0 and report["summary"]["failed"] == 0
+    rows = _statuses(report)
+    for check in ("op-adjoints", "op-DEdag-sign", "op-perp-duality"):
+        assert rows[check] == ("skip", "needs metric + tangent fiber")
+    for check in ("flat-lemma", "pbw-flat-collapse"):
+        assert rows[check] == ("skip", "chart is not flat")
 
 
 # sha256 of reports minus "timing", computed as perfbench/run.py::report_digest
@@ -262,6 +285,15 @@ ORACLE_DIGESTS = [
     # every suite, not only the operators, keeps its order (about 2.5 s)
     ("poly3", "all", "float",
      "cadbb170353f7aa5cb12211f735497d0b703033699372dcfde2c7794c598beef"),
+    # the only chart with an elementary function (about 1 s)
+    ("s2", "all", "float",
+     "6ee81a560cc2daecee03196e8fcae6c3a47056b37806326a05aa0cc68615558a"),
+    # the curved2-exact chart in float mode (about 1.5 s)
+    ("hyperbolic", "all", "float",
+     "9af18f7ce1faa4b84ca4155566538da57d58ac5d5863fff1e56b39e37ee52f9a"),
+    # every exact star route across all suites, not only the operators (about 1 s)
+    ("flat-r2", "all", "rational",
+     "cc5fc8376485cbafa8b5611b90512c6f987e901e24c6e5d1025b663c972f34f2"),
 ]
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from atomcur import covderiv as cd
 from atomcur import expr as ex
-from atomcur.jets import FLOAT, RATIONAL, as_point
+from atomcur.jets import FLOAT, RATIONAL, Jet, as_point
 from atomcur.multialg import tensor_coproduct
 
 
@@ -255,6 +255,20 @@ def test_curvature_with_derivative_orders(s2, flat2, poly2, poly2_point):
     assert any(v != 0 for v in nabla_R(poly2, "fiber", (0, 1), poly2_point, RATIONAL).values())
     for S in [(0,), (1,)] + list(itertools.product(range(2), repeat=2)):
         assert all(v == 0 for v in nabla_R(flat2, "base", S, (0.2, 0.3)).values())
+    # connection.curvature is the dense order-0 reading of the same jets, for
+    # the base and the fiber, on a tangent and on an explicit fiber
+    from atomcur.connection import ChartConnection, curvature
+    fibered = ChartConnection.from_metric(
+        poly2.names, poly2.metric, poly2.domain,
+        fiber_gamma=[[["x", "y/2"], ["0", "x*y"]], [["y", "0"], ["x^2", "1"]]])
+    for chart in (poly2, fibered):
+        cv = curvature(chart, poly2_point, RATIONAL)
+        for which, dense in (("base", cv.base), ("fiber", cv.fiber)):
+            dim = chart.d if which == "fiber" else chart.n
+            jets = cd.curvature_field(chart, which, poly2_point, RATIONAL, 0).comps
+            assert jets and len(dense) == chart.n ** 2 * dim ** 2
+            assert dense == {key: jets[key].value if key in jets else 0 for key in dense}
+    assert cv.fiber != cv.base
 
 
 def test_warning_case_nonzero(s2):
@@ -392,6 +406,13 @@ def test_antisymmetrized_components_share_one_negation(flat3):
     odd = [K for K in itertools.permutations((0, 1, 2)) if g.comps[K] is not g.comps[(0, 1, 2)]]
     assert len(odd) == 3
     assert all(g.comps[K] is g.comps[odd[0]] for K in odd)
+    # jet components (the form-level Hodge star) go through the same expansion
+    jet = ex.eval_jet(ex.parse("x0*x1 + 2", flat3.names), (0.5, 0.25, 1.0), 1)
+    full = cd.antisymmetrize({(0, 1, 2): jet}, Jet.__neg__)
+    odd = [K for K in full if full[K] is not jet]
+    assert sorted(odd) == [(0, 2, 1), (1, 0, 2), (2, 1, 0)]
+    assert all(full[K] is full[odd[0]] for K in odd)
+    assert full[(1, 0, 2)].coeffs == (-jet).coeffs
 
 
 def _coefficients(jets: dict, n, order):

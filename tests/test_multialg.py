@@ -2,7 +2,6 @@ from fractions import Fraction
 
 import pytest
 
-from atomcur import expr as ex
 from atomcur.jets import FLOAT, RATIONAL, Jet, JetSpace
 from atomcur.multialg import (MetricSignature, TensorExtElement, anti_indices,
                               basis_element, det, mat_inverse, row_reduce, hodge_star,
@@ -131,18 +130,6 @@ def test_det_jets():
         assert isinstance(d, Jet)
         want = {(0, 0): 5, (1, 0): 2, (0, 1): 4, (2, 0): 1, (1, 1): 0, (0, 2): 1}
         assert {T: d.coeff(T) for T in sp.indices} == want
-
-
-def test_det_expressions_fold_like_the_builders():
-    names = ("x", "y")
-    a, b, c, e = (ex.parse(t, names) for t in ("x", "y^2", "1 + x", "x*y"))
-    got = det([[a, b], [c, e]])
-    assert ex.to_string(got) == ex.to_string(ex.ex_sub(ex.ex_mul(a, e), ex.ex_mul(b, c)))
-    assert ex.evaluate(got, (Fraction(2), Fraction(3)), RATIONAL) == 2 * 6 - 9 * 3
-    # constant entries fold exactly
-    one, zero = ex.Const(1), ex.Const(0)
-    folded = det([[one, zero], [zero, ex.Const("1/3")]])
-    assert isinstance(folded, ex.Const) and folded.value == Fraction(1, 3)
 
 
 def test_row_reduce_rank():
