@@ -260,7 +260,7 @@ def kernel_element(chart: ChartConnection, p, I, i, j, J, K, mode=FLOAT) -> Tens
         ab = ab_value(I4, I5)
         if not ab:
             continue
-        _, fiber_end = cd.curvature_endomorphisms(chart, I3, ab, p, mode)
+        fiber_end = cd.curvature_endomorphism(chart, I3, ab, p, mode, fiber=True)
         acted = _apply_end_to_kvector(fiber_end, {K: 1})
         for Kp, cK in acted.items():
             for wJ, cJ in tJ.items():
@@ -274,7 +274,7 @@ def kernel_element(chart: ChartConnection, p, I, i, j, J, K, mode=FLOAT) -> Tens
         ab = ab_value(I3, I4)
         if not ab:
             continue
-        base_end, _ = cd.curvature_endomorphisms(chart, I2, ab, p, mode)
+        base_end = cd.curvature_endomorphism(chart, I2, ab, p, mode)
         acted = cd.apply_endomorphism_derivation(base_end, None, tJ, (TU,) * len(J))
         for wJ, cJ in acted.items():
             out.add_term(I1 + wJ, K, cJ)

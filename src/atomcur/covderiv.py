@@ -483,39 +483,34 @@ def exterior_derivative(omega: Field, p, mode=FLOAT, out_order=0) -> Field:
 
 def curvature_field(chart: ChartConnection, which: str, p, mode, budget) -> Field:
     """R as a jet-backed field: fiber slots (fu, fd, td, td) with the
-    components of :meth:`ChartConnection.curvature_jets`; base analogously."""
+    components of :meth:`ChartConnection.curvature_jets`; base analogously.
+    The field is kept in the chart's point cache, so every caller at p
+    shares one nabla memo."""
     fiber = which == "fiber"
     slots = (FU, FD, TD, TD) if fiber else (TU, TD, TD, TD)
     p = as_point(p, mode)
-    return jet_field(chart, slots, chart.curvature_jets(p, budget, mode, fiber),
-                     p, budget, mode)
+    return chart._memo(p, mode, ("curv", fiber, budget), lambda: jet_field(
+        chart, slots, chart.curvature_jets(p, budget, mode, fiber), p, budget, mode))
 
 
-def curvature_endomorphisms(chart, S, ab_value: dict, p, mode=FLOAT):
-    """(nabla_{e_S} R)_{Z} at p for a 2-tensor value Z = ab_value.
-
-    Returns a pair (base_end, fiber_end) of matrices: base_end[k][l] acts on
-    tangent indices, fiber_end[b][a] on fiber indices.
-    """
+def curvature_endomorphism(chart, S, ab_value: dict, p, mode=FLOAT, fiber=False):
+    """(nabla_{e_S} R)_{Z} at p for a 2-tensor value Z = ab_value, as one
+    matrix: end[k][l] on tangent indices (R^TM), or with ``fiber`` end[b][a]
+    on fiber indices (R^E)."""
     p = as_point(p, mode)
     S = tuple(S)
-    base_f = curvature_field(chart, "base", p, mode, len(S))
-    fib_f = curvature_field(chart, "fiber", p, mode, len(S))
-    base_j = nabla_word_jets(base_f, S, p, 0, mode)
-    fib_j = nabla_word_jets(fib_f, S, p, 0, mode)
-    base_end = [[0] * chart.n for _ in range(chart.n)]
-    fiber_end = [[0] * chart.d for _ in range(chart.d)]
+    field = curvature_field(chart, "fiber" if fiber else "base", p, mode, len(S))
+    jets = nabla_word_jets(field, S, p, 0, mode)
+    dim = chart.d if fiber else chart.n
+    end = [[0] * dim for _ in range(dim)]
     for (uv), c in ab_value.items():
         if c == 0 or len(uv) != 2:
             continue
         u, v = uv
-        for (k, l, uu, vv), jet in base_j.items():
+        for (k, l, uu, vv), jet in jets.items():
             if (uu, vv) == (u, v):
-                base_end[k][l] += c * jet.value
-        for (b, a, uu, vv), jet in fib_j.items():
-            if (uu, vv) == (u, v):
-                fiber_end[b][a] += c * jet.value
-    return base_end, fiber_end
+                end[k][l] += c * jet.value
+    return end
 
 
 def apply_endomorphism_derivation(base_end, fiber_end, comps: dict, slots) -> dict:
@@ -603,7 +598,8 @@ def fundamental_commutation_check(u, v, a, b, field: Field, p, mode=FLOAT):
     ev = coordinate_tensor_field(chart, v) if v else None
     for (u1, u2, u3, u4) in iterated_tensor_coproduct(u, 4):
         abval = nabla_value(eab, u2, p, mode)
-        base_end, fiber_end = curvature_endomorphisms(chart, u1, abval, p, mode)
+        base_end = curvature_endomorphism(chart, u1, abval, p, mode)
+        fiber_end = curvature_endomorphism(chart, u1, abval, p, mode, fiber=True)
         vval = nabla_value(ev, u4, p, mode) if v else ({(): 1} if not u4 else None)
         if vval is None:
             continue
@@ -614,7 +610,7 @@ def fundamental_commutation_check(u, v, a, b, field: Field, p, mode=FLOAT):
     # right side, second group (subtracted)
     for (u1, u2, u3, u4) in iterated_tensor_coproduct(u, 4):
         abval = nabla_value(eab, u3, p, mode)
-        base_end, _ = curvature_endomorphisms(chart, u2, abval, p, mode)
+        base_end = curvature_endomorphism(chart, u2, abval, p, mode)
         vval = nabla_value(ev, u4, p, mode) if v else ({(): 1} if not u4 else None)
         if vval is None:
             continue

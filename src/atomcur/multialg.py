@@ -7,9 +7,9 @@ with absent keys meaning zero.  The key order used everywhere (and in
 particular for the PBW basis) is graded-lexicographic: sort by length,
 then lexicographically.
 
-Deshuffle coproducts, the determinant pairing, the Hodge star with
-signature, and the pointwise linear algebra shared by every layer (a
-ring-generic determinant and one Gauss-Jordan elimination) live here;
+Deshuffle coproducts, the determinant pairing, the signed Hodge star of
+an orthonormal frame, and the pointwise linear algebra shared by every
+layer (a ring-generic determinant and one Gauss-Jordan elimination) live here;
 everything is a pure function of immutable values.
 """
 
@@ -193,16 +193,6 @@ def row_reduce(rows):
                 rows[r] = [a - f * b for a, b in zip(rows[r], rows[top])]
         pivots.append(c)
     return rows, pivots
-
-
-def mat_inverse(M):
-    """Inverse of a square matrix by :func:`row_reduce` on [M | I]."""
-    m = len(M)
-    aug = [list(row) + [1 if i == j else 0 for j in range(m)] for i, row in enumerate(M)]
-    reduced, pivots = row_reduce(aug)
-    if pivots[:m] != list(range(m)):
-        raise ValueError("singular matrix")
-    return [row[m:] for row in reduced]
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,10 @@ All operators act fiberwise at a probe point p, on
 * ``op_D(Y)``:      v box alpha |-> v_(1) tensor (nabla_{v_(2)} Y) box alpha,
   dual to higher covariant differentiation;
 * ``op_perp``:      v box alpha |-> v box star^{-1}(alpha), dual to the
-  Hodge star (metric required);
+  Hodge star (metric required).  Both stars, on multivectors
+  (``pointwise_star``) and on form fields (``star_form_jets``), are one
+  formula in g(p), its minors and sqrt(det g(p)); they need det g > 0 and
+  are exact in rational mode wherever sqrt(det g(p)) is rational;
 * ``op_Edag``:      the adjoint of op_E, both as star-conjugation and as
   the explicit signed contraction sum (the two must agree);
 * ``op_Edag_theta``: the Koszul-style variant taking a covector-field
@@ -36,19 +39,15 @@ Sweedler factor, derived once per endomorphism (``_sweedler_lift``).
 from __future__ import annotations
 
 import itertools
-import math
 
 from . import atomic as at
 from . import covderiv as cd
 from . import expr as ex
 from .connection import ChartConnection
 from .covderiv import FD, FU, TU, Field
-from .jets import (FLOAT, RATIONAL, ExactModeError, Jet, JetSpace,
-                   apply_elementary, as_point, as_scalar)
-from .multialg import (MetricSignature, TensorExtElement, anti_indices,
-                       delta_coproduct, det, hodge_star, hodge_star_inverse,
-                       mat_inverse, merge_sign, tensor_coproduct,
-                       wedge_merge)
+from .jets import FLOAT, EvalDomainError, Jet, JetSpace, apply_elementary, as_point
+from .multialg import (TensorExtElement, anti_indices, delta_coproduct, det,
+                       merge_sign, tensor_coproduct, wedge_merge)
 
 
 class FiberEndo:
@@ -184,74 +183,34 @@ def identity_endo(n, d) -> FiberEndo:
 
 
 # ---------------------------------------------------------------------------
-# Metric plumbing: orthonormal frames and the pointwise Hodge star.
-
-def orthonormal_frame(chart: ChartConnection, p, mode=FLOAT):
-    """Gram-Schmidt orthonormalization of the coordinate frame at p.
-
-    Returns (O, signature) with frame vectors F_a = sum_i O[a][i] e_i and
-    g(F_a, F_b) = sign_a delta_ab.  Exact (and trivial) when g(p) is the
-    identity matrix; otherwise float-only because of the square roots.
-    """
-    g = chart.metric_value(p, mode)
-    n = chart.n
-    if all(g[i][j] == (1 if i == j else 0) for i in range(n) for j in range(n)):
-        one = as_scalar(1, mode)
-        zero = as_scalar(0, mode)
-        return [[one if i == j else zero for j in range(n)] for i in range(n)], \
-            MetricSignature(tuple([1] * n))
-    if mode == RATIONAL:
-        raise ExactModeError("orthonormal frames need square roots; "
-                             "rational mode supports only orthonormal charts")
-
-    def dot(u, v):
-        return sum(u[i] * g[i][j] * v[j] for i in range(n) for j in range(n))
-
-    frame, signs = [], []
-    for a in range(n):
-        v = [1.0 if i == a else 0.0 for i in range(n)]
-        for b in range(a):
-            coef = signs[b] * dot(v, frame[b])
-            v = [x - coef * y for x, y in zip(v, frame[b])]
-        length = dot(v, v)
-        if abs(length) < 1e-12:
-            raise ValueError(f"metric degenerate along Gram-Schmidt at {p}")
-        signs.append(1 if length > 0 else -1)
-        norm = math.sqrt(abs(length))
-        frame.append([x / norm for x in v])
-    return frame, MetricSignature(tuple(signs))
-
-
-def _push_kvector(M, val: dict, dim: int) -> dict:
-    """Transport increasing-key k-vector coefficients through a basis change.
-
-    ``M[i][a]`` expands old basis vector i in the new basis; the new
-    coefficients are val'[A] = sum_K val[K] det(M[K, A])."""
-    out = {}
-    for K, c in val.items():
-        if c == 0:
-            continue
-        k = len(K)
-        for A in itertools.combinations(range(dim), k):
-            mat = [[M[i][a] for a in A] for i in K]
-            dv = det(mat)
-            if dv != 0:
-                out[A] = out.get(A, 0) + c * dv
-    return {K: v for K, v in out.items() if v != 0}
-
+# Metric plumbing: the pointwise Hodge star.
 
 def pointwise_star(chart: ChartConnection, p, mode=FLOAT):
     """(star, star_inverse) on wedge(T_p M) w.r.t. the metric at p, acting on
-    increasing-key coefficient maps in the coordinate frame."""
+    increasing-key coefficient maps in the coordinate frame.
+
+    The multivector twin of :func:`star_form_jets`, from g(p) and
+    sqrt(det g(p)): (star beta)^L = sgn(L^c, L) <e_{L^c}, beta>_g / sqrt(det g),
+    and star^{-1} = (-1)^{k(n-k)} star on degree-k input.  Exact in rational
+    mode wherever sqrt(det g(p)) is rational.
+    """
     chart.require_metric()
-    O, sig = orthonormal_frame(chart, p, mode)
-    C = mat_inverse(O) if mode == FLOAT else O  # identity fast path keeps O == C == I
     n = chart.n
+    p = as_point(p, mode)
+    g = chart.metric_value(p, mode)
+    vol = chart._memo(p, mode, ("sqrt-det", 0),
+                      lambda: _sqrt_det(chart._metric_inverse_jets(p, 0, mode)[1])).value
 
     def apply(val, inverse):
-        inF = _push_kvector(C, val, n)
-        stF = hodge_star_inverse(inF, sig) if inverse else hodge_star(inF, sig)
-        return _push_kvector(O, stF, n)
+        out = {}
+        for k in dict.fromkeys(len(K) for K, _c in _incr_items(val)):
+            flip = -1 if inverse and k * (n - k) % 2 else 1
+            for L in itertools.combinations(range(n), n - k):
+                Lc = tuple(i for i in range(n) if i not in L)
+                pv = _gram_pair(g, val, Lc)
+                if pv != 0:
+                    out[L] = merge_sign(Lc, L) * flip * pv / vol
+        return out
 
     return (lambda val: apply(val, False)), (lambda val: apply(val, True))
 
@@ -684,9 +643,10 @@ def star_form_jets(chart: ChartConnection, omega: Field, p, mode, budget,
 
 def _sqrt_det(detg):
     """sqrt(det g) as a jet; exact when det g is a constant rational square,
-    otherwise through the float series (ExactModeError in rational mode)."""
+    otherwise through the float series (ExactModeError in rational mode).
+    Both stars read it, so this one guard rejects det g <= 0 for both."""
     if detg.value <= 0:
-        raise ValueError("star of forms needs a positive metric determinant")
+        raise EvalDomainError("the Hodge star needs a positive metric determinant")
     if detg.is_constant():
         folded = ex.ex_sqrt(ex.Const(detg.value))
         if isinstance(folded, ex.Const):

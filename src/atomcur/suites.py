@@ -385,8 +385,9 @@ def check_flat_lemma(ctx):
         worst = max(worst, max(abs(v) for v in ctx.chart.higher_gamma(I, j, p, ctx.mode)))
     for s in range(5):
         S = rand_word(ctx, rng, s)
-        base_end, fiber_end = cd.curvature_endomorphisms(
-            ctx.chart, S, {(0, min(1, ctx.chart.n - 1)): 1}, p, ctx.mode)
+        ab = {(0, min(1, ctx.chart.n - 1)): 1}
+        base_end = cd.curvature_endomorphism(ctx.chart, S, ab, p, ctx.mode)
+        fiber_end = cd.curvature_endomorphism(ctx.chart, S, ab, p, ctx.mode, fiber=True)
         worst = max(worst, max(abs(v) for row in base_end for v in row),
                     max(abs(v) for row in fiber_end for v in row))
     return [_result("flat-lemma", stmt, p, worst, 0 if ctx.mode == RATIONAL else 1e-14)]

@@ -106,7 +106,8 @@ def test_zero_order_commutator_is_curvature(s2):
     for word, sgn in [((a, b) + v, 1), ((b, a) + v, -1)]:
         for idx, c in cd.nabla_value(om, word, p).items():
             lhs[idx] = lhs.get(idx, 0) + sgn * c
-    base_end, fiber_end = cd.curvature_endomorphisms(s2, (), {(a, b): 1}, p)
+    base_end = cd.curvature_endomorphism(s2, (), {(a, b): 1}, p)
+    fiber_end = cd.curvature_endomorphism(s2, (), {(a, b): 1}, p, fiber=True)
     inner = cd.nabla_value(om, v, p)
     rhs = cd.apply_endomorphism_derivation(base_end, fiber_end, inner, om.slots)
     rv = cd.apply_endomorphism_derivation(base_end, None, {v: 1}, (cd.TU,))

@@ -4,7 +4,7 @@ import pytest
 
 from atomcur.jets import FLOAT, RATIONAL, Jet, JetSpace
 from atomcur.multialg import (MetricSignature, TensorExtElement, anti_indices,
-                              basis_element, det, mat_inverse, row_reduce, hodge_star,
+                              basis_element, det, row_reduce, hodge_star,
                               hodge_star_dual, hodge_star_inverse, sorted_words,
                               tensor_coproduct, wedge_coproduct, wedge_merge,
                               word_multidegree, sorted_word)
@@ -139,19 +139,6 @@ def test_row_reduce_rank():
     assert reduced == [[1, 0], [0, 1], [0, 0]]
     assert row_reduce([[Fraction(0), Fraction(0)]])[1] == []
     assert row_reduce([])[1] == []
-
-
-def test_mat_inverse():
-    m = [[Fraction(2), Fraction(1)], [Fraction(7), Fraction(4)]]
-    assert mat_inverse(m) == [[4, -1], [-7, 2]]
-    f = [[0.0, 2.0, 1.0], [1.0, 0.5, 0.0], [3.0, 0.0, 1.0]]
-    inv = mat_inverse(f)
-    for i in range(3):
-        for j in range(3):
-            got = sum(f[i][l] * inv[l][j] for l in range(3))
-            assert abs(got - (1.0 if i == j else 0.0)) < 1e-14
-    with pytest.raises(ValueError):
-        mat_inverse([[1.0, 2.0], [2.0, 4.0]])
 
 
 def test_tensor_ext_rejects_bad_keys():

@@ -77,7 +77,7 @@ def test_op_ED_exchange(s2):
     assert op.endo_residual(lhs, rhs, ELEMS2) < 1e-8
 
 
-def test_perp_euclidean(flat2):
+def test_perp_euclidean(flat2, s2):
     p = (0.1, 0.2)
     P = op.op_perp(flat2, p)
     assert P(basis_element(2, 2, (), ())).coeffs == {((), (0, 1)): 1}
@@ -88,6 +88,29 @@ def test_perp_euclidean(flat2):
         k = len(K)
         got = P(P(x)).coeffs.get(((0,), K), 0)
         assert got == (-1) ** (k * (2 - k))
+        assert Pi(P(x)).coeffs == x.coeffs
+    # the same laws on the curved s2 metric, in float mode
+    p = (1.1, 0.8)
+    P, Pi = op.op_perp(s2, p), op.op_perp(s2, p, inverse=True)
+    for K in [(), (0,), (1,), (0, 1)]:
+        x = basis_element(2, 2, (0,), K)
+        k = len(K)
+        assert (Pi(P(x)) - x).max_abs() < 1e-12
+        assert (P(P(x)) - x.scale((-1) ** (k * (2 - k)))).max_abs() < 1e-12
+
+
+def test_perp_exact_on_constant_metric():
+    # g = diag(4, 9): sqrt(det g) = 6 is rational, so perp is exact
+    chart = ChartConnection.from_metric(["x", "y"], [["4", "0"], ["0", "9"]],
+                                        [(-1.0, 1.0), (-1.0, 1.0)], name="diag49")
+    p = (Fraction(1, 4), Fraction(-1, 3))
+    P = op.op_perp(chart, p, RATIONAL)
+    Pi = op.op_perp(chart, p, RATIONAL, inverse=True)
+    expect = {(): {(0, 1): Fraction(1, 6)}, (0,): {(1,): Fraction(-2, 3)},
+              (1,): {(0,): Fraction(3, 2)}, (0, 1): {(): 6}}
+    for K, img in expect.items():
+        x = basis_element(2, 2, (0,), K)
+        assert P(x).coeffs == {((0,), L): c for L, c in img.items()}
         assert Pi(P(x)).coeffs == x.coeffs
 
 
