@@ -66,14 +66,8 @@ def probe_form(chart: ChartConnection, p, T, L, mode) -> Field:
     resolutions share their covariant-derivative caches.
     """
     p = as_point(p, mode)
-    cache = chart._point_cache(p, mode)
-    key = ("probe", tuple(T), tuple(L))
-    hit = cache.get(key)
-    if hit is None:
-        mono = ex.monomial_form(p, T, chart.names)
-        hit = cd.form_field(chart, len(L), {tuple(L): mono})
-        cache[key] = hit
-    return hit
+    return chart._memo(p, mode, ("probe", tuple(T), tuple(L)), lambda: cd.form_field(
+        chart, len(L), {tuple(L): ex.monomial_form(p, T, chart.names)}))
 
 
 def probe_differential(chart: ChartConnection, p, T, L, out_order, mode) -> Field:
@@ -84,14 +78,9 @@ def probe_differential(chart: ChartConnection, p, T, L, out_order, mode) -> Fiel
     covariant-derivative memo.
     """
     p = as_point(p, mode)
-    cache = chart._point_cache(p, mode)
-    key = ("dprobe", tuple(T), tuple(L), out_order)
-    hit = cache.get(key)
-    if hit is None:
-        hit = cd.exterior_derivative(probe_form(chart, p, T, L, mode), p, mode,
-                                     out_order=out_order)
-        cache[key] = hit
-    return hit
+    return chart._memo(p, mode, ("dprobe", tuple(T), tuple(L), out_order),
+                       lambda: cd.exterior_derivative(probe_form(chart, p, T, L, mode), p,
+                                                      mode, out_order=out_order))
 
 
 def monomial_probes(chart: ChartConnection, p, r, k, mode, descending=False):

@@ -13,8 +13,8 @@ Manifold spec files are JSON with a versioned schema (see README):
       "probe_points": [["1.1", "0.8"], ["1.7", "1.9"]]  # or "sampler"
     }
 
-Exit codes: 0 all checks pass, 1 check failure, 2 spec error, 3
-evaluation/domain error.  Reports are deterministic for a fixed (spec,
+Exit codes: 0 all checks pass, 1 check failure, 2 spec or usage error,
+3 evaluation/domain error.  Reports are deterministic for a fixed (spec,
 seed, mode, flags): all keys are sorted and wall times live in a separate
 "timing" section excluded from the determinism contract.
 """
@@ -51,30 +51,83 @@ def load_spec(path) -> dict:
     return validate_spec(data, str(path))
 
 
+def _is_int(x, low):
+    return isinstance(x, int) and not isinstance(x, bool) and x >= low
+
+
+def _check_keys(bad, field, table, bounds):
+    """Every key of ``table`` must be comma-separated indices below ``bounds``."""
+    if not isinstance(table, dict):
+        bad(f"{field} must be an object")
+    for key in table:
+        parts = key.split(",")
+        if len(parts) != len(bounds) or not all(
+                x.strip().isdigit() and int(x) < b for x, b in zip(parts, bounds)):
+            bad(f"{field} key {key!r} must be indices below {','.join(map(str, bounds))}")
+
+
 def validate_spec(data: dict, where: str = "<spec>") -> dict:
+    """Reject a malformed spec with a :class:`SpecFileError` naming the field,
+    so that the chart and its probes are built from well-formed data only."""
+    def bad(msg):
+        raise SpecFileError(f"{where}: {msg}")
+
     if not isinstance(data, dict):
-        raise SpecFileError(f"{where}: spec must be a JSON object")
+        bad("spec must be a JSON object")
     if data.get("spec_version") != 1:
-        raise SpecFileError(f"{where}: unsupported or missing spec_version (expected 1)")
+        bad("unsupported or missing spec_version (expected 1)")
     for key in ("name", "dimension", "coordinates", "domain"):
         if key not in data:
-            raise SpecFileError(f"{where}: missing required field {key!r}")
+            bad(f"missing required field {key!r}")
     n = data["dimension"]
+    if not _is_int(n, 1):
+        bad("dimension must be a positive integer")
     coords = data["coordinates"]
-    if not isinstance(coords, list) or len(coords) != n or len(set(coords)) != n:
-        raise SpecFileError(f"{where}: coordinates must be {n} distinct names")
+    if not (isinstance(coords, list) and all(isinstance(c, str) for c in coords)
+            and len(set(coords)) == len(coords) == n):
+        bad(f"coordinates must be {n} distinct names")
     dom = data["domain"]
-    if set(dom) != set(coords):
-        raise SpecFileError(f"{where}: domain must give one interval per coordinate")
+    if not isinstance(dom, dict) or set(dom) != set(coords):
+        bad("domain must be an object giving one interval per coordinate")
     for c, box in dom.items():
-        if not (isinstance(box, list) and len(box) == 2 and box[0] < box[1]):
-            raise SpecFileError(f"{where}: domain[{c!r}] must be a nonempty [lo, hi]")
-    has_metric = "metric" in data
-    has_gamma = "christoffel" in data
-    if has_metric == has_gamma:
-        raise SpecFileError(f"{where}: exactly one of 'metric' or 'christoffel' is required")
-    if "probe_points" not in data and "sampler" not in data:
-        raise SpecFileError(f"{where}: give probe_points or a sampler")
+        if not (isinstance(box, list) and len(box) == 2 and all(
+                isinstance(x, (int, float)) and not isinstance(x, bool) for x in box)
+                and box[0] < box[1]):
+            bad(f"domain[{c!r}] must be a nonempty [lo, hi] of numbers")
+    if ("metric" in data) == ("christoffel" in data):
+        bad("exactly one of 'metric' or 'christoffel' is required")
+    g = data.get("metric")
+    if "metric" in data and not (isinstance(g, list) and len(g) == n and all(
+            isinstance(row, list) and len(row) == n for row in g)):
+        bad(f"metric must be a {n}x{n} matrix")
+    if "christoffel" in data:
+        _check_keys(bad, "christoffel", data["christoffel"], (n, n, n))
+    fiber = data.get("fiber")
+    if fiber is not None:
+        if not (isinstance(fiber, dict) and _is_int(fiber.get("dimension"), 1)):
+            bad("fiber must give a positive integer dimension")
+        d = fiber["dimension"]
+        _check_keys(bad, "fiber connection", fiber.get("connection", {}), (d, n, d))
+    if "probe_points" in data:
+        rows = data["probe_points"]
+        if not (isinstance(rows, list) and rows
+                and all(isinstance(row, list) and len(row) == n for row in rows)):
+            bad(f"probe_points must be a nonempty list of points with {n} coordinates")
+        for x in (x for row in rows for x in row):
+            try:
+                Fraction(str(x))
+            except (ValueError, ZeroDivisionError):
+                bad(f"probe coordinate {x!r} is not a number")
+    elif "sampler" in data:
+        samp = data["sampler"]
+        if not (isinstance(samp, dict) and _is_int(samp.get("count", 3), 1)):
+            bad("sampler must be an object with a positive integer count")
+        for c in coords:
+            # the sampler draws points k/8 strictly inside the box
+            if int(float(dom[c][0]) * 8) + 1 > int(float(dom[c][1]) * 8) - 1:
+                bad(f"domain[{c!r}] holds no sampler point k/8 inside it")
+    else:
+        bad("give probe_points or a sampler")
     return data
 
 
@@ -162,6 +215,10 @@ def run(spec_path, suite: str, r: int, k: int, mode: str, tol, seed: int,
             raise SpecFileError(
                 f"{spec_path}: rational mode needs polynomial/rational chart expressions")
         probes = resolve_probes(data, chart, mode, seed)
+        usage = _flag_error(chart, suite, r, k, trials)
+        if usage:
+            print(f"usage error: {usage}", file=sys.stderr)
+            return 2
     except (SpecFileError, ChartValidationError, ChartDomainError,
             ExprSyntaxError, UndeclaredSymbolError) as err:
         print(f"spec error: {err}", file=sys.stderr)
@@ -193,6 +250,19 @@ def run(spec_path, suite: str, r: int, k: int, mode: str, tol, seed: int,
         print(f"[{row.status}] {row.check}: residual {row.residual:g} (tol {row.tol:g})",
               file=sys.stderr)
     return 1 if any(r.status == "FAIL" for r in results) else 0
+
+
+def _flag_error(chart, suite, r, k, trials):
+    """What is wrong with the run flags for this chart, or None."""
+    if suite not in su.SUITES:
+        return f"--suite {suite!r} names no suite (see 'atomcur suites')"
+    if r < 0:
+        return "--order must be at least 0"
+    if not 0 <= k <= chart.d:
+        return f"--degree must lie in 0..{chart.d}, the fiber dimension"
+    if trials is not None and trials < 1:
+        return "--trials must be at least 1"
+    return None
 
 
 def _run_parallel(ctx, jobs):

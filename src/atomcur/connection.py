@@ -180,16 +180,13 @@ class ChartConnection:
 
     # -- cached jet evaluation --------------------------------------------
 
-    def _point_cache(self, p, mode):
-        key = (p, mode)
-        hit = self._cache.get(key)
-        if hit is None:
-            with self._lock:
-                hit = self._cache.setdefault(key, {})
-        return hit
-
     def _memo(self, p, mode, key, build):
-        cache = self._point_cache(p, mode)
+        """The value under ``key`` in the cache of (p, mode), built on first
+        use; the per-point dict is created under the lock."""
+        cache = self._cache.get((p, mode))
+        if cache is None:
+            with self._lock:
+                cache = self._cache.setdefault((p, mode), {})
         hit = cache.get(key)
         if hit is None:
             hit = cache[key] = build()
@@ -258,36 +255,32 @@ class ChartConnection:
             raise ValueError("higher-order symbols need |I| >= 1")
         p = as_point(p, mode)
         fiber = fiber and not self.fiber_is_tangent
-        cache = self._point_cache(p, mode)
-        key = ("gh", I, j, order, fiber)
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
         if len(I) == 1:
-            out = self.gamma1_jet(I[0], j, p, order, mode, fiber)
-            cache[key] = out
+            return self._memo(p, mode, ("gh", I, j, order, fiber),
+                              lambda: self.gamma1_jet(I[0], j, p, order, mode, fiber))
+
+        def build():
+            i1, rest = I[0], I[1:]
+            dim = self.d if fiber else self.n
+            upper = self.higher_gamma_jets(rest, j, p, order + 1, mode, fiber)
+            out = []
+            for k in range(dim):
+                acc = upper[k].derivative(i1)
+                for l in range(dim):
+                    comp = self.gamma1_jet(i1, l, p, order, mode, fiber)[k]
+                    acc = acc + upper[l].truncate(order) * comp
+                out.append(acc)
+            for r in range(len(rest)):
+                for l in range(self.n):
+                    gam = self.gamma1_jet(i1, rest[r], p, order, mode, fiber=False)[l]
+                    if gam.is_zero():
+                        continue
+                    replaced = rest[:r] + (l,) + rest[r + 1:]
+                    sub = self.higher_gamma_jets(replaced, j, p, order, mode, fiber)
+                    for k in range(dim):
+                        out[k] = out[k] - gam * sub[k]
             return out
-        i1, rest = I[0], I[1:]
-        dim = self.d if fiber else self.n
-        upper = self.higher_gamma_jets(rest, j, p, order + 1, mode, fiber)
-        out = []
-        for k in range(dim):
-            acc = upper[k].derivative(i1)
-            for l in range(dim):
-                comp = self.gamma1_jet(i1, l, p, order, mode, fiber)[k]
-                acc = acc + upper[l].truncate(order) * comp
-            out.append(acc)
-        for r in range(len(rest)):
-            for l in range(self.n):
-                gam = self.gamma1_jet(i1, rest[r], p, order, mode, fiber=False)[l]
-                if gam.is_zero():
-                    continue
-                replaced = rest[:r] + (l,) + rest[r + 1:]
-                sub = self.higher_gamma_jets(replaced, j, p, order, mode, fiber)
-                for k in range(dim):
-                    out[k] = out[k] - gam * sub[k]
-        cache[key] = out
-        return out
+        return self._memo(p, mode, ("gh", I, j, order, fiber), build)
 
     def higher_gamma(self, I, j, p, mode=FLOAT, fiber=False):
         """Values Gamma^k_{I,j}(p) as a list over k."""

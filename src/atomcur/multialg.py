@@ -7,17 +7,15 @@ with absent keys meaning zero.  The key order used everywhere (and in
 particular for the PBW basis) is graded-lexicographic: sort by length,
 then lexicographically.
 
-Deshuffle coproducts, the determinant pairing, the signed Hodge star of
-an orthonormal frame, and the pointwise linear algebra shared by every
-layer (a ring-generic determinant and one Gauss-Jordan elimination) live here;
-everything is a pure function of immutable values.
+Deshuffle coproducts and the pointwise linear algebra shared by every
+layer (a ring-generic determinant and one Gauss-Jordan elimination) live
+here; everything is a pure function of immutable values.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -138,7 +136,7 @@ def wedge_coproduct(K):
 
 
 # ---------------------------------------------------------------------------
-# Determinant, elimination, determinant pairing and Hodge star.
+# Determinant and elimination.
 
 def det(rows):
     """Determinant by Laplace expansion along the first row; fine at fiber
@@ -193,80 +191,6 @@ def row_reduce(rows):
                 rows[r] = [a - f * b for a, b in zip(rows[r], rows[top])]
         pivots.append(c)
     return rows, pivots
-
-
-@dataclass(frozen=True)
-class MetricSignature:
-    """Diagonal signs of an ordered orthonormal frame."""
-
-    signs: tuple
-
-    def __post_init__(self):
-        if any(s not in (1, -1) for s in self.signs):
-            raise ValueError("signature entries must be +1 or -1")
-
-    @property
-    def n(self):
-        return len(self.signs)
-
-    def product(self, J) -> int:
-        out = 1
-        for j in J:
-            out *= self.signs[j]
-        return out
-
-
-def _complement(K, n):
-    return tuple(i for i in range(n) if i not in K)
-
-
-def hodge_star(alpha: dict, sig: MetricSignature) -> dict:
-    """Hodge star on multivectors expressed in an ordered orthonormal frame.
-
-    On basis elements: star(x_J) = sgn(I J) * (-1)^{|I| |J|} * s(J) * x_I
-    with I the complement of J; extended linearly.
-    """
-    n = sig.n
-    out = {}
-    for J, c in alpha.items():
-        if c == 0:
-            continue
-        I = _complement(J, n)
-        sign = sort_sign(I + J) * ((-1) ** (len(I) * len(J))) * sig.product(J)
-        out[I] = out.get(I, 0) + sign * c
-    return {K: v for K, v in out.items() if v != 0}
-
-
-def hodge_star_dual(omega: dict, sig: MetricSignature) -> dict:
-    """Hodge star on the dual exterior algebra: star(x^I) = sgn(I J) s(I) x^J."""
-    n = sig.n
-    out = {}
-    for I, c in omega.items():
-        if c == 0:
-            continue
-        J = _complement(I, n)
-        sign = sort_sign(I + J) * sig.product(I)
-        out[J] = out.get(J, 0) + sign * c
-    return {K: v for K, v in out.items() if v != 0}
-
-
-def hodge_star_inverse(alpha: dict, sig: MetricSignature) -> dict:
-    """Inverse of :func:`hodge_star`.
-
-    Uses star(star(x)) = (-1)^{k(n-k)} s(0..n-1) x on degree-k input, so the
-    inverse of star on degree m applies star once and rescales.
-    """
-    n = sig.n
-    stot = sig.product(range(n))
-    out = {}
-    for J, c in alpha.items():
-        m = len(J)
-        k = n - m  # degree of the preimage
-        factor = ((-1) ** (k * (n - k))) * stot
-        part = hodge_star({J: c}, sig)
-        for I, v in part.items():
-            out[I] = out.get(I, 0) + factor * v
-    return {K: v for K, v in out.items() if v != 0}
 
 
 # ---------------------------------------------------------------------------

@@ -189,8 +189,8 @@ def pointwise_star(chart: ChartConnection, p, mode=FLOAT):
     """(star, star_inverse) on wedge(T_p M) w.r.t. the metric at p, acting on
     increasing-key coefficient maps in the coordinate frame.
 
-    The multivector twin of :func:`star_form_jets`, from g(p) and
-    sqrt(det g(p)): (star beta)^L = sgn(L^c, L) <e_{L^c}, beta>_g / sqrt(det g),
+    The multivector twin of :func:`star_form_jets`, from the minors of g(p)
+    and sqrt(det g(p)): (star beta)^L = sgn(L^c, L) <e_{L^c}, beta>_g / sqrt(det g),
     and star^{-1} = (-1)^{k(n-k)} star on degree-k input.  Exact in rational
     mode wherever sqrt(det g(p)) is rational.
     """
@@ -205,9 +205,10 @@ def pointwise_star(chart: ChartConnection, p, mode=FLOAT):
         out = {}
         for k in dict.fromkeys(len(K) for K, _c in _incr_items(val)):
             flip = -1 if inverse and k * (n - k) % 2 else 1
+            minors = _minors(chart, p, mode, ("g-minors", k), g, k)
             for L in itertools.combinations(range(n), n - k):
                 Lc = tuple(i for i in range(n) if i not in L)
-                pv = _gram_pair(g, val, Lc)
+                pv = _gram_pair(minors, val, Lc)
                 if pv != 0:
                     out[L] = merge_sign(Lc, L) * flip * pv / vol
         return out
@@ -252,14 +253,23 @@ def _edag_fiber(pair, val: dict, r, K):
             yield tuple(K[q] for q in range(k) if q not in pos), sgn * pv
 
 
-def _gram_pair(g, val: dict, A) -> object:
-    """<multivector value, eps_A> under the metric pairing: det of g-blocks."""
+def _minors(chart: ChartConnection, p, mode, key, mat, k) -> dict:
+    """The k x k minors {(R, C): det(mat[R, C])} of the square matrix ``mat``
+    over all k-subsets R, C, held on the chart per point under ``key``, so
+    each minor is derived once per point."""
+    return chart._memo(p, mode, key, lambda: {
+        (R, C): det([[mat[r][c] for c in C] for r in R])
+        for R in anti_indices(len(mat), k) for C in anti_indices(len(mat), k)})
+
+
+def _gram_pair(minors, val: dict, A) -> object:
+    """<multivector value, eps_A> under the metric pairing: the sum of
+    val^B det(g[B, A]), each minor read from the table ``minors``."""
     total = 0
     for B, c in _incr_items(val):
         if len(B) != len(A):
             continue
-        mat = [[g[b][a] for a in A] for b in B]
-        dv = det(mat)
+        dv = minors[(B, A)]
         if dv != 0:
             total += c * dv
     return total
@@ -321,7 +331,8 @@ def op_Edag(chart: ChartConnection, X: Field, p, mode=FLOAT, route="contract") -
         return _perp_conjugate(chart, op_E(chart, X, p, mode),
                                lambda k: (-1) ** (r * (k + r)), p, mode)
     g = chart.metric_value(p, mode)
-    return _edag_contraction(X, p, mode, lambda val, KL: _gram_pair(g, val, KL))
+    return _edag_contraction(X, p, mode, lambda val, KL: _gram_pair(
+        _minors(chart, p, mode, ("g-minors", len(KL)), g, len(KL)), val, KL))
 
 
 def op_Edag_theta(chart: ChartConnection, theta: Field, p, mode=FLOAT) -> FiberEndo:
@@ -583,15 +594,13 @@ def raise_form_jets(chart: ChartConnection, omega: Field, p, mode, budget) -> di
 
     Components of an expression-backed ``omega`` whose jet vanishes are
     skipped; the result maps each anti-index A reached to its jet.  The
-    minors of g^{-1} are cached per point on the chart."""
+    minors of g^{-1} are held per point on the chart (:func:`_minors`)."""
     chart.require_metric()
     n = chart.n
     k = len(omega.slots)
     p = as_point(p, mode)
     ginv = chart._metric_inverse_jets(p, budget, mode)[0]
-    minors = chart._memo(p, mode, ("ginv-minors", k, budget), lambda: {
-        (A, K): det([[ginv[a][kk] for kk in K] for a in A])
-        for A in anti_indices(n, k) for K in anti_indices(n, k)})
+    minors = _minors(chart, p, mode, ("ginv-minors", k, budget), ginv, k)
     comps = {}
     for K in anti_indices(n, k):
         if omega.jet_backed:
@@ -687,19 +696,21 @@ def adjoint_of_Edag(chart: ChartConnection, endo: FiberEndo, r: int, p,
                            inverse=True)
 
 
-def delta_commutation_residual(endo: FiberEndo, x: TensorExtElement):
+def delta_commutation_residual(image, key):
     """Residual of the co-derivation law
-    Delta(endo x) = (endo tensor id)(Delta x) + (-1)^{k1} (id tensor endo)(Delta x),
-    with k1 the exterior degree of the left factor of each summand."""
-    n, d = x.n, x.d
-    lhs = delta_coproduct(endo(x))
+    Delta(endo x) = (endo tensor id)(Delta x) + (-1)^{k1} (id tensor endo)(Delta x)
+    on the basis element x at ``key``, with k1 the exterior degree of the left
+    factor of each summand.  ``image(key)`` is endo of the basis element at
+    key, so a caller that memoizes it applies endo once per key."""
+    out = image(key)
+    lhs = delta_coproduct(out)
     rhs = {}
-    for (kl, kr), c in delta_coproduct(x).items():
-        for key1, c1 in endo(TensorExtElement(n, d, {kl: 1})).coeffs.items():
+    for (kl, kr), c in delta_coproduct(TensorExtElement(out.n, out.d, {key: 1})).items():
+        for key1, c1 in image(kl).coeffs.items():
             kk = (key1, kr)
             rhs[kk] = rhs.get(kk, 0) + c * c1
         s = (-1) ** len(kl[1])
-        for key2, c2 in endo(TensorExtElement(n, d, {kr: 1})).coeffs.items():
+        for key2, c2 in image(kr).coeffs.items():
             kk = (kl, key2)
             rhs[kk] = rhs.get(kk, 0) + s * c * c2
     return cd._dict_residual(lhs, rhs)
@@ -722,9 +733,19 @@ def trace_DEdag_lift_check(chart: ChartConnection, p, r: int, k: int, mode=FLOAT
         all probes after applying the lift), so it descends to currents;
     (b) it satisfies the co-derivation law with Delta_otimes;
     (c) it raises tensor order by at most one and drops exterior degree by one.
+
+    (b) and (c) read one image of the lift per basis key.
     """
     p = as_point(p, mode)
     endo = trace_DEdag_endo(chart, p, mode)
+    images = {}
+
+    def image(key):
+        out = images.get(key)
+        if out is None:
+            out = images[key] = endo(TensorExtElement(chart.n, chart.d, {key: 1}))
+        return out
+
     report = {"kernel_preservation": 0, "delta_commutation": 0,
               "order_degree_ok": True}
     for _label, kel in at.kernel_basis(chart, p, r, k, mode):
@@ -734,10 +755,9 @@ def trace_DEdag_lift_check(chart: ChartConnection, p, r: int, k: int, mode=FLOAT
     from .multialg import all_words
     for w in all_words(chart.n, r):
         for K in anti_indices(chart.d, k):
-            x = TensorExtElement(chart.n, chart.d, {(w, K): 1})
             report["delta_commutation"] = max(
-                report["delta_commutation"], delta_commutation_residual(endo, x))
-            out = endo(x)
+                report["delta_commutation"], delta_commutation_residual(image, (w, K)))
+            out = image((w, K))
             if out.max_order() > len(w) + 1 or any(len(K2) != k - 1
                                                    for (_w, K2) in out.coeffs):
                 report["order_degree_ok"] = False

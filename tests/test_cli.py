@@ -119,6 +119,57 @@ def test_nonpositive_metric_determinant_exit_code(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+_GOOD_2D = {
+    "spec_version": 1, "name": "metric-2d", "dimension": 2,
+    "coordinates": ["x", "y"], "domain": {"x": [-1, 1], "y": [-1, 1]},
+    "metric": [["1", "0"], ["0", "1"]], "probe_points": [["1/4", "-1/3"]],
+}
+_BAD_SPECS = {
+    "domain-bounds-strings": {"domain": {"x": ["a", "b"], "y": [-1, 1]}},
+    "domain-bounds-mixed": {"domain": {"x": ["a", 1], "y": [-1, 1]}},
+    "coordinate-not-a-name": {"coordinates": [["x"], "y"]},
+    "probe-coordinate": {"probe_points": [["abc", "0"]]},
+    "christoffel-key-short": {"metric": None, "christoffel": {"0,0": "x"}},
+    "christoffel-key-range": {"metric": None, "christoffel": {"5,0,0": "x"}},
+    "fiber-no-dimension": {"fiber": {"connection": {}}},
+    "fiber-key-range": {"fiber": {"dimension": 2, "connection": {"3,0,0": "x"}}},
+    "metric-1x1": {"metric": [["1"]]},
+    "dimension-0": {"dimension": 0, "coordinates": [], "domain": {}},
+    "domain-list": {"domain": [[-1, 1], [-1, 1]]},
+    "probe-points-string": {"probe_points": "00"},
+    "sampler-count": {"probe_points": None, "sampler": {"count": -2}},
+    "sampler-no-grid-point": {"probe_points": None, "sampler": {"count": 2},
+                              "domain": {"x": [0, 0.1], "y": [-1, 1]}},
+}
+_BAD_FLAGS = {
+    "suite": ["--suite", "nosuch"],
+    "order": ["--order", "-1"],
+    "degree-negative": ["--degree", "-1"],
+    "degree-above-fiber": ["--degree", "3"],
+    "trials-zero": ["--suite", "composition", "--trials", "0"],
+    "trials-negative": ["--suite", "composition", "--trials", "-1"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_SPECS) + sorted(_BAD_FLAGS))
+def test_malformed_input_exits_2_without_traceback(tmp_path, case):
+    # a malformed spec or an out-of-range flag is a usage error (exit 2 with a
+    # message), never a crash (exit 1 is kept for a failed check)
+    spec = {k: v for k, v in {**_GOOD_2D, **_BAD_SPECS.get(case, {})}.items()
+            if v is not None}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    proc = subprocess.run(
+        [sys.executable, "-m", "atomcur.cli", "run", str(path), "--suite", "jets",
+         "--mode", "rational", *_BAD_FLAGS.get(case, [])],
+        capture_output=True, text=True,
+        env={"PYTHONPATH": str(SPECS.parent.parent), "PATH": "/usr/bin:/bin"},
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "spec error" in proc.stderr or "usage" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_check_failure_exit_code(tmp_path):
     # an impossible tolerance forces residuals above threshold
     out = tmp_path / "r.json"

@@ -3,11 +3,9 @@ from fractions import Fraction
 import pytest
 
 from atomcur.jets import FLOAT, RATIONAL, Jet, JetSpace
-from atomcur.multialg import (MetricSignature, TensorExtElement, anti_indices,
-                              basis_element, det, row_reduce, hodge_star,
-                              hodge_star_dual, hodge_star_inverse, sorted_words,
-                              tensor_coproduct, wedge_coproduct, wedge_merge,
-                              word_multidegree, sorted_word)
+from atomcur.multialg import (TensorExtElement, basis_element, det, row_reduce,
+                              sorted_words, tensor_coproduct, wedge_coproduct,
+                              wedge_merge, word_multidegree, sorted_word)
 
 
 def test_tensor_coproduct_primitive():
@@ -35,45 +33,6 @@ def test_wedge_coproduct_singleton_and_empty():
     assert {(A, B): s for A, B, s in wedge_coproduct((0,))} == {
         ((0,), ()): 1, ((), (0,)): 1}
     assert wedge_coproduct(()) == [((), (), 1)]
-
-
-def test_hodge_star_euclidean_r2():
-    sig = MetricSignature((1, 1))
-    assert hodge_star({(): 1}, sig) == {(0, 1): 1}
-    assert hodge_star({(0, 1): 1}, sig) == {(): 1}
-
-
-def test_hodge_star_euclidean_r3():
-    sig = MetricSignature((1, 1, 1))
-    assert hodge_star({(0,): 1}, sig) == {(1, 2): 1}
-
-
-def test_hodge_involution_all_signatures():
-    for n in (2, 3, 4):
-        for signs in [(1,) * n, (-1,) + (1,) * (n - 1), (-1, -1) + (1,) * (n - 2)]:
-            sig = MetricSignature(signs)
-            stot = sig.product(range(n))
-            for k in range(n + 1):
-                for K in anti_indices(n, k):
-                    twice = hodge_star(hodge_star({K: 1}, sig), sig)
-                    assert twice == {K: ((-1) ** (k * (n - k))) * stot}
-                    assert hodge_star_inverse(hodge_star({K: 1}, sig), sig) == {K: 1}
-
-
-def test_star_transpose_is_inverse():
-    # <omega, star-hat(alpha)> = <star^{-1}(omega), alpha> on all basis pairs in R^3
-    n = 3
-    sig = MetricSignature((1, 1, 1))
-    stot = sig.product(range(n))
-    for k in range(n + 1):
-        for I in anti_indices(n, k):
-            om = {I: 1}
-            sti = {K: ((-1) ** (k * (n - k))) * stot * c
-                   for K, c in hodge_star_dual(om, sig).items()}
-            for J in anti_indices(n, n - k):
-                lhs = sum(c * hodge_star({J: 1}, sig).get(K, 0) for K, c in om.items())
-                rhs = sum(c * ({J: 1}).get(K, 0) for K, c in sti.items())
-                assert lhs == rhs
 
 
 def test_words_and_multidegree():

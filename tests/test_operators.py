@@ -77,10 +77,13 @@ def test_op_ED_exchange(s2):
     assert op.endo_residual(lhs, rhs, ELEMS2) < 1e-8
 
 
-def test_perp_euclidean(flat2, s2):
+def test_perp_euclidean(flat2, flat3, s2):
     p = (0.1, 0.2)
     P = op.op_perp(flat2, p)
     assert P(basis_element(2, 2, (), ())).coeffs == {((), (0, 1)): 1}
+    # the sign anchor of the coordinate orientation in R^3: star e_0 = e_1 ^ e_2
+    star, _star_inv = op.pointwise_star(flat3, (0.1, 0.2, 0.3))
+    assert star({(0,): 1}) == {(1, 2): 1}
     # involution with sign (-1)^{k(n-k)}
     Pi = op.op_perp(flat2, p, inverse=True)
     for K in [(), (0,), (1,), (0, 1)]:
@@ -119,6 +122,17 @@ def test_perp_duality_vs_star(s2):
     ctx = SuiteContext(chart=s2, probes=[(1.1, 0.8)], seed=1)
     results = check_perp_duality(ctx)
     assert all(r.passed for r in results if not r.skipped)
+
+
+def test_hodge_star_check_runs_the_operator_star(monkeypatch):
+    # the hodge-star check reads op.pointwise_star, so swapping star and
+    # star^{-1} there breaks the det-pairing transpose law it checks
+    from atomcur.suites import SuiteContext, check_hodge_algebra
+    ctx = SuiteContext(chart=ChartConnection.flat(2))
+    assert check_hodge_algebra(ctx)[0].status == "pass"
+    star = op.pointwise_star
+    monkeypatch.setattr(op, "pointwise_star", lambda *a: star(*a)[::-1])
+    assert check_hodge_algebra(ctx)[0].status == "FAIL"
 
 
 def test_edag_explicit_r3(flat3):
