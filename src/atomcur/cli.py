@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -215,7 +216,7 @@ def run(spec_path, suite: str, r: int, k: int, mode: str, tol, seed: int,
             raise SpecFileError(
                 f"{spec_path}: rational mode needs polynomial/rational chart expressions")
         probes = resolve_probes(data, chart, mode, seed)
-        usage = _flag_error(chart, suite, r, k, trials)
+        usage = _flag_error(chart, suite, r, k, trials, tol)
         if usage:
             print(f"usage error: {usage}", file=sys.stderr)
             return 2
@@ -252,7 +253,7 @@ def run(spec_path, suite: str, r: int, k: int, mode: str, tol, seed: int,
     return 1 if any(r.status == "FAIL" for r in results) else 0
 
 
-def _flag_error(chart, suite, r, k, trials):
+def _flag_error(chart, suite, r, k, trials, tol):
     """What is wrong with the run flags for this chart, or None."""
     if suite not in su.SUITES:
         return f"--suite {suite!r} names no suite (see 'atomcur suites')"
@@ -262,6 +263,9 @@ def _flag_error(chart, suite, r, k, trials):
         return f"--degree must lie in 0..{chart.d}, the fiber dimension"
     if trials is not None and trials < 1:
         return "--trials must be at least 1"
+    # no residual meets a nan or negative tolerance, and inf passes every one
+    if tol is not None and not 0 <= tol < math.inf:
+        return f"--tol must be a finite number >= 0, not {tol!r}"
     return None
 
 

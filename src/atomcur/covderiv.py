@@ -139,9 +139,13 @@ def _add_jet(acc: dict, idx, jet: Jet):
     acc[idx] = jet if cur is None else cur + jet
 
 
-def _sub_jet(acc: dict, idx, jet: Jet):
+def _add_product(acc: dict, idx, a: Jet, b: Jet, sign=1):
+    """acc[idx] += sign * a*b, as one fused pass where the jets allow it."""
     cur = acc.get(idx)
-    acc[idx] = -jet if cur is None else cur - jet
+    if cur is None:
+        acc[idx] = a * b if sign > 0 else -(a * b)
+    else:
+        acc[idx] = cur.add_product(a, b, sign)
 
 
 def covariant_step(chart, slots, comps, i, p, order, mode):
@@ -166,12 +170,12 @@ def covariant_step(chart, slots, comps, i, p, order, mode):
                 gam = chart.gamma1_jet(i, a, p, order, mode, fiber=fiber)
                 for b in range(dim):
                     if not gam[b].is_zero():
-                        _add_jet(out, idx[:pos] + (b,) + idx[pos + 1:], gam[b] * jt)
+                        _add_product(out, idx[:pos] + (b,) + idx[pos + 1:], gam[b], jt)
             else:
                 for b in range(dim):
                     gam = chart.gamma1_jet(i, b, p, order, mode, fiber=fiber)[a]
                     if not gam.is_zero():
-                        _sub_jet(out, idx[:pos] + (b,) + idx[pos + 1:], gam * jt)
+                        _add_product(out, idx[:pos] + (b,) + idx[pos + 1:], gam, jt, -1)
     return out
 
 
@@ -211,7 +215,7 @@ def nabla_word_jets(field: Field, I, p, order, mode):
                     continue
                 sub = nabla_word_jets(field, rest[:r] + (l,) + rest[r + 1:], p, order, mode)
                 for idx, jet in sub.items():
-                    _sub_jet(out, idx, gam[l] * jet)
+                    _add_product(out, idx, gam[l], jet, -1)
     cache[key] = out
     cache[I] = order
     return out
@@ -405,7 +409,7 @@ def covderiv(X: Field, Y: Field, p, order, mode) -> dict:
         if xi.is_zero():
             continue
         for idx, jet in nabla_word_jets(Y, (i,), p, order, mode).items():
-            _add_jet(out, idx, xi * jet)
+            _add_product(out, idx, xi, jet)
     return out
 
 

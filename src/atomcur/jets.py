@@ -17,15 +17,29 @@ Two scalar modes exist and are never mixed inside one computation:
   ``value``, ``coeff`` and ``partial`` return exact ``Fraction``s.
 * ``float``: 64-bit floats in an ``array('d')``; the general mode.
 
-Both modes multiply with the same truncated Cauchy product: the rows of the
-product table, left factor outer, skipping its zero coefficients.  Each
-output coefficient gets its terms in ascending left-factor index, so a float
-product is the same sum in the same order as a full table walk.
+Both modes multiply with the truncated Cauchy product table ``mul_rows``,
+and every output coefficient sums its terms in ascending left-factor index.
+
+* Rational jets walk the rows, left factor outer, skipping its zero
+  coefficients: with big integers the skipped rows are what pays.
+* Float jets on spaces of at most ``KERNEL_MAX_TERMS`` product terms run
+  straight-line code generated once per space from the integer indices of
+  ``mul_rows``: output o is ``0.0 + a_i*b_j + ...``, its terms in ascending
+  i.  The fused ``c + a*b`` and ``c - a*b`` are ``c_o + (...)`` and
+  ``c_o - (...)``.  Larger float spaces walk the rows as rational jets do.
+
+Both float paths give the same bits.  The row walk leaves out the terms of
+zero left coefficients, which the straight-line code keeps; each is a
+signed zero (for finite right factors).  A sum that starts at +0.0 is never
+-0.0 (``0.0 + -0.0`` is +0.0), and adding a signed zero to a value other
+than -0.0 leaves it unchanged, so the extra terms change no output bit.
+Only non-finite coefficients (inf * 0 is nan) tell the two paths apart.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from array import array
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -33,6 +47,14 @@ from math import gcd, lcm
 
 RATIONAL = "rational"
 FLOAT = "float"
+
+# Float products on spaces of at most this many product terms (n = 3 up to
+# order 4, n = 2 up to order 6) run generated straight-line code; larger
+# spaces keep the row loop.  Compiling a kernel takes about 1.7 kB of
+# transient memory per term, and part of it stays resident: kernels for the
+# n = 3 spaces of order 5 and 6 (462 and 924 terms) raised the peak RSS of a
+# poly3 float `--suite all` run from 24.3 to 25.2 MB.
+KERNEL_MAX_TERMS = 210
 
 
 class ExactModeError(ValueError):
@@ -74,17 +96,16 @@ class JetSpace:
         self.indices = _gradlex_indices(n, order)
         self.size = len(self.indices)
         self.index_of = {T: i for i, T in enumerate(self.indices)}
-        # diff_tables[i]: (dst, src, multiplier) triples realizing d/dx_i
-        # into the order-1 space (empty at order 0).
+        # diff_tables[i]: (sources, multipliers) realizing d/dx_i into the
+        # order-1 space: its coefficient dst is coeffs[sources[dst]] *
+        # multipliers[dst] (no tables at order 0)
         self.diff_tables = []
         if order >= 1:
             lower = JetSpace(n, order - 1)
             for i in range(n):
-                tab = []
-                for dst, T in enumerate(lower.indices):
-                    src_T = tuple(t + (1 if k == i else 0) for k, t in enumerate(T))
-                    tab.append((dst, self.index_of[src_T], T[i] + 1))
-                self.diff_tables.append(tuple(tab))
+                srcs = tuple(self.index_of[tuple(t + (k == i) for k, t in enumerate(T))]
+                             for T in lower.indices)
+                self.diff_tables.append((srcs, tuple(T[i] + 1 for T in lower.indices)))
         self.lower = JetSpace(n, order - 1) if order >= 1 else None
         # units[i]: position of the multi-index e_i (none at order 0)
         self.units = tuple(self.index_of[tuple(int(k == i) for k in range(n))]
@@ -110,8 +131,45 @@ class JetSpace:
         counter that benchmark traces report."""
         return array("i", (o for row in self.mul_rows for o, _ in row))
 
+    @cached_property
+    def float_kernel(self):
+        """The straight-line float products of this space as ``(mul, add,
+        sub)`` over coefficient arrays: ``mul(a, b)``, ``add(c, a, b)`` =
+        c + a*b and ``sub(c, a, b)`` = c - a*b, so ``float_kernel[sign]``
+        is the fused form for sign 1 or -1.  None above KERNEL_MAX_TERMS."""
+        if len(self.mul_oi) > KERNEL_MAX_TERMS:
+            return None
+        # one compile per function: the compiler's transient memory, which
+        # counts toward peak RSS, is then that of the largest one
+        namespace = {"array": array}
+        for source in _kernel_sources(self.mul_rows, self.size):
+            exec(compile(source, f"<jet kernel n={self.n} order={self.order}>", "exec"),
+                 namespace)
+        return namespace["mul"], namespace["add"], namespace["sub"]
+
     def __repr__(self):
         return f"JetSpace(n={self.n}, order={self.order})"
+
+
+def _kernel_sources(rows, size: int):
+    """Python sources of the three straight-line float products over the
+    product table ``rows`` (see ``JetSpace.float_kernel``), written from its
+    integer indices alone.  Output o sums its terms a_i*b_j in ascending i,
+    the order of the row walk, starting from +0.0."""
+    terms = [["0.0"] for _ in range(size)]
+    for i, row in enumerate(rows):
+        for o, j in row:
+            terms[o].append(f"a{i}*b{j}")
+    sums = [" + ".join(t) for t in terms]
+
+    def unpack(v):
+        return f"    {', '.join(f'{v}{i}' for i in range(size))}, = {v}\n"
+
+    ab = unpack("a") + unpack("b")
+    yield f"def mul(a, b):\n{ab}    return array('d', ({', '.join(sums)},))\n"
+    for name, op in (("add", "+"), ("sub", "-")):
+        yield (f"def {name}(c, a, b):\n{unpack('c')}{ab}    return array('d', ("
+               + ", ".join(f"c{o} {op} ({t})" for o, t in enumerate(sums)) + ",))\n")
 
 
 def _zero_coeffs(space: JetSpace, mode: str):
@@ -167,6 +225,16 @@ def as_point(p, mode: str) -> Point:
 
 
 _new = object.__new__
+
+
+def _float(space: JetSpace, coeffs: array) -> "Jet":
+    """Float jet over an array('d') of coefficients."""
+    jet = _new(Jet)
+    jet.space = space
+    jet.mode = FLOAT
+    jet.coeffs = coeffs
+    jet.den = 1
+    return jet
 
 
 def _exact(space: JetSpace, nums: list, den: int) -> "Jet":
@@ -226,7 +294,7 @@ class Jet:
     @staticmethod
     def zero(space: JetSpace, mode: str) -> "Jet":
         if mode == FLOAT:
-            return Jet(space, mode, _zero_coeffs(space, mode))
+            return _float(space, _zero_coeffs(space, mode))
         return _exact(space, _zero_coeffs(space, mode), 1)
 
     @staticmethod
@@ -234,7 +302,7 @@ class Jet:
         c = _zero_coeffs(space, mode)
         if mode == FLOAT:
             c[0] = float(value)
-            return Jet(space, mode, c)
+            return _float(space, c)
         q = value if type(value) is int else as_scalar(value, mode)
         c[0] = q.numerator
         return _exact(space, c, q.denominator)
@@ -247,7 +315,7 @@ class Jet:
             c[0] = float(base_value)
             if space.units:
                 c[space.units[i]] = 1.0
-            return Jet(space, mode, c)
+            return _float(space, c)
         q = as_scalar(base_value, mode)
         c[0] = q.numerator
         if space.units:
@@ -296,8 +364,7 @@ class Jet:
             return self + Jet.const(self.space, self.mode, other)
         self._check(other)
         if self.mode == FLOAT:
-            return Jet(self.space, FLOAT,
-                       array("d", (a + b for a, b in zip(self.coeffs, other.coeffs))))
+            return _float(self.space, array("d", map(operator.add, self.coeffs, other.coeffs)))
         a, b, den = _aligned(self, other)
         return _reduced(self.space, [x + y for x, y in zip(a, b)], den)
 
@@ -308,20 +375,19 @@ class Jet:
             return self - Jet.const(self.space, self.mode, other)
         self._check(other)
         if self.mode == FLOAT:
-            return Jet(self.space, FLOAT,
-                       array("d", (a - b for a, b in zip(self.coeffs, other.coeffs))))
+            return _float(self.space, array("d", map(operator.sub, self.coeffs, other.coeffs)))
         a, b, den = _aligned(self, other)
         return _reduced(self.space, [x - y for x, y in zip(a, b)], den)
 
     def __neg__(self):
         if self.mode == FLOAT:
-            return Jet(self.space, FLOAT, array("d", (-a for a in self.coeffs)))
+            return _float(self.space, array("d", map(operator.neg, self.coeffs)))
         return _exact(self.space, [-a for a in self.coeffs], self.den)
 
     def scale(self, alpha) -> "Jet":
         a = as_scalar(alpha, self.mode)
         if self.mode == FLOAT:
-            return Jet(self.space, FLOAT, array("d", (a * c for c in self.coeffs)))
+            return _float(self.space, array("d", map(a.__mul__, self.coeffs)))
         p = a.numerator
         return _reduced(self.space, [p * c for c in self.coeffs], self.den * a.denominator)
 
@@ -330,6 +396,10 @@ class Jet:
             return self.scale(other)
         self._check(other)
         sp = self.space
+        if self.mode == FLOAT:
+            kernel = sp.float_kernel
+            if kernel is not None:
+                return _float(sp, kernel[0](self.coeffs, other.coeffs))
         out = [0] * sp.size
         b = other.coeffs
         for x, row in zip(self.coeffs, sp.mul_rows):
@@ -337,10 +407,22 @@ class Jet:
                 for o, j in row:
                     out[o] += x * b[j]
         if self.mode == FLOAT:
-            return Jet(sp, FLOAT, array("d", out))
+            return _float(sp, array("d", out))
         return _reduced(sp, out, self.den * other.den)
 
     __rmul__ = __mul__
+
+    def add_product(self, a: "Jet", b: "Jet", sign: int = 1) -> "Jet":
+        """self + a*b for sign 1, self - a*b for sign -1: one fused pass on a
+        float space with a straight-line kernel, the product and then the sum
+        otherwise.  Both give the same coefficients bit for bit."""
+        if self.mode == FLOAT:
+            kernel = self.space.float_kernel
+            if kernel is not None:
+                self._check(a)
+                self._check(b)
+                return _float(self.space, kernel[sign](self.coeffs, a.coeffs, b.coeffs))
+        return self + a * b if sign > 0 else self - a * b
 
     def power(self, k: int) -> "Jet":
         if k < 0:
@@ -390,13 +472,11 @@ class Jet:
         sp = self.space
         if sp.order == 0:
             raise ValueError("cannot differentiate an order-0 jet")
-        lower = sp.lower
-        out = _zero_coeffs(lower, self.mode)
-        for dst, src, mult in sp.diff_tables[i]:
-            out[dst] = self.coeffs[src] * mult
+        srcs, mults = sp.diff_tables[i]
+        out = map(operator.mul, map(self.coeffs.__getitem__, srcs), mults)
         if self.mode == FLOAT:
-            return Jet(lower, FLOAT, out)
-        return _reduced(lower, out, self.den)
+            return _float(sp.lower, array("d", out))
+        return _reduced(sp.lower, list(out), self.den)
 
     def truncate(self, order: int) -> "Jet":
         if order == self.space.order:
@@ -405,7 +485,7 @@ class Jet:
             raise ValueError("cannot raise jet order by truncation")
         sp = JetSpace(self.space.n, order)
         if self.mode == FLOAT:
-            return Jet(sp, FLOAT, self.coeffs[: sp.size])
+            return _float(sp, self.coeffs[: sp.size])
         return _reduced(sp, self.coeffs[: sp.size], self.den)
 
     def __repr__(self):

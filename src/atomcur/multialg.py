@@ -76,8 +76,10 @@ def merge_sign(A, B) -> int:
     return sort_sign(tuple(A) + tuple(B))
 
 
-def wedge_merge(A, B):
-    """(sign, sorted union) of two increasing tuples, or (0, ()) if they meet."""
+@functools.lru_cache(maxsize=4096)
+def wedge_merge(A: tuple, B: tuple):
+    """(sign, sorted union) of two increasing tuples, or (0, ()) if they meet.
+    Memoized: the operator layer merges the same few pairs many times."""
     s = merge_sign(A, B)
     if s == 0:
         return 0, ()

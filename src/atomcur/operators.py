@@ -491,7 +491,7 @@ def sharp(a: SharpElement, b: SharpElement) -> SharpElement:
                         gprod = gprods[(w1, akey)] = [(wkey, g0 * pj)
                                                       for wkey, pj in prod.items()]
                     for wkey, gpj in gprod:
-                        cd._add_jet(out.coeffs, (wkey, merged), gpj * wedge_jet)
+                        cd._add_product(out.coeffs, (wkey, merged), gpj, wedge_jet)
     return out
 
 

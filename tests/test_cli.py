@@ -170,6 +170,22 @@ def test_malformed_input_exits_2_without_traceback(tmp_path, case):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_tol_outside_its_range_is_a_usage_error(tol):
+    # no residual meets a nan or negative tolerance and every one meets inf,
+    # so such a --tol is refused before any check runs (exit 1 is kept for a
+    # failed check)
+    proc = subprocess.run(
+        [sys.executable, "-m", "atomcur.cli", "run", str(SPECS / "poly2.json"),
+         "--suite", "composition", "--tol", tol],
+        capture_output=True, text=True,
+        env={"PYTHONPATH": str(SPECS.parent.parent), "PATH": "/usr/bin:/bin"},
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert any(line.startswith("usage error: --tol") for line in proc.stderr.splitlines())
+    assert "Traceback" not in proc.stderr
+
+
 def test_check_failure_exit_code(tmp_path):
     # an impossible tolerance forces residuals above threshold
     out = tmp_path / "r.json"

@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from atomcur.jets import FLOAT, RATIONAL, Jet, JetSpace, apply_elementary
+from atomcur.jets import (FLOAT, KERNEL_MAX_TERMS, RATIONAL, Jet, JetSpace,
+                          apply_elementary)
 
 
 def test_gradlex_prefix_property():
@@ -188,20 +189,77 @@ def test_rational_jet_ops_match_fraction_reference(n, order, data):
         assert _canonical_values(a.power(abs(k))) == _ref_power(sp, ac, abs(k))
 
 
-_floats = st.one_of(st.just(0.0), st.floats(-8, 8))
+_floats = st.one_of(st.just(0.0), st.just(-0.0), st.floats(-8, 8))
+
+# both sides of KERNEL_MAX_TERMS: (2, 6) and (3, 4) have exactly 210 product
+# terms and run the straight-line kernel, (2, 7) and (3, 5) the row loop
+_FLOAT_SPACES = [(1, 5), (2, 3), (3, 2), (2, 6), (3, 4), (2, 7), (3, 5)]
+
+
+def _row_walk(sp, a, b):
+    # the row loop of rational jets: left factor outer, its zero coefficients
+    # skipped
+    out = [0] * sp.size
+    for x, row in zip(a, sp.mul_rows):
+        if x:
+            for o, j in row:
+                out[o] += x * b[j]
+    return array("d", out).tobytes()
+
+
+def test_kernel_cap():
+    for n, order in _FLOAT_SPACES:
+        sp = JetSpace(n, order)
+        assert (sp.float_kernel is not None) == (len(sp.mul_oi) <= KERNEL_MAX_TERMS)
+    assert len(JetSpace(2, 6).mul_oi) == len(JetSpace(3, 4).mul_oi) == KERNEL_MAX_TERMS
+
+
+@pytest.mark.parametrize("n,order", _FLOAT_SPACES)
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_float_product_matches_table_order_reference(n, order, data):
+    # the kernel keeps the terms that the row walk skips; they must not
+    # change a single bit, the sign of a zero included
+    sp = JetSpace(n, order)
+    ac = data.draw(st.lists(_floats, min_size=sp.size, max_size=sp.size))
+    bc = data.draw(st.lists(_floats, min_size=sp.size, max_size=sp.size))
+    a, b = Jet(sp, FLOAT, array("d", ac)), Jet(sp, FLOAT, array("d", bc))
+    assert (a * b).coeffs.tobytes() == _row_walk(sp, ac, bc)
+    assert (b * a).coeffs.tobytes() == _row_walk(sp, bc, ac)
+    assert (a * b).coeffs.tobytes() == array("d", _ref_mul(sp, ac, bc)).tobytes()
+
+
+@pytest.mark.parametrize("n,order", _FLOAT_SPACES)
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_fused_product_matches_product_then_sum_float(n, order, data):
+    sp = JetSpace(n, order)
+    acc, a, b = (Jet(sp, FLOAT, array("d", data.draw(
+        st.lists(_floats, min_size=sp.size, max_size=sp.size)))) for _ in range(3))
+    assert acc.add_product(a, b).coeffs.tobytes() == (acc + a * b).coeffs.tobytes()
+    assert acc.add_product(a, b, -1).coeffs.tobytes() == (acc - a * b).coeffs.tobytes()
+
+
+@pytest.mark.parametrize("n,order", [(2, 1), (3, 5)])
+def test_fused_product_rejects_mismatched_jets(n, order):
+    sp, other = JetSpace(n, order), JetSpace(n, order - 1)
+    acc = Jet.const(sp, FLOAT, 1.0)
+    for a, b in ((Jet.const(other, FLOAT, 1.0), acc), (acc, Jet.const(sp, RATIONAL, 1))):
+        with pytest.raises(ValueError, match="mismatch"):
+            acc.add_product(a, b)
 
 
 @pytest.mark.parametrize("n,order", [(1, 5), (2, 3), (3, 2)])
 @given(data=st.data())
 @settings(max_examples=40, deadline=None)
-def test_float_product_matches_table_order_reference(n, order, data):
-    # zero coefficients are skipped, so they must not change a single bit
+def test_fused_product_rational(n, order, data):
     sp = JetSpace(n, order)
-    ac = data.draw(st.lists(_floats, min_size=sp.size, max_size=sp.size))
-    bc = data.draw(st.lists(_floats, min_size=sp.size, max_size=sp.size))
-    a, b = Jet(sp, FLOAT, array("d", ac)), Jet(sp, FLOAT, array("d", bc))
-    assert list((a * b).coeffs) == _ref_mul(sp, ac, bc)
-    assert list((b * a).coeffs) == _ref_mul(sp, bc, ac)
+    cc, ac, bc = (data.draw(st.lists(_fracs, min_size=sp.size, max_size=sp.size))
+                  for _ in range(3))
+    acc, a, b = Jet(sp, RATIONAL, cc), Jet(sp, RATIONAL, ac), Jet(sp, RATIONAL, bc)
+    prod = _ref_mul(sp, ac, bc)
+    assert _canonical_values(acc.add_product(a, b)) == [c + x for c, x in zip(cc, prod)]
+    assert _canonical_values(acc.add_product(a, b, -1)) == [c - x for c, x in zip(cc, prod)]
 
 
 def test_jets_product_check_across_denominators(monkeypatch):
