@@ -22,8 +22,8 @@ from . import covderiv as cd
 from . import expr as ex
 from .connection import ChartConnection
 from .covderiv import TU, Field
-from .jets import FLOAT, Jet, as_point, as_scalar
-from .multialg import (TensorExtElement, anti_indices, delta_coproduct, det,
+from .jets import Jet, as_scalar
+from .multialg import (TensorExtElement, all_words, anti_indices, delta_coproduct, det,
                        iterated_tensor_coproduct, sort_sign, sorted_word,
                        sorted_words, word_multidegree)
 
@@ -59,31 +59,29 @@ def pbw_dimension(n: int, d: int, r: int, k: int) -> int:
 # ---------------------------------------------------------------------------
 # Probe forms and Phi.
 
-def probe_form(chart: ChartConnection, p, T, L, mode) -> Field:
+def probe_form(chart: ChartConnection, p, T, L) -> Field:
     """The monomial probe (e - p)^T / T! * d eps^L as a form field on E.
 
-    Probe fields are cached per (point, mode) on the chart so repeated PBW
+    Probe fields are cached per point on the chart so repeated PBW
     resolutions share their covariant-derivative caches.
     """
-    p = as_point(p, mode)
-    return chart._memo(p, mode, ("probe", tuple(T), tuple(L)), lambda: cd.form_field(
+    return chart._memo(p, ("probe", tuple(T), tuple(L)), lambda: cd.form_field(
         chart, len(L), {tuple(L): ex.monomial_form(p, T, chart.names)}))
 
 
-def probe_differential(chart: ChartConnection, p, T, L, out_order, mode) -> Field:
+def probe_differential(chart: ChartConnection, p, T, L, out_order) -> Field:
     """d of the monomial probe (T, L) at p, with jets of order ``out_order``.
 
     Cached beside :func:`probe_form`, so every boundary evaluated at p
     shares one jet-backed field per probe, and with it that field's
     covariant-derivative memo.
     """
-    p = as_point(p, mode)
-    return chart._memo(p, mode, ("dprobe", tuple(T), tuple(L), out_order),
-                       lambda: cd.exterior_derivative(probe_form(chart, p, T, L, mode), p,
-                                                      mode, out_order=out_order))
+    return chart._memo(p, ("dprobe", tuple(T), tuple(L), out_order),
+                       lambda: cd.exterior_derivative(probe_form(chart, p, T, L), p,
+                                                      out_order=out_order))
 
 
-def monomial_probes(chart: ChartConnection, p, r, k, mode, descending=False):
+def monomial_probes(chart: ChartConnection, p, r, k, descending=False):
     """The monomial probes of total degree <= r and exterior degree k at p, as
     (T, L, probe form) triples: by total degree, ascending or descending,
     then multi-indices in PBW word order, then k-subsets in order."""
@@ -92,10 +90,10 @@ def monomial_probes(chart: ChartConnection, p, r, k, mode, descending=False):
     for g in (range(r, -1, -1) if descending else range(r + 1)):
         for T in multis[g]:
             for L in subsets:
-                yield T, L, probe_form(chart, p, T, L, mode)
+                yield T, L, probe_form(chart, p, T, L)
 
 
-def phi_apply(chart: ChartConnection, x: TensorExtElement, omega: Field, p, mode=FLOAT):
+def phi_apply(chart: ChartConnection, x: TensorExtElement, omega: Field, p):
     """Phi_p(x) evaluated on a form field: the sum over the terms of x, in
     PBW key order, of c_{w,K} (nabla_{e_w} omega)_p(eps_K)."""
     degs = x.degrees()
@@ -107,7 +105,7 @@ def phi_apply(chart: ChartConnection, x: TensorExtElement, omega: Field, p, mode
     for (w, K), c in x.items():
         if c == 0:
             continue
-        v = cd.nabla_value(omega, w, p, mode).get(K, 0)
+        v = cd.nabla_value(omega, w, p).get(K, 0)
         if v != 0:
             total += c * v
     return total
@@ -116,15 +114,13 @@ def phi_apply(chart: ChartConnection, x: TensorExtElement, omega: Field, p, mode
 # ---------------------------------------------------------------------------
 # PBW resolution.
 
-def to_pbw(chart: ChartConnection, x: TensorExtElement, p, r=None, k=None,
-           mode=FLOAT) -> AtomicCurrent:
+def to_pbw(chart: ChartConnection, x: TensorExtElement, p, r=None, k=None) -> AtomicCurrent:
     """PBW coordinates of Phi_p(x), by descending-degree back-substitution.
 
     The probe matrix is unit-triangular: a PBW functional of word length
     |I| kills every probe of degree > |I| except the matching monomial
     (the Kronecker-delta lemma), so no general inversion is needed.
     """
-    p = as_point(p, mode)
     if r is None:
         r = x.max_order()
     if k is None:
@@ -137,27 +133,26 @@ def to_pbw(chart: ChartConnection, x: TensorExtElement, p, r=None, k=None,
         cur = AtomicCurrent(p, r, k, chart.d)
         cur.coeffs = dict(x.coeffs)
         return cur
-    return _pbw_solve(chart, p, r, k,
-                      lambda probe, _T, _L: phi_apply(chart, x, probe, p, mode), mode)
+    return _pbw_solve(chart, p, r, k, lambda probe, _T, _L: phi_apply(chart, x, probe, p))
 
 
-def _pbw_solve(chart: ChartConnection, p, r, k, eval_fn, mode) -> AtomicCurrent:
+def _pbw_solve(chart: ChartConnection, p, r, k, eval_fn) -> AtomicCurrent:
     """PBW coordinates of the functional whose value on the monomial probe
-    (T, L) is ``eval_fn(probe, T, L)``, for a point already in ``mode``.
+    (T, L) is ``eval_fn(probe, T, L)``.
 
     Probes run in descending total degree; each coordinate is the probe
     value minus what the coordinates already found (all of higher word
     length) contribute on that probe.
     """
     cur = AtomicCurrent(p, r, k, chart.d)
-    for T, L, probe in monomial_probes(chart, p, r, k, mode, descending=True):
+    for T, L, probe in monomial_probes(chart, p, r, k, descending=True):
         g = sum(T)
         y = eval_fn(probe, T, L)
         corr = 0
         for (I, K), c in cur.coeffs.items():
             if len(I) <= g or c == 0:
                 continue
-            gval = cd.nabla_value(probe, I, p, mode).get(K, 0)
+            gval = cd.nabla_value(probe, I, p).get(K, 0)
             if gval != 0:
                 corr += c * gval
         cur._add((sorted_word(T), L), y - corr)
@@ -196,12 +191,11 @@ def _apply_end_to_kvector(M, kdict):
     return {K: v for K, v in out.items() if v != 0}
 
 
-def kernel_element(chart: ChartConnection, p, I, i, j, J, K, mode=FLOAT) -> TensorExtElement:
+def kernel_element(chart: ChartConnection, p, I, i, j, J, K) -> TensorExtElement:
     """The kernel basis element E_{I,i,j,J,K}: three summand groups
     (antisymmetrized commutator with Sweedler factors, fiber-curvature
     correction, base-curvature correction)."""
     n, d = chart.n, chart.d
-    p = as_point(p, mode)
     I, J, K = tuple(I), tuple(J), tuple(K)
     out = TensorExtElement(n, d)
     eJ = cd.coordinate_tensor_field(chart, J) if J else None
@@ -210,12 +204,12 @@ def kernel_element(chart: ChartConnection, p, I, i, j, J, K, mode=FLOAT) -> Tens
 
     def nvec(fieldv, S):
         # value of nabla_{e_S} of a coordinate vector field, as a dict idx -> scalar
-        return cd.nabla_value(fieldv, S, p, mode)
+        return cd.nabla_value(fieldv, S, p)
 
     def ntens(S):
         # value of nabla_{e_S} e_J; for empty J the 0-tensor 1
         if J:
-            return cd.nabla_value(eJ, S, p, mode)
+            return cd.nabla_value(eJ, S, p)
         return {(): 1} if not S else {}
 
     def ab_value(S, T):
@@ -249,7 +243,7 @@ def kernel_element(chart: ChartConnection, p, I, i, j, J, K, mode=FLOAT) -> Tens
         ab = ab_value(I4, I5)
         if not ab:
             continue
-        fiber_end = cd.curvature_endomorphism(chart, I3, ab, p, mode, fiber=True)
+        fiber_end = cd.curvature_endomorphism(chart, I3, ab, p, fiber=True)
         acted = _apply_end_to_kvector(fiber_end, {K: 1})
         for Kp, cK in acted.items():
             for wJ, cJ in tJ.items():
@@ -263,26 +257,34 @@ def kernel_element(chart: ChartConnection, p, I, i, j, J, K, mode=FLOAT) -> Tens
         ab = ab_value(I3, I4)
         if not ab:
             continue
-        base_end = cd.curvature_endomorphism(chart, I2, ab, p, mode)
+        base_end = cd.curvature_endomorphism(chart, I2, ab, p)
         acted = cd.apply_endomorphism_derivation(base_end, None, tJ, (TU,) * len(J))
         for wJ, cJ in acted.items():
             out.add_term(I1 + wJ, K, cJ)
     return out
 
 
-def kernel_basis(chart: ChartConnection, p, r: int, k: int, mode=FLOAT):
-    """All E_{I,i,j,J,K} with i < j and |I| + |J| + 2 <= r, with their labels."""
+def kernel_basis(chart: ChartConnection, p, r: int, k: int):
+    """A basis of the kernel of Phi_p in tensor order <= r and exterior degree
+    k: the E_{I,i,j,J,K} with i < j and |I| + |J| + 2 <= r whose word
+    I j i J has its first descent at (j, i), that is I nondecreasing with
+    I[-1] <= j, with their labels.
+
+    Every word of length m with a descent has exactly one first descent, so
+    there are as many labels as words outside the PBW set,
+    :func:`kernel_basis_count` in all.  Without the condition on I the
+    elements still span the kernel, but above r = 2 they are dependent (the
+    Jacobi identity relates the commutators of three distinct indices)."""
     n, d = chart.n, chart.d
     out = []
-    from .multialg import all_words
-    for I in all_words(n, max(r - 2, 0)):
+    for I in sorted_words(n, max(r - 2, 0)):
         for J in all_words(n, max(r - 2 - len(I), 0)):
             if len(I) + len(J) + 2 > r:
                 continue
             for i in range(n):
-                for j in range(i + 1, n):
+                for j in range(max(i + 1, I[-1] if I else 0), n):
                     for K in anti_indices(d, k):
-                        el = kernel_element(chart, p, I, i, j, J, K, mode)
+                        el = kernel_element(chart, p, I, i, j, J, K)
                         out.append(((I, i, j, J, K), el))
     return out
 
@@ -302,8 +304,7 @@ def counit(T: AtomicCurrent):
     return T.coeffs.get(((), ()), 0)
 
 
-def coproduct_pair_evaluate(chart, T: AtomicCurrent, omega: Field, eta: Field,
-                            mode=FLOAT):
+def coproduct_pair_evaluate(chart, T: AtomicCurrent, omega: Field, eta: Field):
     """(omega tensor eta)(Delta T), evaluated through PBW functionals.
 
     Sorted-word PBW lifts stay sorted under the deshuffle coproducts, so
@@ -315,10 +316,10 @@ def coproduct_pair_evaluate(chart, T: AtomicCurrent, omega: Field, eta: Field,
     for ((Il, Kl), (Ir, Kr)), c in pairs.items():
         if len(Kl) != len(omega.slots) or len(Kr) != len(eta.slots):
             continue
-        a = cd.nabla_value(omega, Il, p, mode).get(Kl, 0)
+        a = cd.nabla_value(omega, Il, p).get(Kl, 0)
         if a == 0:
             continue
-        b = cd.nabla_value(eta, Ir, p, mode).get(Kr, 0)
+        b = cd.nabla_value(eta, Ir, p).get(Kr, 0)
         if b == 0:
             continue
         total += c * a * b
@@ -329,7 +330,7 @@ def coproduct_pair_evaluate(chart, T: AtomicCurrent, omega: Field, eta: Field,
 # Chart transitions.
 
 def transition_matrix(chartA: ChartConnection, chartB: ChartConnection,
-                      change, p, r: int, k: int, mode=FLOAT):
+                      change, p, r: int, k: int):
     """PBW transition matrix between tangent-bundle charts at a shared point.
 
     ``change`` gives the B-coordinates as expressions of the A-coordinates.
@@ -343,12 +344,11 @@ def transition_matrix(chartA: ChartConnection, chartB: ChartConnection,
     n = chartA.n
     if chartB.n != n or not (chartA.fiber_is_tangent and chartB.fiber_is_tangent):
         raise ValueError("transition matrices are for tangent-bundle charts of equal dimension")
-    p = as_point(p, mode)
     chartA.check_point(p)
     change = [ex.parse(c, chartA.names) if isinstance(c, str) else c for c in change]
     if len(change) != n:
         raise ValueError("chart change needs one expression per coordinate")
-    yjets_hi = [ex.eval_jet(c, p, r + 1, mode) for c in change]
+    yjets_hi = [ex.eval_jet(c, p, r + 1, p.mode) for c in change]
     q = tuple(j.value for j in yjets_hi)
     chartB.check_point(q)
     ybar = [j.truncate(r) - j.value for j in yjets_hi]
@@ -359,7 +359,7 @@ def transition_matrix(chartA: ChartConnection, chartB: ChartConnection,
         for K in anti_indices(n, k):
             # the empty minor (k = 0) is the unit jet, so entries stay jets
             minors[(L, K)] = det([[jac[l][m] for m in K] for l in L]) if k else \
-                Jet.const(ybar[0].space, mode, 1)
+                Jet.const(ybar[0].space, p.mode, 1)
 
     out = {}
     multis = _multi_indices(n, r)
@@ -378,7 +378,7 @@ def transition_matrix(chartA: ChartConnection, chartB: ChartConnection,
                     entry = minors[(L, K)]
                     if mono is not None:
                         entry = mono * entry
-                    entry = entry.scale(as_scalar(1, mode) / fact)
+                    entry = entry.scale(as_scalar(1, p.mode) / fact)
                     for Iw in sorted_words(n, r):
                         a = entry.partial(word_multidegree(Iw, n))
                         if a != 0:

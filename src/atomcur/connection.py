@@ -23,8 +23,9 @@ and satisfy the recursion (I = (i1, ..., is), I' = (i2, ..., is)):
 where the replacement sum runs over the s-1 positions of I'.  The same
 recursion with the fiber coefficients in the first two terms (the
 replacement sum always uses the base symbols) yields the higher-order
-fiber coefficients.  All evaluations are jets at a point; results are
-cached per (point, mode) and the chart is immutable, so the cache is
+fiber coefficients.  All evaluations are jets at a
+:class:`~atomcur.jets.Point`, in the scalar mode that the point carries;
+results are cached per point and the chart is immutable, so the cache is
 never invalidated.
 """
 
@@ -51,8 +52,8 @@ class ChartValidationError(ValueError):
 def _expression_table(gamma):
     """Symbols gamma[k][i][j] given as expressions, evaluated as a table
     [i][j] -> jets over k."""
-    def table(p, order, mode):
-        return [[[ex.eval_jet(plane[i][j], p, order, mode) for plane in gamma]
+    def table(p, order):
+        return [[[ex.eval_jet(plane[i][j], p, order, p.mode) for plane in gamma]
                  for j in range(len(gamma[0][0]))] for i in range(len(gamma[0]))]
     return table
 
@@ -92,7 +93,8 @@ class ChartConnection:
             self._fiber_table = _expression_table(self.fiber_gamma)
         self._cache = {}
         self._lock = threading.Lock()
-        self._check_points = tuple(tuple(p) for p in (check_points or [self._midpoint()]))
+        self._check_points = tuple(as_point(p, FLOAT)
+                                   for p in (check_points or [self._midpoint()]))
         self._validate()
 
     # -- construction helpers ------------------------------------------
@@ -115,11 +117,11 @@ class ChartConnection:
         """A chart on the same coordinates whose symbols are computed from this
         chart's cached jets.  ``base_table`` replaces the base symbols (and
         drops the metric); ``fiber_table`` gives a non-tangent fiber.  Each
-        maps (point, order, mode) to a table [i][j] -> jets over k."""
+        maps (point, order) to a table [i][j] -> jets over k."""
         ch = copy.copy(self)
         ch.name, ch._cache, ch._lock = name, {}, threading.Lock()
         ch.base_gamma = ch.fiber_gamma = None
-        ch._base_table = lambda p, order, mode: self._symbols(p, order, mode)
+        ch._base_table = self._symbols
         if base_table is not None:
             ch._base_table, ch.metric = base_table, None
         ch._fiber_table, ch.fiber_is_tangent = fiber_table, fiber_table is None
@@ -132,7 +134,7 @@ class ChartConnection:
 
     def _validate(self):
         for p in self._check_points:
-            gam = self._symbols(p, 0, FLOAT)
+            gam = self._symbols(p, 0)
             for k in range(self.n):
                 for i in range(self.n):
                     for j in range(i + 1, self.n):
@@ -148,9 +150,9 @@ class ChartConnection:
     def _check_metric_compat(self, p):
         # d_k g_ij = Gamma_{ikj} + Gamma_{jki} with lowered symbols
         n = self.n
-        g1 = self._metric_jets(p, 1, FLOAT)
+        g1 = self._metric_jets(p, 1)
         g = [[jet.value for jet in row] for row in g1]
-        gam = self._symbols(p, 0, FLOAT)
+        gam = self._symbols(p, 0)
         for k in range(n):
             for i in range(n):
                 for j in range(n):
@@ -169,7 +171,6 @@ class ChartConnection:
         for x, (lo, hi) in zip(p, self.domain):
             if not (lo <= float(x) <= hi):
                 raise ChartDomainError(f"point {p!r} outside chart domain box")
-        return tuple(p)
 
     def resolve(self, p, mode):
         """The probe :class:`~atomcur.jets.Point` of p in ``mode``, after
@@ -180,36 +181,36 @@ class ChartConnection:
 
     # -- cached jet evaluation --------------------------------------------
 
-    def _memo(self, p, mode, key, build):
-        """The value under ``key`` in the cache of (p, mode), built on first
-        use; the per-point dict is created under the lock."""
-        cache = self._cache.get((p, mode))
+    def _memo(self, p, key, build):
+        """The value under ``key`` in the cache of the point p, built on
+        first use; the per-point dict is created under the lock."""
+        cache = self._cache.get(p)
         if cache is None:
             with self._lock:
-                cache = self._cache.setdefault((p, mode), {})
+                cache = self._cache.setdefault(p, {})
         hit = cache.get(key)
         if hit is None:
             hit = cache[key] = build()
         return hit
 
-    def _symbols(self, p, order, mode, fiber=False):
+    def _symbols(self, p, order, fiber=False):
         """First-order symbols at p as a table [i][j] -> jets over k, cached per
         (point, order); a tangent fiber shares the base table."""
         fiber = fiber and not self.fiber_is_tangent
         table = self._fiber_table if fiber else self._base_table
-        return self._memo(p, mode, ("g1", order, fiber), lambda: table(p, order, mode))
+        return self._memo(p, ("g1", order, fiber), lambda: table(p, order))
 
-    def _metric_jets(self, p, order, mode):
+    def _metric_jets(self, p, order):
         """Jets of g at p, read through the jet memo of each metric expression
         (:func:`atomcur.expr.jet_at`), so a lower order is a truncation."""
-        return self._memo(p, mode, ("g", order), lambda: [
-            [ex.jet_at(e, p, order, mode) for e in row] for row in self.metric])
+        return self._memo(p, ("g", order), lambda: [
+            [ex.jet_at(e, p, order) for e in row] for row in self.metric])
 
-    def _metric_inverse_jets(self, p, order, mode):
+    def _metric_inverse_jets(self, p, order):
         """(g^{-1}, det g) as jets at p: the cofactors of g over one
         reciprocal of det g."""
         def build():
-            g = self._metric_jets(p, order, mode)
+            g = self._metric_jets(p, order)
             n = self.n
             detg = det(g)
             inv = detg.reciprocal()
@@ -219,16 +220,16 @@ class ChartConnection:
                     cof = det([row[:j] + row[j + 1:] for r, row in enumerate(g) if r != i])
                     ginv[j][i] = -(cof * inv) if (i + j) % 2 else cof * inv
             return ginv, detg
-        return self._memo(p, mode, ("ginv", order), build)
+        return self._memo(p, ("ginv", order), build)
 
-    def _levi_civita_table(self, p, order, mode):
+    def _levi_civita_table(self, p, order):
         """Gamma^k_{ij} = 1/2 g^{kl} (d_i g_lj + d_j g_li - d_l g_ij) from the jets
         of g one order higher.  Vanishing brackets are skipped, so a constant
         metric needs no g^{-1}."""
         n = self.n
         dg = [[[gab.derivative(c) for c in range(n)] for gab in row]
-              for row in self._metric_jets(p, order + 1, mode)]
-        zero = Jet.zero(JetSpace(n, order), mode)
+              for row in self._metric_jets(p, order + 1)]
+        zero = Jet.zero(JetSpace(n, order), p.mode)
         half = Fraction(1, 2)
         ginv = None
         table = []
@@ -238,56 +239,55 @@ class ChartConnection:
                 low = [(l, dg[l][j][i] + dg[l][i][j] - dg[i][j][l]) for l in range(n)]
                 low = [(l, b) for l, b in low if not b.is_zero()]
                 if low and ginv is None:
-                    ginv = self._metric_inverse_jets(p, order, mode)[0]
+                    ginv = self._metric_inverse_jets(p, order)[0]
                 row.append([sum((ginv[k][l] * b for l, b in low), zero).scale(half)
                             for k in range(n)])
             table.append(row)
         return table
 
-    def gamma1_jet(self, i, j, p, order, mode, fiber=False):
+    def gamma1_jet(self, i, j, p, order, fiber=False):
         """Jet of the first-order symbol (base Gamma^._{i j} or fiber A^._{i j})."""
-        return self._symbols(p, order, mode, fiber)[i][j]
+        return self._symbols(p, order, fiber)[i][j]
 
-    def higher_gamma_jets(self, I, j, p, order, mode, fiber=False):
+    def higher_gamma_jets(self, I, j, p, order, fiber=False):
         """Jets of Gamma^k_{I,j} for all k, by the inductive formula."""
         I = tuple(I)
         if not I:
             raise ValueError("higher-order symbols need |I| >= 1")
-        p = as_point(p, mode)
         fiber = fiber and not self.fiber_is_tangent
         if len(I) == 1:
-            return self._memo(p, mode, ("gh", I, j, order, fiber),
-                              lambda: self.gamma1_jet(I[0], j, p, order, mode, fiber))
+            return self._memo(p, ("gh", I, j, order, fiber),
+                              lambda: self.gamma1_jet(I[0], j, p, order, fiber))
 
         def build():
             i1, rest = I[0], I[1:]
             dim = self.d if fiber else self.n
-            upper = self.higher_gamma_jets(rest, j, p, order + 1, mode, fiber)
+            upper = self.higher_gamma_jets(rest, j, p, order + 1, fiber)
             out = []
             for k in range(dim):
                 acc = upper[k].derivative(i1)
                 for l in range(dim):
-                    comp = self.gamma1_jet(i1, l, p, order, mode, fiber)[k]
+                    comp = self.gamma1_jet(i1, l, p, order, fiber)[k]
                     acc = acc + upper[l].truncate(order) * comp
                 out.append(acc)
             for r in range(len(rest)):
                 for l in range(self.n):
-                    gam = self.gamma1_jet(i1, rest[r], p, order, mode, fiber=False)[l]
+                    gam = self.gamma1_jet(i1, rest[r], p, order, fiber=False)[l]
                     if gam.is_zero():
                         continue
                     replaced = rest[:r] + (l,) + rest[r + 1:]
-                    sub = self.higher_gamma_jets(replaced, j, p, order, mode, fiber)
+                    sub = self.higher_gamma_jets(replaced, j, p, order, fiber)
                     for k in range(dim):
                         out[k] = out[k] - gam * sub[k]
             return out
-        return self._memo(p, mode, ("gh", I, j, order, fiber), build)
+        return self._memo(p, ("gh", I, j, order, fiber), build)
 
-    def higher_gamma(self, I, j, p, mode=FLOAT, fiber=False):
+    def higher_gamma(self, I, j, p, fiber=False):
         """Values Gamma^k_{I,j}(p) as a list over k."""
-        p = self.resolve(p, mode)
-        return [jet.value for jet in self.higher_gamma_jets(I, j, p, 0, mode, fiber)]
+        self.check_point(p)
+        return [jet.value for jet in self.higher_gamma_jets(I, j, p, 0, fiber)]
 
-    def curvature_jets(self, p, order, mode, fiber=False) -> dict:
+    def curvature_jets(self, p, order, fiber=False) -> dict:
         """Jets of the curvature R^b_{a,u,v} = Gamma^b_{(u,v),a} - Gamma^b_{(v,u),a}
         of the fiber connection (``fiber``) or the base connection, keyed
         (b, a, u, v).  Only u != v can be nonzero: each pair u < v is derived
@@ -296,9 +296,9 @@ class ChartConnection:
         out = {}
         for u in range(self.n):
             for v in range(u + 1, self.n):
-                guv = [self.higher_gamma_jets((u, v), a, p, order, mode, fiber)
+                guv = [self.higher_gamma_jets((u, v), a, p, order, fiber)
                        for a in range(dim)]
-                gvu = [self.higher_gamma_jets((v, u), a, p, order, mode, fiber)
+                gvu = [self.higher_gamma_jets((v, u), a, p, order, fiber)
                        for a in range(dim)]
                 for a in range(dim):
                     for b in range(dim):
@@ -315,9 +315,9 @@ class ChartConnection:
         if self.metric is None:
             raise ChartValidationError(f"chart {self.name!r} has no metric configured")
 
-    def metric_value(self, p, mode=FLOAT):
+    def metric_value(self, p):
         self.require_metric()
-        return [[jet.value for jet in row] for row in self._metric_jets(p, 0, mode)]
+        return [[jet.value for jet in row] for row in self._metric_jets(p, 0)]
 
 
 @dataclass
@@ -331,14 +331,14 @@ class CurvatureAt:
     fiber: dict
 
 
-def curvature(cc: ChartConnection, p, mode=FLOAT) -> CurvatureAt:
+def curvature(cc: ChartConnection, p) -> CurvatureAt:
     """Curvature values at p, dense over every index tuple: the order-0
     values of :meth:`ChartConnection.curvature_jets`, zero elsewhere."""
-    p = cc.resolve(p, mode)
-    zero = as_scalar(0, mode)
+    cc.check_point(p)
+    zero = as_scalar(0, p.mode)
 
     def dense(fiber, dim):
-        jets = cc.curvature_jets(p, 0, mode, fiber)
+        jets = cc.curvature_jets(p, 0, fiber)
         return {(b, a, u, v): jets[(b, a, u, v)].value if (b, a, u, v) in jets else zero
                 for u in range(cc.n) for v in range(cc.n)
                 for a in range(dim) for b in range(dim)}
@@ -354,8 +354,8 @@ def dual_chart(cc: ChartConnection, name=None) -> ChartConnection:
     coordinate co-frame gives A*^a_{i b} = -A^b_{i a}, the negated
     transpose of cc's fiber jets.
     """
-    def fiber(p, order, mode):
-        A = cc._symbols(p, order, mode, fiber=True)
+    def fiber(p, order):
+        A = cc._symbols(p, order, fiber=True)
         return [[[-A[i][a][b] for a in range(cc.d)] for b in range(cc.d)]
                 for i in range(cc.n)]
     return cc._derived(name or (cc.name + "*"), fiber_table=fiber)

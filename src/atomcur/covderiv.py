@@ -28,7 +28,7 @@ import itertools
 
 from . import expr as ex
 from .connection import ChartConnection
-from .jets import FLOAT, Jet, JetSpace, as_point
+from .jets import Jet, JetSpace
 from .multialg import (merge_sign, sort_sign, tensor_coproduct)
 
 TU, TD, FU, FD = "tu", "td", "fu", "fd"
@@ -38,42 +38,42 @@ class Field:
     """A field over a chart: typed slots plus a component map."""
 
     __slots__ = ("chart", "slots", "comps", "jet_backed", "point", "budget",
-                 "mode", "_nabla_cache")
+                 "_nabla_cache")
 
     def __init__(self, chart: ChartConnection, slots, comps, jet_backed=False,
-                 point=None, budget=None, mode=None):
+                 point=None, budget=None):
         self.chart = chart
         self.slots = tuple(slots)
         self.comps = dict(comps)
         self.jet_backed = jet_backed
-        self.point = as_point(point, mode) if point is not None else None
+        self.point = point
         self.budget = budget
-        self.mode = mode
         self._nabla_cache = {}
         for idx in self.comps:
             if len(idx) != len(self.slots):
                 raise ValueError(f"component key {idx!r} does not match slots {self.slots!r}")
 
-    def comp_jet(self, idx, p, order, mode) -> Jet:
+    def comp_jet(self, idx, p, order) -> Jet:
         """Jet of one component at p; an expression component reads the jet
         memo of its node (:func:`atomcur.expr.jet_at`), shared by every
-        field that holds the node."""
+        field that holds the node.  A jet-backed field answers only at its
+        own point, in that point's mode."""
         if self.jet_backed:
-            if p != self.point or mode != self.mode:
+            if p != self.point:
                 raise ValueError("jet-backed field queried at a foreign point or mode")
             if order > self.budget:
                 raise ValueError(f"jet budget exceeded: need {order}, have {self.budget}")
             jet = self.comps.get(idx)
             if jet is None:
-                return Jet.zero(JetSpace(self.chart.n, order), mode)
+                return Jet.zero(JetSpace(self.chart.n, order), p.mode)
             return jet.truncate(order)
         e = self.comps.get(idx)
         if e is None:
-            return Jet.zero(JetSpace(self.chart.n, order), mode)
-        return ex.jet_at(e, p, order, mode)
+            return Jet.zero(JetSpace(self.chart.n, order), p.mode)
+        return ex.jet_at(e, p, order)
 
-    def value(self, p, mode):
-        return {idx: self.comp_jet(idx, p, 0, mode).value for idx in self.comps}
+    def value(self, p):
+        return {idx: self.comp_jet(idx, p, 0).value for idx in self.comps}
 
 
 # ---------------------------------------------------------------------------
@@ -126,9 +126,8 @@ def kvector_field(chart, k, comps_incr) -> Field:
     return Field(chart, (FU,) * k, antisymmetrize(comps, ex.ex_neg))
 
 
-def jet_field(chart, slots, comps, point, budget, mode) -> Field:
-    return Field(chart, slots, comps, jet_backed=True, point=point,
-                 budget=budget, mode=mode)
+def jet_field(chart, slots, comps, point, budget) -> Field:
+    return Field(chart, slots, comps, jet_backed=True, point=point, budget=budget)
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +147,7 @@ def _add_product(acc: dict, idx, a: Jet, b: Jet, sign=1):
         acc[idx] = cur.add_product(a, b, sign)
 
 
-def covariant_step(chart, slots, comps, i, p, order, mode):
+def covariant_step(chart, slots, comps, i, p, order):
     """One covariant derivative along e_i of a section with component jets.
 
     ``comps`` holds jets of order ``order + 1``; the result holds jets of
@@ -167,19 +166,19 @@ def covariant_step(chart, slots, comps, i, p, order, mode):
                 continue
             a = idx[pos]
             if up:
-                gam = chart.gamma1_jet(i, a, p, order, mode, fiber=fiber)
+                gam = chart.gamma1_jet(i, a, p, order, fiber=fiber)
                 for b in range(dim):
                     if not gam[b].is_zero():
                         _add_product(out, idx[:pos] + (b,) + idx[pos + 1:], gam[b], jt)
             else:
                 for b in range(dim):
-                    gam = chart.gamma1_jet(i, b, p, order, mode, fiber=fiber)[a]
+                    gam = chart.gamma1_jet(i, b, p, order, fiber=fiber)[a]
                     if not gam.is_zero():
                         _add_product(out, idx[:pos] + (b,) + idx[pos + 1:], gam, jt, -1)
     return out
 
 
-def nabla_word_jets(field: Field, I, p, order, mode):
+def nabla_word_jets(field: Field, I, p, order):
     """Component jets of nabla_{e_I}(field) at p, of jet order ``order``.
 
     The field's memo holds each word's jets at every order asked for, and
@@ -191,7 +190,7 @@ def nabla_word_jets(field: Field, I, p, order, mode):
     zero, which a fresh derivation could leave out.
     """
     I = tuple(I)
-    cache = field._nabla_cache.setdefault((p, mode), {})
+    cache = field._nabla_cache.setdefault(p, {})
     key = (I, order)
     hit = cache.get(key)
     if hit is not None:
@@ -203,17 +202,17 @@ def nabla_word_jets(field: Field, I, p, order, mode):
         return out
     chart = field.chart
     if not I:
-        out = {idx: field.comp_jet(idx, p, order, mode) for idx in field.comps}
+        out = {idx: field.comp_jet(idx, p, order) for idx in field.comps}
     else:
         i1, rest = I[0], I[1:]
-        inner = nabla_word_jets(field, rest, p, order + 1, mode)
-        out = covariant_step(chart, field.slots, inner, i1, p, order, mode)
+        inner = nabla_word_jets(field, rest, p, order + 1)
+        out = covariant_step(chart, field.slots, inner, i1, p, order)
         for r in range(len(rest)):
-            gam = chart.gamma1_jet(i1, rest[r], p, order, mode, fiber=False)
+            gam = chart.gamma1_jet(i1, rest[r], p, order, fiber=False)
             for l in range(chart.n):
                 if gam[l].is_zero():
                     continue
-                sub = nabla_word_jets(field, rest[:r] + (l,) + rest[r + 1:], p, order, mode)
+                sub = nabla_word_jets(field, rest[:r] + (l,) + rest[r + 1:], p, order)
                 for idx, jet in sub.items():
                     _add_product(out, idx, gam[l], jet, -1)
     cache[key] = out
@@ -221,35 +220,35 @@ def nabla_word_jets(field: Field, I, p, order, mode):
     return out
 
 
-def nabla(field: Field, I, p, mode=FLOAT) -> dict:
+def nabla(field: Field, I, p) -> dict:
     """Nonzero components of the order-|I| higher covariant derivative at p
     along the frame word I."""
-    p = field.chart.resolve(p, mode)
-    jets = nabla_word_jets(field, tuple(I), p, 0, mode)
+    field.chart.check_point(p)
+    jets = nabla_word_jets(field, tuple(I), p, 0)
     return {idx: v for idx, j in jets.items() if (v := j.value) != 0}
 
 
-def nabla_value(field: Field, I, p, mode=FLOAT) -> dict:
+def nabla_value(field: Field, I, p) -> dict:
     """Nonzero components of nabla_{e_I}(field) at p, memoized on the field.
 
-    The value dict is computed once per (word, point, mode) and kept in
+    The value dict is computed once per (word, point) and kept in
     ``field._nabla_cache`` beside the jets it summarizes; later calls
     return that same dict without re-checking the point.  It is shared, so
     callers must treat it as read-only.  A miss runs :func:`nabla`, so an
     out-of-domain point still raises on its first query.
     """
-    I, p = tuple(I), as_point(p, mode)
-    bucket = field._nabla_cache.get((p, mode))
+    I = tuple(I)
+    bucket = field._nabla_cache.get(p)
     if bucket is not None:
         hit = bucket.get((I, None))
         if hit is not None:
             return hit
-    comps = nabla(field, I, p, mode)
-    field._nabla_cache.setdefault((p, mode), {})[(I, None)] = comps
+    comps = nabla(field, I, p)
+    field._nabla_cache.setdefault(p, {})[(I, None)] = comps
     return comps
 
 
-def nabla_mixed(field: Field, prefix, tensor_value: dict, p, mode=FLOAT) -> dict:
+def nabla_mixed(field: Field, prefix, tensor_value: dict, p) -> dict:
     """nabla_{e_prefix tensor Z}(field) at p for a tangent-tensor value Z.
 
     Tensoriality in the vector slots reduces Z to its components:
@@ -259,7 +258,7 @@ def nabla_mixed(field: Field, prefix, tensor_value: dict, p, mode=FLOAT) -> dict
     for w, c in tensor_value.items():
         if c == 0:
             continue
-        part = nabla_value(field, tuple(prefix) + tuple(w), p, mode)
+        part = nabla_value(field, tuple(prefix) + tuple(w), p)
         for idx, v in part.items():
             out[idx] = out.get(idx, 0) + c * v
     return {k: v for k, v in out.items() if v != 0}
@@ -386,16 +385,16 @@ def as_field_list(X):
     return list(X) if isinstance(X, (list, tuple)) else [X]
 
 
-def mixed_tensor_fields(chart, comps: dict, p, budget, mode):
+def mixed_tensor_fields(chart, comps: dict, p, budget):
     """Split a word-keyed jet dict into homogeneous jet-backed fields."""
     by_len = {}
     for w, jet in comps.items():
         by_len.setdefault(len(w), {})[w] = jet
-    return [jet_field(chart, (TU,) * ell, d, p, budget, mode)
+    return [jet_field(chart, (TU,) * ell, d, p, budget)
             for ell, d in sorted(by_len.items())]
 
 
-def covderiv(X: Field, Y: Field, p, order, mode) -> dict:
+def covderiv(X: Field, Y: Field, p, order) -> dict:
     """nabla_X Y = sum_i X^i nabla_{e_i} Y for a vector field X, as jets of
     order ``order`` at p keyed by the components of Y.
 
@@ -405,24 +404,24 @@ def covderiv(X: Field, Y: Field, p, order, mode) -> dict:
     """
     out = {}
     for i in range(X.chart.n):
-        xi = X.comp_jet((i,), p, order, mode)
+        xi = X.comp_jet((i,), p, order)
         if xi.is_zero():
             continue
-        for idx, jet in nabla_word_jets(Y, (i,), p, order, mode).items():
+        for idx, jet in nabla_word_jets(Y, (i,), p, order).items():
             _add_product(out, idx, xi, jet)
     return out
 
 
-def nabla_jets_mixed(parts, I, p, order, mode) -> dict:
+def nabla_jets_mixed(parts, I, p, order) -> dict:
     """nabla_{e_I} of a mixed tangent tensor, as word-keyed jets."""
     out = {}
     for f in as_field_list(parts):
-        for w, jet in nabla_word_jets(f, tuple(I), p, order, mode).items():
+        for w, jet in nabla_word_jets(f, tuple(I), p, order).items():
             _add_jet(out, w, jet)
     return out
 
 
-def covariant_product(X, Y, p, mode=FLOAT, out_order=0) -> dict:
+def covariant_product(X, Y, p, out_order=0) -> dict:
     """X (.) Y = X_(1) tensor nabla_{X_(2)} Y, as word-keyed jets at p.
 
     ``X`` and ``Y`` are tangent tensor fields or lists of such (mixed
@@ -431,31 +430,30 @@ def covariant_product(X, Y, p, mode=FLOAT, out_order=0) -> dict:
     the top tensor order of X.
     """
     out = {}
-    p = as_point(p, mode)
     for Xf in as_field_list(X):
         if set(Xf.slots) > {TU}:
             raise ValueError("covariant product is defined for tangent tensor fields")
         for w in Xf.comps:
-            Xw = Xf.comp_jet(w, p, out_order, mode)
+            Xw = Xf.comp_jet(w, p, out_order)
             if Xw.is_zero():
                 continue
             unit = Xw.is_constant() and Xw.value == 1
             for (A, B) in tensor_coproduct(w):
-                nb = nabla_jets_mixed(Y, B, p, out_order, mode)
+                nb = nabla_jets_mixed(Y, B, p, out_order)
                 for u, jet in nb.items():
                     _add_jet(out, A + u, jet if unit else Xw * jet)
     return out
 
 
-def covariant_product_value(X, Y, p, mode=FLOAT) -> dict:
-    jets = covariant_product(X, Y, p, mode, 0)
+def covariant_product_value(X, Y, p) -> dict:
+    jets = covariant_product(X, Y, p, 0)
     return {w: v for w, j in jets.items() if (v := j.value) != 0}
 
 
 # ---------------------------------------------------------------------------
 # Exterior derivative (torsion-free): d omega = sum_i e^i wedge nabla_{e_i} omega.
 
-def exterior_derivative(omega: Field, p, mode=FLOAT, out_order=0) -> Field:
+def exterior_derivative(omega: Field, p, out_order=0) -> Field:
     """d(omega) at p as a jet-backed (k+1)-form field.
 
     Valid for differential forms (fiber = tangent bundle, all slots down);
@@ -465,8 +463,7 @@ def exterior_derivative(omega: Field, p, mode=FLOAT, out_order=0) -> Field:
         raise ValueError("exterior derivative applies to differential forms")
     chart = omega.chart
     k = len(omega.slots)
-    p = as_point(p, mode)
-    nb = [nabla_word_jets(omega, (i,), p, out_order, mode) for i in range(chart.n)]
+    nb = [nabla_word_jets(omega, (i,), p, out_order) for i in range(chart.n)]
     comps = {}
     for idx in itertools.product(range(chart.n), repeat=k + 1):
         acc = None
@@ -479,32 +476,30 @@ def exterior_derivative(omega: Field, p, mode=FLOAT, out_order=0) -> Field:
             acc = term if acc is None else acc + term
         if acc is not None and not acc.is_zero():
             comps[idx] = acc
-    return jet_field(chart, (FD,) * (k + 1), comps, p, out_order, mode)
+    return jet_field(chart, (FD,) * (k + 1), comps, p, out_order)
 
 
 # ---------------------------------------------------------------------------
 # Curvature as a field, and curvature-derivative actions.
 
-def curvature_field(chart: ChartConnection, which: str, p, mode, budget) -> Field:
+def curvature_field(chart: ChartConnection, which: str, p, budget) -> Field:
     """R as a jet-backed field: fiber slots (fu, fd, td, td) with the
     components of :meth:`ChartConnection.curvature_jets`; base analogously.
     The field is kept in the chart's point cache, so every caller at p
     shares one nabla memo."""
     fiber = which == "fiber"
     slots = (FU, FD, TD, TD) if fiber else (TU, TD, TD, TD)
-    p = as_point(p, mode)
-    return chart._memo(p, mode, ("curv", fiber, budget), lambda: jet_field(
-        chart, slots, chart.curvature_jets(p, budget, mode, fiber), p, budget, mode))
+    return chart._memo(p, ("curv", fiber, budget), lambda: jet_field(
+        chart, slots, chart.curvature_jets(p, budget, fiber), p, budget))
 
 
-def curvature_endomorphism(chart, S, ab_value: dict, p, mode=FLOAT, fiber=False):
+def curvature_endomorphism(chart, S, ab_value: dict, p, fiber=False):
     """(nabla_{e_S} R)_{Z} at p for a 2-tensor value Z = ab_value, as one
     matrix: end[k][l] on tangent indices (R^TM), or with ``fiber`` end[b][a]
     on fiber indices (R^E)."""
-    p = as_point(p, mode)
     S = tuple(S)
-    field = curvature_field(chart, "fiber" if fiber else "base", p, mode, len(S))
-    jets = nabla_word_jets(field, S, p, 0, mode)
+    field = curvature_field(chart, "fiber" if fiber else "base", p, len(S))
+    jets = nabla_word_jets(field, S, p, 0)
     dim = chart.d if fiber else chart.n
     end = [[0] * dim for _ in range(dim)]
     for (uv), c in ab_value.items():
@@ -549,32 +544,31 @@ def _dict_residual(a: dict, b: dict):
     return max((abs(a.get(k, 0) - b.get(k, 0)) for k in keys), default=0)
 
 
-def nabla_compose_check(v, w, field: Field, p, mode=FLOAT):
+def nabla_compose_check(v, w, field: Field, p):
     """Residual of nabla_v o nabla_w = nabla_{v_(1) tensor nabla-hat_{v_(2)} w}."""
     chart = field.chart
-    p = as_point(p, mode)
     v, w = tuple(v), tuple(w)
     # left side: jets of nabla_w(field) to order |v|, then nabla_v of that
-    inner = nabla_word_jets(field, w, p, len(v), mode)
-    inner_field = jet_field(chart, field.slots, inner, p, len(v), mode)
-    left = nabla_value(inner_field, v, p, mode)
+    inner = nabla_word_jets(field, w, p, len(v))
+    inner_field = jet_field(chart, field.slots, inner, p, len(v))
+    left = nabla_value(inner_field, v, p)
     # right side: Sweedler sum over the tensor coproduct of v
     right = {}
     ew = coordinate_tensor_field(chart, w) if w else None
     for (v1, v2) in tensor_coproduct(v):
         if w:
-            zval = nabla_value(ew, v2, p, mode)
+            zval = nabla_value(ew, v2, p)
         else:
             zval = {(): 1} if not v2 else {}
             if v2:
                 continue
-        part = nabla_mixed(field, v1, zval, p, mode)
+        part = nabla_mixed(field, v1, zval, p)
         for idx, c in part.items():
             right[idx] = right.get(idx, 0) + c
     return _dict_residual(left, right)
 
 
-def fundamental_commutation_check(u, v, a, b, field: Field, p, mode=FLOAT):
+def fundamental_commutation_check(u, v, a, b, field: Field, p):
     """Residual of the commutation identity
 
     nabla_{u_(1) nabla-hat_{u_(2)}((ab - ba)v)}
@@ -585,15 +579,14 @@ def fundamental_commutation_check(u, v, a, b, field: Field, p, mode=FLOAT):
     """
     from .multialg import iterated_tensor_coproduct
     chart = field.chart
-    p = as_point(p, mode)
     u, v, a, b = tuple(u), tuple(v), int(a), int(b)
     comm_words = [((a, b) + v, 1), ((b, a) + v, -1)]
     # left side
     left = {}
     for (u1, u2) in tensor_coproduct(u):
         for word, sgn in comm_words:
-            zval = nabla_value(coordinate_tensor_field(chart, word), u2, p, mode)
-            part = nabla_mixed(field, u1, zval, p, mode)
+            zval = nabla_value(coordinate_tensor_field(chart, word), u2, p)
+            part = nabla_mixed(field, u1, zval, p)
             for idx, c in part.items():
                 left[idx] = left.get(idx, 0) + sgn * c
     # right side, first group
@@ -601,25 +594,25 @@ def fundamental_commutation_check(u, v, a, b, field: Field, p, mode=FLOAT):
     eab = coordinate_tensor_field(chart, (a, b))
     ev = coordinate_tensor_field(chart, v) if v else None
     for (u1, u2, u3, u4) in iterated_tensor_coproduct(u, 4):
-        abval = nabla_value(eab, u2, p, mode)
-        base_end = curvature_endomorphism(chart, u1, abval, p, mode)
-        fiber_end = curvature_endomorphism(chart, u1, abval, p, mode, fiber=True)
-        vval = nabla_value(ev, u4, p, mode) if v else ({(): 1} if not u4 else None)
+        abval = nabla_value(eab, u2, p)
+        base_end = curvature_endomorphism(chart, u1, abval, p)
+        fiber_end = curvature_endomorphism(chart, u1, abval, p, fiber=True)
+        vval = nabla_value(ev, u4, p) if v else ({(): 1} if not u4 else None)
         if vval is None:
             continue
-        inner = nabla_mixed(field, u3, vval, p, mode)
+        inner = nabla_mixed(field, u3, vval, p)
         acted = apply_endomorphism_derivation(base_end, fiber_end, inner, field.slots)
         for idx, c in acted.items():
             right[idx] = right.get(idx, 0) + c
     # right side, second group (subtracted)
     for (u1, u2, u3, u4) in iterated_tensor_coproduct(u, 4):
-        abval = nabla_value(eab, u3, p, mode)
-        base_end = curvature_endomorphism(chart, u2, abval, p, mode)
-        vval = nabla_value(ev, u4, p, mode) if v else ({(): 1} if not u4 else None)
+        abval = nabla_value(eab, u3, p)
+        base_end = curvature_endomorphism(chart, u2, abval, p)
+        vval = nabla_value(ev, u4, p) if v else ({(): 1} if not u4 else None)
         if vval is None:
             continue
         rv = apply_endomorphism_derivation(base_end, None, vval, (TU,) * len(v))
-        part = nabla_mixed(field, u1, rv, p, mode)
+        part = nabla_mixed(field, u1, rv, p)
         for idx, c in part.items():
             right[idx] = right.get(idx, 0) - c
     return _dict_residual(left, right)

@@ -453,30 +453,30 @@ def eval_jet(e: Expression, point, order: int, mode: str = FLOAT) -> Jet:
     return go(e)
 
 
-def jet_at(e: Expression, point, order: int, mode: str = FLOAT) -> Jet:
-    """``eval_jet(e, point, order, mode)``, memoized on the node ``e``.
+def jet_at(e: Expression, point, order: int) -> Jet:
+    """``eval_jet(e, point, order, point.mode)``, memoized on the node ``e``.
 
-    Per (point, mode) the memo holds the jet at the highest order asked for
-    so far and the truncations taken from it.  Graded-lex order makes a
-    truncation a prefix of the coefficients, and a truncated jet equals the
-    jet evaluated at the lower order (bit for bit in float mode: each
-    lower-order coefficient sums the same products in the same order, and
-    the extra terms of a higher-order series all carry a factor of the
-    zero-valued deviation).  So ``eval_jet`` runs again only when the order
-    rises.  The returned jet is shared; jets are never modified in place.
+    Per :class:`~atomcur.jets.Point` the memo holds the jet at the highest
+    order asked for so far and the truncations taken from it.  Graded-lex
+    order makes a truncation a prefix of the coefficients, and a truncated
+    jet equals the jet evaluated at the lower order (bit for bit in float
+    mode: each lower-order coefficient sums the same products in the same
+    order, and the extra terms of a higher-order series all carry a factor
+    of the zero-valued deviation).  So ``eval_jet`` runs again only when the
+    order rises.  The returned jet is shared; jets are never modified in
+    place.
     """
     try:
         memo = e._jets
     except AttributeError:
         memo = e._jets = {}
-    key = (point, mode)
-    held = memo.get(key)
+    held = memo.get(point)
     if held is None:
-        held = memo[key] = {}
+        held = memo[point] = {}
     hit = held.get(order)
     if hit is None:
         top = max(held, default=-1)
-        hit = held[top].truncate(order) if top > order else eval_jet(e, point, order, mode)
+        hit = held[top].truncate(order) if top > order else eval_jet(e, point, order, point.mode)
         held[order] = hit
     return hit
 

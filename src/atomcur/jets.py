@@ -198,22 +198,30 @@ def as_scalar(x, mode: str):
 class Point(tuple):
     """A probe point: the tuple of its coordinates as scalars of ``mode``.
 
-    It equals, and hashes like, the plain tuple of the same coordinates, so
-    caches keyed on it also serve plain sequences.  Its hash is computed
-    once: every per-point cache hashes its key on each lookup, and a tuple
-    of ``Fraction``s hashes each coordinate again.  ``tuple(point)`` is a
-    new plain tuple without the stored hash, so code that holds a point
-    passes it on as it is.
+    The point carries the scalar mode of every computation at it, and each
+    per-point cache is keyed on the point alone.  So equality and the hash
+    take in the mode: a float point never equals a rational point or a
+    plain tuple, even where the coordinates compare equal
+    (``Fraction(1, 2) == 0.5``).  The hash is computed once: every
+    per-point cache hashes its key on each lookup, and a tuple of
+    ``Fraction``s hashes each coordinate again.
     """
 
     def __new__(cls, coords, mode: str):
         self = tuple.__new__(cls, coords)
         self.mode = mode
-        self._hash = tuple.__hash__(self)
+        self._hash = hash((tuple.__hash__(self), mode))
         return self
 
     def __hash__(self):
         return self._hash
+
+    def __eq__(self, other):
+        return self is other or (type(other) is Point and self.mode == other.mode
+                                 and tuple.__eq__(self, other))
+
+    def __ne__(self, other):
+        return not self == other
 
 
 def as_point(p, mode: str) -> Point:
@@ -495,7 +503,7 @@ class Jet:
 # ---------------------------------------------------------------------------
 # Elementary function composition tables.
 
-def _series_exp(u0, R, mode):
+def _series_exp(u0, R):
     e = math.exp(u0)
     out, f = [], 1.0
     for j in range(R + 1):
@@ -504,7 +512,7 @@ def _series_exp(u0, R, mode):
     return out
 
 
-def _series_log(u0, R, mode):
+def _series_log(u0, R):
     if u0 <= 0:
         raise EvalDomainError("log of non-positive base value")
     out = [math.log(u0)]
@@ -513,7 +521,7 @@ def _series_log(u0, R, mode):
     return out
 
 
-def _series_sqrt(u0, R, mode):
+def _series_sqrt(u0, R):
     if u0 <= 0:
         raise EvalDomainError("sqrt of non-positive base value")
     out = [math.sqrt(u0)]
@@ -526,7 +534,7 @@ def _series_sqrt(u0, R, mode):
 
 def _series_trig(fn0, fn1, sign):
     # derivative cycle (f, f', -f, -f') for sin/cos; no sign for sinh/cosh
-    def gen(u0, R, mode):
+    def gen(u0, R):
         cycle = [fn0(u0), fn1(u0), sign * fn0(u0), sign * fn1(u0)]
         out, f = [], 1.0
         for j in range(R + 1):
@@ -560,5 +568,5 @@ def apply_elementary(name: str, u: Jet) -> Jet:
         if c.value == 0:
             raise EvalDomainError("tan at a pole")
         return apply_elementary("sin", u) * c.reciprocal()
-    series = _SERIES[name](u.value, u.space.order, u.mode)
+    series = _SERIES[name](u.value, u.space.order)
     return u.compose_series(series)

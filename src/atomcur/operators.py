@@ -45,7 +45,7 @@ from . import covderiv as cd
 from . import expr as ex
 from .connection import ChartConnection
 from .covderiv import FD, FU, TU, Field
-from .jets import FLOAT, EvalDomainError, Jet, JetSpace, apply_elementary, as_point
+from .jets import EvalDomainError, Jet, JetSpace, apply_elementary
 from .multialg import (TensorExtElement, anti_indices, delta_coproduct, det,
                        merge_sign, tensor_coproduct, wedge_merge)
 
@@ -93,13 +93,13 @@ def _incr_items(val: dict):
             yield K, c
 
 
-def _nabla_values(parts, B, p, mode):
+def _nabla_values(parts, B, p):
     parts = cd.as_field_list(parts)
     if len(parts) == 1:
-        return cd.nabla_value(parts[0], B, p, mode)
+        return cd.nabla_value(parts[0], B, p)
     out = {}
     for f in parts:
-        for idx, c in cd.nabla_value(f, B, p, mode).items():
+        for idx, c in cd.nabla_value(f, B, p).items():
             out[idx] = out.get(idx, 0) + c
     return {k: v for k, v in out.items() if v != 0}
 
@@ -134,11 +134,10 @@ def _sweedler_lift(key, row, act) -> FiberEndo:
     return FiberEndo(fn)
 
 
-def op_E(chart: ChartConnection, X: Field, p, mode=FLOAT) -> FiberEndo:
+def op_E(chart: ChartConnection, X: Field, p) -> FiberEndo:
     """E_X(v box alpha) = v_(1) box (nabla_{v_(2)} X) wedge alpha."""
     if not (set(X.slots) <= {FU}):
         raise ValueError("op_E takes a fiber multivector field (or scalar)")
-    p = as_point(p, mode)
 
     def act(out, A, B, K, c, row):
         for KX, cx in row:
@@ -147,35 +146,33 @@ def op_E(chart: ChartConnection, X: Field, p, mode=FLOAT) -> FiberEndo:
                 out._add((A, merged), s * c * cx)
 
     return _sweedler_lift(lambda A, B, K: B,
-                          lambda B: list(_incr_items(cd.nabla_value(X, B, p, mode))), act)
+                          lambda B: list(_incr_items(cd.nabla_value(X, B, p))), act)
 
 
-def op_D(chart: ChartConnection, Y, p, mode=FLOAT) -> FiberEndo:
+def op_D(chart: ChartConnection, Y, p) -> FiberEndo:
     """D_Y(v box alpha) = v_(1) tensor (nabla_{v_(2)} Y) box alpha."""
     for f in cd.as_field_list(Y):
         if not (set(f.slots) <= {TU}):
             raise ValueError("op_D takes a tangent tensor field")
-    p = as_point(p, mode)
 
     def act(out, A, B, K, c, row):
         for wy, cy in row.items():
             out._add((A + wy, K), c * cy)
 
-    return _sweedler_lift(lambda A, B, K: B, lambda B: _nabla_values(Y, B, p, mode), act)
+    return _sweedler_lift(lambda A, B, K: B, lambda B: _nabla_values(Y, B, p), act)
 
 
-def f_lrcorner(chart: ChartConnection, f: Field, p, mode=FLOAT) -> FiberEndo:
+def f_lrcorner(chart: ChartConnection, f: Field, p) -> FiberEndo:
     """The module action lift f_corner(v box alpha) = (nabla_{v_(1)} f) v_(2) box alpha."""
     if f.slots != ():
         raise ValueError("f_lrcorner needs a scalar field")
-    p = as_point(p, mode)
 
     def act(out, A, B, K, c, fa):
         if fa != 0:
             out._add((B, K), c * fa)
 
     return _sweedler_lift(lambda A, B, K: A,
-                          lambda A: cd.nabla_value(f, A, p, mode).get((), 0), act)
+                          lambda A: cd.nabla_value(f, A, p).get((), 0), act)
 
 
 def identity_endo(n, d) -> FiberEndo:
@@ -185,7 +182,7 @@ def identity_endo(n, d) -> FiberEndo:
 # ---------------------------------------------------------------------------
 # Metric plumbing: the pointwise Hodge star.
 
-def pointwise_star(chart: ChartConnection, p, mode=FLOAT):
+def pointwise_star(chart: ChartConnection, p):
     """(star, star_inverse) on wedge(T_p M) w.r.t. the metric at p, acting on
     increasing-key coefficient maps in the coordinate frame.
 
@@ -196,16 +193,15 @@ def pointwise_star(chart: ChartConnection, p, mode=FLOAT):
     """
     chart.require_metric()
     n = chart.n
-    p = as_point(p, mode)
-    g = chart.metric_value(p, mode)
-    vol = chart._memo(p, mode, ("sqrt-det", 0),
-                      lambda: _sqrt_det(chart._metric_inverse_jets(p, 0, mode)[1])).value
+    g = chart.metric_value(p)
+    vol = chart._memo(p, ("sqrt-det", 0),
+                      lambda: _sqrt_det(chart._metric_inverse_jets(p, 0)[1])).value
 
     def apply(val, inverse):
         out = {}
         for k in dict.fromkeys(len(K) for K, _c in _incr_items(val)):
             flip = -1 if inverse and k * (n - k) % 2 else 1
-            minors = _minors(chart, p, mode, ("g-minors", k), g, k)
+            minors = _minors(chart, p, ("g-minors", k), g, k)
             for L in itertools.combinations(range(n), n - k):
                 Lc = tuple(i for i in range(n) if i not in L)
                 pv = _gram_pair(minors, val, Lc)
@@ -216,12 +212,12 @@ def pointwise_star(chart: ChartConnection, p, mode=FLOAT):
     return (lambda val: apply(val, False)), (lambda val: apply(val, True))
 
 
-def op_perp(chart: ChartConnection, p, mode=FLOAT, inverse=False) -> FiberEndo:
+def op_perp(chart: ChartConnection, p, inverse=False) -> FiberEndo:
     """perp(v box alpha) = v box star^{-1}(alpha); needs a metric, and the star
     uses the coordinate orientation."""
     if not chart.fiber_is_tangent:
         raise ValueError("op_perp is defined on the tangent-fiber picture")
-    star, star_inv = pointwise_star(chart, p, mode)
+    star, star_inv = pointwise_star(chart, p)
     act = star if inverse else star_inv
 
     def fn(x: TensorExtElement) -> TensorExtElement:
@@ -253,11 +249,11 @@ def _edag_fiber(pair, val: dict, r, K):
             yield tuple(K[q] for q in range(k) if q not in pos), sgn * pv
 
 
-def _minors(chart: ChartConnection, p, mode, key, mat, k) -> dict:
+def _minors(chart: ChartConnection, p, key, mat, k) -> dict:
     """The k x k minors {(R, C): det(mat[R, C])} of the square matrix ``mat``
     over all k-subsets R, C, held on the chart per point under ``key``, so
     each minor is derived once per point."""
-    return chart._memo(p, mode, key, lambda: {
+    return chart._memo(p, key, lambda: {
         (R, C): det([[mat[r][c] for c in C] for r in R])
         for R in anti_indices(len(mat), k) for C in anti_indices(len(mat), k)})
 
@@ -275,7 +271,7 @@ def _gram_pair(minors, val: dict, A) -> object:
     return total
 
 
-def _edag_contraction(field: Field, p, mode, pair) -> FiberEndo:
+def _edag_contraction(field: Field, p, pair) -> FiberEndo:
     """v box alpha |-> v_(1) box Edag_{nabla_{v_(2)} field} alpha, the signed
     contraction of :func:`_edag_fiber` with ``pair(value, KL)`` pairing the
     value dict of nabla_{v_(2)} field against eps_{KL}.  Its row per
@@ -284,7 +280,7 @@ def _edag_contraction(field: Field, p, mode, pair) -> FiberEndo:
 
     def row(BK):
         B, K = BK
-        val = cd.nabla_value(field, B, p, mode)
+        val = cd.nabla_value(field, B, p)
         return list(_edag_fiber(pair, val, r, K)) if val else []
 
     def act(out, A, B, K, c, row):
@@ -294,12 +290,12 @@ def _edag_contraction(field: Field, p, mode, pair) -> FiberEndo:
     return _sweedler_lift(lambda A, B, K: (B, K), row, act)
 
 
-def _perp_conjugate(chart: ChartConnection, endo: FiberEndo, sign, p, mode,
+def _perp_conjugate(chart: ChartConnection, endo: FiberEndo, sign, p,
                     inverse=False) -> FiberEndo:
     """sign(k) perp o endo o perp^{-1} on each term of exterior degree k;
     with ``inverse``, sign(k) perp^{-1} o endo o perp."""
-    perp = op_perp(chart, p, mode)
-    perp_inv = op_perp(chart, p, mode, inverse=True)
+    perp = op_perp(chart, p)
+    perp_inv = op_perp(chart, p, inverse=True)
     outer, inner = (perp_inv, perp) if inverse else (perp, perp_inv)
 
     def fn(x: TensorExtElement) -> TensorExtElement:
@@ -314,7 +310,7 @@ def _perp_conjugate(chart: ChartConnection, endo: FiberEndo, sign, p, mode,
     return FiberEndo(fn)
 
 
-def op_Edag(chart: ChartConnection, X: Field, p, mode=FLOAT, route="contract") -> FiberEndo:
+def op_Edag(chart: ChartConnection, X: Field, p, route="contract") -> FiberEndo:
     """Adjoint of op_E for a fiber multivector field X (metric required).
 
     ``route='contract'``: Edag_X(v box alpha) = v_(1) box Edag_{nabla_{v_(2)} X} alpha
@@ -326,43 +322,40 @@ def op_Edag(chart: ChartConnection, X: Field, p, mode=FLOAT, route="contract") -
         raise ValueError("op_Edag takes a fiber multivector field")
     chart.require_metric()
     r = len(X.slots)
-    p = as_point(p, mode)
     if route == "conjugate":
-        return _perp_conjugate(chart, op_E(chart, X, p, mode),
-                               lambda k: (-1) ** (r * (k + r)), p, mode)
-    g = chart.metric_value(p, mode)
-    return _edag_contraction(X, p, mode, lambda val, KL: _gram_pair(
-        _minors(chart, p, mode, ("g-minors", len(KL)), g, len(KL)), val, KL))
+        return _perp_conjugate(chart, op_E(chart, X, p),
+                               lambda k: (-1) ** (r * (k + r)), p)
+    g = chart.metric_value(p)
+    return _edag_contraction(X, p, lambda val, KL: _gram_pair(
+        _minors(chart, p, ("g-minors", len(KL)), g, len(KL)), val, KL))
 
 
-def op_Edag_theta(chart: ChartConnection, theta: Field, p, mode=FLOAT) -> FiberEndo:
+def op_Edag_theta(chart: ChartConnection, theta: Field, p) -> FiberEndo:
     """Koszul-style adjoint with a covector-field argument (metric-free):
     the contraction pairing theta_p(alpha_{L_r}) replaces <X(p), alpha_{L_r}>."""
     if not (set(theta.slots) <= {FD}):
         raise ValueError("op_Edag_theta takes a fiber form field")
-    return _edag_contraction(theta, as_point(p, mode), mode,
-                             lambda val, KL: val.get(KL, 0))
+    return _edag_contraction(theta, p, lambda val, KL: val.get(KL, 0))
 
 
 # ---------------------------------------------------------------------------
 # Adjoint of covariant differentiation.
 
-def divergence_field(chart: ChartConnection, X: Field, p, mode=FLOAT, budget=4) -> Field:
+def divergence_field(chart: ChartConnection, X: Field, p, budget=4) -> Field:
     """div X = trace of nabla X, as a jet-backed scalar field at p."""
     chart.require_metric()
-    p = as_point(p, mode)
     total = None
     for i in range(chart.n):
-        jets = cd.nabla_word_jets(X, (i,), p, budget, mode)
+        jets = cd.nabla_word_jets(X, (i,), p, budget)
         jet = jets.get((i,))
         if jet is not None:
             total = jet if total is None else total + jet
     if total is None:
-        total = Jet.zero(JetSpace(chart.n, budget), mode)
-    return cd.jet_field(chart, (), {(): total}, p, budget, mode)
+        total = Jet.zero(JetSpace(chart.n, budget), p.mode)
+    return cd.jet_field(chart, (), {(): total}, p, budget)
 
 
-def op_Ddag(chart: ChartConnection, X, p, mode=FLOAT, budget=4) -> FiberEndo:
+def op_Ddag(chart: ChartConnection, X, p, budget=4) -> FiberEndo:
     """Adjoint of covariant differentiation.
 
     Vector case: Ddag_X = -div(X)_corner - D_X.  Tensor case, recursively:
@@ -372,14 +365,12 @@ def op_Ddag(chart: ChartConnection, X, p, mode=FLOAT, budget=4) -> FiberEndo:
     """
     parts = cd.as_field_list(X)
     orders = {len(f.slots) for f in parts}
-    p = as_point(p, mode)
     if orders <= {0}:
         # order-0 tensor: plain function, Ddag_f = f_corner adjoint-free path
-        return f_lrcorner(chart, parts[0], p, mode)
+        return f_lrcorner(chart, parts[0], p)
     if orders == {1}:
-        return _endo_sum((f_lrcorner(chart, divergence_field(chart, f, p, mode, budget),
-                                     p, mode).scaled(-1) + op_D(chart, f, p, mode).scaled(-1)
-                          for f in parts), chart.n, chart.d)
+        return _endo_sum((f_lrcorner(chart, divergence_field(chart, f, p, budget), p).scaled(-1)
+                          + op_D(chart, f, p).scaled(-1) for f in parts), chart.n, chart.d)
 
     def terms():
         # higher order: decompose each component word, attaching the scalar
@@ -387,20 +378,20 @@ def op_Ddag(chart: ChartConnection, X, p, mode=FLOAT, budget=4) -> FiberEndo:
         for f in parts:
             for w in f.comps:
                 if f.jet_backed:
-                    head = cd.jet_field(chart, (TU,), {(w[0],): f.comps[w]}, p, f.budget, mode)
+                    head = cd.jet_field(chart, (TU,), {(w[0],): f.comps[w]}, p, f.budget)
                 else:
                     head = Field(chart, (TU,), {(w[0],): f.comps[w]})
                 rest = cd.coordinate_tensor_field(chart, w[1:])
-                d_head = op_Ddag(chart, head, p, mode, budget)
-                d_rest = op_Ddag(chart, rest, p, mode, budget)
+                d_head = op_Ddag(chart, head, p, budget)
+                d_rest = op_Ddag(chart, rest, p, budget)
                 # correction: Ddag_{nabla_head rest}
-                corr_jets = cd.covderiv(head, rest, p, budget, mode)
+                corr_jets = cd.covderiv(head, rest, p, budget)
                 term = d_head.compose(d_rest)
                 if corr_jets:
                     # the correction is jet-backed at this level's budget, so the
                     # recursive divergence runs one order lower
-                    corr_parts = cd.mixed_tensor_fields(chart, corr_jets, p, budget, mode)
-                    term = term + op_Ddag(chart, corr_parts, p, mode, budget - 1).scaled(-1)
+                    corr_parts = cd.mixed_tensor_fields(chart, corr_jets, p, budget)
+                    term = term + op_Ddag(chart, corr_parts, p, budget - 1).scaled(-1)
                 yield term
 
     return _endo_sum(terms(), chart.n, chart.d)
@@ -411,34 +402,32 @@ def op_Ddag(chart: ChartConnection, X, p, mode=FLOAT, budget=4) -> FiberEndo:
 
 class SharpElement:
     """A point germ of tensor(TM) box wedge(E): coefficient jets over
-    (word, anti-index) keys, with enough jet budget for the nabla
-    contractions of the product."""
+    (word, anti-index) keys at ``point``, with enough jet budget for the
+    nabla contractions of the product."""
 
-    __slots__ = ("chart", "point", "mode", "budget", "coeffs")
+    __slots__ = ("chart", "point", "budget", "coeffs")
 
-    def __init__(self, chart, point, mode, budget, coeffs=None):
+    def __init__(self, chart, point, budget, coeffs=None):
         self.chart = chart
-        self.point = as_point(point, mode)
-        self.mode = mode
+        self.point = point
         self.budget = budget
         self.coeffs = dict(coeffs or {})
 
     @staticmethod
-    def from_fields(chart, tensor_part: Field, ext_part: Field, p, mode, budget):
-        p = as_point(p, mode)
+    def from_fields(chart, tensor_part: Field, ext_part: Field, p, budget):
         coeffs = {}
         for w in tensor_part.comps:
-            jw = tensor_part.comp_jet(w, p, budget, mode)
+            jw = tensor_part.comp_jet(w, p, budget)
             for K in ext_part.comps:
                 if all(K[i] < K[i + 1] for i in range(len(K) - 1)):
-                    jk = ext_part.comp_jet(K, p, budget, mode)
+                    jk = ext_part.comp_jet(K, p, budget)
                     coeffs[(w, K)] = jw * jk
-        return SharpElement(chart, p, mode, budget, coeffs)
+        return SharpElement(chart, p, budget, coeffs)
 
 
-def unit_sharp(chart, p, mode, budget) -> SharpElement:
-    one = Jet.const(JetSpace(chart.n, budget), mode, 1)
-    return SharpElement(chart, as_point(p, mode), mode, budget, {((), ()): one})
+def unit_sharp(chart, p, budget) -> SharpElement:
+    one = Jet.const(JetSpace(chart.n, budget), p.mode, 1)
+    return SharpElement(chart, p, budget, {((), ()): one})
 
 
 def sharp(a: SharpElement, b: SharpElement) -> SharpElement:
@@ -447,20 +436,20 @@ def sharp(a: SharpElement, b: SharpElement) -> SharpElement:
     The result loses jet budget: top tensor order of b plus one covers the
     covariant product and nabla contractions.
     """
-    chart, p, mode = a.chart, a.point, a.mode
+    chart, p = a.chart, a.point
     top_b = max((len(w) for (w, _K) in b.coeffs), default=0)
     out_budget = min(a.budget, b.budget) - top_b
     if out_budget < 0:
         raise ValueError("insufficient jet budget for sharp product")
-    out = SharpElement(chart, p, mode, out_budget)
+    out = SharpElement(chart, p, out_budget)
     # per-call memos: one jet-backed head f e_{wa} per key of a, at the budget
     # of the longest w1, so every covariant product for that key shares its
     # nabla memo (truncation is a prefix, so no product changes); the frame
     # tensor e_{w1} and the k-vector eps_{Ka}; and the covariant product,
     # which does not depend on the term of b
     head_budget = out_budget + top_b
-    heads = {akey: cd.mixed_tensor_fields(chart, {akey[0]: fjet.truncate(head_budget)},
-                                          p, head_budget, mode)
+    heads = {akey: cd.mixed_tensor_fields(chart, {akey[0]: fjet.truncate(head_budget)}, p,
+                                          head_budget)
              for akey, fjet in a.coeffs.items()}
     kvecs = {Ka: cd.kvector_field(chart, len(Ka), {Ka: 1}) for (_wa, Ka) in a.coeffs}
     frames, prods = {}, {}
@@ -476,9 +465,9 @@ def sharp(a: SharpElement, b: SharpElement) -> SharpElement:
                     if ew1 is None:
                         ew1 = frames[w1] = cd.coordinate_tensor_field(chart, w1)
                     prod = prods[(w1, akey)] = cd.covariant_product(
-                        ew1, heads[akey], p, mode, out_budget)
+                        ew1, heads[akey], p, out_budget)
                 # exterior part: (nabla_{e_{w2}} eps_{Ka}) wedge eps_{Kb}
-                nb = cd.nabla_word_jets(kvecs[akey[1]], w2, p, out_budget, mode)
+                nb = cd.nabla_word_jets(kvecs[akey[1]], w2, p, out_budget)
                 gprod = gprods.get((w1, akey))
                 for KX in list(nb):
                     if not all(KX[i] < KX[i + 1] for i in range(len(KX) - 1)):
@@ -495,10 +484,10 @@ def sharp(a: SharpElement, b: SharpElement) -> SharpElement:
     return out
 
 
-def _sum_D_compose(chart: ChartConnection, pairs, lower, p, mode) -> FiberEndo:
+def _sum_D_compose(chart: ChartConnection, pairs, lower, p) -> FiberEndo:
     """sum over (Y, Z) in ``pairs`` of D_Y o lower(Z), folded left in order;
     ``lower`` is op_E, op_Edag or op_Edag_theta."""
-    return _endo_sum((op_D(chart, Y, p, mode).compose(lower(chart, Z, p, mode))
+    return _endo_sum((op_D(chart, Y, p).compose(lower(chart, Z, p))
                       for Y, Z in pairs), chart.n, chart.d)
 
 
@@ -506,24 +495,24 @@ def _sharp_pairs(a: SharpElement):
     """(v, eps_K) per key of a: the tensor part with its jet, the exterior
     part as a constant k-vector field."""
     for (w, K), jet in a.coeffs.items():
-        yield (cd.mixed_tensor_fields(a.chart, {w: jet}, a.point, a.budget, a.mode),
+        yield (cd.mixed_tensor_fields(a.chart, {w: jet}, a.point, a.budget),
                cd.kvector_field(a.chart, len(K), {K: 1}))
 
 
 def op_DE(a: SharpElement) -> FiberEndo:
     """DE_{v box alpha} = D_v o E_alpha, extended linearly over the keys of a."""
-    return _sum_D_compose(a.chart, _sharp_pairs(a), op_E, a.point, a.mode)
+    return _sum_D_compose(a.chart, _sharp_pairs(a), op_E, a.point)
 
 
 def op_DEdag(a: SharpElement) -> FiberEndo:
     """DEdag_{v box alpha} = D_v o Edag_alpha (metric route on the exterior part)."""
-    return _sum_D_compose(a.chart, _sharp_pairs(a), op_Edag, a.point, a.mode)
+    return _sum_D_compose(a.chart, _sharp_pairs(a), op_Edag, a.point)
 
 
 # ---------------------------------------------------------------------------
 # Boundary operator.
 
-def resolve_functional(chart, p, r, k, eval_fn, mode=FLOAT) -> at.AtomicCurrent:
+def resolve_functional(chart, p, r, k, eval_fn) -> at.AtomicCurrent:
     """PBW coordinates of a functional given by probe evaluations, by the
     triangular probe solve that to_pbw also runs.
 
@@ -531,10 +520,10 @@ def resolve_functional(chart, p, r, k, eval_fn, mode=FLOAT) -> at.AtomicCurrent:
     chart) and its label, so evaluators tied to a different connection can
     rebuild the same monomial form on their own chart.
     """
-    return at._pbw_solve(chart, as_point(p, mode), r, k, eval_fn, mode)
+    return at._pbw_solve(chart, p, r, k, eval_fn)
 
 
-def boundary(chart: ChartConnection, T: at.AtomicCurrent, mode=FLOAT) -> at.AtomicCurrent:
+def boundary(chart: ChartConnection, T: at.AtomicCurrent) -> at.AtomicCurrent:
     """The boundary, normatively defined by duality: (dT)(omega) = T(d omega).
 
     Probes of order r+1 and degree k-1 are evaluated against the exterior
@@ -548,10 +537,10 @@ def boundary(chart: ChartConnection, T: at.AtomicCurrent, mode=FLOAT) -> at.Atom
     p = T.point
 
     def eval_fn(_probe, mono, L):
-        dpr = at.probe_differential(chart, p, mono, L, T.r, mode)
-        return at.phi_apply(chart, T, dpr, p, mode)
+        dpr = at.probe_differential(chart, p, mono, L, T.r)
+        return at.phi_apply(chart, T, dpr, p)
 
-    return resolve_functional(chart, p, T.r + 1, T.k - 1, eval_fn, mode)
+    return resolve_functional(chart, p, T.r + 1, T.k - 1, eval_fn)
 
 
 def coframe_field(chart: ChartConnection, i) -> Field:
@@ -563,31 +552,30 @@ def frame_field(chart: ChartConnection, i) -> Field:
     return cd.vector_field(chart, {i: 1})
 
 
-def trace_DEdag_endo(chart: ChartConnection, p, mode=FLOAT,
-                     frame=None, coframe=None) -> FiberEndo:
+def trace_DEdag_endo(chart: ChartConnection, p, frame=None, coframe=None) -> FiberEndo:
     """The lift tr(DEdag) = sum_i D_{F_i} o Edag_theta_{F^i} over a frame and
     its dual coframe (coordinate frame by default; the trace is frame
     independent and metric-free in this Koszul form)."""
     pairs = ((frame[i] if frame else frame_field(chart, i),
               coframe[i] if coframe else coframe_field(chart, i)) for i in range(chart.n))
-    return _sum_D_compose(chart, pairs, op_Edag_theta, as_point(p, mode), mode)
+    return _sum_D_compose(chart, pairs, op_Edag_theta, p)
 
 
-def boundary_via_trace(chart: ChartConnection, T: at.AtomicCurrent, mode=FLOAT) -> at.AtomicCurrent:
+def boundary_via_trace(chart: ChartConnection, T: at.AtomicCurrent) -> at.AtomicCurrent:
     """Boundary through the trace lift: apply tr(DEdag) to the current (its
     own lift on PBW words) and re-project.  Must agree with the duality
     route."""
     if T.k == 0:
         return at.AtomicCurrent(T.point, T.r + 1, 0, chart.d)
     p = T.point
-    out = trace_DEdag_endo(chart, p, mode)(T)
-    return at.to_pbw(chart, out, p, r=T.r + 1, k=T.k - 1, mode=mode)
+    out = trace_DEdag_endo(chart, p)(T)
+    return at.to_pbw(chart, out, p, r=T.r + 1, k=T.k - 1)
 
 
 # ---------------------------------------------------------------------------
 # Hodge star on form fields, codifferential, adjoint involution.
 
-def raise_form_jets(chart: ChartConnection, omega: Field, p, mode, budget) -> dict:
+def raise_form_jets(chart: ChartConnection, omega: Field, p, budget) -> dict:
     """Jets of a k-form raised by the metric, on increasing keys:
 
     (omega^sharp)^A = sum_K omega_K det(g^{-1}[A, K]).
@@ -598,15 +586,14 @@ def raise_form_jets(chart: ChartConnection, omega: Field, p, mode, budget) -> di
     chart.require_metric()
     n = chart.n
     k = len(omega.slots)
-    p = as_point(p, mode)
-    ginv = chart._metric_inverse_jets(p, budget, mode)[0]
-    minors = _minors(chart, p, mode, ("ginv-minors", k, budget), ginv, k)
+    ginv = chart._metric_inverse_jets(p, budget)[0]
+    minors = _minors(chart, p, ("ginv-minors", k, budget), ginv, k)
     comps = {}
     for K in anti_indices(n, k):
         if omega.jet_backed:
             w = omega.comps.get(K)
         else:
-            w = omega.comp_jet(K, p, budget, mode)
+            w = omega.comp_jet(K, p, budget)
             if w.is_zero():
                 w = None
         if w is not None:
@@ -622,8 +609,7 @@ def raise_form_jets(chart: ChartConnection, omega: Field, p, mode, budget) -> di
     return out
 
 
-def star_form_jets(chart: ChartConnection, omega: Field, p, mode, budget,
-                   inverse=False) -> Field:
+def star_form_jets(chart: ChartConnection, omega: Field, p, budget, inverse=False) -> Field:
     """Pointwise-varying Hodge star of a form field, as jets at p.
 
     Uses alpha wedge star(beta) = <alpha, beta>_g vol: the star is the
@@ -634,10 +620,9 @@ def star_form_jets(chart: ChartConnection, omega: Field, p, mode, budget,
     """
     n = chart.n
     k = len(omega.slots)
-    p = as_point(p, mode)
-    raised = raise_form_jets(chart, omega, p, mode, budget)
-    sqrtg = chart._memo(p, mode, ("sqrt-det", budget),
-                        lambda: _sqrt_det(chart._metric_inverse_jets(p, budget, mode)[1]))
+    raised = raise_form_jets(chart, omega, p, budget)
+    sqrtg = chart._memo(p, ("sqrt-det", budget),
+                        lambda: _sqrt_det(chart._metric_inverse_jets(p, budget)[1]))
     flip = -1 if inverse and k * (n - k) % 2 else 1
     comps = {}
     for L in itertools.combinations(range(n), n - k):
@@ -647,7 +632,7 @@ def star_form_jets(chart: ChartConnection, omega: Field, p, mode, budget,
             jet = sqrtg * acc
             comps[L] = jet if merge_sign(Lc, L) * flip == 1 else -jet
     return cd.jet_field(chart, (FD,) * (n - k), cd.antisymmetrize(comps, Jet.__neg__),
-                        p, budget, mode)
+                        p, budget)
 
 
 def _sqrt_det(detg):
@@ -663,36 +648,32 @@ def _sqrt_det(detg):
     return apply_elementary("sqrt", detg)
 
 
-def codifferential_form(chart: ChartConnection, omega: Field, p, mode=FLOAT,
-                        budget=0) -> Field:
+def codifferential_form(chart: ChartConnection, omega: Field, p, budget=0) -> Field:
     """delta omega = (-1)^k star^{-1} d star omega, as a jet-backed field at p."""
     k = len(omega.slots)
-    p = as_point(p, mode)
-    st = star_form_jets(chart, omega, p, mode, budget + 1)
-    dst = cd.exterior_derivative(st, p, mode, out_order=budget)
-    out = star_form_jets(chart, dst, p, mode, budget, inverse=True)
+    st = star_form_jets(chart, omega, p, budget + 1)
+    dst = cd.exterior_derivative(st, p, out_order=budget)
+    out = star_form_jets(chart, dst, p, budget, inverse=True)
     if k % 2 == 1:
-        out = cd.jet_field(chart, out.slots, {i: -j for i, j in out.comps.items()},
-                           p, budget, mode)
+        out = cd.jet_field(chart, out.slots, {i: -j for i, j in out.comps.items()}, p, budget)
     return out
 
 
-def trace_DE_endo(chart: ChartConnection, p, mode=FLOAT) -> FiberEndo:
+def trace_DE_endo(chart: ChartConnection, p) -> FiberEndo:
     """tr(DE) = sum_i D_{e_i} o E_{e^i} on the dual-fiber picture (E = T*M),
     where e^i is the coordinate co-frame seen as a section of E."""
     if chart.fiber_is_tangent:
         raise ValueError("trace_DE_endo expects the dual-fiber chart")
     pairs = ((frame_field(chart, i), cd.kvector_field(chart, 1, {(i,): 1}))
              for i in range(chart.n))
-    return _sum_D_compose(chart, pairs, op_E, as_point(p, mode), mode)
+    return _sum_D_compose(chart, pairs, op_E, p)
 
 
-def adjoint_of_Edag(chart: ChartConnection, endo: FiberEndo, r: int, p,
-                    mode=FLOAT) -> FiberEndo:
+def adjoint_of_Edag(chart: ChartConnection, endo: FiberEndo, r: int, p) -> FiberEndo:
     """Adjoint of a degree-lowering (Edag-type) endomorphism:
     on exterior degree m, (-1)^{r(n-m+r)} perp^{-1} o endo o perp."""
     n = chart.n
-    return _perp_conjugate(chart, endo, lambda m: (-1) ** (r * (n - m + r)), p, mode,
+    return _perp_conjugate(chart, endo, lambda m: (-1) ** (r * (n - m + r)), p,
                            inverse=True)
 
 
@@ -716,17 +697,16 @@ def delta_commutation_residual(image, key):
     return cd._dict_residual(lhs, rhs)
 
 
-def probe_annihilation_residual(chart, el: TensorExtElement, p, r_probe, k_probe,
-                                mode=FLOAT):
+def probe_annihilation_residual(chart, el: TensorExtElement, p, r_probe, k_probe):
     """Worst probe evaluation of Phi(el) over monomial probes of order <=
     r_probe and degree k_probe."""
     worst = 0
-    for _T, _L, probe in at.monomial_probes(chart, p, r_probe, k_probe, mode):
-        worst = max(worst, abs(at.phi_apply(chart, el, probe, p, mode)))
+    for _T, _L, probe in at.monomial_probes(chart, p, r_probe, k_probe):
+        worst = max(worst, abs(at.phi_apply(chart, el, probe, p)))
     return worst
 
 
-def trace_DEdag_lift_check(chart: ChartConnection, p, r: int, k: int, mode=FLOAT):
+def trace_DEdag_lift_check(chart: ChartConnection, p, r: int, k: int):
     """Report on the trace lift tr(DEdag) = sum_i D_{e_i} o Edag_theta_{e^i}:
 
     (a) it preserves ker Phi (each kernel-basis element is annihilated on
@@ -736,8 +716,7 @@ def trace_DEdag_lift_check(chart: ChartConnection, p, r: int, k: int, mode=FLOAT
 
     (b) and (c) read one image of the lift per basis key.
     """
-    p = as_point(p, mode)
-    endo = trace_DEdag_endo(chart, p, mode)
+    endo = trace_DEdag_endo(chart, p)
     images = {}
 
     def image(key):
@@ -748,9 +727,9 @@ def trace_DEdag_lift_check(chart: ChartConnection, p, r: int, k: int, mode=FLOAT
 
     report = {"kernel_preservation": 0, "delta_commutation": 0,
               "order_degree_ok": True}
-    for _label, kel in at.kernel_basis(chart, p, r, k, mode):
+    for _label, kel in at.kernel_basis(chart, p, r, k):
         out = endo(kel)
-        res = probe_annihilation_residual(chart, out, p, r + 1, k - 1, mode)
+        res = probe_annihilation_residual(chart, out, p, r + 1, k - 1)
         report["kernel_preservation"] = max(report["kernel_preservation"], res)
     from .multialg import all_words
     for w in all_words(chart.n, r):
@@ -764,7 +743,7 @@ def trace_DEdag_lift_check(chart: ChartConnection, p, r: int, k: int, mode=FLOAT
     return report
 
 
-def gamma_gamma_local_frame(chart: ChartConnection, p, w, K, mode=FLOAT):
+def gamma_gamma_local_frame(chart: ChartConnection, p, w, K):
     """Local-frame expansion of tr(DEdag) restricted to genuine symbol
     products (nonempty Sweedler words on both factors),
 
@@ -776,16 +755,15 @@ def gamma_gamma_local_frame(chart: ChartConnection, p, w, K, mode=FLOAT):
     boundary operator itself does not.  The duality route is normative.
     """
     chart.require_metric()
-    p = as_point(p, mode)
-    g = chart.metric_value(p, mode)
+    g = chart.metric_value(p)
     from .multialg import iterated_tensor_coproduct
     out = TensorExtElement(chart.n, chart.d)
     for i in range(chart.n):
         for (I1, I2, I3) in iterated_tensor_coproduct(tuple(w), 3):
             if not I1 or not I2:
                 continue  # strict reading: only genuine higher-order symbols
-            G1 = chart.higher_gamma(I1, i, p, mode)
-            G2 = chart.higher_gamma(I2, i, p, mode)
+            G1 = chart.higher_gamma(I1, i, p)
+            G2 = chart.higher_gamma(I2, i, p)
             for pos in range(len(K)):
                 j = K[pos]
                 rest = K[:pos] + K[pos + 1:]

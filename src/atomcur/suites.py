@@ -293,9 +293,8 @@ def check_hodge_algebra(ctx):
         chart = ChartConnection.from_metric([f"x{i}" for i in range(n)], g,
                                             [(-1, 1)] * n, name=f"hodge-{n}")
         p = chart.resolve((0,) * n, RATIONAL)
-        star, star_inv = op.pointwise_star(chart, p, RATIONAL)
-        hat = {J: op.star_form_jets(chart, cd.form_field(chart, m, {J: 1}), p,
-                                    RATIONAL, 0).comps
+        star, star_inv = op.pointwise_star(chart, p)
+        hat = {J: op.star_form_jets(chart, cd.form_field(chart, m, {J: 1}), p, 0).comps
                for m in range(n + 1) for J in anti_indices(n, m)}
         for k in range(n + 1):
             for K in anti_indices(n, k):
@@ -320,8 +319,8 @@ def check_torsion_free(ctx):
         worst = 0
         for i in range(ctx.chart.n):
             for j in range(ctx.chart.n):
-                a = ctx.chart.gamma1_jet(i, j, p, 0, ctx.mode)
-                b = ctx.chart.gamma1_jet(j, i, p, 0, ctx.mode)
+                a = ctx.chart.gamma1_jet(i, j, p, 0)
+                b = ctx.chart.gamma1_jet(j, i, p, 0)
                 worst = max(worst, max(abs(x.value - y.value) for x, y in zip(a, b)))
         out.append(_result("torsion-free", stmt, p, worst, ctx.tolerance(1e-10)))
     return out
@@ -336,9 +335,9 @@ def check_dualpath_gamma(ctx):
         for length in (1, 2, 3, 4):
             I = rand_word(ctx, rng, length)
             j = rng.randrange(ctx.chart.n)
-            a = ctx.chart.higher_gamma(I, j, p, ctx.mode)
+            a = ctx.chart.higher_gamma(I, j, p)
             ej = cd.coordinate_tensor_field(ctx.chart, (j,))
-            v = cd.nabla_value(ej, I, p, ctx.mode)
+            v = cd.nabla_value(ej, I, p)
             for kk in range(ctx.chart.n):
                 worst = max(worst, abs(a[kk] - v.get((kk,), 0)))
         out.append(_result("gamma-dual-path", stmt, p, worst, ctx.tolerance(1e-8)))
@@ -351,7 +350,7 @@ def check_metric_compat(ctx):
         return [_skip("metric-compat", stmt, "chart has no metric")]
     out = []
     for p in ctx.probes:
-        g = ctx.chart.metric_value(p, ctx.mode)
+        g = ctx.chart.metric_value(p)
         g1 = [[ex.eval_jet(e, p, 1, ctx.mode) for e in row] for row in ctx.chart.metric]
         worst = 0
         n = ctx.chart.n
@@ -359,8 +358,8 @@ def check_metric_compat(ctx):
             for i in range(n):
                 for j in range(n):
                     dg = g1[i][j].partial(tuple(1 if t == kk else 0 for t in range(n)))
-                    gj = ctx.chart.gamma1_jet(kk, j, p, 0, ctx.mode)
-                    gi = ctx.chart.gamma1_jet(kk, i, p, 0, ctx.mode)
+                    gj = ctx.chart.gamma1_jet(kk, j, p, 0)
+                    gi = ctx.chart.gamma1_jet(kk, i, p, 0)
                     low = sum(g[i][l] * gj[l].value for l in range(n))
                     low += sum(g[j][l] * gi[l].value for l in range(n))
                     worst = max(worst, abs(dg - low))
@@ -378,12 +377,12 @@ def check_flat_lemma(ctx):
     for length in (1, 2, 3, 4):
         I = rand_word(ctx, rng, length)
         j = rng.randrange(ctx.chart.n)
-        worst = max(worst, max(abs(v) for v in ctx.chart.higher_gamma(I, j, p, ctx.mode)))
+        worst = max(worst, max(abs(v) for v in ctx.chart.higher_gamma(I, j, p)))
     for s in range(5):
         S = rand_word(ctx, rng, s)
         ab = {(0, min(1, ctx.chart.n - 1)): 1}
-        base_end = cd.curvature_endomorphism(ctx.chart, S, ab, p, ctx.mode)
-        fiber_end = cd.curvature_endomorphism(ctx.chart, S, ab, p, ctx.mode, fiber=True)
+        base_end = cd.curvature_endomorphism(ctx.chart, S, ab, p)
+        fiber_end = cd.curvature_endomorphism(ctx.chart, S, ab, p, fiber=True)
         worst = max(worst, max(abs(v) for row in base_end for v in row),
                     max(abs(v) for row in fiber_end for v in row))
     return [_result("flat-lemma", stmt, p, worst, 0 if ctx.mode == RATIONAL else 1e-14)]
@@ -400,7 +399,7 @@ def _is_flat(ctx):
             for fiber, dim in ((False, chart.n), (True, chart.d)):
                 for i in range(chart.n):
                     for j in range(dim):
-                        jets = chart.gamma1_jet(i, j, p, order, ctx.mode, fiber)
+                        jets = chart.gamma1_jet(i, j, p, order, fiber)
                         if not all(jet.is_zero() for jet in jets):
                             return False
     return True
@@ -419,12 +418,12 @@ def check_dual_connection(ctx):
             Y = rand_vector_field(ctx, rng)
             contr = cd.contract_form_vector(omega, Y)
             for i in range(ctx.chart.n):
-                lhs = cd.nabla_value(contr, (i,), p, ctx.mode).get((), 0)
-                nb_om = cd.nabla_value(omega, (i,), p, ctx.mode)
-                yv = Y.value(p, ctx.mode)
+                lhs = cd.nabla_value(contr, (i,), p).get((), 0)
+                nb_om = cd.nabla_value(omega, (i,), p)
+                yv = Y.value(p)
                 rhs = sum(nb_om.get((a,), 0) * yv.get((a,), 0) for a in range(ctx.chart.n))
-                nb_y = cd.nabla_value(Y, (i,), p, ctx.mode)
-                omv = omega.value(p, ctx.mode)
+                nb_y = cd.nabla_value(Y, (i,), p)
+                omv = omega.value(p)
                 rhs += sum(omv.get((a,), 0) * nb_y.get((a,), 0) for a in range(ctx.chart.n))
                 worst = max(worst, abs(lhs - rhs))
         out.append(_result("dual-connection", stmt, p, worst, ctx.tolerance(1e-9)))
@@ -436,7 +435,7 @@ def check_curvature(ctx):
     out = []
     n = ctx.chart.n
     for p in ctx.probes:
-        cv = curvature(ctx.chart, p, ctx.mode)
+        cv = curvature(ctx.chart, p)
         worst_anti = 0
         for (kk, j, u, v), val in cv.base.items():
             worst_anti = max(worst_anti, abs(val + cv.base[(kk, j, v, u)]))
@@ -463,12 +462,12 @@ def check_curvature(ctx):
 
 
 def _gamma_value(chart, kk, i, j, p):
-    return chart.gamma1_jet(i, j, p, 0, FLOAT)[kk].value
+    return chart.gamma1_jet(i, j, p, 0)[kk].value
 
 
 def _fd_gamma(chart, kk, i, j, direction, p, h):
-    pp = tuple(x + (h if t == direction else 0) for t, x in enumerate(p))
-    pm = tuple(x - (h if t == direction else 0) for t, x in enumerate(p))
+    pp, pm = (as_point([x + s if t == direction else x for t, x in enumerate(p)], FLOAT)
+              for s in (h, -h))
     return (_gamma_value(chart, kk, i, j, pp) - _gamma_value(chart, kk, i, j, pm)) / (2 * h)
 
 
@@ -486,7 +485,7 @@ def check_composition(ctx):
             v = rand_word(ctx, rng, rng.randint(1, 2))
             w = rand_word(ctx, rng, rng.randint(1, 2))
             fld = rand_form_field(ctx, rng, min(1, ctx.chart.d))
-            worst = max(worst, cd.nabla_compose_check(v, w, fld, p, ctx.mode))
+            worst = max(worst, cd.nabla_compose_check(v, w, fld, p))
         out.append(_result("composition", stmt, p, worst, ctx.tolerance(1e-7)))
     return out
 
@@ -504,7 +503,7 @@ def check_fundamental(ctx):
             a = rng.randrange(ctx.chart.n)
             b = rng.randrange(ctx.chart.n)
             fld = rand_form_field(ctx, rng, min(1, ctx.chart.d))
-            worst = max(worst, cd.fundamental_commutation_check(u, v, a, b, fld, p, ctx.mode))
+            worst = max(worst, cd.fundamental_commutation_check(u, v, a, b, fld, p))
         out.append(_result("fundamental-commutation", stmt, p, worst, ctx.tolerance(1e-7)))
     return out
 
@@ -520,11 +519,11 @@ def check_leibniz(ctx):
             b = rand_vector_field(ctx, rng)
             prod = cd.product_field(a, b)
             v = rand_word(ctx, rng, rng.randint(1, 3))
-            lhs = cd.nabla_value(prod, v, p, ctx.mode)
+            lhs = cd.nabla_value(prod, v, p)
             rhs = {}
             for (v1, v2) in tensor_coproduct(v):
-                av = cd.nabla_value(a, v1, p, ctx.mode)
-                bv = cd.nabla_value(b, v2, p, ctx.mode)
+                av = cd.nabla_value(a, v1, p)
+                bv = cd.nabla_value(b, v2, p)
                 for ia, ca in av.items():
                     for ib, cb in bv.items():
                         rhs[ia + ib] = rhs.get(ia + ib, 0) + ca * cb
@@ -547,11 +546,11 @@ def check_shuffle(ctx):
             et = rand_form_field(ctx, rng, kb)
             wedge = cd.wedge_fields(om, et)
             v = rand_word(ctx, rng, rng.randint(1, 3))
-            lhs = cd.nabla_value(wedge, v, p, ctx.mode)
+            lhs = cd.nabla_value(wedge, v, p)
             rhs = {}
             for (v1, v2) in tensor_coproduct(v):
-                a = cd.nabla_value(om, v1, p, ctx.mode)
-                b = cd.nabla_value(et, v2, p, ctx.mode)
+                a = cd.nabla_value(om, v1, p)
+                b = cd.nabla_value(et, v2, p)
                 for idx in itertools.product(range(ctx.chart.d), repeat=ka + kb):
                     acc = 0
                     for S in itertools.combinations(range(ka + kb), ka):
@@ -579,11 +578,11 @@ def check_contraction(ctx):
             al = rand_kvector_field(ctx, rng, k)
             scal = cd.contract_form_vector(om, al)
             v = rand_word(ctx, rng, rng.randint(1, 3))
-            lhs = cd.nabla_value(scal, v, p, ctx.mode).get((), 0)
+            lhs = cd.nabla_value(scal, v, p).get((), 0)
             rhs = 0
             for (v1, v2) in tensor_coproduct(v):
-                a = cd.nabla_value(om, v1, p, ctx.mode)
-                b = cd.nabla_value(al, v2, p, ctx.mode)
+                a = cd.nabla_value(om, v1, p)
+                b = cd.nabla_value(al, v2, p)
                 rhs += sum(c * b.get(idx, 0) for idx, c in a.items())
             worst = max(worst, abs(lhs - rhs))
         out.append(_result("contraction", stmt, p, worst, ctx.tolerance(1e-8)))
@@ -603,11 +602,11 @@ def check_interior(ctx):
             om = rand_form_field(ctx, rng, 2)
             iox = cd.interior_product_field(X, om)
             v = rand_word(ctx, rng, rng.randint(1, 2))
-            lhs = cd.nabla_value(iox, v, p, ctx.mode)
+            lhs = cd.nabla_value(iox, v, p)
             rhs = {}
             for (v1, v2) in tensor_coproduct(v):
-                xv = cd.nabla_value(X, v1, p, ctx.mode)
-                ov = cd.nabla_value(om, v2, p, ctx.mode)
+                xv = cd.nabla_value(X, v1, p)
+                ov = cd.nabla_value(om, v2, p)
                 for (b,), cx in xv.items():
                     for idx, co in ov.items():
                         if idx[0] == b:
@@ -631,7 +630,7 @@ def check_cov_coproduct(ctx):
             m = 2
             T = rand_tensor_field(ctx, rng, m)
             v = rand_word(ctx, rng, rng.randint(1, 2))
-            nl = cd.nabla_value(T, v, p, ctx.mode)
+            nl = cd.nabla_value(T, v, p)
             lhs = {}
             for w, c in nl.items():
                 for (a, b) in tensor_coproduct(w):
@@ -646,7 +645,7 @@ def check_cov_coproduct(ctx):
                         key = a + b
                         comps[key] = ex.ex_add(comps[key], e) if key in comps else e
                 fld = cd.Field(ctx.chart, (cd.TU,) * m, comps)
-                for key, c in cd.nabla_value(fld, v, p, ctx.mode).items():
+                for key, c in cd.nabla_value(fld, v, p).items():
                     pair = (key[:la], key[la:])
                     rhs[pair] = rhs.get(pair, 0) + c
             worst = max(worst, cd._dict_residual(lhs, rhs))
@@ -665,7 +664,7 @@ def check_even_order(ctx):
             f = rand_scalar_field(ctx, rng)
             fal = cd.Field(ctx.chart, al.slots,
                            {i: ex.ex_mul(f.comps[()], c) for i, c in al.comps.items()})
-            fval = f.value(p, ctx.mode).get((), 0)
+            fval = f.value(p).get((), 0)
             for j in (1, 2):
                 pairs = [(rng.randrange(ctx.chart.n), rng.randrange(ctx.chart.n))
                          for _ in range(j)]
@@ -676,9 +675,9 @@ def check_even_order(ctx):
                     for (vv, ww), s in zip(pairs, signs):
                         word += (vv, ww) if s == 0 else (ww, vv)
                         sgn *= 1 if s == 0 else -1
-                    for idx, c in cd.nabla_value(fal, word, p, ctx.mode).items():
+                    for idx, c in cd.nabla_value(fal, word, p).items():
                         lhs[idx] = lhs.get(idx, 0) + sgn * c
-                    for idx, c in cd.nabla_value(al, word, p, ctx.mode).items():
+                    for idx, c in cd.nabla_value(al, word, p).items():
                         rhs[idx] = rhs.get(idx, 0) + sgn * fval * c
                 worst = max(worst, cd._dict_residual(lhs, rhs))
         out.append(_result("even-order", stmt, p, worst, ctx.tolerance(1e-8)))
@@ -690,17 +689,17 @@ def check_warning_case(ctx):
     rng = ctx.rng("warning")
     out = []
     for p in ctx.probes[:2]:
-        cv = curvature(ctx.chart, p, ctx.mode)
+        cv = curvature(ctx.chart, p)
         worst = 0
         saw_nonzero = False
         for _ in range(ctx.n_trials(4)):
             f = rand_scalar_field(ctx, rng)
             i, j, kk = (rng.randrange(ctx.chart.n) for _ in range(3))
-            lhs = cd.nabla_value(f, (i, j, kk), p, ctx.mode).get((), 0) \
-                - cd.nabla_value(f, (j, i, kk), p, ctx.mode).get((), 0)
+            lhs = cd.nabla_value(f, (i, j, kk), p).get((), 0) \
+                - cd.nabla_value(f, (j, i, kk), p).get((), 0)
             rhs = 0
             for l in range(ctx.chart.n):
-                rhs -= cv.base[(l, kk, i, j)] * cd.nabla_value(f, (l,), p, ctx.mode).get((), 0)
+                rhs -= cv.base[(l, kk, i, j)] * cd.nabla_value(f, (l,), p).get((), 0)
             worst = max(worst, abs(lhs - rhs))
             if abs(lhs) > 1e-10:
                 saw_nonzero = True
@@ -716,12 +715,12 @@ def check_covariant_product(ctx):
     for p in ctx.probes[:2]:
         V = rand_vector_field(ctx, rng)
         W = rand_vector_field(ctx, rng)
-        vw = cd.covariant_product_value(V, W, p, ctx.mode)
-        wv = cd.covariant_product_value(W, V, p, ctx.mode)
+        vw = cd.covariant_product_value(V, W, p)
+        wv = cd.covariant_product_value(W, V, p)
         lhs = dict(vw)
         for kk, c in wv.items():
             lhs[kk] = lhs.get(kk, 0) - c
-        Vv, Wv = V.value(p, ctx.mode), W.value(p, ctx.mode)
+        Vv, Wv = V.value(p), W.value(p)
         rhs = {}
         for (i,), a in Vv.items():
             for (j,), b in Wv.items():
@@ -740,17 +739,15 @@ def check_covariant_product(ctx):
                            "V(.)W - W(.)V = V(x)W - W(x)V + [V,W]", p, res1,
                            ctx.tolerance(1e-9)))
         one = cd.tensor_field(ctx.chart, 0, {(): 1})
-        oy = cd.covariant_product_value(one, W, p, ctx.mode)
+        oy = cd.covariant_product_value(one, W, p)
         res2 = cd._dict_residual(oy, Wv)
         out.append(_result("covariant-product-unit", "1 (.) Y = Y", p, res2,
                            ctx.tolerance(1e-12)))
         X = rand_vector_field(ctx, rng)
-        xy = cd.covariant_product(X, V, p, ctx.mode, out_order=2)
-        l = cd.covariant_product(cd.mixed_tensor_fields(ctx.chart, xy, p, 2, ctx.mode),
-                                 W, p, ctx.mode, 0)
-        yz = cd.covariant_product(V, W, p, ctx.mode, out_order=1)
-        r2 = cd.covariant_product(X, cd.mixed_tensor_fields(ctx.chart, yz, p, 1, ctx.mode),
-                                  p, ctx.mode, 0)
+        xy = cd.covariant_product(X, V, p, out_order=2)
+        l = cd.covariant_product(cd.mixed_tensor_fields(ctx.chart, xy, p, 2), W, p, 0)
+        yz = cd.covariant_product(V, W, p, out_order=1)
+        r2 = cd.covariant_product(X, cd.mixed_tensor_fields(ctx.chart, yz, p, 1), p, 0)
         lv = {kk: j.value for kk, j in l.items()}
         rv = {kk: j.value for kk, j in r2.items()}
         out.append(_result("covariant-product-assoc",
@@ -766,18 +763,18 @@ def check_exterior_derivative(ctx):
     rng = ctx.rng("extder")
     out = []
     for p in ctx.probes[:2]:
-        fj = rand_scalar_field(ctx, rng).comp_jet((), p, 2, ctx.mode)
+        fj = rand_scalar_field(ctx, rng).comp_jet((), p, 2)
         df = cd.jet_field(ctx.chart, (cd.FD,), {(i,): fj.derivative(i)
-                                               for i in range(ctx.chart.n)}, p, 1, ctx.mode)
-        ddf = cd.exterior_derivative(df, p, ctx.mode, out_order=0)
+                                               for i in range(ctx.chart.n)}, p, 1)
+        ddf = cd.exterior_derivative(df, p, out_order=0)
         res = max((abs(j.value) for j in ddf.comps.values()), default=0)
         out.append(_result("d-squared-zero", "d(df) = 0", p, res, ctx.tolerance(1e-9)))
         om = rand_form_field(ctx, rng, 1)
-        d1 = cd.exterior_derivative(om, p, ctx.mode, out_order=0)
+        d1 = cd.exterior_derivative(om, p, out_order=0)
         pert = _perturbed_chart(ctx.chart)
         om2 = cd.form_field(pert, 1, {(i,): om.comps[(i,)] for i in range(ctx.chart.n)
                                       if (i,) in om.comps})
-        d2 = cd.exterior_derivative(om2, p, ctx.mode, out_order=0)
+        d2 = cd.exterior_derivative(om2, p, out_order=0)
         worst = 0
         for idx in set(d1.comps) | set(d2.comps):
             a = d1.comps.get(idx)
@@ -796,11 +793,11 @@ def _perturbed_chart(chart):
     bumps = {(i, j): [ex.parse(f"{kk + 1}/8*{names[i]}*{names[j]}", names)
                       for kk in range(n)] for i in range(n) for j in range(i, n)}
 
-    def base(p, order, mode):
-        gam = chart._symbols(p, order, mode)
+    def base(p, order):
+        gam = chart._symbols(p, order)
         out = [[None] * n for _ in range(n)]
         for (i, j), bump in bumps.items():
-            out[i][j] = out[j][i] = [g + ex.eval_jet(e, p, order, mode)
+            out[i][j] = out[j][i] = [g + ex.eval_jet(e, p, order, p.mode)
                                      for g, e in zip(gam[i][j], bump)]
         return out
 
@@ -817,23 +814,23 @@ def check_pbw(ctx):
     r, k = ctx.r, ctx.k
     # kernel basis: count and annihilation
     stmt = "kernel basis elements annihilate every monomial probe"
-    kb = at.kernel_basis(ctx.chart, p, r, k, ctx.mode)
+    kb = at.kernel_basis(ctx.chart, p, r, k)
     want = at.kernel_basis_count(n, d, r, k)
     out.append(_result("pbw-kernel-count",
                        "kernel basis count = (dim tensor - dim sym) * C(d,k)",
                        p, abs(len(kb) - want), 0))
     worst = 0
     for _label, el in kb:
-        worst = max(worst, op.probe_annihilation_residual(ctx.chart, el, p, r, k, ctx.mode))
+        worst = max(worst, op.probe_annihilation_residual(ctx.chart, el, p, r, k))
     out.append(_result("pbw-kernel-annihilation", stmt, p, worst,
                        ctx.tolerance(1e-8)))
     # image rank
     stmt2 = "probe matrix of the coordinate basis has PBW rank C(n+r,n)C(d,k)"
     if ctx.mode == RATIONAL:
         rows = []
-        probes = [probe for _T, _L, probe in at.monomial_probes(ctx.chart, p, r, k, ctx.mode)]
+        probes = [probe for _T, _L, probe in at.monomial_probes(ctx.chart, p, r, k)]
         for el in _op_elems(ctx, r, k):
-            rows.append([at.phi_apply(ctx.chart, el, probe, p, ctx.mode) for probe in probes])
+            rows.append([at.phi_apply(ctx.chart, el, probe, p) for probe in probes])
         rank = len(row_reduce(rows)[1])
         out.append(_result("pbw-image-rank", stmt2, p,
                            abs(rank - at.pbw_dimension(n, d, r, k)), 0))
@@ -842,8 +839,8 @@ def check_pbw(ctx):
     # to_pbw round trip on sorted lifts
     stmt3 = "to_pbw of a PBW lift returns the unit coefficient vector"
     worst = 0
-    for (I, K) in at.pbw_keys(n, d, min(r, 2), k):
-        cur = at.to_pbw(ctx.chart, basis_element(n, d, I, K), p, r, k, ctx.mode)
+    for (I, K) in at.pbw_keys(n, d, r, k):
+        cur = at.to_pbw(ctx.chart, basis_element(n, d, I, K), p, r, k)
         expect = {(I, K): 1}
         worst = max(worst, cd._dict_residual(cur.coeffs, expect))
     out.append(_result("pbw-roundtrip", stmt3, p, worst, 0))
@@ -856,8 +853,8 @@ def check_pbw(ctx):
             w = rand_word(ctx, rng, min(3, r))
             K = anti_indices(d, k)[0]
             perm = tuple(sorted(w, key=lambda _: rng.random()))
-            a = at.to_pbw(ctx.chart, basis_element(n, d, w, K), p, r, k, ctx.mode)
-            b = at.to_pbw(ctx.chart, basis_element(n, d, perm, K), p, r, k, ctx.mode)
+            a = at.to_pbw(ctx.chart, basis_element(n, d, w, K), p, r, k)
+            b = at.to_pbw(ctx.chart, basis_element(n, d, perm, K), p, r, k)
             worst = max(worst, (a - b).max_abs())
         out.append(_result("pbw-flat-collapse", stmt4, p, worst, 0))
     else:
@@ -869,13 +866,13 @@ def check_curvature_quotient(ctx):
     stmt = "(a(x)b - b(x)a) box alpha maps to minus the curvature action on alpha"
     p = ctx.probes[0]
     n, d = ctx.chart.n, ctx.chart.d
-    cv = curvature(ctx.chart, p, ctx.mode)
+    cv = curvature(ctx.chart, p)
     worst = 0
     for a in range(n):
         for b in range(n):
             for K in anti_indices(d, min(ctx.k, d)):
                 x = basis_element(n, d, (a, b), K) + basis_element(n, d, (b, a), K).scale(-1)
-                lhs = at.to_pbw(ctx.chart, x, p, 2, len(K), ctx.mode)
+                lhs = at.to_pbw(ctx.chart, x, p, 2, len(K))
                 M = [[cv.fiber[(bb, aa, a, b)] for aa in range(d)] for bb in range(d)]
                 acted = at._apply_end_to_kvector(M, {K: 1})
                 rhs = at.AtomicCurrent(p, 2, len(K), d)
@@ -890,7 +887,7 @@ def check_coalgebra(ctx):
     rng = ctx.rng("coalgebra")
     p = ctx.probes[0]
     n, d = ctx.chart.n, ctx.chart.d
-    r, k = min(ctx.r, 2), ctx.k
+    r, k = ctx.r, ctx.k
     # duality
     stmt = "coproduct duality: (omega (x) eta)(Delta T) = T(omega ^ eta)"
     worst = 0
@@ -902,8 +899,8 @@ def check_coalgebra(ctx):
         T.point = p
         om = rand_form_field(ctx, rng, k1)
         et = rand_form_field(ctx, rng, kk - k1)
-        lhs = at.coproduct_pair_evaluate(ctx.chart, T, om, et, ctx.mode)
-        rhs = at.phi_apply(ctx.chart, T, cd.wedge_fields(om, et), p, ctx.mode)
+        lhs = at.coproduct_pair_evaluate(ctx.chart, T, om, et)
+        rhs = at.phi_apply(ctx.chart, T, cd.wedge_fields(om, et), p)
         worst = max(worst, abs(lhs - rhs))
     out.append(_result("coalgebra-duality", stmt, p, worst, ctx.tolerance(1e-8)))
     # coassociativity/counit at coefficient level (exact in either mode)
@@ -935,18 +932,18 @@ def check_coalgebra(ctx):
             T = rand_current(ctx, rng, r, kk)
             om = rand_form_field(ctx, rng, k1)
             et = rand_form_field(ctx, rng, kk - k1)
-            lhs = at.coproduct_pair_evaluate(ctx.chart, T, om, et, ctx.mode)
+            lhs = at.coproduct_pair_evaluate(ctx.chart, T, om, et)
 
             # express the same functional in the perturbed connection's PBW
             # basis; the probe must be differentiated with T's own connection
             def eval_fn(_probe, Tm, L, T=T):
-                own = at.probe_form(ctx.chart, p, Tm, L, ctx.mode)
-                return at.phi_apply(ctx.chart, T, own, p, ctx.mode)
+                own = at.probe_form(ctx.chart, p, Tm, L)
+                return at.phi_apply(ctx.chart, T, own, p)
 
-            T2 = op.resolve_functional(pert, p, r, kk, eval_fn, ctx.mode)
+            T2 = op.resolve_functional(pert, p, r, kk, eval_fn)
             om2 = cd.form_field(pert, k1, _incr_comps(om))
             et2 = cd.form_field(pert, kk - k1, _incr_comps(et))
-            rhs = at.coproduct_pair_evaluate(pert, T2, om2, et2, ctx.mode)
+            rhs = at.coproduct_pair_evaluate(pert, T2, om2, et2)
             worst = max(worst, abs(lhs - rhs))
         out.append(_result("coalgebra-connection-independent", stmt3, p, worst,
                            ctx.tolerance(1e-7)))
@@ -967,25 +964,25 @@ def check_f_action(ctx):
     stmt = "module action duality: (f corner T)(omega) = T(f omega)"
     worst = 0
     for _ in range(ctx.n_trials(30)):
-        T = rand_current(ctx, rng, min(ctx.r, 2), min(ctx.k, ctx.chart.d))
+        T = rand_current(ctx, rng, ctx.r, min(ctx.k, ctx.chart.d))
         f = rand_scalar_field(ctx, rng)
         om = rand_form_field(ctx, rng, T.k)
-        fT = op.f_lrcorner(ctx.chart, f, p, ctx.mode)(T)
-        lhs = at.phi_apply(ctx.chart, fT, om, p, ctx.mode)
+        fT = op.f_lrcorner(ctx.chart, f, p)(T)
+        lhs = at.phi_apply(ctx.chart, fT, om, p)
         fom = cd.Field(ctx.chart, om.slots,
                        {i: ex.ex_mul(f.comps[()], c) for i, c in om.comps.items()})
-        rhs = at.phi_apply(ctx.chart, T, fom, p, ctx.mode)
+        rhs = at.phi_apply(ctx.chart, T, fom, p)
         worst = max(worst, abs(lhs - rhs))
     out.append(_result("f-action-duality", stmt, p, worst, ctx.tolerance(1e-9)))
     stmt2 = "f == 1 acts as the identity; f(p) = 0 kills the Dirac mass"
     one = cd.scalar_field(ctx.chart, 1)
-    T = rand_current(ctx, rng, min(ctx.r, 2), min(ctx.k, ctx.chart.d))
-    res = (op.f_lrcorner(ctx.chart, one, p, ctx.mode)(T) - T).max_abs()
+    T = rand_current(ctx, rng, ctx.r, min(ctx.k, ctx.chart.d))
+    res = (op.f_lrcorner(ctx.chart, one, p)(T) - T).max_abs()
     D = at.AtomicCurrent(p, 0, 0, ctx.chart.d)
     D.add_term((), (), 1)
     van = cd.scalar_field(ctx.chart, ex.ex_sub(ex.Sym(0, ctx.chart.names[0]),
                                                ex.Const(p[0])))
-    res = max(res, op.f_lrcorner(ctx.chart, van, p, ctx.mode)(D).max_abs())
+    res = max(res, op.f_lrcorner(ctx.chart, van, p)(D).max_abs())
     out.append(_result("f-action-unit", stmt2, p, res, 0))
     return out
 
@@ -1008,28 +1005,27 @@ def _op_elems(ctx, r=None, k=None):
 def check_operator_identities(ctx):
     out = []
     rng = ctx.rng("operators")
-    elems = _op_elems(ctx, r=min(ctx.r, 2))
+    elems = _op_elems(ctx)
     for p in ctx.probes[: ctx.n_trials(5)]:
         X = rand_kvector_field(ctx, rng, 1)
         X2 = rand_kvector_field(ctx, rng, 1)
         Y = rand_vector_field(ctx, rng)
         Y2 = rand_vector_field(ctx, rng)
-        EX = op.op_E(ctx.chart, X, p, ctx.mode)
-        DY = op.op_D(ctx.chart, Y, p, ctx.mode)
-        lhs = EX.compose(op.op_E(ctx.chart, X2, p, ctx.mode))
-        rhs = op.op_E(ctx.chart, cd.wedge_fields(X, X2), p, ctx.mode)
+        EX = op.op_E(ctx.chart, X, p)
+        DY = op.op_D(ctx.chart, Y, p)
+        lhs = EX.compose(op.op_E(ctx.chart, X2, p))
+        rhs = op.op_E(ctx.chart, cd.wedge_fields(X, X2), p)
         out.append(_result("op-EE", "E_X o E_X' = E_{X ^ X'}", p,
                            op.endo_residual(lhs, rhs, elems), ctx.tolerance(1e-9)))
-        lhs = DY.compose(op.op_D(ctx.chart, Y2, p, ctx.mode))
-        cp = cd.covariant_product(Y2, Y, p, ctx.mode, out_order=ctx.r + 1)
-        rhs = op.op_D(ctx.chart, cd.mixed_tensor_fields(ctx.chart, cp, p, ctx.r + 1, ctx.mode),
-                      p, ctx.mode)
+        lhs = DY.compose(op.op_D(ctx.chart, Y2, p))
+        cp = cd.covariant_product(Y2, Y, p, out_order=ctx.r + 1)
+        rhs = op.op_D(ctx.chart, cd.mixed_tensor_fields(ctx.chart, cp, p, ctx.r + 1), p)
         out.append(_result("op-DD", "D_Y o D_Y' = D_{Y'_(1) nabla_{Y'_(2)} Y}", p,
                            op.endo_residual(lhs, rhs, elems), ctx.tolerance(1e-8)))
         lhs = EX.compose(DY)
-        nbX = cd.covderiv(Y, X, p, ctx.r + 1, ctx.mode)
-        nXf = cd.jet_field(ctx.chart, (cd.FU,), nbX, p, ctx.r + 1, ctx.mode)
-        rhs = DY.compose(EX) + op.op_E(ctx.chart, nXf, p, ctx.mode)
+        nbX = cd.covderiv(Y, X, p, ctx.r + 1)
+        nXf = cd.jet_field(ctx.chart, (cd.FU,), nbX, p, ctx.r + 1)
+        rhs = DY.compose(EX) + op.op_E(ctx.chart, nXf, p)
         out.append(_result("op-ED", "E_X o D_Y = D_{Y_(1)} o E_{nabla_{Y_(2)} X}", p,
                            op.endo_residual(lhs, rhs, elems), ctx.tolerance(1e-8)))
     return out
@@ -1041,8 +1037,8 @@ def check_adjoint_identities(ctx):
         return [_skip("op-adjoints", stmt_need, "no metric")]
     out = []
     rng = ctx.rng("adjoints")
-    elems = _op_elems(ctx, r=min(ctx.r, 2))
-    exact_ok = ctx.mode == FLOAT or _metric_is_identity(ctx.chart, ctx.probes[0], ctx.mode)
+    elems = _op_elems(ctx)
+    exact_ok = ctx.mode == FLOAT or _metric_is_identity(ctx.chart, ctx.probes[0])
     if not exact_ok:
         return [_skip("op-adjoints", stmt_need,
                       "rational mode needs an orthonormal chart for star routes")]
@@ -1051,9 +1047,9 @@ def check_adjoint_identities(ctx):
     for p in ctx.probes[: ctx.n_trials(5)]:
         X = rand_kvector_field(ctx, rng, 1)
         Y = rand_kvector_field(ctx, rng, 1)
-        EX = op.op_E(ctx.chart, X, p, ctx.mode)
-        EdX = op.op_Edag(ctx.chart, X, p, ctx.mode)
-        EdY = op.op_Edag(ctx.chart, Y, p, ctx.mode)
+        EX = op.op_E(ctx.chart, X, p)
+        EdX = op.op_Edag(ctx.chart, X, p)
+        EdY = op.op_Edag(ctx.chart, Y, p)
         anti = EX.compose(EdY) + EdY.compose(EX)
         acc = ex.Const(0)
         for i in range(ctx.chart.n):
@@ -1061,56 +1057,56 @@ def check_adjoint_identities(ctx):
                 acc = ex.ex_add(acc, ex.ex_mul(X.comps.get((i,), ex.Const(0)),
                                                ex.ex_mul(ctx.chart.metric[i][j],
                                                          Y.comps.get((j,), ex.Const(0)))))
-        rhs = op.f_lrcorner(ctx.chart, cd.Field(ctx.chart, (), {(): acc}), p, ctx.mode)
+        rhs = op.f_lrcorner(ctx.chart, cd.Field(ctx.chart, (), {(): acc}), p)
         out.append(_result("op-anticommutator", "{E_X, Edag_Y} = <X,Y> corner", p,
                            op.endo_residual(anti, rhs, elems), ctx.tolerance(1e-8)))
         lhs = EdX.compose(EdY)
-        rhs = op.op_Edag(ctx.chart, cd.wedge_fields(Y, X), p, ctx.mode)
+        rhs = op.op_Edag(ctx.chart, cd.wedge_fields(Y, X), p)
         out.append(_result("op-EdagEdag", "Edag_X o Edag_X' = Edag_{X' ^ X}", p,
                            op.endo_residual(lhs, rhs, elems), ctx.tolerance(1e-9)))
-        r1 = op.endo_residual(EdX, op.op_Edag(ctx.chart, X, p, ctx.mode, route="conjugate"),
+        r1 = op.endo_residual(EdX, op.op_Edag(ctx.chart, X, p, route="conjugate"),
                               elems)
         out.append(_result("op-Edag-routes",
                            "Edag contraction route = perp conjugation route", p, r1,
                            ctx.tolerance(1e-9)))
-        Edd = op.adjoint_of_Edag(ctx.chart, EdX, 1, p, ctx.mode)
+        Edd = op.adjoint_of_Edag(ctx.chart, EdX, 1, p)
         out.append(_result("op-adjoint-involution", "(Edag)dag = E", p,
                            op.endo_residual(Edd, EX, elems), ctx.tolerance(1e-9)))
         # Ddag commutators
         Xv = rand_vector_field(ctx, rng)
         Yv = rand_vector_field(ctx, rng)
-        DX = op.op_D(ctx.chart, Xv, p, ctx.mode)
-        DdY = op.op_Ddag(ctx.chart, Yv, p, ctx.mode, budget=ctx.r + 2)
+        DX = op.op_D(ctx.chart, Xv, p)
+        DdY = op.op_Ddag(ctx.chart, Yv, p, budget=ctx.r + 2)
         lhs = DX.compose(DdY) + DdY.compose(DX).scaled(-1)
         RXY = op.op_D(ctx.chart, cd.add_fields(cd.product_field(Yv, Xv),
                                                cd.scale_field(cd.product_field(Xv, Yv), -1)),
-                      p, ctx.mode)
-        br = _bracket_field(ctx.chart, Xv, Yv, p, ctx.mode, ctx.r + 3)
-        Dbr = op.op_D(ctx.chart, br, p, ctx.mode)
-        divY = op.divergence_field(ctx.chart, Yv, p, ctx.mode, budget=ctx.r + 3)
+                      p)
+        br = _bracket_field(ctx.chart, Xv, Yv, p, ctx.r + 3)
+        Dbr = op.op_D(ctx.chart, br, p)
+        divY = op.divergence_field(ctx.chart, Yv, p, budget=ctx.r + 3)
         xd = None
         for i in range(ctx.chart.n):
-            ji = Xv.comp_jet((i,), p, ctx.r + 2, ctx.mode)
+            ji = Xv.comp_jet((i,), p, ctx.r + 2)
             term = ji * divY.comps[()].derivative(i)
             xd = term if xd is None else xd + term
-        XdivY = cd.jet_field(ctx.chart, (), {(): xd}, p, ctx.r + 2, ctx.mode)
-        rhs = op.f_lrcorner(ctx.chart, XdivY, p, ctx.mode) + RXY.scaled(-1) + Dbr
+        XdivY = cd.jet_field(ctx.chart, (), {(): xd}, p, ctx.r + 2)
+        rhs = op.f_lrcorner(ctx.chart, XdivY, p) + RXY.scaled(-1) + Dbr
         out.append(_result("op-DDdag",
                            "[D_X, Ddag_Y] = X(div Y) corner - R_{X,Y} + D_{[X,Y]}", p,
                            op.endo_residual(lhs, rhs, elems), ctx.tolerance(1e-7)))
-        DdX = op.op_Ddag(ctx.chart, Xv, p, ctx.mode, budget=ctx.r + 2)
+        DdX = op.op_Ddag(ctx.chart, Xv, p, budget=ctx.r + 2)
         lhs = DdX.compose(DdY) + DdY.compose(DdX).scaled(-1)
-        divbr = op.divergence_field(ctx.chart, br, p, ctx.mode, budget=ctx.r + 2)
-        rhs = op.f_lrcorner(ctx.chart, divbr, p, ctx.mode).scaled(-1) + RXY + Dbr.scaled(-1)
+        divbr = op.divergence_field(ctx.chart, br, p, budget=ctx.r + 2)
+        rhs = op.f_lrcorner(ctx.chart, divbr, p).scaled(-1) + RXY + Dbr.scaled(-1)
         out.append(_result("op-DdagDdag",
                            "[Ddag_X, Ddag_Y] = -div[X,Y] corner + R_{X,Y} - D_{[X,Y]}", p,
                            op.endo_residual(lhs, rhs, elems), ctx.tolerance(1e-7)))
         # tensor-case recursion for Ddag
         T2 = cd.product_field(Xv, Yv)
-        lhs = op.op_Ddag(ctx.chart, T2, p, ctx.mode, budget=ctx.r + 2)
-        nXY = cd.covderiv(Xv, Yv, p, ctx.r + 2, ctx.mode)
-        corr = cd.mixed_tensor_fields(ctx.chart, nXY, p, ctx.r + 2, ctx.mode)
-        rhs = DdX.compose(DdY) + op.op_Ddag(ctx.chart, corr, p, ctx.mode,
+        lhs = op.op_Ddag(ctx.chart, T2, p, budget=ctx.r + 2)
+        nXY = cd.covderiv(Xv, Yv, p, ctx.r + 2)
+        corr = cd.mixed_tensor_fields(ctx.chart, nXY, p, ctx.r + 2)
+        rhs = DdX.compose(DdY) + op.op_Ddag(ctx.chart, corr, p,
                                             budget=ctx.r + 1).scaled(-1)
         out.append(_result("op-Ddag-tensor",
                            "Ddag_{X(x)Y} = Ddag_X o Ddag_Y - Ddag_{nabla_X Y}", p,
@@ -1118,26 +1114,26 @@ def check_adjoint_identities(ctx):
     return out
 
 
-def _metric_is_identity(chart, p, mode):
+def _metric_is_identity(chart, p):
     if chart.metric is None:
         return False
-    g = chart.metric_value(p, mode)
+    g = chart.metric_value(p)
     return all(g[i][j] == (1 if i == j else 0)
                for i in range(chart.n) for j in range(chart.n))
 
 
-def _bracket_field(chart, X, Y, p, mode, budget):
+def _bracket_field(chart, X, Y, p, budget):
     """[X, Y]^k = X^i d_i Y^k - Y^i d_i X^k as a jet-backed field at p."""
     comps = {}
     for kk in range(chart.n):
-        acc = Jet.zero(JetSpace(chart.n, budget), mode)
+        acc = Jet.zero(JetSpace(chart.n, budget), p.mode)
         for i in range(chart.n):
-            acc = acc + X.comp_jet((i,), p, budget, mode) \
-                * Y.comp_jet((kk,), p, budget + 1, mode).derivative(i)
-            acc = acc - Y.comp_jet((i,), p, budget, mode) \
-                * X.comp_jet((kk,), p, budget + 1, mode).derivative(i)
+            acc = acc + X.comp_jet((i,), p, budget) \
+                * Y.comp_jet((kk,), p, budget + 1).derivative(i)
+            acc = acc - Y.comp_jet((i,), p, budget) \
+                * X.comp_jet((kk,), p, budget + 1).derivative(i)
         comps[(kk,)] = acc
-    return cd.jet_field(chart, (cd.TU,), comps, p, budget, mode)
+    return cd.jet_field(chart, (cd.TU,), comps, p, budget)
 
 
 def check_clifford(ctx):
@@ -1145,19 +1141,19 @@ def check_clifford(ctx):
     if ctx.chart.metric is None:
         return [_skip("op-clifford", stmt, "no metric")]
     p = ctx.probes[0]
-    if not (_metric_is_identity(ctx.chart, p, ctx.mode) or ctx.mode == FLOAT):
+    if not (_metric_is_identity(ctx.chart, p) or ctx.mode == FLOAT):
         return [_skip("op-clifford", stmt, "rational mode needs an orthonormal chart")]
-    if not _metric_is_identity(ctx.chart, p, ctx.mode):
+    if not _metric_is_identity(ctx.chart, p):
         return [_skip("op-clifford", stmt,
                       "factorization stated in an orthonormal frame; run on flat specs")]
     if not ctx.chart.fiber_is_tangent:
         return [_skip("op-clifford", stmt, "needs metric + tangent fiber")]
     n, d = ctx.chart.n, ctx.chart.d
-    P = op.op_perp(ctx.chart, p, ctx.mode)
+    P = op.op_perp(ctx.chart, p)
     prod = None
     for i in range(n):
         Fi = cd.kvector_field(ctx.chart, 1, {(i,): 1})
-        t = op.op_E(ctx.chart, Fi, p, ctx.mode) + op.op_Edag(ctx.chart, Fi, p, ctx.mode)
+        t = op.op_E(ctx.chart, Fi, p) + op.op_Edag(ctx.chart, Fi, p)
         prod = t if prod is None else prod.compose(t)
     worst = 0
     for kk in range(n + 1):
@@ -1176,20 +1172,20 @@ def check_perp_duality(ctx):
     if ctx.chart.metric is None or not ctx.chart.fiber_is_tangent:
         return [_skip("op-perp-duality", stmt, "needs metric + tangent fiber")]
     p = ctx.probes[0]
-    if ctx.mode == RATIONAL and not _metric_is_identity(ctx.chart, p, ctx.mode):
+    if ctx.mode == RATIONAL and not _metric_is_identity(ctx.chart, p):
         return [_skip("op-perp-duality", stmt, "rational mode needs an orthonormal chart")]
     rng = ctx.rng("perp")
     n = ctx.chart.n
-    P = op.op_perp(ctx.chart, p, ctx.mode)
+    P = op.op_perp(ctx.chart, p)
     worst = 0
     for kk in range(n + 1):
         for K in anti_indices(n, kk):
             om = rand_form_field(ctx, rng, n - kk)
-            st = op.star_form_jets(ctx.chart, om, p, ctx.mode, 1)
+            st = op.star_form_jets(ctx.chart, om, p, 1)
             for w in [(), (0,)]:
                 x = basis_element(n, n, w, K)
-                lhs = at.phi_apply(ctx.chart, P(x), om, p, ctx.mode)
-                rhs = at.phi_apply(ctx.chart, x, st, p, ctx.mode)
+                lhs = at.phi_apply(ctx.chart, P(x), om, p)
+                rhs = at.phi_apply(ctx.chart, x, st, p)
                 worst = max(worst, abs(lhs - rhs))
     return [_result("op-perp-duality", stmt, p, worst, ctx.tolerance(1e-8))]
 
@@ -1198,16 +1194,19 @@ def check_sharp(ctx):
     out = []
     rng = ctx.rng("sharp")
     p = ctx.probes[0]
-    B = 6
+    # sharp(x, y) keeps the jet budget min(x, y) - (top tensor order of y):
+    # b sharp c (orders 1 and 2) keeps B - 2 and has order 3, so
+    # a sharp (b sharp c) keeps B - 5; B = 5 is the least budget that works
+    B = 5
     kd = min(1, ctx.chart.d)
 
     def mk(order, k):
         tf = rand_tensor_field(ctx, rng, order)
         ef = rand_kvector_field(ctx, rng, k)
-        return op.SharpElement.from_fields(ctx.chart, tf, ef, p, ctx.mode, B)
+        return op.SharpElement.from_fields(ctx.chart, tf, ef, p, B)
 
     a, b, c = mk(1, kd), mk(1, kd), mk(2, 0)
-    u = op.unit_sharp(ctx.chart, p, ctx.mode, B)
+    u = op.unit_sharp(ctx.chart, p, B)
 
     def sharp_resid(x, y):
         return cd._dict_residual({kk: j.value for kk, j in x.coeffs.items()},
@@ -1230,7 +1229,7 @@ def check_sharp(ctx):
                        op.endo_residual(op.op_DE(u), op.identity_endo(ctx.chart.n, ctx.chart.d),
                                         elems), ctx.tolerance(1e-12)))
     metric_ok = ctx.chart.metric is not None and \
-        (ctx.mode == FLOAT or _metric_is_identity(ctx.chart, p, ctx.mode))
+        (ctx.mode == FLOAT or _metric_is_identity(ctx.chart, p))
     if metric_ok and ctx.chart.fiber_is_tangent:
         lhs = op.op_DEdag(ab)
         rhs = op.op_DEdag(a).compose(op.op_DEdag(b))
@@ -1249,22 +1248,22 @@ def check_kernel_preservation(ctx):
     stmt = "every distinguished endomorphism preserves ker Phi"
     rng = ctx.rng("kerpres")
     p = ctx.probes[0]
-    r, k = min(ctx.r, 2), min(ctx.k, ctx.chart.d)
+    r, k = ctx.r, min(ctx.k, ctx.chart.d)
     if k == 0:
         k = min(1, ctx.chart.d)
-    kb = at.kernel_basis(ctx.chart, p, r, k, ctx.mode)
+    kb = at.kernel_basis(ctx.chart, p, r, k)
     X = rand_kvector_field(ctx, rng, 1)
     Y = rand_vector_field(ctx, rng)
     f = rand_scalar_field(ctx, rng)
-    endos = [("E", op.op_E(ctx.chart, X, p, ctx.mode), r, k + 1),
-             ("D", op.op_D(ctx.chart, Y, p, ctx.mode), r + 1, k),
-             ("f", op.f_lrcorner(ctx.chart, f, p, ctx.mode), r, k),
-             ("trDEdag", op.trace_DEdag_endo(ctx.chart, p, ctx.mode), r + 1, k - 1)]
+    endos = [("E", op.op_E(ctx.chart, X, p), r, k + 1),
+             ("D", op.op_D(ctx.chart, Y, p), r + 1, k),
+             ("f", op.f_lrcorner(ctx.chart, f, p), r, k),
+             ("trDEdag", op.trace_DEdag_endo(ctx.chart, p), r + 1, k - 1)]
     if ctx.chart.metric is not None and ctx.chart.fiber_is_tangent and \
-            (ctx.mode == FLOAT or _metric_is_identity(ctx.chart, p, ctx.mode)):
-        endos.append(("Edag", op.op_Edag(ctx.chart, X, p, ctx.mode), r, k - 1))
-        endos.append(("Ddag", op.op_Ddag(ctx.chart, Y, p, ctx.mode, budget=r + 2), r + 1, k))
-        endos.append(("perp", op.op_perp(ctx.chart, p, ctx.mode), r, None))
+            (ctx.mode == FLOAT or _metric_is_identity(ctx.chart, p)):
+        endos.append(("Edag", op.op_Edag(ctx.chart, X, p), r, k - 1))
+        endos.append(("Ddag", op.op_Ddag(ctx.chart, Y, p, budget=r + 2), r + 1, k))
+        endos.append(("perp", op.op_perp(ctx.chart, p), r, None))
     worst = 0
     for name, endo, rp, kp in endos:
         for _label, kel in kb:
@@ -1274,7 +1273,7 @@ def check_kernel_preservation(ctx):
                 if kk < 0:
                     continue
                 worst = max(worst, op.probe_annihilation_residual(
-                    ctx.chart, out_el, p, rp, kk, ctx.mode))
+                    ctx.chart, out_el, p, rp, kk))
     return [_result("kernel-preservation", stmt, p, worst, ctx.tolerance(1e-8))]
 
 
@@ -1285,12 +1284,12 @@ def check_boundary(ctx):
     if not ctx.chart.fiber_is_tangent:
         return [_skip("boundary", "boundary checks", "non-tangent fiber")]
     n = ctx.chart.n
-    r, k = min(ctx.r, 2), min(max(ctx.k, 1), n)
+    r, k = ctx.r, min(max(ctx.k, 1), n)
     # hand value on flat
     if _is_flat(ctx) and n >= 2:
         T = at.AtomicCurrent(p, 0, 2, ctx.chart.d)
         T.add_term((), (0, 1), 1)
-        bT = op.boundary(ctx.chart, T, ctx.mode)
+        bT = op.boundary(ctx.chart, T)
         expect = {((0,), (1,)): 1, ((1,), (0,)): -1}
         out.append(_result("boundary-hand-value",
                            "flat: boundary(Dirac box e0^e1) = +(e0,{1}) - (e1,{0})", p,
@@ -1300,17 +1299,15 @@ def check_boundary(ctx):
     for _ in range(ctx.n_trials(30)):
         T = rand_current(ctx, rng, r, k)
         om = rand_form_field(ctx, rng, k - 1)
-        bT = op.boundary(ctx.chart, T, ctx.mode)
-        lhs = at.phi_apply(ctx.chart, bT, om, p, ctx.mode)
-        rhs = at.phi_apply(ctx.chart, T,
-                           cd.exterior_derivative(om, p, ctx.mode, out_order=T.r),
-                           p, ctx.mode)
+        bT = op.boundary(ctx.chart, T)
+        lhs = at.phi_apply(ctx.chart, bT, om, p)
+        rhs = at.phi_apply(ctx.chart, T, cd.exterior_derivative(om, p, out_order=T.r), p)
         worst_d = max(worst_d, abs(lhs - rhs))
-        worst_sq = max(worst_sq, op.boundary(ctx.chart, bT, ctx.mode).max_abs())
+        worst_sq = max(worst_sq, op.boundary(ctx.chart, bT).max_abs())
         if k == 1:
             worst_eps = max(worst_eps, abs(at.counit(bT)))
     T1 = rand_current(ctx, rng, r, 1)
-    worst_eps = max(worst_eps, abs(at.counit(op.boundary(ctx.chart, T1, ctx.mode))))
+    worst_eps = max(worst_eps, abs(at.counit(op.boundary(ctx.chart, T1))))
     out.append(_result("boundary-duality", "(dT)(omega) = T(d omega)", p, worst_d,
                        ctx.tolerance(1e-8)))
     out.append(_result("boundary-squared", "boundary o boundary = 0", p, worst_sq,
@@ -1321,8 +1318,8 @@ def check_boundary(ctx):
     worst_t = 0
     for _ in range(ctx.n_trials(4)):
         T = rand_current(ctx, rng, r, k)
-        worst_t = max(worst_t, (op.boundary(ctx.chart, T, ctx.mode)
-                                - op.boundary_via_trace(ctx.chart, T, ctx.mode)).max_abs())
+        worst_t = max(worst_t, (op.boundary(ctx.chart, T)
+                                - op.boundary_via_trace(ctx.chart, T)).max_abs())
     out.append(_result("boundary-trace-route",
                        "duality route equals the tr(DEdag) trace route", p, worst_t,
                        ctx.tolerance(1e-8)))
@@ -1333,18 +1330,18 @@ def check_boundary(ctx):
         T = rand_current(ctx, rng, r, kk)
         om = rand_form_field(ctx, rng, 0)
         et = rand_form_field(ctx, rng, kk - 1)
-        bT = op.boundary(ctx.chart, T, ctx.mode)
-        lhs = at.coproduct_pair_evaluate(ctx.chart, bT, om, et, ctx.mode)
-        dom = cd.exterior_derivative(om, p, ctx.mode, out_order=T.r)
-        det_ = cd.exterior_derivative(et, p, ctx.mode, out_order=T.r)
-        rhs = at.coproduct_pair_evaluate(ctx.chart, T, dom, et, ctx.mode) \
-            + at.coproduct_pair_evaluate(ctx.chart, T, om, det_, ctx.mode)
+        bT = op.boundary(ctx.chart, T)
+        lhs = at.coproduct_pair_evaluate(ctx.chart, bT, om, et)
+        dom = cd.exterior_derivative(om, p, out_order=T.r)
+        det_ = cd.exterior_derivative(et, p, out_order=T.r)
+        rhs = at.coproduct_pair_evaluate(ctx.chart, T, dom, et) \
+            + at.coproduct_pair_evaluate(ctx.chart, T, om, det_)
         worst_cl = max(worst_cl, abs(lhs - rhs))
     out.append(_result("boundary-co-leibniz",
                        "Delta(dT) pairs with d(omega ^ eta) = d omega ^ eta + (-1)^{|omega|} omega ^ d eta",
                        p, worst_cl, ctx.tolerance(1e-7)))
     # trace lift report
-    rep = op.trace_DEdag_lift_check(ctx.chart, p, r, k, ctx.mode)
+    rep = op.trace_DEdag_lift_check(ctx.chart, p, r, k)
     out.append(_result("trace-lift-kernel",
                        "tr(DEdag) lift maps ker Phi into ker Phi", p,
                        rep["kernel_preservation"], ctx.tolerance(1e-8)))
@@ -1360,13 +1357,13 @@ def check_boundary(ctx):
         for w in all_words(n, 2):
             for K in anti_indices(n, k):
                 worst_disp = max(worst_disp, op.gamma_gamma_local_frame(
-                    ctx.chart, p, w, K, ctx.mode).max_abs())
+                    ctx.chart, p, w, K).max_abs())
         out.append(_result("trace-gamma-gamma-flat",
                            "nonempty-word local-frame expansion vanishes on flat orthonormal charts",
                            p, worst_disp, 0))
     # tr^2 != 0 as a lift on curved charts
     if not _is_flat(ctx):
-        endo = op.trace_DEdag_endo(ctx.chart, p, ctx.mode)
+        endo = op.trace_DEdag_endo(ctx.chart, p)
         x = basis_element(n, n, (min(1, n - 1),), tuple(range(min(2, n))))
         sq = endo(endo(x)).max_abs()
         out.append(_result("trace-lift-not-differential",
@@ -1389,7 +1386,7 @@ def _codifferential_twin_residual(ctx, p):
     chart = ctx.chart
     n = chart.n
     dch = dual_chart(chart)
-    trDE = op.trace_DE_endo(dch, p, ctx.mode)
+    trDE = op.trace_DE_endo(dch, p)
     worst = 0
     for kdeg in range(0, min(2, n)):
         for w in [(), (0,)]:
@@ -1402,21 +1399,21 @@ def _codifferential_twin_residual(ctx, p):
                 for L in anti_indices(n, kdeg + 1):
                     mono = ex.monomial_form(p, T, chart.names)
                     omf = cd.form_field(chart, kdeg + 1, {L: mono})
-                    omsharp = _raise_jet_form(dch, chart, omf, p, len(w) + 1, ctx.mode)
-                    dl = op.codifferential_form(chart, omf, p, ctx.mode, budget=len(w) + 1)
-                    mdl = _raise_jet_form(dch, chart, dl, p, len(w) + 1, ctx.mode)
+                    omsharp = _raise_jet_form(dch, chart, omf, p, len(w) + 1)
+                    dl = op.codifferential_form(chart, omf, p, budget=len(w) + 1)
+                    mdl = _raise_jet_form(dch, chart, dl, p, len(w) + 1)
                     for x, tx in txs:
-                        lhs = at.phi_apply(dch, tx, omsharp, p, ctx.mode)
-                        rhs = -at.phi_apply(dch, x, mdl, p, ctx.mode)
+                        lhs = at.phi_apply(dch, tx, omsharp, p)
+                        rhs = -at.phi_apply(dch, x, mdl, p)
                         worst = max(worst, abs(lhs - rhs))
     return worst
 
 
-def _raise_jet_form(dch, chart, form, p, budget, mode):
+def _raise_jet_form(dch, chart, form, p, budget):
     """The metric-raised form on the dual-fiber chart, as a jet-backed field."""
-    comps = op.raise_form_jets(chart, form, p, mode, budget)
+    comps = op.raise_form_jets(chart, form, p, budget)
     return cd.jet_field(dch, (cd.FD,) * len(form.slots),
-                        cd.antisymmetrize(comps, Jet.__neg__), p, budget, mode)
+                        cd.antisymmetrize(comps, Jet.__neg__), p, budget)
 
 
 def check_trace_frame_independence(ctx):
@@ -1429,9 +1426,9 @@ def check_trace_frame_independence(ctx):
                  cd.vector_field(ctx.chart, {0: "0", 1: "1"})]
     gen_cofr = [cd.form_field(ctx.chart, 1, {(0,): "1"}),
                 cd.form_field(ctx.chart, 1, {(0,): f"0 - {names[0]}", (1,): "1"})]
-    t0 = op.trace_DEdag_endo(ctx.chart, p, ctx.mode)
-    t1 = op.trace_DEdag_endo(ctx.chart, p, ctx.mode, frame=gen_frame, coframe=gen_cofr)
-    elems = _op_elems(ctx, r=min(ctx.r, 2))
+    t0 = op.trace_DEdag_endo(ctx.chart, p)
+    t1 = op.trace_DEdag_endo(ctx.chart, p, frame=gen_frame, coframe=gen_cofr)
+    elems = _op_elems(ctx)
     return [_result("trace-frame-independence", stmt, p,
                     op.endo_residual(t0, t1, elems), ctx.tolerance(1e-7))]
 
@@ -1443,7 +1440,7 @@ def check_transitions(ctx):
     if not ctx.chart.fiber_is_tangent:
         return [_skip("transition-identity", stmt, "non-tangent fiber")]
     ident = at.transition_matrix(ctx.chart, ctx.chart, list(ctx.chart.names), p,
-                                 min(ctx.r, 2), min(ctx.k, ctx.chart.n), ctx.mode)
+                                 ctx.r, min(ctx.k, ctx.chart.n))
     worst = 0
     for key, row in ident.items():
         for k2, v in row.items():
@@ -1477,10 +1474,11 @@ def _cocycle_check(ctx, stmt):
     changeBC = ["X/(X^2 + Y^2)", "Y/(X^2 + Y^2)"]
     worst = 0
     for p in [(1.1, 0.8), (1.7, 1.9), (2.1, 0.5)]:
-        gBA = at.transition_matrix(A, B, changeAB, p, r, k, FLOAT)
-        q = tuple(ex.evaluate(ex.parse(c, A.names), p) for c in changeAB)
-        gCB = at.transition_matrix(B, C, changeBC, q, r, k, FLOAT)
-        gCA = at.transition_matrix(A, C, changeAC, p, r, k, FLOAT)
+        p = A.resolve(p, FLOAT)
+        gBA = at.transition_matrix(A, B, changeAB, p, r, k)
+        q = B.resolve([ex.evaluate(ex.parse(c, A.names), p) for c in changeAB], FLOAT)
+        gCB = at.transition_matrix(B, C, changeBC, q, r, k)
+        gCA = at.transition_matrix(A, C, changeAC, p, r, k)
         comp = at.compose_transitions(gCB, gBA)
         worst = max(worst, at.transition_residual(comp, gCA))
     return _result("transition-cocycle", stmt, None, worst, ctx.tolerance(1e-7))

@@ -7,6 +7,7 @@ import pytest
 from fractions import Fraction
 
 from atomcur.connection import ChartConnection
+from atomcur.jets import RATIONAL
 
 
 @pytest.fixture(scope="session")
@@ -41,5 +42,5 @@ def poly2():
 
 
 @pytest.fixture(scope="session")
-def poly2_point():
-    return (Fraction(1, 4), Fraction(-1, 3))
+def poly2_point(poly2):
+    return poly2.resolve((Fraction(1, 4), Fraction(-1, 3)), RATIONAL)

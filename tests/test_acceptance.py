@@ -1,7 +1,7 @@
 """Acceptance gate: every stated criterion at its stated tolerance.
 
 Each test prints one pass/fail line; the whole module is the exit
-criterion for the build.  Scale: n <= 3, d <= 3, r <= 4, k <= 3.
+criterion for the build.  Scale: n <= 3, d <= 3, r <= 3, k <= 2.
 """
 
 import math
@@ -85,6 +85,7 @@ def test_criterion_2_composition(charts):
     worst = 0
     for name, p in [("s2", (1.1, 0.8)), ("hyp", (0.3, 1.2))]:
         chart = charts[name]
+        p = chart.resolve(p, FLOAT)
         om = cd.form_field(chart, 1, {(0,): f"{chart.names[0]}^2",
                                       (1,): f"{chart.names[0]}*{chart.names[1]}"})
         for _ in range(20):
@@ -102,6 +103,7 @@ def test_criterion_3_fundamental_commutation(charts):
     worst = 0
     for name, p in [("s2", (1.4, 2.0)), ("hyp", (-0.5, 1.5))]:
         chart = charts[name]
+        p = chart.resolve(p, FLOAT)
         om = cd.form_field(chart, 1, {(0,): f"{chart.names[1]}",
                                       (1,): f"1 + {chart.names[0]}^2"})
         for _ in range(10):
@@ -117,15 +119,14 @@ def test_criterion_4_pbw_kernel(charts):
     """Kernel elements with |I|+|J|+2 <= 3 annihilate every probe exactly;
     the count matches the dimension formula."""
     chart = charts["poly2"]
-    p = (Fraction(1, 4), Fraction(-1, 3))
+    p = chart.resolve((Fraction(1, 4), Fraction(-1, 3)), RATIONAL)
     worst = 0
     counts_ok = True
     for k in (1, 2):
-        kb = at.kernel_basis(chart, p, 3, k, RATIONAL)
+        kb = at.kernel_basis(chart, p, 3, k)
         counts_ok = counts_ok and len(kb) == at.kernel_basis_count(2, 2, 3, k)
         for _label, el in kb:
-            worst = max(worst, op.probe_annihilation_residual(chart, el, p, 3, k,
-                                                              RATIONAL))
+            worst = max(worst, op.probe_annihilation_residual(chart, el, p, 3, k))
     _report(4, "PBW kernel theorem (rational, poly metric)",
             worst == 0 and counts_ok, f"worst residual {worst}")
 
@@ -140,6 +141,7 @@ def test_criterion_5_pbw_image_rank(charts):
              (charts["poly3"], (Fraction(1, 4), Fraction(-1, 3), Fraction(1, 5)),
               3, 2, 2, 3)]
     for chart, p, n, r, k, d in cases:
+        p = chart.resolve(p, RATIONAL)
         rows = []
         for w in all_words(n, r):
             for K in anti_indices(d, k):
@@ -148,8 +150,8 @@ def test_criterion_5_pbw_image_rank(charts):
                 for g in range(r + 1):
                     for T in at._multi_indices(n, r)[g]:
                         for L in anti_indices(d, k):
-                            probe = at.probe_form(chart, p, T, L, RATIONAL)
-                            row.append(at.phi_apply(chart, el, probe, p, RATIONAL))
+                            probe = at.probe_form(chart, p, T, L)
+                            row.append(at.phi_apply(chart, el, probe, p))
                 rows.append(row)
         rank = len(row_reduce(rows)[1])
         want = at.pbw_dimension(n, d, r, k)
@@ -180,6 +182,7 @@ def test_criterion_7_curvature_in_quotient(charts):
     chart = charts["s2"]
     worst = 0
     for p in [(1.1, 0.8), (1.9, 2.5)]:
+        p = chart.resolve(p, FLOAT)
         cv = curvature(chart, p)
         for a, b in [(0, 1), (1, 0)]:
             for k in (1, 2):
@@ -189,7 +192,7 @@ def test_criterion_7_curvature_in_quotient(charts):
                     lhs = at.to_pbw(chart, x, p, 2, k)
                     M = [[cv.fiber[(bb, aa, a, b)] for aa in range(2)]
                          for bb in range(2)]
-                    rhs = at.AtomicCurrent(tuple(p), 2, k, 2)
+                    rhs = at.AtomicCurrent(p, 2, k, 2)
                     for K2, c in at._apply_end_to_kvector(M, {K: 1}).items():
                         rhs.add_term((), K2, -c)
                     worst = max(worst, (lhs - rhs).max_abs())
@@ -224,7 +227,7 @@ def test_criterion_9_boundary(charts):
     on a polynomial metric."""
     s2 = charts["s2"]
     rng = random.Random(9)
-    p = (1.1, 0.8)
+    p = s2.resolve((1.1, 0.8), FLOAT)
     worst_sq = worst_eps = worst_dual = 0
     for _ in range(30):
         T = at.AtomicCurrent(p, 1, rng.choice((1, 2)), 2)
@@ -236,20 +239,20 @@ def test_criterion_9_boundary(charts):
         bT = op.boundary(s2, T)
         lhs = at.phi_apply(s2, bT, om, p)
         rhs = at.phi_apply(
-            s2, T, cd.exterior_derivative(om, p, FLOAT, out_order=T.r), p)
+            s2, T, cd.exterior_derivative(om, p, out_order=T.r), p)
         worst_dual = max(worst_dual, abs(lhs - rhs))
         worst_sq = max(worst_sq, op.boundary(s2, bT).max_abs())
         if T.k == 1:
             worst_eps = max(worst_eps, abs(at.counit(bT)))
     flat = charts["flat2"]
-    T = at.AtomicCurrent((0.25, -0.5), 0, 2, 2)
+    T = at.AtomicCurrent(flat.resolve((0.25, -0.5), FLOAT), 0, 2, 2)
     T.add_term((), (0, 1), 1)
     bT = op.boundary(flat, T)
     hand_ok = abs(bT.coeffs.get(((0,), (1,)), 0) - 1) < 1e-12 and \
         abs(bT.coeffs.get(((1,), (0,)), 0) + 1) < 1e-12 and len(bT.coeffs) == 2
     poly = charts["poly2"]
-    pr = (Fraction(1, 4), Fraction(-1, 3))
-    rep = op.trace_DEdag_lift_check(poly, pr, 2, 1, RATIONAL)
+    pr = poly.resolve((Fraction(1, 4), Fraction(-1, 3)), RATIONAL)
+    rep = op.trace_DEdag_lift_check(poly, pr, 2, 1)
     lift_ok = rep["kernel_preservation"] == 0 and rep["delta_commutation"] == 0 \
         and rep["order_degree_ok"]
     _report(9, "boundary operator",
@@ -265,9 +268,9 @@ def test_criterion_10_transition_cocycle(charts):
     ctx = su.SuiteContext(chart=charts["s2"], mode=FLOAT, seed=1, r=2, k=1,
                           probes=[(1.1, 0.8)])
     res = su._cocycle_check(ctx, "cocycle")
-    ident = at.transition_matrix(charts["flat2"],
-                                 charts["flat2"], ["x0", "x1"],
-                                 (Fraction(1, 4), Fraction(1, 8)), 2, 1, RATIONAL)
+    flat = charts["flat2"]
+    ident = at.transition_matrix(flat, flat, ["x0", "x1"],
+                                 flat.resolve((Fraction(1, 4), Fraction(1, 8)), RATIONAL), 2, 1)
     ident_ok = all(v == (1 if key == k2 else 0)
                    for key, row in ident.items() for k2, v in row.items())
     _report(10, "transition cocycle", res.residual < 1e-7 and ident_ok,

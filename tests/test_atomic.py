@@ -9,13 +9,14 @@ from atomcur import covderiv as cd
 from atomcur import expr as ex
 from atomcur import operators as op
 from atomcur.connection import ChartConnection, curvature
-from atomcur.jets import RATIONAL
-from atomcur.multialg import TensorExtElement, anti_indices, basis_element, delta_coproduct
+from atomcur.jets import FLOAT, RATIONAL
+from atomcur.multialg import (TensorExtElement, anti_indices, basis_element, delta_coproduct,
+                              row_reduce)
 
 
 def test_phi_zeroth_derivative(s2):
     # x = () box eps_K evaluates omega at the point
-    p = (1.1, 0.8)
+    p = s2.resolve((1.1, 0.8), FLOAT)
     om = cd.form_field(s2, 1, {(0,): "theta^2", (1,): "phi"})
     x = basis_element(2, 2, (), (1,))
     assert abs(at.phi_apply(s2, x, om, p) - 0.8) < 1e-12
@@ -24,7 +25,7 @@ def test_phi_zeroth_derivative(s2):
 def test_phi_commutator_curvature_example(s2):
     """Phi((a(x)b - b(x)a) box alpha + 1 box R_{a,b} alpha) = 0."""
     rng = random.Random(2)
-    p = (1.2, 0.7)
+    p = s2.resolve((1.2, 0.7), FLOAT)
     cv = curvature(s2, p)
     for a, b in [(0, 1), (1, 0)]:
         for K in [(0,), (1,), (0, 1)]:
@@ -49,27 +50,27 @@ def test_phi_monomial_probes(poly2, poly2_point):
             for K in anti_indices(2, 1):
                 for L in anti_indices(2, 1):
                     x = basis_element(2, 2, S, K)
-                    probe = at.probe_form(poly2, p, T, L, RATIONAL)
-                    got = at.phi_apply(poly2, x, probe, p, RATIONAL)
+                    probe = at.probe_form(poly2, p, T, L)
+                    got = at.phi_apply(poly2, x, probe, p)
                     from atomcur.multialg import word_multidegree
                     want = 1 if (word_multidegree(S, 2) == T and K == L) else 0
                     assert got == want
 
 
 def test_to_pbw_flat_unit(flat2):
-    p = (0.25, -0.5)
+    p = flat2.resolve((0.25, -0.5), FLOAT)
     cur = at.to_pbw(flat2, basis_element(2, 2, (0, 1), (1,)), p, 2, 1)
     assert cur.coeffs == {((0, 1), (1,)): 1}
 
 
 def test_to_pbw_flat_commutator_zero(flat2):
-    p = (0.25, -0.5)
+    p = flat2.resolve((0.25, -0.5), FLOAT)
     x = basis_element(2, 2, (0, 1), (0,)) + basis_element(2, 2, (1, 0), (0,)).scale(-1)
     assert at.to_pbw(flat2, x, p, 2, 1).coeffs == {}
 
 
 def test_to_pbw_s2_curvature(s2):
-    p = (1.1, 0.8)
+    p = s2.resolve((1.1, 0.8), FLOAT)
     cv = curvature(s2, p)
     x = basis_element(2, 2, (0, 1), (0, 1)) + basis_element(2, 2, (1, 0), (0, 1)).scale(-1)
     lhs = at.to_pbw(s2, x, p, 2, 2)
@@ -86,7 +87,7 @@ def test_pbw_dimension_count():
 
 
 def test_kernel_basis_flat_shape(flat2):
-    p = (0.1, 0.2)
+    p = flat2.resolve((0.1, 0.2), FLOAT)
     kb = at.kernel_basis(flat2, p, 2, 1)
     # flat chart: all correction terms vanish, E = (e_i (x) e_j - e_j (x) e_i) box eps_K
     assert len(kb) == at.kernel_basis_count(2, 2, 2, 1) == 2
@@ -102,10 +103,35 @@ def test_kernel_count_example():
 
 def test_kernel_annihilation_exact(poly2, poly2_point):
     p = poly2_point
-    kb = at.kernel_basis(poly2, p, 3, 1, RATIONAL)
+    kb = at.kernel_basis(poly2, p, 3, 1)
     assert len(kb) == 10
     for _label, el in kb:
-        assert op.probe_annihilation_residual(poly2, el, p, 3, 1, RATIONAL) == 0
+        assert op.probe_annihilation_residual(poly2, el, p, 3, 1) == 0
+
+
+def _poly3_chart():
+    from pathlib import Path
+    from atomcur import cli
+    spec = Path(__file__).resolve().parent.parent / "src" / "atomcur" / "specs" / "poly3.json"
+    return cli.build_chart(cli.load_spec(spec))
+
+
+def test_kernel_basis_is_independent_at_order_3():
+    """Above order 2 the kernel basis is a basis: as many elements as
+    kernel_basis_count, and of full rank over the rationals.  Each word
+    I j i J has its first descent at the pair, so no label repeats."""
+    chart = _poly3_chart()
+    p = chart.resolve((Fraction(1, 4), Fraction(-1, 3), Fraction(1, 5)), RATIONAL)
+    kb = at.kernel_basis(chart, p, 3, 1)
+    assert len(kb) == at.kernel_basis_count(3, 3, 3, 1) == 60
+    for (I, i, j, J, _K), _el in kb:
+        w = I + (j, i) + J
+        assert next(t for t in range(len(w) - 1) if w[t] > w[t + 1]) == len(I)
+    # the 20 words of length 2 and 3 over three letters that have a descent
+    assert len({I + (j, i) + J for (I, i, j, J, _K), _el in kb}) == 20
+    keys = sorted({key for _label, el in kb for key in el.coeffs})
+    rows = [[el.coeffs.get(key, 0) for key in keys] for _label, el in kb]
+    assert len(row_reduce(rows)[1]) == 60
 
 
 def test_coproduct_dirac_grouplike():
@@ -129,7 +155,7 @@ def test_coproduct_dirac_grouplike():
 
 def test_coproduct_duality(s2):
     rng = random.Random(42)
-    p = (1.1, 0.8)
+    p = s2.resolve((1.1, 0.8), FLOAT)
     worst = 0
     for _ in range(25):
         T = at.AtomicCurrent(p, 2, 2, 2)
@@ -159,7 +185,7 @@ def test_counit_law(s2):
 
 def test_f_action(s2):
     rng = random.Random(4)
-    p = (1.1, 0.8)
+    p = s2.resolve((1.1, 0.8), FLOAT)
     f = cd.scalar_field(s2, "theta^2*phi + sin(theta)")
     for _ in range(10):
         T = at.AtomicCurrent(p, 2, 1, 2)
@@ -192,13 +218,12 @@ def test_f_lrcorner_current_exact(poly2, poly2_point):
         T.add_term(key[0], key[1], Fraction(rng.randint(-3, 3), rng.randint(1, 4)))
     f = cd.scalar_field(poly2, "x^2*y - 3*x + 2")
     om = cd.form_field(poly2, 1, {(0,): "x*y", (1,): "y^2 - x"})
-    fT = op.f_lrcorner(poly2, f, p, RATIONAL)(T)
+    fT = op.f_lrcorner(poly2, f, p)(T)
     assert fT.coeffs
     assert all(list(w) == sorted(w) for (w, _K) in fT.coeffs)
     fom = cd.Field(poly2, om.slots,
                    {i: ex.ex_mul(f.comps[()], c) for i, c in om.comps.items()})
-    assert at.phi_apply(poly2, fT, om, p, RATIONAL) == \
-        at.phi_apply(poly2, T, fom, p, RATIONAL)
+    assert at.phi_apply(poly2, fT, om, p) == at.phi_apply(poly2, T, fom, p)
 
 
 def test_current_arithmetic_keeps_current():
@@ -215,7 +240,7 @@ def test_current_arithmetic_keeps_current():
 
 
 def test_transition_identity(s2):
-    p = (1.1, 0.8)
+    p = s2.resolve((1.1, 0.8), FLOAT)
     tm = at.transition_matrix(s2, s2, ["theta", "phi"], p, 2, 1)
     for key, row in tm.items():
         for k2, v in row.items():
@@ -228,7 +253,7 @@ def test_transition_linear_scale():
     # scales by 2
     A = ChartConnection.flat(1, names=("y",), lo=-3, hi=3)
     B = ChartConnection.flat(1, names=("x",), lo=-7, hi=7)
-    tm = at.transition_matrix(A, B, ["2*y"], (0.5,), 1, 0)
+    tm = at.transition_matrix(A, B, ["2*y"], A.resolve((0.5,), FLOAT), 1, 0)
     assert abs(tm[((), ())][((), ())] - 1) < 1e-14
     assert abs(tm[((0,), ())][((0,), ())] - 2) < 1e-14
 

@@ -35,6 +35,18 @@ def test_run_flat_rational(tmp_path, capsys):
     assert out.with_suffix(".csv").exists()
 
 
+@pytest.mark.parametrize("spec, order", [("flat-r3", "3"), ("flat-r2", "4")])
+def test_pbw_suite_above_order_2(tmp_path, spec, order):
+    """Above the default order the kernel basis is still a basis: its length
+    equals the kernel dimension, and every pbw check passes."""
+    out = tmp_path / "report.json"
+    code = run_cli(["run", str(SPECS / f"{spec}.json"), "--suite", "pbw", "--order", order,
+                    "--mode", "rational", "--out", str(out)])
+    assert code == 0
+    report = json.loads(out.read_text())
+    assert report["summary"] == {"total": 5, "passed": 5, "failed": 0, "skipped": 0}
+
+
 def test_run_s2_coalgebra(tmp_path):
     out = tmp_path / "report.json"
     code = run_cli(["run", str(SPECS / "s2.json"), "--suite", "coalgebra",

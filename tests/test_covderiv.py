@@ -12,7 +12,7 @@ from atomcur.multialg import tensor_coproduct
 
 def test_flat_scalar_is_plain_partial(flat2):
     f = cd.scalar_field(flat2, "x0^2*x1 + x1^3")
-    p = (0.5, 0.25)
+    p = flat2.resolve((0.5, 0.25), FLOAT)
     got = cd.nabla_value(f, (0, 1), p).get((), 0)
     want = ex.eval_jet(f.comps[()], p, 2).partial((1, 1))
     assert abs(got - want) < 1e-14
@@ -22,14 +22,14 @@ def test_monomial_lemma_exact(poly2, poly2_point):
     """nabla_{e_S}((e-p)^T/T! alpha) at p equals delta_{<S>,T} alpha(p)."""
     p = poly2_point
     alpha = cd.vector_field(poly2, {0: "1 + x*y", 1: "x - y^2"})
-    aval = alpha.value(p, RATIONAL)
+    aval = alpha.value(p)
     for T in [(0, 0), (1, 0), (1, 1), (2, 0), (2, 1)]:
         mono = ex.monomial_form(p, T, poly2.names)
         fld = cd.Field(poly2, (cd.TU,),
                        {idx: ex.ex_mul(mono, c) for idx, c in alpha.comps.items()})
         for slen in range(sum(T) + 1):
             for S in itertools.product(range(2), repeat=slen):
-                got = cd.nabla_value(fld, S, p, RATIONAL)
+                got = cd.nabla_value(fld, S, p)
                 count = (S.count(0), S.count(1))
                 want = aval if count == T else {}
                 keys = set(got) | set(want)
@@ -40,14 +40,14 @@ def test_third_order_expansion_identity(s2):
     """nabla^3_{X,Y,Z} = nabla_X o nabla^2_{Y,Z} - nabla^2_{hat X Y, Z}
     - nabla^2_{Y, hat X Z} as an operator identity on random fields."""
     rng = random.Random(7)
-    p = (1.2, 0.9)
+    p = s2.resolve((1.2, 0.9), FLOAT)
     for _ in range(6):
         om = cd.form_field(s2, 1, {(0,): f"{rng.randint(-2,2)}*theta^2 + phi",
                                    (1,): f"theta*phi + {rng.randint(-2,2)}"})
         i, j, k = (rng.randrange(2) for _ in range(3))
         lhs = cd.nabla_value(om, (i, j, k), p)
-        inner = cd.nabla_word_jets(om, (j, k), p, 1, "float")
-        inner_field = cd.jet_field(s2, om.slots, inner, p, 1, "float")
+        inner = cd.nabla_word_jets(om, (j, k), p, 1)
+        inner_field = cd.jet_field(s2, om.slots, inner, p, 1)
         rhs = dict(cd.nabla_value(inner_field, (i,), p))
         for l in range(2):
             gam = s2.higher_gamma((i,), j, p)[l]
@@ -64,15 +64,16 @@ def test_third_order_expansion_identity(s2):
 
 def test_compose_check_flat_exact(flat2):
     om = cd.form_field(flat2, 1, {(0,): "x0*x1", (1,): "x1^2"})
-    p = (Fraction(1, 2), Fraction(1, 3))
-    assert cd.nabla_compose_check((0, 1), (1,), om, p, RATIONAL) == 0
+    p = flat2.resolve((Fraction(1, 2), Fraction(1, 3)), RATIONAL)
+    assert cd.nabla_compose_check((0, 1), (1,), om, p) == 0
     # empty w reduces to the identity composition
-    assert cd.nabla_compose_check((0,), (), om, p, RATIONAL) == 0
+    assert cd.nabla_compose_check((0,), (), om, p) == 0
 
 
 def test_compose_check_curved(s2, hyperbolic):
     rng = random.Random(13)
     for chart, p in [(s2, (1.1, 0.8)), (hyperbolic, (0.4, 1.3))]:
+        p = chart.resolve(p, FLOAT)
         om = cd.form_field(chart, 1,
                            {(0,): f"{chart.names[0]}^2", (1,): f"{chart.names[1]}"})
         for _ in range(8):
@@ -83,11 +84,12 @@ def test_compose_check_curved(s2, hyperbolic):
 
 def test_fundamental_commutation(flat2, s2, hyperbolic):
     om = cd.form_field(flat2, 1, {(0,): "x0^2*x1", (1,): "x1^3"})
-    p = (Fraction(1, 4), Fraction(-1, 2))
-    assert cd.fundamental_commutation_check((), (), 0, 1, om, p, RATIONAL) == 0
-    assert cd.fundamental_commutation_check((0,), (1,), 0, 1, om, p, RATIONAL) == 0
+    p = flat2.resolve((Fraction(1, 4), Fraction(-1, 2)), RATIONAL)
+    assert cd.fundamental_commutation_check((), (), 0, 1, om, p) == 0
+    assert cd.fundamental_commutation_check((0,), (1,), 0, 1, om, p) == 0
     rng = random.Random(23)
     for chart, p in [(s2, (1.3, 1.1)), (hyperbolic, (-0.2, 0.9))]:
+        p = chart.resolve(p, FLOAT)
         om = cd.form_field(chart, 1,
                            {(0,): f"{chart.names[0]}*{chart.names[1]}", (1,): "1"})
         for _ in range(6):
@@ -98,7 +100,7 @@ def test_fundamental_commutation(flat2, s2, hyperbolic):
 
 def test_zero_order_commutator_is_curvature(s2):
     """|u| = 0 case: nabla^2 commutator = R^E o nabla_v - nabla_{R^TM v}."""
-    p = (1.5, 2.3)
+    p = s2.resolve((1.5, 2.3), FLOAT)
     om = cd.form_field(s2, 1, {(0,): "theta^2*phi", (1,): "phi^2"})
     a, b = 0, 1
     v = (0,)
@@ -120,7 +122,7 @@ def test_zero_order_commutator_is_curvature(s2):
 
 def test_covariant_product_bracket(s2):
     rng = random.Random(3)
-    p = (1.1, 0.8)
+    p = s2.resolve((1.1, 0.8), FLOAT)
     V = cd.vector_field(s2, {0: "phi", 1: "theta^2"})
     W = cd.vector_field(s2, {0: "theta*phi", 1: "1 + phi"})
     vw = cd.covariant_product_value(V, W, p)
@@ -128,7 +130,7 @@ def test_covariant_product_bracket(s2):
     lhs = dict(vw)
     for kk, c in wv.items():
         lhs[kk] = lhs.get(kk, 0) - c
-    Vv, Wv = V.value(p, "float"), W.value(p, "float")
+    Vv, Wv = V.value(p), W.value(p)
     rhs = {}
     for (i,), a in Vv.items():
         for (j,), b in Wv.items():
@@ -146,18 +148,18 @@ def test_covariant_product_bracket(s2):
 
 
 def test_covariant_product_unit_and_assoc(s2):
-    p = (1.4, 1.9)
+    p = s2.resolve((1.4, 1.9), FLOAT)
     one = cd.tensor_field(s2, 0, {(): 1})
     W = cd.vector_field(s2, {0: "theta", 1: "phi^2"})
-    Wv = W.value(p, "float")
+    Wv = W.value(p)
     oy = cd.covariant_product_value(one, W, p)
     assert all(abs(oy[kk] - Wv[kk]) < 1e-13 for kk in Wv)
     X = cd.vector_field(s2, {0: "1", 1: "theta"})
     V = cd.vector_field(s2, {0: "phi", 1: "1"})
-    xy = cd.covariant_product(X, V, p, "float", out_order=2)
-    l = cd.covariant_product(cd.mixed_tensor_fields(s2, xy, p, 2, "float"), W, p, "float", 0)
-    yz = cd.covariant_product(V, W, p, "float", out_order=1)
-    r = cd.covariant_product(X, cd.mixed_tensor_fields(s2, yz, p, 1, "float"), p, "float", 0)
+    xy = cd.covariant_product(X, V, p, out_order=2)
+    l = cd.covariant_product(cd.mixed_tensor_fields(s2, xy, p, 2), W, p, 0)
+    yz = cd.covariant_product(V, W, p, out_order=1)
+    r = cd.covariant_product(X, cd.mixed_tensor_fields(s2, yz, p, 1), p, 0)
     lv = {kk: j.value for kk, j in l.items()}
     rv = {kk: j.value for kk, j in r.items()}
     keys = set(lv) | set(rv)
@@ -167,27 +169,27 @@ def test_covariant_product_unit_and_assoc(s2):
 def test_exterior_derivative_flat_example(flat2):
     # omega = x dy on flat R^2: d omega = dx ^ dy
     om = cd.form_field(flat2, 1, {(1,): "x0"})
-    d = cd.exterior_derivative(om, (0.3, 0.7), "float", 0)
+    d = cd.exterior_derivative(om, flat2.resolve((0.3, 0.7), FLOAT), 0)
     assert abs(d.comps[(0, 1)].value - 1.0) < 1e-14
     assert abs(d.comps[(1, 0)].value + 1.0) < 1e-14
 
 
 def test_exterior_derivative_d_squared(s2):
-    p = (1.6, 3.0)
-    f = cd.scalar_field(s2, "theta^2*phi").comp_jet((), p, 2, "float")
-    df = cd.jet_field(s2, (cd.FD,), {(i,): f.derivative(i) for i in range(2)}, p, 1, "float")
-    ddf = cd.exterior_derivative(df, p, "float", 0)
+    p = s2.resolve((1.6, 3.0), FLOAT)
+    f = cd.scalar_field(s2, "theta^2*phi").comp_jet((), p, 2)
+    df = cd.jet_field(s2, (cd.FD,), {(i,): f.derivative(i) for i in range(2)}, p, 1)
+    ddf = cd.exterior_derivative(df, p, 0)
     assert max((abs(j.value) for j in ddf.comps.values()), default=0) < 1e-9
 
 
 def test_exterior_derivative_connection_independent(s2):
     from atomcur.suites import _perturbed_chart
-    p = (1.2, 2.8)
+    p = s2.resolve((1.2, 2.8), FLOAT)
     om = cd.form_field(s2, 1, {(0,): "phi^2", (1,): "theta"})
     pert = _perturbed_chart(s2)
     om2 = cd.form_field(pert, 1, {(0,): "phi^2", (1,): "theta"})
-    d1 = cd.exterior_derivative(om, p, "float", 0)
-    d2 = cd.exterior_derivative(om2, p, "float", 0)
+    d1 = cd.exterior_derivative(om, p, 0)
+    d2 = cd.exterior_derivative(om2, p, 0)
     for idx in set(d1.comps) | set(d2.comps):
         a = d1.comps.get(idx)
         b = d2.comps.get(idx)
@@ -211,7 +213,7 @@ def test_perturbed_chart_follows_its_chart():
 
 def test_leibniz_rule(s2):
     rng = random.Random(31)
-    p = (1.0, 1.5)
+    p = s2.resolve((1.0, 1.5), FLOAT)
     a = cd.vector_field(s2, {0: "phi", 1: "theta"})
     b = cd.vector_field(s2, {0: "1", 1: "theta*phi"})
     prod = cd.product_field(a, b)
@@ -232,7 +234,7 @@ def test_tensoriality_in_word_slots(s2):
     """Scaling a word slot scales the value linearly: the derivative with a
     non-coordinate slot argument is the coefficient combination of frame
     derivatives."""
-    p = (1.2, 1.7)
+    p = s2.resolve((1.2, 1.7), FLOAT)
     om = cd.form_field(s2, 1, {(0,): "theta*phi", (1,): "phi^2"})
     z = {(0,): 2.5, (1,): -1.25}
     got = cd.nabla_mixed(om, (1,), z, p)
@@ -245,17 +247,19 @@ def test_tensoriality_in_word_slots(s2):
 
 
 def test_curvature_with_derivative_orders(s2, flat2, poly2, poly2_point):
-    def nabla_R(chart, which, S, p, mode=FLOAT):
-        field = cd.curvature_field(chart, which, p, mode, len(S))
-        return {idx: j.value for idx, j in cd.nabla_word_jets(field, S, p, 0, mode).items()}
+    def nabla_R(chart, which, S, p):
+        field = cd.curvature_field(chart, which, p, len(S))
+        return {idx: j.value for idx, j in cd.nabla_word_jets(field, S, p, 0).items()}
 
     # the round sphere is locally symmetric: nabla R vanishes identically
-    assert all(abs(v) < 1e-12 for v in nabla_R(s2, "base", (0,), (1.1, 0.8)).values())
+    p = s2.resolve((1.1, 0.8), FLOAT)
+    assert all(abs(v) < 1e-12 for v in nabla_R(s2, "base", (0,), p).values())
     # a generic polynomial metric has nonvanishing nabla R, base and fiber
-    assert any(v != 0 for v in nabla_R(poly2, "base", (0,), poly2_point, RATIONAL).values())
-    assert any(v != 0 for v in nabla_R(poly2, "fiber", (0, 1), poly2_point, RATIONAL).values())
+    assert any(v != 0 for v in nabla_R(poly2, "base", (0,), poly2_point).values())
+    assert any(v != 0 for v in nabla_R(poly2, "fiber", (0, 1), poly2_point).values())
+    p = flat2.resolve((0.2, 0.3), FLOAT)
     for S in [(0,), (1,)] + list(itertools.product(range(2), repeat=2)):
-        assert all(v == 0 for v in nabla_R(flat2, "base", S, (0.2, 0.3)).values())
+        assert all(v == 0 for v in nabla_R(flat2, "base", S, p).values())
     # connection.curvature is the dense order-0 reading of the same jets, for
     # the base and the fiber, on a tangent and on an explicit fiber
     from atomcur.connection import ChartConnection, curvature
@@ -263,10 +267,10 @@ def test_curvature_with_derivative_orders(s2, flat2, poly2, poly2_point):
         poly2.names, poly2.metric, poly2.domain,
         fiber_gamma=[[["x", "y/2"], ["0", "x*y"]], [["y", "0"], ["x^2", "1"]]])
     for chart in (poly2, fibered):
-        cv = curvature(chart, poly2_point, RATIONAL)
+        cv = curvature(chart, poly2_point)
         for which, dense in (("base", cv.base), ("fiber", cv.fiber)):
             dim = chart.d if which == "fiber" else chart.n
-            jets = cd.curvature_field(chart, which, poly2_point, RATIONAL, 0).comps
+            jets = cd.curvature_field(chart, which, poly2_point, 0).comps
             assert jets and len(dense) == chart.n ** 2 * dim ** 2
             assert dense == {key: jets[key].value if key in jets else 0 for key in dense}
     assert cv.fiber != cv.base
@@ -276,7 +280,7 @@ def test_warning_case_nonzero(s2):
     """The order-3 scalar commutator equals minus the curvature contraction
     and is nonzero somewhere on the sphere."""
     from atomcur.connection import curvature
-    p = (1.1, 0.8)
+    p = s2.resolve((1.1, 0.8), FLOAT)
     cv = curvature(s2, p)
     f = cd.scalar_field(s2, "theta^2*phi + phi^2")
     saw_nonzero = False
@@ -293,32 +297,32 @@ def test_warning_case_nonzero(s2):
 
 def test_nabla_value_memo_is_per_field_and_point(s2):
     f = cd.vector_field(s2, {0: "sin(theta)", 1: "phi*theta"})
-    p = (1.1, 0.8)
+    p = s2.resolve((1.1, 0.8), FLOAT)
     first = cd.nabla_value(f, (0, 1), p)
-    assert cd.nabla_value(f, [0, 1], list(p)) is first
+    assert cd.nabla_value(f, [0, 1], as_point([1.1, 0.8], FLOAT)) is first
     assert cd.nabla_value(f, (1, 0), p) is not first
-    assert cd.nabla_value(f, (0, 1), (1.2, 0.8)) != first
+    assert cd.nabla_value(f, (0, 1), s2.resolve((1.2, 0.8), FLOAT)) != first
     g = cd.vector_field(s2, {0: "sin(theta)", 1: "phi*theta"})
     assert cd.nabla_value(g, (0, 1), p) == first
     # the memo is filled only by a successful evaluation
     for _ in range(2):
         with pytest.raises(ValueError):
-            cd.nabla_value(f, (0,), (5.0, 0.8))
+            cd.nabla_value(f, (0,), as_point((5.0, 0.8), FLOAT))
 
 
 def test_nabla_computed_once_per_key_in_operator_suite(tmp_path, monkeypatch):
-    """Every (field, word, point, mode) value is derived once by `nabla`."""
+    """Every (field, word, point) value is derived once by `nabla`."""
     from pathlib import Path
 
     from atomcur import cli
     seen, fields = {}, []
     inner = cd.nabla
 
-    def counting(field, I, p, mode="float"):
+    def counting(field, I, p):
         fields.append(field)  # keeps ids unique for the whole run
-        key = (id(field), tuple(I), tuple(p), mode)
+        key = (id(field), tuple(I), p)
         seen[key] = seen.get(key, 0) + 1
-        return inner(field, I, p, mode)
+        return inner(field, I, p)
 
     monkeypatch.setattr(cd, "nabla", counting)
     spec = Path(__file__).resolve().parent.parent / "src" / "atomcur" / "specs" / "hyperbolic.json"
@@ -334,7 +338,7 @@ def test_nabla_value_memo_under_threads(hyperbolic):
     import sys
     import threading
     words = [w for ell in range(3) for w in itertools.product(range(2), repeat=ell)]
-    p = (0.3, 1.1)
+    p = hyperbolic.resolve((0.3, 1.1), FLOAT)
 
     def make():
         return cd.vector_field(hyperbolic, {0: "x*y", 1: "y^2 - x"})
@@ -384,14 +388,14 @@ def test_expression_jet_memo_is_shared_and_dies_with_its_node(s2, monkeypatch):
 
     monkeypatch.setattr(ex, "eval_jet", counting)
     first = cd.scalar_field(s2, e)
-    first.comp_jet((), p, 3, FLOAT)
+    first.comp_jet((), p, 3)
     assert orders == [3]
     second = cd.scalar_field(s2, e)
     for order in (3, 2, 0):
-        jet = second.comp_jet((), p, order, FLOAT)
+        jet = second.comp_jet((), p, order)
         assert bytes(jet.coeffs) == bytes(inner(e, p, order).coeffs)
-    # a plain tuple finds the entry the probe point made
-    second.comp_jet((), (1.1, 0.8), 1, FLOAT)
+    # an equal point built separately finds the entry the probe point made
+    second.comp_jet((), as_point((1.1, 0.8), FLOAT), 1)
     assert orders == [3]
     node = weakref.ref(e)
     del e, first, second, jet
@@ -429,7 +433,7 @@ def test_lower_order_nabla_jets_are_truncations(poly2, poly2_point, mode):
     """After a word's jets at a high order, a lower order is answered by
     truncation, and equals the jets a fresh field derives at that order,
     coefficient for coefficient (bitwise in float mode)."""
-    p = poly2_point if mode == "rational" else tuple(float(x) for x in poly2_point)
+    p = poly2.resolve(poly2_point, mode)
 
     def fields():
         return [cd.vector_field(poly2, {0: "x*y + 1", 1: "x^3 - y"}),
@@ -440,14 +444,35 @@ def test_lower_order_nabla_jets_are_truncations(poly2, poly2_point, mode):
     words = [(), (0,), (1, 0), (0, 1, 1)]
     for f in held:
         for I in words:
-            cd.nabla_word_jets(f, I, p, 4, mode)
+            cd.nabla_word_jets(f, I, p, 4)
     for low in (0, 1, 2):
         for f, g in zip(held, fields()):
             for I in words:
-                got = cd.nabla_word_jets(f, I, p, low, mode)
-                want = cd.nabla_word_jets(g, I, p, low, mode)
+                got = cd.nabla_word_jets(f, I, p, low)
+                want = cd.nabla_word_jets(g, I, p, low)
                 a = _coefficients(got, poly2.n, low)
                 b = _coefficients(want, poly2.n, low)
                 assert {k: list(map(repr, v)) for k, v in a.items()} == \
                     {k: list(map(repr, v)) for k, v in b.items()}, (I, low)
                 assert a
+
+
+def test_float_and_rational_points_never_share_a_cache_entry(poly2):
+    """At equal coordinates a float and a rational point are two keys of every
+    per-point cache: the expression jet memo, the field memos and the chart
+    memo each answer a point in its own mode, whichever mode came first."""
+    from atomcur.connection import ChartConnection
+    chart = ChartConnection.from_metric(poly2.names, poly2.metric, poly2.domain)
+    coords = (Fraction(1, 2), Fraction(1, 4))
+    pq, pf = chart.resolve(coords, RATIONAL), chart.resolve(coords, FLOAT)
+    assert tuple(pq) == tuple(pf) and hash(tuple(pq)) == hash(tuple(pf))
+    assert pq != pf and pq == as_point(coords, RATIONAL)
+    e = ex.parse("x^2*y + 1/(1 + y^2)", chart.names)
+    field = cd.scalar_field(chart, e)
+    for p, kind in [(pq, Fraction), (pf, float)] * 2:
+        assert type(ex.jet_at(e, p, 2).value) is kind
+        assert field.comp_jet((), p, 1).mode == p.mode
+        values = cd.nabla_value(field, (0, 1), p)
+        assert values and all(type(v) is kind for v in values.values())
+        assert all(jet.mode == p.mode for jet in chart.gamma1_jet(0, 1, p, 1))
+        assert chart._memo(p, ("mode",), lambda: p.mode) == p.mode

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from atomcur import expr as ex
-from atomcur.jets import (FLOAT, RATIONAL, EvalDomainError, ExactModeError)
+from atomcur.jets import (FLOAT, RATIONAL, EvalDomainError, ExactModeError, as_point)
 
 
 def test_parse_shape():
@@ -202,7 +202,7 @@ def test_truncated_rational_jet_is_exact_lower_order_jet(e, lo, extra):
 
 def test_jet_memo_evaluates_only_when_the_order_rises(monkeypatch):
     e = ex.parse("1/(1 + x^2) + tan(y)*x^-2", ["x", "y"])
-    p = (0.7, 1.3)
+    p = as_point((0.7, 1.3), FLOAT)
     orders = []
     inner = ex.eval_jet
 
@@ -212,6 +212,6 @@ def test_jet_memo_evaluates_only_when_the_order_rises(monkeypatch):
 
     monkeypatch.setattr(ex, "eval_jet", counting)
     for order in (1, 0, 3, 2, 1, 3, 4, 0):
-        jet = ex.jet_at(e, p, order, FLOAT)
+        jet = ex.jet_at(e, p, order)
         assert bytes(jet.coeffs) == bytes(inner(e, p, order).coeffs)
     assert orders == [1, 3, 4]

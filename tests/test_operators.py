@@ -8,7 +8,7 @@ from atomcur import covderiv as cd
 from atomcur import expr as ex
 from atomcur import operators as op
 from atomcur.connection import ChartConnection
-from atomcur.jets import RATIONAL
+from atomcur.jets import FLOAT, RATIONAL
 from atomcur.multialg import all_words, anti_indices, basis_element
 
 ELEMS2 = [basis_element(2, 2, w, K)
@@ -19,21 +19,21 @@ ELEMS2 = [basis_element(2, 2, w, K)
 def test_op_E_unit_case(flat2):
     # v = (): E_X(() box alpha) = () box X(p) ^ alpha
     X = cd.kvector_field(flat2, 1, {(0,): "x1"})
-    E = op.op_E(flat2, X, (0.5, 2.0))
+    E = op.op_E(flat2, X, flat2.resolve((0.5, 2.0), FLOAT))
     out = E(basis_element(2, 2, (), (1,)))
     assert abs(out.coeffs[((), (0, 1))] - 2.0) < 1e-14
 
 
 def test_op_E_scalar_is_corner(s2):
     f = cd.scalar_field(s2, "theta^2 + phi")
-    p = (1.1, 0.8)
+    p = s2.resolve((1.1, 0.8), FLOAT)
     lhs = op.op_E(s2, cd.Field(s2, (), {(): f.comps[()]}), p)
     rhs = op.f_lrcorner(s2, f, p)
     assert op.endo_residual(lhs, rhs, ELEMS2) == 0
 
 
 def test_op_EE_composition(s2):
-    p = (1.1, 0.8)
+    p = s2.resolve((1.1, 0.8), FLOAT)
     X = cd.kvector_field(s2, 1, {(0,): "phi", (1,): "theta"})
     X2 = cd.kvector_field(s2, 1, {(0,): "1", (1,): "theta*phi"})
     lhs = op.op_E(s2, X, p).compose(op.op_E(s2, X2, p))
@@ -43,7 +43,7 @@ def test_op_EE_composition(s2):
 
 def test_op_D_dirac(s2):
     # D_Y(() box alpha) = Y(p) box alpha for vector Y
-    p = (1.1, 0.8)
+    p = s2.resolve((1.1, 0.8), FLOAT)
     Y = cd.vector_field(s2, {0: "theta", 1: "phi"})
     out = op.op_D(s2, Y, p)(basis_element(2, 2, (), (0,)))
     assert abs(out.coeffs[((0,), (0,))] - 1.1) < 1e-12
@@ -51,38 +51,38 @@ def test_op_D_dirac(s2):
 
 
 def test_op_DD_right_action(s2):
-    p = (1.4, 2.2)
+    p = s2.resolve((1.4, 2.2), FLOAT)
     Y = cd.vector_field(s2, {0: "phi", 1: "theta^2"})
     Y2 = cd.vector_field(s2, {0: "theta*phi", 1: "1"})
     lhs = op.op_D(s2, Y, p).compose(op.op_D(s2, Y2, p))
-    cp = cd.covariant_product(Y2, Y, p, "float", out_order=3)
-    rhs = op.op_D(s2, cd.mixed_tensor_fields(s2, cp, p, 3, "float"), p)
+    cp = cd.covariant_product(Y2, Y, p, out_order=3)
+    rhs = op.op_D(s2, cd.mixed_tensor_fields(s2, cp, p, 3), p)
     assert op.endo_residual(lhs, rhs, ELEMS2) < 1e-8
 
 
 def test_op_ED_exchange(s2):
-    p = (1.2, 0.9)
+    p = s2.resolve((1.2, 0.9), FLOAT)
     X = cd.kvector_field(s2, 1, {(0,): "phi", (1,): "theta"})
     Y = cd.vector_field(s2, {0: "1", 1: "theta"})
     lhs = op.op_E(s2, X, p).compose(op.op_D(s2, Y, p))
     nbX = {}
     for i in range(2):
-        ji = Y.comp_jet((i,), p, 3, "float")
-        for K, jet in cd.nabla_word_jets(X, (i,), p, 3, "float").items():
+        ji = Y.comp_jet((i,), p, 3)
+        for K, jet in cd.nabla_word_jets(X, (i,), p, 3).items():
             cur = nbX.get(K)
             term = ji * jet
             nbX[K] = term if cur is None else cur + term
-    nXf = cd.jet_field(s2, (cd.FU,), nbX, p, 3, "float")
+    nXf = cd.jet_field(s2, (cd.FU,), nbX, p, 3)
     rhs = op.op_D(s2, Y, p).compose(op.op_E(s2, X, p)) + op.op_E(s2, nXf, p)
     assert op.endo_residual(lhs, rhs, ELEMS2) < 1e-8
 
 
 def test_perp_euclidean(flat2, flat3, s2):
-    p = (0.1, 0.2)
+    p = flat2.resolve((0.1, 0.2), FLOAT)
     P = op.op_perp(flat2, p)
     assert P(basis_element(2, 2, (), ())).coeffs == {((), (0, 1)): 1}
     # the sign anchor of the coordinate orientation in R^3: star e_0 = e_1 ^ e_2
-    star, _star_inv = op.pointwise_star(flat3, (0.1, 0.2, 0.3))
+    star, _star_inv = op.pointwise_star(flat3, flat3.resolve((0.1, 0.2, 0.3), FLOAT))
     assert star({(0,): 1}) == {(1, 2): 1}
     # involution with sign (-1)^{k(n-k)}
     Pi = op.op_perp(flat2, p, inverse=True)
@@ -93,7 +93,7 @@ def test_perp_euclidean(flat2, flat3, s2):
         assert got == (-1) ** (k * (2 - k))
         assert Pi(P(x)).coeffs == x.coeffs
     # the same laws on the curved s2 metric, in float mode
-    p = (1.1, 0.8)
+    p = s2.resolve((1.1, 0.8), FLOAT)
     P, Pi = op.op_perp(s2, p), op.op_perp(s2, p, inverse=True)
     for K in [(), (0,), (1,), (0, 1)]:
         x = basis_element(2, 2, (0,), K)
@@ -106,9 +106,9 @@ def test_perp_exact_on_constant_metric():
     # g = diag(4, 9): sqrt(det g) = 6 is rational, so perp is exact
     chart = ChartConnection.from_metric(["x", "y"], [["4", "0"], ["0", "9"]],
                                         [(-1.0, 1.0), (-1.0, 1.0)], name="diag49")
-    p = (Fraction(1, 4), Fraction(-1, 3))
-    P = op.op_perp(chart, p, RATIONAL)
-    Pi = op.op_perp(chart, p, RATIONAL, inverse=True)
+    p = chart.resolve((Fraction(1, 4), Fraction(-1, 3)), RATIONAL)
+    P = op.op_perp(chart, p)
+    Pi = op.op_perp(chart, p, inverse=True)
     expect = {(): {(0, 1): Fraction(1, 6)}, (0,): {(1,): Fraction(-2, 3)},
               (1,): {(0,): Fraction(3, 2)}, (0, 1): {(): 6}}
     for K, img in expect.items():
@@ -137,7 +137,7 @@ def test_hodge_star_check_runs_the_operator_star(monkeypatch):
 
 def test_edag_explicit_r3(flat3):
     # Euclidean R^3, X = e0, alpha = e0 ^ e1: Edag_X alpha = e1
-    p = (0.0, 0.0, 0.0)
+    p = flat3.resolve((0.0, 0.0, 0.0), FLOAT)
     X = cd.kvector_field(flat3, 1, {(0,): 1})
     out = op.op_Edag(flat3, X, p)(basis_element(3, 3, (), (0, 1)))
     assert out.coeffs == {((), (1,)): 1}
@@ -146,7 +146,7 @@ def test_edag_explicit_r3(flat3):
 
 
 def test_edag_routes_agree(s2):
-    p = (1.1, 0.8)
+    p = s2.resolve((1.1, 0.8), FLOAT)
     X = cd.kvector_field(s2, 1, {(0,): "phi", (1,): "theta"})
     a = op.op_Edag(s2, X, p)
     b = op.op_Edag(s2, X, p, route="conjugate")
@@ -166,6 +166,7 @@ def test_edag_theta_of_lowered_field_is_edag(spec, mode, p, tol):
     from atomcur import cli
     path = Path(__file__).resolve().parent.parent / "src" / "atomcur" / "specs" / f"{spec}.json"
     chart = cli.build_chart(cli.load_spec(path))
+    p = chart.resolve(p, mode)
     x, y = chart.names
     X = cd.kvector_field(chart, 1, {(0,): f"{x}*{y} + 1", (1,): f"{x}^2 - {y}"})
     lowered = {}
@@ -175,14 +176,14 @@ def test_edag_theta_of_lowered_field_is_edag(spec, mode, p, tol):
             acc = ex.ex_add(acc, ex.ex_mul(chart.metric[a][b], X.comps[(b,)]))
         lowered[(a,)] = acc
     theta = cd.form_field(chart, 1, lowered)
-    lhs = op.op_Edag(chart, X, p, mode)
-    rhs = op.op_Edag_theta(chart, theta, p, mode)
+    lhs = op.op_Edag(chart, X, p)
+    rhs = op.op_Edag_theta(chart, theta, p)
     assert op.endo_residual(lhs, rhs, ELEMS2) <= tol
     assert any(lhs(x).coeffs for x in ELEMS2)
 
 
 def test_edag_reversal_and_anticommutator(s2):
-    p = (1.5, 2.5)
+    p = s2.resolve((1.5, 2.5), FLOAT)
     X = cd.kvector_field(s2, 1, {(0,): "phi", (1,): "1"})
     Y = cd.kvector_field(s2, 1, {(0,): "theta", (1,): "theta*phi"})
     lhs = op.op_Edag(s2, X, p).compose(op.op_Edag(s2, Y, p))
@@ -203,7 +204,7 @@ def test_edag_reversal_and_anticommutator(s2):
 def test_clifford_factorization():
     for n in (2, 3):
         ch = ChartConnection.flat(n)
-        p = tuple(0.1 * (i + 1) for i in range(n))
+        p = ch.resolve([0.1 * (i + 1) for i in range(n)], FLOAT)
         P = op.op_perp(ch, p)
         prod = None
         for i in range(n):
@@ -219,7 +220,7 @@ def test_clifford_factorization():
 
 
 def test_ddag_flat_constant(flat2):
-    p = (0.2, 0.3)
+    p = flat2.resolve((0.2, 0.3), FLOAT)
     X = cd.vector_field(flat2, {0: 1, 1: 2})
     lhs = op.op_Ddag(flat2, X, p, budget=3)
     rhs = op.op_D(flat2, X, p).scaled(-1)
@@ -237,11 +238,11 @@ def test_ddag_commutators(s2):
 
 def test_ddag_duality(s2):
     """Phi(Ddag_X x)(omega) = Phi(x)(-div(X) omega - nabla_X omega)."""
-    p = (1.3, 1.1)
+    p = s2.resolve((1.3, 1.1), FLOAT)
     X = cd.vector_field(s2, {0: "phi", 1: "theta"})
     DdX = op.op_Ddag(s2, X, p, budget=4)
     om = cd.form_field(s2, 1, {(0,): "theta*phi", (1,): "phi^2"})
-    divX = op.divergence_field(s2, X, p, "float", budget=5)
+    divX = op.divergence_field(s2, X, p, budget=5)
     for x in ELEMS2:
         if not all(len(K) == 1 for (_w, K) in x.coeffs):
             continue
@@ -250,26 +251,26 @@ def test_ddag_duality(s2):
         budget = 3
         comps = {}
         for idx in om.comps:
-            omj = om.comp_jet(idx, p, budget, "float")
+            omj = om.comp_jet(idx, p, budget)
             term = -(divX.comps[()].truncate(budget) * omj)
             comps[idx] = term
         for i in range(2):
-            Xi = X.comp_jet((i,), p, budget, "float")
-            for idx, jet in cd.nabla_word_jets(om, (i,), p, budget, "float").items():
+            Xi = X.comp_jet((i,), p, budget)
+            for idx, jet in cd.nabla_word_jets(om, (i,), p, budget).items():
                 comps[idx] = comps.get(idx, 0) + (-(Xi * jet)) if idx in comps \
                     else -(Xi * jet)
-        adj = cd.jet_field(s2, om.slots, comps, p, budget, "float")
+        adj = cd.jet_field(s2, om.slots, comps, p, budget)
         rhs = at.phi_apply(s2, x, adj, p)
         assert abs(lhs - rhs) < 1e-8
 
 
 def test_sharp_unit_and_alpha_one(s2):
-    p = (1.1, 0.8)
+    p = s2.resolve((1.1, 0.8), FLOAT)
     B = 6
     tf = cd.tensor_field(s2, 1, {(0,): "phi", (1,): "theta"})
     ef = cd.kvector_field(s2, 1, {(0,): "1", (1,): "theta"})
-    a = op.SharpElement.from_fields(s2, tf, ef, p, "float", B)
-    u = op.unit_sharp(s2, p, "float", B)
+    a = op.SharpElement.from_fields(s2, tf, ef, p, B)
+    u = op.unit_sharp(s2, p, B)
     au, ua = op.sharp(a, u), op.sharp(u, a)
     for kk, jet in a.coeffs.items():
         assert abs(au.coeffs[kk].value - jet.value) < 1e-12
@@ -279,10 +280,10 @@ def test_sharp_unit_and_alpha_one(s2):
     one = cd.kvector_field(s2, 0, {(): 1})
     w = cd.tensor_field(s2, 1, {(1,): "theta"})
     beta = cd.kvector_field(s2, 1, {(0,): "phi"})
-    sv = op.SharpElement.from_fields(s2, v, one, p, "float", B)
-    sw = op.SharpElement.from_fields(s2, w, beta, p, "float", B)
+    sv = op.SharpElement.from_fields(s2, v, one, p, B)
+    sw = op.SharpElement.from_fields(s2, w, beta, p, B)
     got = op.sharp(sv, sw)
-    wv = cd.covariant_product(w, v, p, "float", 0)
+    wv = cd.covariant_product(w, v, p, 0)
     for word, jet in wv.items():
         if abs(jet.value) > 1e-14:
             assert abs(got.coeffs[(word, (0,))].value - jet.value * 0.8) < 1e-10
@@ -297,7 +298,7 @@ def test_sharp_associativity_and_actions(s2):
 
 
 def test_boundary_flat_hand_value(flat2):
-    p = (0.25, -0.5)
+    p = flat2.resolve((0.25, -0.5), FLOAT)
     T = at.AtomicCurrent(p, 0, 2, 2)
     T.add_term((), (0, 1), 1)
     bT = op.boundary(flat2, T)
@@ -308,7 +309,7 @@ def test_boundary_flat_hand_value(flat2):
 
 def test_boundary_square_and_counit(s2):
     rng = random.Random(7)
-    p = (1.1, 0.8)
+    p = s2.resolve((1.1, 0.8), FLOAT)
     for _ in range(5):
         T = at.AtomicCurrent(p, 1, 2, 2)
         for key in at.pbw_keys(2, 2, 1, 2):
@@ -329,7 +330,7 @@ def test_boundary_degree_zero(s2):
 
 def test_boundary_trace_route(s2):
     rng = random.Random(3)
-    p = (1.1, 0.8)
+    p = s2.resolve((1.1, 0.8), FLOAT)
     for _ in range(3):
         T = at.AtomicCurrent(p, 1, 2, 2)
         for key in at.pbw_keys(2, 2, 1, 2):
@@ -343,28 +344,28 @@ def test_boundary_reuses_differentiated_probes(monkeypatch):
     chart = ChartConnection.from_metric(
         ["x", "y"], [["1/y^2", "0"], ["0", "1/y^2"]],
         [(-2.0, 2.0), (0.4, 3.0)], name="hyperbolic")
-    p = (Fraction(1, 4), Fraction(5, 4))
+    p = chart.resolve((Fraction(1, 4), Fraction(5, 4)), RATIONAL)
     T = at.AtomicCurrent(p, 1, 1, 2)
     for i, key in enumerate(at.pbw_keys(2, 2, 1, 1)):
         T.add_term(key[0], key[1], i + 1)
     misses = []
     inner = cd.nabla
 
-    def counting(field, I, p, mode="float"):
+    def counting(field, I, p):
         misses.append(tuple(I))
-        return inner(field, I, p, mode)
+        return inner(field, I, p)
 
     monkeypatch.setattr(cd, "nabla", counting)
-    first = op.boundary(chart, T, RATIONAL)
+    first = op.boundary(chart, T)
     assert misses
     misses.clear()
-    second = op.boundary(chart, T.scale(3), RATIONAL)
+    second = op.boundary(chart, T.scale(3))
     assert misses == []
     assert second.coeffs == first.scale(3).coeffs
 
 
 def test_trace_lift_checks_rational(poly2, poly2_point):
-    rep = op.trace_DEdag_lift_check(poly2, poly2_point, 2, 1, RATIONAL)
+    rep = op.trace_DEdag_lift_check(poly2, poly2_point, 2, 1)
     assert rep["kernel_preservation"] == 0
     assert rep["delta_commutation"] == 0
     assert rep["order_degree_ok"]
@@ -372,11 +373,12 @@ def test_trace_lift_checks_rational(poly2, poly2_point):
 
 def test_trace_gamma_gamma_diagnostic(flat2, s2):
     # the nonempty-word local-frame expansion vanishes on flat charts
+    q = flat2.resolve((0.2, 0.3), FLOAT)
     for w in [(0,), (0, 1), (1, 1)]:
-        assert op.gamma_gamma_local_frame(flat2, (0.2, 0.3), w, (0, 1)).max_abs() == 0
+        assert op.gamma_gamma_local_frame(flat2, q, w, (0, 1)).max_abs() == 0
     # on the sphere the Gamma.Gamma terms differ from the full lift
     # (flat-chart tension)
-    p = (1.1, 0.8)
+    p = s2.resolve((1.1, 0.8), FLOAT)
     endo = op.trace_DEdag_endo(s2, p)
     gap = 0
     for w in all_words(2, 2):
@@ -386,7 +388,7 @@ def test_trace_gamma_gamma_diagnostic(flat2, s2):
 
 
 def test_trace_squared_nonzero(s2):
-    p = (1.1, 0.8)
+    p = s2.resolve((1.1, 0.8), FLOAT)
     endo = op.trace_DEdag_endo(s2, p)
     x = basis_element(2, 2, (1,), (0, 1))
     assert endo(endo(x)).max_abs() > 1e-9
@@ -404,7 +406,7 @@ def test_kernel_preservation_all_ops(poly2, poly2_point):
 def test_codifferential_twin(s2):
     from atomcur.suites import SuiteContext, _codifferential_twin_residual
     ctx = SuiteContext(chart=s2, probes=[(1.1, 0.8)], seed=1)
-    assert _codifferential_twin_residual(ctx, (1.1, 0.8)) < 1e-7
+    assert _codifferential_twin_residual(ctx, ctx.probes[0]) < 1e-7
 
 
 def test_trace_frame_independence(s2):
@@ -420,13 +422,13 @@ def test_star_form_jets_reuses_metric_jets(monkeypatch):
     chart = ChartConnection.from_metric(
         ["x", "y"], [["1 + x^2", "x*y/2"], ["x*y/2", "1 + y^2"]],
         [(-1.0, 1.0), (-1.0, 1.0)], name="poly2")
-    p = (0.25, -0.5)
+    p = chart.resolve((0.25, -0.5), FLOAT)
     om = cd.form_field(chart, 1, {(0,): "x*y", (1,): "1 + x"})
-    first = op.star_form_jets(chart, om, p, "float", 2)
+    first = op.star_form_jets(chart, om, p, 2)
     calls = []
     real = ex.eval_jet
     monkeypatch.setattr(ex, "eval_jet", lambda *a, **kw: calls.append(a) or real(*a, **kw))
-    second = op.star_form_jets(chart, om, p, "float", 2)
+    second = op.star_form_jets(chart, om, p, 2)
     assert calls == []
     assert {i: list(j.coeffs) for i, j in second.comps.items()} == \
         {i: list(j.coeffs) for i, j in first.comps.items()}
@@ -437,13 +439,13 @@ def test_sharp_one_covariant_product_per_key(s2, monkeypatch):
     and builds the jet-backed head f e_{wa} once per key of a, so all the
     covariant products of that key read one head."""
     from atomcur.multialg import tensor_coproduct
-    p = (1.1, 0.8)
+    p = s2.resolve((1.1, 0.8), FLOAT)
     B = 6
     tf = cd.tensor_field(s2, 1, {(0,): "phi", (1,): "theta"})
     ef = cd.kvector_field(s2, 1, {(0,): "1", (1,): "theta"})
-    a = op.SharpElement.from_fields(s2, tf, ef, p, "float", B)
+    a = op.SharpElement.from_fields(s2, tf, ef, p, B)
     tg = cd.tensor_field(s2, 2, {(0, 1): "1", (1, 1): "theta*phi"})
-    b = op.SharpElement.from_fields(s2, tg, ef, p, "float", B)
+    b = op.SharpElement.from_fields(s2, tg, ef, p, B)
     calls, heads, readers = [], [], {}
     inner, build = cd.covariant_product, cd.mixed_tensor_fields
 
@@ -472,7 +474,7 @@ def test_sharp_one_covariant_product_per_key(s2, monkeypatch):
     assert len(calls) < b_terms * len(a.coeffs)
 
 
-def _leaf_endos(chart, p, mode):
+def _leaf_endos(chart, p):
     """Each leaf lift of the operator layer, built afresh on every call."""
     X = cd.kvector_field(chart, 1, {(0,): "x*y + 1", (1,): "x - y/2"})
     X2 = cd.kvector_field(chart, 2, {(0, 1): "1 + x^2"})
@@ -480,14 +482,14 @@ def _leaf_endos(chart, p, mode):
     theta = cd.form_field(chart, 1, {(0,): "x", (1,): "2 - y"})
     f = cd.scalar_field(chart, "1 + x*y^2")
     return {
-        "E": op.op_E(chart, X, p, mode),
-        "E2": op.op_E(chart, X2, p, mode),
-        "D": op.op_D(chart, Y, p, mode),
-        "D-mixed": op.op_D(chart, [Y, cd.product_field(Y, Y)], p, mode),
-        "f-corner": op.f_lrcorner(chart, f, p, mode),
-        "Edag": op.op_Edag(chart, X, p, mode),
-        "Edag2": op.op_Edag(chart, X2, p, mode),
-        "Edag-theta": op.op_Edag_theta(chart, theta, p, mode),
+        "E": op.op_E(chart, X, p),
+        "E2": op.op_E(chart, X2, p),
+        "D": op.op_D(chart, Y, p),
+        "D-mixed": op.op_D(chart, [Y, cd.product_field(Y, Y)], p),
+        "f-corner": op.f_lrcorner(chart, f, p),
+        "Edag": op.op_Edag(chart, X, p),
+        "Edag2": op.op_Edag(chart, X2, p),
+        "Edag-theta": op.op_Edag_theta(chart, theta, p),
     }
 
 
@@ -497,10 +499,10 @@ def test_leaf_endo_rows_are_derived_once(poly2, poly2_point, monkeypatch, mode):
     no nabla value and no Gram determinant is derived again, and the images
     equal those of a freshly built endomorphism."""
     from atomcur.suites import SuiteContext, _op_elems
-    p = poly2_point if mode == RATIONAL else tuple(float(x) for x in poly2_point)
+    p = poly2.resolve(poly2_point, mode)
     ctx = SuiteContext(chart=poly2, probes=[p], seed=0, r=2, k=1, mode=mode)
     elems = _op_elems(ctx)
-    endos = _leaf_endos(poly2, p, mode)
+    endos = _leaf_endos(poly2, p)
     first = {name: [endo(x) for x in elems] for name, endo in endos.items()}
     calls = []
     nabla_value, gram_pair = cd.nabla_value, op._gram_pair
@@ -511,7 +513,7 @@ def test_leaf_endo_rows_are_derived_once(poly2, poly2_point, monkeypatch, mode):
     second = {name: [endo(x) for x in elems] for name, endo in endos.items()}
     assert calls == []
     monkeypatch.undo()
-    fresh = _leaf_endos(poly2, p, mode)
+    fresh = _leaf_endos(poly2, p)
     for name, endo in fresh.items():
         images = [endo(x).coeffs for x in elems]
         assert [y.coeffs for y in second[name]] == images, name
