@@ -93,9 +93,9 @@ def monomial_probes(chart: ChartConnection, p, r, k, descending=False):
                 yield T, L, probe_form(chart, p, T, L)
 
 
-def phi_apply(chart: ChartConnection, x: TensorExtElement, omega: Field, p):
+def phi_apply(x: TensorExtElement, omega: Field, p):
     """Phi_p(x) evaluated on a form field: the sum over the terms of x, in
-    PBW key order, of c_{w,K} (nabla_{e_w} omega)_p(eps_K)."""
+    PBW key order, of c_{w,K} (nabla_{e_w} omega)_p(eps_K), nabla of omega's chart."""
     degs = x.degrees()
     if len(degs) > 1:
         raise ValueError("phi_apply needs a homogeneous exterior degree")
@@ -114,18 +114,13 @@ def phi_apply(chart: ChartConnection, x: TensorExtElement, omega: Field, p):
 # ---------------------------------------------------------------------------
 # PBW resolution.
 
-def to_pbw(chart: ChartConnection, x: TensorExtElement, p, r=None, k=None) -> AtomicCurrent:
+def to_pbw(chart: ChartConnection, x: TensorExtElement, p, r: int, k: int) -> AtomicCurrent:
     """PBW coordinates of Phi_p(x), by descending-degree back-substitution.
 
     The probe matrix is unit-triangular: a PBW functional of word length
     |I| kills every probe of degree > |I| except the matching monomial
     (the Kronecker-delta lemma), so no general inversion is needed.
     """
-    if r is None:
-        r = x.max_order()
-    if k is None:
-        degs = x.degrees()
-        k = degs[0] if degs else 0
     if x.max_order() > r:
         raise ValueError(f"element has tensor order {x.max_order()} > r={r}")
     # pure sorted-word elements are their own PBW coordinates
@@ -133,7 +128,7 @@ def to_pbw(chart: ChartConnection, x: TensorExtElement, p, r=None, k=None) -> At
         cur = AtomicCurrent(p, r, k, chart.d)
         cur.coeffs = dict(x.coeffs)
         return cur
-    return _pbw_solve(chart, p, r, k, lambda probe, _T, _L: phi_apply(chart, x, probe, p))
+    return _pbw_solve(chart, p, r, k, lambda probe, _T, _L: phi_apply(x, probe, p))
 
 
 def _pbw_solve(chart: ChartConnection, p, r, k, eval_fn) -> AtomicCurrent:
@@ -304,7 +299,7 @@ def counit(T: AtomicCurrent):
     return T.coeffs.get(((), ()), 0)
 
 
-def coproduct_pair_evaluate(chart, T: AtomicCurrent, omega: Field, eta: Field):
+def coproduct_pair_evaluate(T: AtomicCurrent, omega: Field, eta: Field):
     """(omega tensor eta)(Delta T), evaluated through PBW functionals.
 
     Sorted-word PBW lifts stay sorted under the deshuffle coproducts, so

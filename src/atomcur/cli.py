@@ -56,6 +56,13 @@ def _is_int(x, low):
     return isinstance(x, int) and not isinstance(x, bool) and x >= low
 
 
+def _check_exprs(bad, field, entries):
+    """Expression entries are strings or JSON numbers, never bools."""
+    for x in entries:
+        if not isinstance(x, (str, int, float)) or isinstance(x, bool):
+            bad(f"{field} entry {x!r} must be an expression string or a number")
+
+
 def _check_keys(bad, field, table, bounds):
     """Every key of ``table`` must be comma-separated indices below ``bounds``."""
     if not isinstance(table, dict):
@@ -65,6 +72,7 @@ def _check_keys(bad, field, table, bounds):
         if len(parts) != len(bounds) or not all(
                 x.strip().isdigit() and int(x) < b for x, b in zip(parts, bounds)):
             bad(f"{field} key {key!r} must be indices below {','.join(map(str, bounds))}")
+    _check_exprs(bad, field, table.values())
 
 
 def validate_spec(data: dict, where: str = "<spec>") -> dict:
@@ -101,6 +109,7 @@ def validate_spec(data: dict, where: str = "<spec>") -> dict:
     if "metric" in data and not (isinstance(g, list) and len(g) == n and all(
             isinstance(row, list) and len(row) == n for row in g)):
         bad(f"metric must be a {n}x{n} matrix")
+    _check_exprs(bad, "metric", (x for row in g or () for x in row))
     if "christoffel" in data:
         _check_keys(bad, "christoffel", data["christoffel"], (n, n, n))
     fiber = data.get("fiber")
@@ -116,9 +125,9 @@ def validate_spec(data: dict, where: str = "<spec>") -> dict:
             bad(f"probe_points must be a nonempty list of points with {n} coordinates")
         for x in (x for row in rows for x in row):
             try:
-                Fraction(str(x))
-            except (ValueError, ZeroDivisionError):
-                bad(f"probe coordinate {x!r} is not a number")
+                float(Fraction(str(x)))  # OverflowError beyond the float range
+            except (ValueError, ZeroDivisionError, OverflowError):
+                bad(f"probe coordinate {x!r} is not a finite number")
     elif "sampler" in data:
         samp = data["sampler"]
         if not (isinstance(samp, dict) and _is_int(samp.get("count", 3), 1)):

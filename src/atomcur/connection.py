@@ -256,8 +256,7 @@ class ChartConnection:
             raise ValueError("higher-order symbols need |I| >= 1")
         fiber = fiber and not self.fiber_is_tangent
         if len(I) == 1:
-            return self._memo(p, ("gh", I, j, order, fiber),
-                              lambda: self.gamma1_jet(I[0], j, p, order, fiber))
+            return self.gamma1_jet(I[0], j, p, order, fiber)
 
         def build():
             i1, rest = I[0], I[1:]

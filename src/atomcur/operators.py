@@ -24,12 +24,13 @@ All operators act fiberwise at a probe point p, on
 * ``boundary``:     dual to exterior derivative (normative duality route),
   with the trace lift sum_i D_{e_i} o Edag_{e^i} implemented and compared.
 
-Each lift is one Sweedler sum v_(1) box (an action of nabla_{v_(2)}), and
-shared recipes have one home here: ``_edag_contraction`` is the signed
-contraction behind op_Edag and op_Edag_theta (only the pairing differs),
-``_perp_conjugate`` is the degree-signed perp conjugation behind the
-conjugate route of op_Edag and adjoint_of_Edag, and ``_sum_D_compose``
-is the sum of D o (E or Edag) behind op_DE, op_DEdag and the trace lifts.
+Each lift is one Sweedler sum v_(1) box (an action of nabla_{v_(2)}) that
+reads its chart from the field it is built from, and shared recipes have
+one home here: ``_edag_contraction`` is the signed contraction behind
+op_Edag and op_Edag_theta (only the pairing differs), ``_perp_conjugate``
+is the degree-signed perp conjugation behind the conjugate route of
+op_Edag and adjoint_of_Edag, and ``_sum_D_compose`` is the sum of
+D o (E or Edag) behind op_DE, op_DEdag and the trace lifts.
 PBW coordinates of a functional come from the triangular probe solve in
 :mod:`atomcur.atomic`.  Endomorphisms are closures over immutable chart
 data; a leaf lift also holds its rows, what its action reads of each
@@ -46,8 +47,8 @@ from . import expr as ex
 from .connection import ChartConnection
 from .covderiv import FD, FU, TU, Field
 from .jets import EvalDomainError, Jet, JetSpace, apply_elementary
-from .multialg import (TensorExtElement, anti_indices, delta_coproduct, det,
-                       merge_sign, tensor_coproduct, wedge_merge)
+from .multialg import (TensorExtElement, all_words, anti_indices, delta_coproduct, det,
+                       iterated_tensor_coproduct, merge_sign, tensor_coproduct, wedge_merge)
 
 
 class FiberEndo:
@@ -134,7 +135,7 @@ def _sweedler_lift(key, row, act) -> FiberEndo:
     return FiberEndo(fn)
 
 
-def op_E(chart: ChartConnection, X: Field, p) -> FiberEndo:
+def op_E(X: Field, p) -> FiberEndo:
     """E_X(v box alpha) = v_(1) box (nabla_{v_(2)} X) wedge alpha."""
     if not (set(X.slots) <= {FU}):
         raise ValueError("op_E takes a fiber multivector field (or scalar)")
@@ -149,7 +150,7 @@ def op_E(chart: ChartConnection, X: Field, p) -> FiberEndo:
                           lambda B: list(_incr_items(cd.nabla_value(X, B, p))), act)
 
 
-def op_D(chart: ChartConnection, Y, p) -> FiberEndo:
+def op_D(Y, p) -> FiberEndo:
     """D_Y(v box alpha) = v_(1) tensor (nabla_{v_(2)} Y) box alpha."""
     for f in cd.as_field_list(Y):
         if not (set(f.slots) <= {TU}):
@@ -162,7 +163,7 @@ def op_D(chart: ChartConnection, Y, p) -> FiberEndo:
     return _sweedler_lift(lambda A, B, K: B, lambda B: _nabla_values(Y, B, p), act)
 
 
-def f_lrcorner(chart: ChartConnection, f: Field, p) -> FiberEndo:
+def f_lrcorner(f: Field, p) -> FiberEndo:
     """The module action lift f_corner(v box alpha) = (nabla_{v_(1)} f) v_(2) box alpha."""
     if f.slots != ():
         raise ValueError("f_lrcorner needs a scalar field")
@@ -310,7 +311,7 @@ def _perp_conjugate(chart: ChartConnection, endo: FiberEndo, sign, p,
     return FiberEndo(fn)
 
 
-def op_Edag(chart: ChartConnection, X: Field, p, route="contract") -> FiberEndo:
+def op_Edag(X: Field, p, route="contract") -> FiberEndo:
     """Adjoint of op_E for a fiber multivector field X (metric required).
 
     ``route='contract'``: Edag_X(v box alpha) = v_(1) box Edag_{nabla_{v_(2)} X} alpha
@@ -320,17 +321,17 @@ def op_Edag(chart: ChartConnection, X: Field, p, route="contract") -> FiberEndo:
     """
     if not (set(X.slots) <= {FU}):
         raise ValueError("op_Edag takes a fiber multivector field")
+    chart = X.chart
     chart.require_metric()
     r = len(X.slots)
     if route == "conjugate":
-        return _perp_conjugate(chart, op_E(chart, X, p),
-                               lambda k: (-1) ** (r * (k + r)), p)
+        return _perp_conjugate(chart, op_E(X, p), lambda k: (-1) ** (r * (k + r)), p)
     g = chart.metric_value(p)
     return _edag_contraction(X, p, lambda val, KL: _gram_pair(
         _minors(chart, p, ("g-minors", len(KL)), g, len(KL)), val, KL))
 
 
-def op_Edag_theta(chart: ChartConnection, theta: Field, p) -> FiberEndo:
+def op_Edag_theta(theta: Field, p) -> FiberEndo:
     """Koszul-style adjoint with a covector-field argument (metric-free):
     the contraction pairing theta_p(alpha_{L_r}) replaces <X(p), alpha_{L_r}>."""
     if not (set(theta.slots) <= {FD}):
@@ -341,8 +342,9 @@ def op_Edag_theta(chart: ChartConnection, theta: Field, p) -> FiberEndo:
 # ---------------------------------------------------------------------------
 # Adjoint of covariant differentiation.
 
-def divergence_field(chart: ChartConnection, X: Field, p, budget=4) -> Field:
+def divergence_field(X: Field, p, budget=4) -> Field:
     """div X = trace of nabla X, as a jet-backed scalar field at p."""
+    chart = X.chart
     chart.require_metric()
     total = None
     for i in range(chart.n):
@@ -355,7 +357,7 @@ def divergence_field(chart: ChartConnection, X: Field, p, budget=4) -> Field:
     return cd.jet_field(chart, (), {(): total}, p, budget)
 
 
-def op_Ddag(chart: ChartConnection, X, p, budget=4) -> FiberEndo:
+def op_Ddag(X, p, budget=4) -> FiberEndo:
     """Adjoint of covariant differentiation.
 
     Vector case: Ddag_X = -div(X)_corner - D_X.  Tensor case, recursively:
@@ -364,13 +366,14 @@ def op_Ddag(chart: ChartConnection, X, p, budget=4) -> FiberEndo:
     vector first factor the correction argument is nabla_X Y).
     """
     parts = cd.as_field_list(X)
+    chart = parts[0].chart
     orders = {len(f.slots) for f in parts}
     if orders <= {0}:
         # order-0 tensor: plain function, Ddag_f = f_corner adjoint-free path
-        return f_lrcorner(chart, parts[0], p)
+        return f_lrcorner(parts[0], p)
     if orders == {1}:
-        return _endo_sum((f_lrcorner(chart, divergence_field(chart, f, p, budget), p).scaled(-1)
-                          + op_D(chart, f, p).scaled(-1) for f in parts), chart.n, chart.d)
+        return _endo_sum((f_lrcorner(divergence_field(f, p, budget), p).scaled(-1)
+                          + op_D(f, p).scaled(-1) for f in parts), chart.n, chart.d)
 
     def terms():
         # higher order: decompose each component word, attaching the scalar
@@ -382,8 +385,8 @@ def op_Ddag(chart: ChartConnection, X, p, budget=4) -> FiberEndo:
                 else:
                     head = Field(chart, (TU,), {(w[0],): f.comps[w]})
                 rest = cd.coordinate_tensor_field(chart, w[1:])
-                d_head = op_Ddag(chart, head, p, budget)
-                d_rest = op_Ddag(chart, rest, p, budget)
+                d_head = op_Ddag(head, p, budget)
+                d_rest = op_Ddag(rest, p, budget)
                 # correction: Ddag_{nabla_head rest}
                 corr_jets = cd.covderiv(head, rest, p, budget)
                 term = d_head.compose(d_rest)
@@ -391,7 +394,7 @@ def op_Ddag(chart: ChartConnection, X, p, budget=4) -> FiberEndo:
                     # the correction is jet-backed at this level's budget, so the
                     # recursive divergence runs one order lower
                     corr_parts = cd.mixed_tensor_fields(chart, corr_jets, p, budget)
-                    term = term + op_Ddag(chart, corr_parts, p, budget - 1).scaled(-1)
+                    term = term + op_Ddag(corr_parts, p, budget - 1).scaled(-1)
                 yield term
 
     return _endo_sum(terms(), chart.n, chart.d)
@@ -414,7 +417,7 @@ class SharpElement:
         self.coeffs = dict(coeffs or {})
 
     @staticmethod
-    def from_fields(chart, tensor_part: Field, ext_part: Field, p, budget):
+    def from_fields(tensor_part: Field, ext_part: Field, p, budget):
         coeffs = {}
         for w in tensor_part.comps:
             jw = tensor_part.comp_jet(w, p, budget)
@@ -422,7 +425,7 @@ class SharpElement:
                 if all(K[i] < K[i + 1] for i in range(len(K) - 1)):
                     jk = ext_part.comp_jet(K, p, budget)
                     coeffs[(w, K)] = jw * jk
-        return SharpElement(chart, p, budget, coeffs)
+        return SharpElement(tensor_part.chart, p, budget, coeffs)
 
 
 def unit_sharp(chart, p, budget) -> SharpElement:
@@ -487,8 +490,7 @@ def sharp(a: SharpElement, b: SharpElement) -> SharpElement:
 def _sum_D_compose(chart: ChartConnection, pairs, lower, p) -> FiberEndo:
     """sum over (Y, Z) in ``pairs`` of D_Y o lower(Z), folded left in order;
     ``lower`` is op_E, op_Edag or op_Edag_theta."""
-    return _endo_sum((op_D(chart, Y, p).compose(lower(chart, Z, p))
-                      for Y, Z in pairs), chart.n, chart.d)
+    return _endo_sum((op_D(Y, p).compose(lower(Z, p)) for Y, Z in pairs), chart.n, chart.d)
 
 
 def _sharp_pairs(a: SharpElement):
@@ -538,7 +540,7 @@ def boundary(chart: ChartConnection, T: at.AtomicCurrent) -> at.AtomicCurrent:
 
     def eval_fn(_probe, mono, L):
         dpr = at.probe_differential(chart, p, mono, L, T.r)
-        return at.phi_apply(chart, T, dpr, p)
+        return at.phi_apply(T, dpr, p)
 
     return resolve_functional(chart, p, T.r + 1, T.k - 1, eval_fn)
 
@@ -575,7 +577,7 @@ def boundary_via_trace(chart: ChartConnection, T: at.AtomicCurrent) -> at.Atomic
 # ---------------------------------------------------------------------------
 # Hodge star on form fields, codifferential, adjoint involution.
 
-def raise_form_jets(chart: ChartConnection, omega: Field, p, budget) -> dict:
+def raise_form_jets(omega: Field, p, budget) -> dict:
     """Jets of a k-form raised by the metric, on increasing keys:
 
     (omega^sharp)^A = sum_K omega_K det(g^{-1}[A, K]).
@@ -583,6 +585,7 @@ def raise_form_jets(chart: ChartConnection, omega: Field, p, budget) -> dict:
     Components of an expression-backed ``omega`` whose jet vanishes are
     skipped; the result maps each anti-index A reached to its jet.  The
     minors of g^{-1} are held per point on the chart (:func:`_minors`)."""
+    chart = omega.chart
     chart.require_metric()
     n = chart.n
     k = len(omega.slots)
@@ -609,7 +612,7 @@ def raise_form_jets(chart: ChartConnection, omega: Field, p, budget) -> dict:
     return out
 
 
-def star_form_jets(chart: ChartConnection, omega: Field, p, budget, inverse=False) -> Field:
+def star_form_jets(omega: Field, p, budget, inverse=False) -> Field:
     """Pointwise-varying Hodge star of a form field, as jets at p.
 
     Uses alpha wedge star(beta) = <alpha, beta>_g vol: the star is the
@@ -618,9 +621,10 @@ def star_form_jets(chart: ChartConnection, omega: Field, p, budget, inverse=Fals
     ``inverse`` applies star^{-1} = (-1)^{k(n-k)} star on degree-k input
     (Riemannian signature assumed).  Requires a positive metric determinant.
     """
+    chart = omega.chart
     n = chart.n
     k = len(omega.slots)
-    raised = raise_form_jets(chart, omega, p, budget)
+    raised = raise_form_jets(omega, p, budget)
     sqrtg = chart._memo(p, ("sqrt-det", budget),
                         lambda: _sqrt_det(chart._metric_inverse_jets(p, budget)[1]))
     flip = -1 if inverse and k * (n - k) % 2 else 1
@@ -648,14 +652,14 @@ def _sqrt_det(detg):
     return apply_elementary("sqrt", detg)
 
 
-def codifferential_form(chart: ChartConnection, omega: Field, p, budget=0) -> Field:
+def codifferential_form(omega: Field, p, budget=0) -> Field:
     """delta omega = (-1)^k star^{-1} d star omega, as a jet-backed field at p."""
     k = len(omega.slots)
-    st = star_form_jets(chart, omega, p, budget + 1)
+    st = star_form_jets(omega, p, budget + 1)
     dst = cd.exterior_derivative(st, p, out_order=budget)
-    out = star_form_jets(chart, dst, p, budget, inverse=True)
+    out = star_form_jets(dst, p, budget, inverse=True)
     if k % 2 == 1:
-        out = cd.jet_field(chart, out.slots, {i: -j for i, j in out.comps.items()}, p, budget)
+        out = cd.jet_field(out.chart, out.slots, {i: -j for i, j in out.comps.items()}, p, budget)
     return out
 
 
@@ -702,7 +706,7 @@ def probe_annihilation_residual(chart, el: TensorExtElement, p, r_probe, k_probe
     r_probe and degree k_probe."""
     worst = 0
     for _T, _L, probe in at.monomial_probes(chart, p, r_probe, k_probe):
-        worst = max(worst, abs(at.phi_apply(chart, el, probe, p)))
+        worst = max(worst, abs(at.phi_apply(el, probe, p)))
     return worst
 
 
@@ -731,7 +735,6 @@ def trace_DEdag_lift_check(chart: ChartConnection, p, r: int, k: int):
         out = endo(kel)
         res = probe_annihilation_residual(chart, out, p, r + 1, k - 1)
         report["kernel_preservation"] = max(report["kernel_preservation"], res)
-    from .multialg import all_words
     for w in all_words(chart.n, r):
         for K in anti_indices(chart.d, k):
             report["delta_commutation"] = max(
@@ -756,7 +759,6 @@ def gamma_gamma_local_frame(chart: ChartConnection, p, w, K):
     """
     chart.require_metric()
     g = chart.metric_value(p)
-    from .multialg import iterated_tensor_coproduct
     out = TensorExtElement(chart.n, chart.d)
     for i in range(chart.n):
         for (I1, I2, I3) in iterated_tensor_coproduct(tuple(w), 3):

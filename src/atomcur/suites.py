@@ -24,7 +24,7 @@ from . import expr as ex
 from . import operators as op
 from .connection import ChartConnection, curvature, dual_chart
 from .jets import FLOAT, RATIONAL, Jet, JetSpace, as_point
-from .multialg import (anti_indices, basis_element, delta_coproduct, merge_sign,
+from .multialg import (all_words, anti_indices, basis_element, delta_coproduct, merge_sign,
                        row_reduce, tensor_coproduct, wedge_coproduct)
 
 
@@ -294,7 +294,7 @@ def check_hodge_algebra(ctx):
                                             [(-1, 1)] * n, name=f"hodge-{n}")
         p = chart.resolve((0,) * n, RATIONAL)
         star, star_inv = op.pointwise_star(chart, p)
-        hat = {J: op.star_form_jets(chart, cd.form_field(chart, m, {J: 1}), p, 0).comps
+        hat = {J: op.star_form_jets(cd.form_field(chart, m, {J: 1}), p, 0).comps
                for m in range(n + 1) for J in anti_indices(n, m)}
         for k in range(n + 1):
             for K in anti_indices(n, k):
@@ -728,9 +728,9 @@ def check_covariant_product(ctx):
                 rhs[(j, i)] = rhs.get((j, i), 0) - a * b
         for kk in range(ctx.chart.n):
             acc = 0
+            jW = W.comp_jet((kk,), p, 1)
+            jV = V.comp_jet((kk,), p, 1)
             for i in range(ctx.chart.n):
-                jW = ex.eval_jet(W.comps[(kk,)], p, 1, ctx.mode)
-                jV = ex.eval_jet(V.comps[(kk,)], p, 1, ctx.mode)
                 ei = tuple(1 if t == i else 0 for t in range(ctx.chart.n))
                 acc += Vv.get((i,), 0) * jW.partial(ei) - Wv.get((i,), 0) * jV.partial(ei)
             rhs[(kk,)] = rhs.get((kk,), 0) + acc
@@ -830,7 +830,7 @@ def check_pbw(ctx):
         rows = []
         probes = [probe for _T, _L, probe in at.monomial_probes(ctx.chart, p, r, k)]
         for el in _op_elems(ctx, r, k):
-            rows.append([at.phi_apply(ctx.chart, el, probe, p) for probe in probes])
+            rows.append([at.phi_apply(el, probe, p) for probe in probes])
         rank = len(row_reduce(rows)[1])
         out.append(_result("pbw-image-rank", stmt2, p,
                            abs(rank - at.pbw_dimension(n, d, r, k)), 0))
@@ -896,11 +896,10 @@ def check_coalgebra(ctx):
         kk = k if k <= d else d
         k1 = rng.randint(0, kk)
         T = rand_current(ctx, rng, r, kk)
-        T.point = p
         om = rand_form_field(ctx, rng, k1)
         et = rand_form_field(ctx, rng, kk - k1)
-        lhs = at.coproduct_pair_evaluate(ctx.chart, T, om, et)
-        rhs = at.phi_apply(ctx.chart, T, cd.wedge_fields(om, et), p)
+        lhs = at.coproduct_pair_evaluate(T, om, et)
+        rhs = at.phi_apply(T, cd.wedge_fields(om, et), p)
         worst = max(worst, abs(lhs - rhs))
     out.append(_result("coalgebra-duality", stmt, p, worst, ctx.tolerance(1e-8)))
     # coassociativity/counit at coefficient level (exact in either mode)
@@ -932,18 +931,18 @@ def check_coalgebra(ctx):
             T = rand_current(ctx, rng, r, kk)
             om = rand_form_field(ctx, rng, k1)
             et = rand_form_field(ctx, rng, kk - k1)
-            lhs = at.coproduct_pair_evaluate(ctx.chart, T, om, et)
+            lhs = at.coproduct_pair_evaluate(T, om, et)
 
             # express the same functional in the perturbed connection's PBW
-            # basis; the probe must be differentiated with T's own connection
+            # basis; Phi reads the connection from the form, so rebuild the probe on T's chart
             def eval_fn(_probe, Tm, L, T=T):
                 own = at.probe_form(ctx.chart, p, Tm, L)
-                return at.phi_apply(ctx.chart, T, own, p)
+                return at.phi_apply(T, own, p)
 
             T2 = op.resolve_functional(pert, p, r, kk, eval_fn)
             om2 = cd.form_field(pert, k1, _incr_comps(om))
             et2 = cd.form_field(pert, kk - k1, _incr_comps(et))
-            rhs = at.coproduct_pair_evaluate(pert, T2, om2, et2)
+            rhs = at.coproduct_pair_evaluate(T2, om2, et2)
             worst = max(worst, abs(lhs - rhs))
         out.append(_result("coalgebra-connection-independent", stmt3, p, worst,
                            ctx.tolerance(1e-7)))
@@ -967,22 +966,22 @@ def check_f_action(ctx):
         T = rand_current(ctx, rng, ctx.r, min(ctx.k, ctx.chart.d))
         f = rand_scalar_field(ctx, rng)
         om = rand_form_field(ctx, rng, T.k)
-        fT = op.f_lrcorner(ctx.chart, f, p)(T)
-        lhs = at.phi_apply(ctx.chart, fT, om, p)
+        fT = op.f_lrcorner(f, p)(T)
+        lhs = at.phi_apply(fT, om, p)
         fom = cd.Field(ctx.chart, om.slots,
                        {i: ex.ex_mul(f.comps[()], c) for i, c in om.comps.items()})
-        rhs = at.phi_apply(ctx.chart, T, fom, p)
+        rhs = at.phi_apply(T, fom, p)
         worst = max(worst, abs(lhs - rhs))
     out.append(_result("f-action-duality", stmt, p, worst, ctx.tolerance(1e-9)))
     stmt2 = "f == 1 acts as the identity; f(p) = 0 kills the Dirac mass"
     one = cd.scalar_field(ctx.chart, 1)
     T = rand_current(ctx, rng, ctx.r, min(ctx.k, ctx.chart.d))
-    res = (op.f_lrcorner(ctx.chart, one, p)(T) - T).max_abs()
+    res = (op.f_lrcorner(one, p)(T) - T).max_abs()
     D = at.AtomicCurrent(p, 0, 0, ctx.chart.d)
     D.add_term((), (), 1)
     van = cd.scalar_field(ctx.chart, ex.ex_sub(ex.Sym(0, ctx.chart.names[0]),
                                                ex.Const(p[0])))
-    res = max(res, op.f_lrcorner(ctx.chart, van, p)(D).max_abs())
+    res = max(res, op.f_lrcorner(van, p)(D).max_abs())
     out.append(_result("f-action-unit", stmt2, p, res, 0))
     return out
 
@@ -994,7 +993,6 @@ def _op_elems(ctx, r=None, k=None):
     n, d = ctx.chart.n, ctx.chart.d
     r = ctx.r if r is None else r
     out = []
-    from .multialg import all_words
     for w in all_words(n, r):
         for kk in (range(d + 1) if k is None else [k]):
             for K in anti_indices(d, kk):
@@ -1011,21 +1009,21 @@ def check_operator_identities(ctx):
         X2 = rand_kvector_field(ctx, rng, 1)
         Y = rand_vector_field(ctx, rng)
         Y2 = rand_vector_field(ctx, rng)
-        EX = op.op_E(ctx.chart, X, p)
-        DY = op.op_D(ctx.chart, Y, p)
-        lhs = EX.compose(op.op_E(ctx.chart, X2, p))
-        rhs = op.op_E(ctx.chart, cd.wedge_fields(X, X2), p)
+        EX = op.op_E(X, p)
+        DY = op.op_D(Y, p)
+        lhs = EX.compose(op.op_E(X2, p))
+        rhs = op.op_E(cd.wedge_fields(X, X2), p)
         out.append(_result("op-EE", "E_X o E_X' = E_{X ^ X'}", p,
                            op.endo_residual(lhs, rhs, elems), ctx.tolerance(1e-9)))
-        lhs = DY.compose(op.op_D(ctx.chart, Y2, p))
+        lhs = DY.compose(op.op_D(Y2, p))
         cp = cd.covariant_product(Y2, Y, p, out_order=ctx.r + 1)
-        rhs = op.op_D(ctx.chart, cd.mixed_tensor_fields(ctx.chart, cp, p, ctx.r + 1), p)
+        rhs = op.op_D(cd.mixed_tensor_fields(ctx.chart, cp, p, ctx.r + 1), p)
         out.append(_result("op-DD", "D_Y o D_Y' = D_{Y'_(1) nabla_{Y'_(2)} Y}", p,
                            op.endo_residual(lhs, rhs, elems), ctx.tolerance(1e-8)))
         lhs = EX.compose(DY)
         nbX = cd.covderiv(Y, X, p, ctx.r + 1)
         nXf = cd.jet_field(ctx.chart, (cd.FU,), nbX, p, ctx.r + 1)
-        rhs = DY.compose(EX) + op.op_E(ctx.chart, nXf, p)
+        rhs = DY.compose(EX) + op.op_E(nXf, p)
         out.append(_result("op-ED", "E_X o D_Y = D_{Y_(1)} o E_{nabla_{Y_(2)} X}", p,
                            op.endo_residual(lhs, rhs, elems), ctx.tolerance(1e-8)))
     return out
@@ -1047,9 +1045,9 @@ def check_adjoint_identities(ctx):
     for p in ctx.probes[: ctx.n_trials(5)]:
         X = rand_kvector_field(ctx, rng, 1)
         Y = rand_kvector_field(ctx, rng, 1)
-        EX = op.op_E(ctx.chart, X, p)
-        EdX = op.op_Edag(ctx.chart, X, p)
-        EdY = op.op_Edag(ctx.chart, Y, p)
+        EX = op.op_E(X, p)
+        EdX = op.op_Edag(X, p)
+        EdY = op.op_Edag(Y, p)
         anti = EX.compose(EdY) + EdY.compose(EX)
         acc = ex.Const(0)
         for i in range(ctx.chart.n):
@@ -1057,15 +1055,14 @@ def check_adjoint_identities(ctx):
                 acc = ex.ex_add(acc, ex.ex_mul(X.comps.get((i,), ex.Const(0)),
                                                ex.ex_mul(ctx.chart.metric[i][j],
                                                          Y.comps.get((j,), ex.Const(0)))))
-        rhs = op.f_lrcorner(ctx.chart, cd.Field(ctx.chart, (), {(): acc}), p)
+        rhs = op.f_lrcorner(cd.Field(ctx.chart, (), {(): acc}), p)
         out.append(_result("op-anticommutator", "{E_X, Edag_Y} = <X,Y> corner", p,
                            op.endo_residual(anti, rhs, elems), ctx.tolerance(1e-8)))
         lhs = EdX.compose(EdY)
-        rhs = op.op_Edag(ctx.chart, cd.wedge_fields(Y, X), p)
+        rhs = op.op_Edag(cd.wedge_fields(Y, X), p)
         out.append(_result("op-EdagEdag", "Edag_X o Edag_X' = Edag_{X' ^ X}", p,
                            op.endo_residual(lhs, rhs, elems), ctx.tolerance(1e-9)))
-        r1 = op.endo_residual(EdX, op.op_Edag(ctx.chart, X, p, route="conjugate"),
-                              elems)
+        r1 = op.endo_residual(EdX, op.op_Edag(X, p, route="conjugate"), elems)
         out.append(_result("op-Edag-routes",
                            "Edag contraction route = perp conjugation route", p, r1,
                            ctx.tolerance(1e-9)))
@@ -1075,39 +1072,37 @@ def check_adjoint_identities(ctx):
         # Ddag commutators
         Xv = rand_vector_field(ctx, rng)
         Yv = rand_vector_field(ctx, rng)
-        DX = op.op_D(ctx.chart, Xv, p)
-        DdY = op.op_Ddag(ctx.chart, Yv, p, budget=ctx.r + 2)
+        DX = op.op_D(Xv, p)
+        DdY = op.op_Ddag(Yv, p, budget=ctx.r + 2)
         lhs = DX.compose(DdY) + DdY.compose(DX).scaled(-1)
-        RXY = op.op_D(ctx.chart, cd.add_fields(cd.product_field(Yv, Xv),
-                                               cd.scale_field(cd.product_field(Xv, Yv), -1)),
-                      p)
-        br = _bracket_field(ctx.chart, Xv, Yv, p, ctx.r + 3)
-        Dbr = op.op_D(ctx.chart, br, p)
-        divY = op.divergence_field(ctx.chart, Yv, p, budget=ctx.r + 3)
+        RXY = op.op_D(cd.add_fields(cd.product_field(Yv, Xv),
+                                    cd.scale_field(cd.product_field(Xv, Yv), -1)), p)
+        br = _bracket_field(Xv, Yv, p, ctx.r + 3)
+        Dbr = op.op_D(br, p)
+        divY = op.divergence_field(Yv, p, budget=ctx.r + 3)
         xd = None
         for i in range(ctx.chart.n):
             ji = Xv.comp_jet((i,), p, ctx.r + 2)
             term = ji * divY.comps[()].derivative(i)
             xd = term if xd is None else xd + term
         XdivY = cd.jet_field(ctx.chart, (), {(): xd}, p, ctx.r + 2)
-        rhs = op.f_lrcorner(ctx.chart, XdivY, p) + RXY.scaled(-1) + Dbr
+        rhs = op.f_lrcorner(XdivY, p) + RXY.scaled(-1) + Dbr
         out.append(_result("op-DDdag",
                            "[D_X, Ddag_Y] = X(div Y) corner - R_{X,Y} + D_{[X,Y]}", p,
                            op.endo_residual(lhs, rhs, elems), ctx.tolerance(1e-7)))
-        DdX = op.op_Ddag(ctx.chart, Xv, p, budget=ctx.r + 2)
+        DdX = op.op_Ddag(Xv, p, budget=ctx.r + 2)
         lhs = DdX.compose(DdY) + DdY.compose(DdX).scaled(-1)
-        divbr = op.divergence_field(ctx.chart, br, p, budget=ctx.r + 2)
-        rhs = op.f_lrcorner(ctx.chart, divbr, p).scaled(-1) + RXY + Dbr.scaled(-1)
+        divbr = op.divergence_field(br, p, budget=ctx.r + 2)
+        rhs = op.f_lrcorner(divbr, p).scaled(-1) + RXY + Dbr.scaled(-1)
         out.append(_result("op-DdagDdag",
                            "[Ddag_X, Ddag_Y] = -div[X,Y] corner + R_{X,Y} - D_{[X,Y]}", p,
                            op.endo_residual(lhs, rhs, elems), ctx.tolerance(1e-7)))
         # tensor-case recursion for Ddag
         T2 = cd.product_field(Xv, Yv)
-        lhs = op.op_Ddag(ctx.chart, T2, p, budget=ctx.r + 2)
+        lhs = op.op_Ddag(T2, p, budget=ctx.r + 2)
         nXY = cd.covderiv(Xv, Yv, p, ctx.r + 2)
         corr = cd.mixed_tensor_fields(ctx.chart, nXY, p, ctx.r + 2)
-        rhs = DdX.compose(DdY) + op.op_Ddag(ctx.chart, corr, p,
-                                            budget=ctx.r + 1).scaled(-1)
+        rhs = DdX.compose(DdY) + op.op_Ddag(corr, p, budget=ctx.r + 1).scaled(-1)
         out.append(_result("op-Ddag-tensor",
                            "Ddag_{X(x)Y} = Ddag_X o Ddag_Y - Ddag_{nabla_X Y}", p,
                            op.endo_residual(lhs, rhs, elems), ctx.tolerance(1e-7)))
@@ -1122,8 +1117,9 @@ def _metric_is_identity(chart, p):
                for i in range(chart.n) for j in range(chart.n))
 
 
-def _bracket_field(chart, X, Y, p, budget):
+def _bracket_field(X, Y, p, budget):
     """[X, Y]^k = X^i d_i Y^k - Y^i d_i X^k as a jet-backed field at p."""
+    chart = X.chart
     comps = {}
     for kk in range(chart.n):
         acc = Jet.zero(JetSpace(chart.n, budget), p.mode)
@@ -1153,7 +1149,7 @@ def check_clifford(ctx):
     prod = None
     for i in range(n):
         Fi = cd.kvector_field(ctx.chart, 1, {(i,): 1})
-        t = op.op_E(ctx.chart, Fi, p) + op.op_Edag(ctx.chart, Fi, p)
+        t = op.op_E(Fi, p) + op.op_Edag(Fi, p)
         prod = t if prod is None else prod.compose(t)
     worst = 0
     for kk in range(n + 1):
@@ -1181,11 +1177,11 @@ def check_perp_duality(ctx):
     for kk in range(n + 1):
         for K in anti_indices(n, kk):
             om = rand_form_field(ctx, rng, n - kk)
-            st = op.star_form_jets(ctx.chart, om, p, 1)
+            st = op.star_form_jets(om, p, 1)
             for w in [(), (0,)]:
                 x = basis_element(n, n, w, K)
-                lhs = at.phi_apply(ctx.chart, P(x), om, p)
-                rhs = at.phi_apply(ctx.chart, x, st, p)
+                lhs = at.phi_apply(P(x), om, p)
+                rhs = at.phi_apply(x, st, p)
                 worst = max(worst, abs(lhs - rhs))
     return [_result("op-perp-duality", stmt, p, worst, ctx.tolerance(1e-8))]
 
@@ -1203,7 +1199,7 @@ def check_sharp(ctx):
     def mk(order, k):
         tf = rand_tensor_field(ctx, rng, order)
         ef = rand_kvector_field(ctx, rng, k)
-        return op.SharpElement.from_fields(ctx.chart, tf, ef, p, B)
+        return op.SharpElement.from_fields(tf, ef, p, B)
 
     a, b, c = mk(1, kd), mk(1, kd), mk(2, 0)
     u = op.unit_sharp(ctx.chart, p, B)
@@ -1255,14 +1251,14 @@ def check_kernel_preservation(ctx):
     X = rand_kvector_field(ctx, rng, 1)
     Y = rand_vector_field(ctx, rng)
     f = rand_scalar_field(ctx, rng)
-    endos = [("E", op.op_E(ctx.chart, X, p), r, k + 1),
-             ("D", op.op_D(ctx.chart, Y, p), r + 1, k),
-             ("f", op.f_lrcorner(ctx.chart, f, p), r, k),
+    endos = [("E", op.op_E(X, p), r, k + 1),
+             ("D", op.op_D(Y, p), r + 1, k),
+             ("f", op.f_lrcorner(f, p), r, k),
              ("trDEdag", op.trace_DEdag_endo(ctx.chart, p), r + 1, k - 1)]
     if ctx.chart.metric is not None and ctx.chart.fiber_is_tangent and \
             (ctx.mode == FLOAT or _metric_is_identity(ctx.chart, p)):
-        endos.append(("Edag", op.op_Edag(ctx.chart, X, p), r, k - 1))
-        endos.append(("Ddag", op.op_Ddag(ctx.chart, Y, p, budget=r + 2), r + 1, k))
+        endos.append(("Edag", op.op_Edag(X, p), r, k - 1))
+        endos.append(("Ddag", op.op_Ddag(Y, p, budget=r + 2), r + 1, k))
         endos.append(("perp", op.op_perp(ctx.chart, p), r, None))
     worst = 0
     for name, endo, rp, kp in endos:
@@ -1300,8 +1296,8 @@ def check_boundary(ctx):
         T = rand_current(ctx, rng, r, k)
         om = rand_form_field(ctx, rng, k - 1)
         bT = op.boundary(ctx.chart, T)
-        lhs = at.phi_apply(ctx.chart, bT, om, p)
-        rhs = at.phi_apply(ctx.chart, T, cd.exterior_derivative(om, p, out_order=T.r), p)
+        lhs = at.phi_apply(bT, om, p)
+        rhs = at.phi_apply(T, cd.exterior_derivative(om, p, out_order=T.r), p)
         worst_d = max(worst_d, abs(lhs - rhs))
         worst_sq = max(worst_sq, op.boundary(ctx.chart, bT).max_abs())
         if k == 1:
@@ -1331,11 +1327,10 @@ def check_boundary(ctx):
         om = rand_form_field(ctx, rng, 0)
         et = rand_form_field(ctx, rng, kk - 1)
         bT = op.boundary(ctx.chart, T)
-        lhs = at.coproduct_pair_evaluate(ctx.chart, bT, om, et)
+        lhs = at.coproduct_pair_evaluate(bT, om, et)
         dom = cd.exterior_derivative(om, p, out_order=T.r)
         det_ = cd.exterior_derivative(et, p, out_order=T.r)
-        rhs = at.coproduct_pair_evaluate(ctx.chart, T, dom, et) \
-            + at.coproduct_pair_evaluate(ctx.chart, T, om, det_)
+        rhs = at.coproduct_pair_evaluate(T, dom, et) + at.coproduct_pair_evaluate(T, om, det_)
         worst_cl = max(worst_cl, abs(lhs - rhs))
     out.append(_result("boundary-co-leibniz",
                        "Delta(dT) pairs with d(omega ^ eta) = d omega ^ eta + (-1)^{|omega|} omega ^ d eta",
@@ -1353,7 +1348,6 @@ def check_boundary(ctx):
                        0 if rep["order_degree_ok"] else 1, 0))
     if _is_flat(ctx) and ctx.chart.metric is not None:
         worst_disp = 0
-        from .multialg import all_words
         for w in all_words(n, 2):
             for K in anti_indices(n, k):
                 worst_disp = max(worst_disp, op.gamma_gamma_local_frame(
@@ -1399,19 +1393,19 @@ def _codifferential_twin_residual(ctx, p):
                 for L in anti_indices(n, kdeg + 1):
                     mono = ex.monomial_form(p, T, chart.names)
                     omf = cd.form_field(chart, kdeg + 1, {L: mono})
-                    omsharp = _raise_jet_form(dch, chart, omf, p, len(w) + 1)
-                    dl = op.codifferential_form(chart, omf, p, budget=len(w) + 1)
-                    mdl = _raise_jet_form(dch, chart, dl, p, len(w) + 1)
+                    omsharp = _raise_jet_form(dch, omf, p, len(w) + 1)
+                    dl = op.codifferential_form(omf, p, budget=len(w) + 1)
+                    mdl = _raise_jet_form(dch, dl, p, len(w) + 1)
                     for x, tx in txs:
-                        lhs = at.phi_apply(dch, tx, omsharp, p)
-                        rhs = -at.phi_apply(dch, x, mdl, p)
+                        lhs = at.phi_apply(tx, omsharp, p)
+                        rhs = -at.phi_apply(x, mdl, p)
                         worst = max(worst, abs(lhs - rhs))
     return worst
 
 
-def _raise_jet_form(dch, chart, form, p, budget):
-    """The metric-raised form on the dual-fiber chart, as a jet-backed field."""
-    comps = op.raise_form_jets(chart, form, p, budget)
+def _raise_jet_form(dch, form, p, budget):
+    """``form`` raised by its chart's metric, as a jet-backed field on ``dch``."""
+    comps = op.raise_form_jets(form, p, budget)
     return cd.jet_field(dch, (cd.FD,) * len(form.slots),
                         cd.antisymmetrize(comps, Jet.__neg__), p, budget)
 

@@ -151,7 +151,7 @@ def test_criterion_5_pbw_image_rank(charts):
                     for T in at._multi_indices(n, r)[g]:
                         for L in anti_indices(d, k):
                             probe = at.probe_form(chart, p, T, L)
-                            row.append(at.phi_apply(chart, el, probe, p))
+                            row.append(at.phi_apply(el, probe, p))
                 rows.append(row)
         rank = len(row_reduce(rows)[1])
         want = at.pbw_dimension(n, d, r, k)
@@ -237,9 +237,8 @@ def test_criterion_9_boundary(charts):
             su.SuiteContext(chart=s2, probes=[p], seed=rng.randint(0, 99)),
             rng, T.k - 1)
         bT = op.boundary(s2, T)
-        lhs = at.phi_apply(s2, bT, om, p)
-        rhs = at.phi_apply(
-            s2, T, cd.exterior_derivative(om, p, out_order=T.r), p)
+        lhs = at.phi_apply(bT, om, p)
+        rhs = at.phi_apply(T, cd.exterior_derivative(om, p, out_order=T.r), p)
         worst_dual = max(worst_dual, abs(lhs - rhs))
         worst_sq = max(worst_sq, op.boundary(s2, bT).max_abs())
         if T.k == 1:

@@ -19,7 +19,7 @@ def test_phi_zeroth_derivative(s2):
     p = s2.resolve((1.1, 0.8), FLOAT)
     om = cd.form_field(s2, 1, {(0,): "theta^2", (1,): "phi"})
     x = basis_element(2, 2, (), (1,))
-    assert abs(at.phi_apply(s2, x, om, p) - 0.8) < 1e-12
+    assert abs(at.phi_apply(x, om, p) - 0.8) < 1e-12
 
 
 def test_phi_commutator_curvature_example(s2):
@@ -37,7 +37,7 @@ def test_phi_commutator_curvature_example(s2):
                 comps = {KK: f"{rng.randint(-2, 2)} + {rng.randint(-2, 2)}*theta*phi"
                          for KK in anti_indices(2, len(K))}
                 om = cd.form_field(s2, len(K), comps)
-                assert abs(at.phi_apply(s2, x, om, p)) < 1e-9
+                assert abs(at.phi_apply(x, om, p)) < 1e-9
 
 
 def test_phi_monomial_probes(poly2, poly2_point):
@@ -51,7 +51,7 @@ def test_phi_monomial_probes(poly2, poly2_point):
                 for L in anti_indices(2, 1):
                     x = basis_element(2, 2, S, K)
                     probe = at.probe_form(poly2, p, T, L)
-                    got = at.phi_apply(poly2, x, probe, p)
+                    got = at.phi_apply(x, probe, p)
                     from atomcur.multialg import word_multidegree
                     want = 1 if (word_multidegree(S, 2) == T and K == L) else 0
                     assert got == want
@@ -163,8 +163,8 @@ def test_coproduct_duality(s2):
             T.add_term(key[0], key[1], rng.randint(-3, 3))
         om = cd.form_field(s2, 1, {(0,): f"{rng.randint(-2,2)}*theta", (1,): "phi"})
         et = cd.form_field(s2, 1, {(0,): "1", (1,): f"{rng.randint(-2,2)}*theta*phi"})
-        lhs = at.coproduct_pair_evaluate(s2, T, om, et)
-        rhs = at.phi_apply(s2, T, cd.wedge_fields(om, et), p)
+        lhs = at.coproduct_pair_evaluate(T, om, et)
+        rhs = at.phi_apply(T, cd.wedge_fields(om, et), p)
         worst = max(worst, abs(lhs - rhs))
     assert worst < 1e-8
 
@@ -192,19 +192,19 @@ def test_f_action(s2):
         for key in at.pbw_keys(2, 2, 2, 1):
             T.add_term(key[0], key[1], rng.randint(-2, 2))
         om = cd.form_field(s2, 1, {(0,): "theta", (1,): "phi^2"})
-        fT = op.f_lrcorner(s2, f, p)(T)
-        lhs = at.phi_apply(s2, fT, om, p)
+        fT = op.f_lrcorner(f, p)(T)
+        lhs = at.phi_apply(fT, om, p)
         fom = cd.Field(s2, om.slots,
                        {i: ex.ex_mul(f.comps[()], c) for i, c in om.comps.items()})
-        rhs = at.phi_apply(s2, T, fom, p)
+        rhs = at.phi_apply(T, fom, p)
         assert abs(lhs - rhs) < 1e-9
     one = cd.scalar_field(s2, 1)
-    assert (op.f_lrcorner(s2, one, p)(T) - T).max_abs() == 0
+    assert (op.f_lrcorner(one, p)(T) - T).max_abs() == 0
     D = at.AtomicCurrent(p, 0, 0, 2)
     D.add_term((), (), 1)
     vanish = cd.scalar_field(s2, ex.ex_sub(ex.Sym(0, "theta"), ex.Const(Fraction(11, 10))))
     # f(p) = 0 within float resolution kills the Dirac mass
-    assert op.f_lrcorner(s2, vanish, p)(D).max_abs() < 1e-12
+    assert op.f_lrcorner(vanish, p)(D).max_abs() < 1e-12
 
 
 def test_f_lrcorner_current_exact(poly2, poly2_point):
@@ -218,12 +218,12 @@ def test_f_lrcorner_current_exact(poly2, poly2_point):
         T.add_term(key[0], key[1], Fraction(rng.randint(-3, 3), rng.randint(1, 4)))
     f = cd.scalar_field(poly2, "x^2*y - 3*x + 2")
     om = cd.form_field(poly2, 1, {(0,): "x*y", (1,): "y^2 - x"})
-    fT = op.f_lrcorner(poly2, f, p)(T)
+    fT = op.f_lrcorner(f, p)(T)
     assert fT.coeffs
     assert all(list(w) == sorted(w) for (w, _K) in fT.coeffs)
     fom = cd.Field(poly2, om.slots,
                    {i: ex.ex_mul(f.comps[()], c) for i, c in om.comps.items()})
-    assert at.phi_apply(poly2, fT, om, p) == at.phi_apply(poly2, T, fom, p)
+    assert at.phi_apply(fT, om, p) == at.phi_apply(T, fom, p)
 
 
 def test_current_arithmetic_keeps_current():

@@ -141,6 +141,12 @@ _BAD_SPECS = {
     "domain-bounds-mixed": {"domain": {"x": ["a", 1], "y": [-1, 1]}},
     "coordinate-not-a-name": {"coordinates": [["x"], "y"]},
     "probe-coordinate": {"probe_points": [["abc", "0"]]},
+    "probe-coordinate-overflow": {"probe_points": [["1e400", "0"]]},
+    "metric-entry-null": {"metric": [[None, "0"], ["0", "1"]]},
+    "metric-entry-object": {"metric": [[{}, "0"], ["0", "1"]]},
+    "metric-entry-bool": {"metric": [[True, "0"], ["0", "1"]]},
+    "christoffel-entry-list": {"metric": None, "christoffel": {"0,0,0": ["x"]}},
+    "fiber-entry-null": {"fiber": {"dimension": 2, "connection": {"0,0,0": None}}},
     "christoffel-key-short": {"metric": None, "christoffel": {"0,0": "x"}},
     "christoffel-key-range": {"metric": None, "christoffel": {"5,0,0": "x"}},
     "fiber-no-dimension": {"fiber": {"connection": {}}},

@@ -7,7 +7,8 @@ from atomcur import atomic as at
 from atomcur import covderiv as cd
 from atomcur import expr as ex
 from atomcur import operators as op
-from atomcur.connection import ChartConnection
+from atomcur import suites as su
+from atomcur.connection import ChartConnection, ChartValidationError
 from atomcur.jets import FLOAT, RATIONAL
 from atomcur.multialg import all_words, anti_indices, basis_element
 
@@ -19,7 +20,7 @@ ELEMS2 = [basis_element(2, 2, w, K)
 def test_op_E_unit_case(flat2):
     # v = (): E_X(() box alpha) = () box X(p) ^ alpha
     X = cd.kvector_field(flat2, 1, {(0,): "x1"})
-    E = op.op_E(flat2, X, flat2.resolve((0.5, 2.0), FLOAT))
+    E = op.op_E(X, flat2.resolve((0.5, 2.0), FLOAT))
     out = E(basis_element(2, 2, (), (1,)))
     assert abs(out.coeffs[((), (0, 1))] - 2.0) < 1e-14
 
@@ -27,17 +28,31 @@ def test_op_E_unit_case(flat2):
 def test_op_E_scalar_is_corner(s2):
     f = cd.scalar_field(s2, "theta^2 + phi")
     p = s2.resolve((1.1, 0.8), FLOAT)
-    lhs = op.op_E(s2, cd.Field(s2, (), {(): f.comps[()]}), p)
-    rhs = op.f_lrcorner(s2, f, p)
+    lhs = op.op_E(cd.Field(s2, (), {(): f.comps[()]}), p)
+    rhs = op.f_lrcorner(f, p)
     assert op.endo_residual(lhs, rhs, ELEMS2) == 0
+
+
+def test_a_lift_reads_the_chart_of_its_field(s2):
+    # the perturbed chart has s2's coordinates, another connection and no
+    # metric: Edag of a field on it has no metric to read, and E of it differs
+    # from E of the same components on s2 once nabla acts (a one-letter word)
+    pert = su._perturbed_chart(s2)
+    p = s2.resolve((1.1, 0.8), FLOAT)
+    comps = {(0,): "phi", (1,): "theta"}
+    X, Xp = cd.kvector_field(s2, 1, comps), cd.kvector_field(pert, 1, comps)
+    with pytest.raises(ChartValidationError):
+        op.op_Edag(Xp, p)
+    x = basis_element(2, 2, (0,), ())
+    assert (op.op_E(X, p)(x) - op.op_E(Xp, p)(x)).max_abs() > 1e-3
 
 
 def test_op_EE_composition(s2):
     p = s2.resolve((1.1, 0.8), FLOAT)
     X = cd.kvector_field(s2, 1, {(0,): "phi", (1,): "theta"})
     X2 = cd.kvector_field(s2, 1, {(0,): "1", (1,): "theta*phi"})
-    lhs = op.op_E(s2, X, p).compose(op.op_E(s2, X2, p))
-    rhs = op.op_E(s2, cd.wedge_fields(X, X2), p)
+    lhs = op.op_E(X, p).compose(op.op_E(X2, p))
+    rhs = op.op_E(cd.wedge_fields(X, X2), p)
     assert op.endo_residual(lhs, rhs, ELEMS2) < 1e-9
 
 
@@ -45,7 +60,7 @@ def test_op_D_dirac(s2):
     # D_Y(() box alpha) = Y(p) box alpha for vector Y
     p = s2.resolve((1.1, 0.8), FLOAT)
     Y = cd.vector_field(s2, {0: "theta", 1: "phi"})
-    out = op.op_D(s2, Y, p)(basis_element(2, 2, (), (0,)))
+    out = op.op_D(Y, p)(basis_element(2, 2, (), (0,)))
     assert abs(out.coeffs[((0,), (0,))] - 1.1) < 1e-12
     assert abs(out.coeffs[((1,), (0,))] - 0.8) < 1e-12
 
@@ -54,9 +69,9 @@ def test_op_DD_right_action(s2):
     p = s2.resolve((1.4, 2.2), FLOAT)
     Y = cd.vector_field(s2, {0: "phi", 1: "theta^2"})
     Y2 = cd.vector_field(s2, {0: "theta*phi", 1: "1"})
-    lhs = op.op_D(s2, Y, p).compose(op.op_D(s2, Y2, p))
+    lhs = op.op_D(Y, p).compose(op.op_D(Y2, p))
     cp = cd.covariant_product(Y2, Y, p, out_order=3)
-    rhs = op.op_D(s2, cd.mixed_tensor_fields(s2, cp, p, 3), p)
+    rhs = op.op_D(cd.mixed_tensor_fields(s2, cp, p, 3), p)
     assert op.endo_residual(lhs, rhs, ELEMS2) < 1e-8
 
 
@@ -64,7 +79,7 @@ def test_op_ED_exchange(s2):
     p = s2.resolve((1.2, 0.9), FLOAT)
     X = cd.kvector_field(s2, 1, {(0,): "phi", (1,): "theta"})
     Y = cd.vector_field(s2, {0: "1", 1: "theta"})
-    lhs = op.op_E(s2, X, p).compose(op.op_D(s2, Y, p))
+    lhs = op.op_E(X, p).compose(op.op_D(Y, p))
     nbX = {}
     for i in range(2):
         ji = Y.comp_jet((i,), p, 3)
@@ -73,7 +88,7 @@ def test_op_ED_exchange(s2):
             term = ji * jet
             nbX[K] = term if cur is None else cur + term
     nXf = cd.jet_field(s2, (cd.FU,), nbX, p, 3)
-    rhs = op.op_D(s2, Y, p).compose(op.op_E(s2, X, p)) + op.op_E(s2, nXf, p)
+    rhs = op.op_D(Y, p).compose(op.op_E(X, p)) + op.op_E(nXf, p)
     assert op.endo_residual(lhs, rhs, ELEMS2) < 1e-8
 
 
@@ -139,17 +154,17 @@ def test_edag_explicit_r3(flat3):
     # Euclidean R^3, X = e0, alpha = e0 ^ e1: Edag_X alpha = e1
     p = flat3.resolve((0.0, 0.0, 0.0), FLOAT)
     X = cd.kvector_field(flat3, 1, {(0,): 1})
-    out = op.op_Edag(flat3, X, p)(basis_element(3, 3, (), (0, 1)))
+    out = op.op_Edag(X, p)(basis_element(3, 3, (), (0, 1)))
     assert out.coeffs == {((), (1,)): 1}
-    out2 = op.op_Edag(flat3, X, p, route="conjugate")(basis_element(3, 3, (), (0, 1)))
+    out2 = op.op_Edag(X, p, route="conjugate")(basis_element(3, 3, (), (0, 1)))
     assert abs(out2.coeffs[((), (1,))] - 1) < 1e-12
 
 
 def test_edag_routes_agree(s2):
     p = s2.resolve((1.1, 0.8), FLOAT)
     X = cd.kvector_field(s2, 1, {(0,): "phi", (1,): "theta"})
-    a = op.op_Edag(s2, X, p)
-    b = op.op_Edag(s2, X, p, route="conjugate")
+    a = op.op_Edag(X, p)
+    b = op.op_Edag(X, p, route="conjugate")
     assert op.endo_residual(a, b, ELEMS2) < 1e-9
 
 
@@ -176,8 +191,8 @@ def test_edag_theta_of_lowered_field_is_edag(spec, mode, p, tol):
             acc = ex.ex_add(acc, ex.ex_mul(chart.metric[a][b], X.comps[(b,)]))
         lowered[(a,)] = acc
     theta = cd.form_field(chart, 1, lowered)
-    lhs = op.op_Edag(chart, X, p)
-    rhs = op.op_Edag_theta(chart, theta, p)
+    lhs = op.op_Edag(X, p)
+    rhs = op.op_Edag_theta(theta, p)
     assert op.endo_residual(lhs, rhs, ELEMS2) <= tol
     assert any(lhs(x).coeffs for x in ELEMS2)
 
@@ -186,18 +201,18 @@ def test_edag_reversal_and_anticommutator(s2):
     p = s2.resolve((1.5, 2.5), FLOAT)
     X = cd.kvector_field(s2, 1, {(0,): "phi", (1,): "1"})
     Y = cd.kvector_field(s2, 1, {(0,): "theta", (1,): "theta*phi"})
-    lhs = op.op_Edag(s2, X, p).compose(op.op_Edag(s2, Y, p))
-    rhs = op.op_Edag(s2, cd.wedge_fields(Y, X), p)
+    lhs = op.op_Edag(X, p).compose(op.op_Edag(Y, p))
+    rhs = op.op_Edag(cd.wedge_fields(Y, X), p)
     assert op.endo_residual(lhs, rhs, ELEMS2) < 1e-9
-    EX = op.op_E(s2, X, p)
-    EdY = op.op_Edag(s2, Y, p)
+    EX = op.op_E(X, p)
+    EdY = op.op_Edag(Y, p)
     anti = EX.compose(EdY) + EdY.compose(EX)
     acc = ex.Const(0)
     for i in range(2):
         for j in range(2):
             acc = ex.ex_add(acc, ex.ex_mul(X.comps[(i,)],
                                            ex.ex_mul(s2.metric[i][j], Y.comps[(j,)])))
-    corner = op.f_lrcorner(s2, cd.Field(s2, (), {(): acc}), p)
+    corner = op.f_lrcorner(cd.Field(s2, (), {(): acc}), p)
     assert op.endo_residual(anti, corner, ELEMS2) < 1e-8
 
 
@@ -209,7 +224,7 @@ def test_clifford_factorization():
         prod = None
         for i in range(n):
             Fi = cd.kvector_field(ch, 1, {(i,): 1})
-            t = op.op_E(ch, Fi, p) + op.op_Edag(ch, Fi, p)
+            t = op.op_E(Fi, p) + op.op_Edag(Fi, p)
             prod = t if prod is None else prod.compose(t)
         for k in range(n + 1):
             sgn = (-1) ** (k * (k - 1) // 2)
@@ -222,8 +237,8 @@ def test_clifford_factorization():
 def test_ddag_flat_constant(flat2):
     p = flat2.resolve((0.2, 0.3), FLOAT)
     X = cd.vector_field(flat2, {0: 1, 1: 2})
-    lhs = op.op_Ddag(flat2, X, p, budget=3)
-    rhs = op.op_D(flat2, X, p).scaled(-1)
+    lhs = op.op_Ddag(X, p, budget=3)
+    rhs = op.op_D(X, p).scaled(-1)
     assert op.endo_residual(lhs, rhs, ELEMS2) == 0
 
 
@@ -240,13 +255,13 @@ def test_ddag_duality(s2):
     """Phi(Ddag_X x)(omega) = Phi(x)(-div(X) omega - nabla_X omega)."""
     p = s2.resolve((1.3, 1.1), FLOAT)
     X = cd.vector_field(s2, {0: "phi", 1: "theta"})
-    DdX = op.op_Ddag(s2, X, p, budget=4)
+    DdX = op.op_Ddag(X, p, budget=4)
     om = cd.form_field(s2, 1, {(0,): "theta*phi", (1,): "phi^2"})
-    divX = op.divergence_field(s2, X, p, budget=5)
+    divX = op.divergence_field(X, p, budget=5)
     for x in ELEMS2:
         if not all(len(K) == 1 for (_w, K) in x.coeffs):
             continue
-        lhs = at.phi_apply(s2, DdX(x), om, p)
+        lhs = at.phi_apply(DdX(x), om, p)
         # adjoint form field: -div(X) omega - nabla_X omega, as jets
         budget = 3
         comps = {}
@@ -260,7 +275,7 @@ def test_ddag_duality(s2):
                 comps[idx] = comps.get(idx, 0) + (-(Xi * jet)) if idx in comps \
                     else -(Xi * jet)
         adj = cd.jet_field(s2, om.slots, comps, p, budget)
-        rhs = at.phi_apply(s2, x, adj, p)
+        rhs = at.phi_apply(x, adj, p)
         assert abs(lhs - rhs) < 1e-8
 
 
@@ -269,7 +284,7 @@ def test_sharp_unit_and_alpha_one(s2):
     B = 6
     tf = cd.tensor_field(s2, 1, {(0,): "phi", (1,): "theta"})
     ef = cd.kvector_field(s2, 1, {(0,): "1", (1,): "theta"})
-    a = op.SharpElement.from_fields(s2, tf, ef, p, B)
+    a = op.SharpElement.from_fields(tf, ef, p, B)
     u = op.unit_sharp(s2, p, B)
     au, ua = op.sharp(a, u), op.sharp(u, a)
     for kk, jet in a.coeffs.items():
@@ -280,8 +295,8 @@ def test_sharp_unit_and_alpha_one(s2):
     one = cd.kvector_field(s2, 0, {(): 1})
     w = cd.tensor_field(s2, 1, {(1,): "theta"})
     beta = cd.kvector_field(s2, 1, {(0,): "phi"})
-    sv = op.SharpElement.from_fields(s2, v, one, p, B)
-    sw = op.SharpElement.from_fields(s2, w, beta, p, B)
+    sv = op.SharpElement.from_fields(v, one, p, B)
+    sw = op.SharpElement.from_fields(w, beta, p, B)
     got = op.sharp(sv, sw)
     wv = cd.covariant_product(w, v, p, 0)
     for word, jet in wv.items():
@@ -424,11 +439,11 @@ def test_star_form_jets_reuses_metric_jets(monkeypatch):
         [(-1.0, 1.0), (-1.0, 1.0)], name="poly2")
     p = chart.resolve((0.25, -0.5), FLOAT)
     om = cd.form_field(chart, 1, {(0,): "x*y", (1,): "1 + x"})
-    first = op.star_form_jets(chart, om, p, 2)
+    first = op.star_form_jets(om, p, 2)
     calls = []
     real = ex.eval_jet
     monkeypatch.setattr(ex, "eval_jet", lambda *a, **kw: calls.append(a) or real(*a, **kw))
-    second = op.star_form_jets(chart, om, p, 2)
+    second = op.star_form_jets(om, p, 2)
     assert calls == []
     assert {i: list(j.coeffs) for i, j in second.comps.items()} == \
         {i: list(j.coeffs) for i, j in first.comps.items()}
@@ -443,9 +458,9 @@ def test_sharp_one_covariant_product_per_key(s2, monkeypatch):
     B = 6
     tf = cd.tensor_field(s2, 1, {(0,): "phi", (1,): "theta"})
     ef = cd.kvector_field(s2, 1, {(0,): "1", (1,): "theta"})
-    a = op.SharpElement.from_fields(s2, tf, ef, p, B)
+    a = op.SharpElement.from_fields(tf, ef, p, B)
     tg = cd.tensor_field(s2, 2, {(0, 1): "1", (1, 1): "theta*phi"})
-    b = op.SharpElement.from_fields(s2, tg, ef, p, B)
+    b = op.SharpElement.from_fields(tg, ef, p, B)
     calls, heads, readers = [], [], {}
     inner, build = cd.covariant_product, cd.mixed_tensor_fields
 
@@ -482,14 +497,14 @@ def _leaf_endos(chart, p):
     theta = cd.form_field(chart, 1, {(0,): "x", (1,): "2 - y"})
     f = cd.scalar_field(chart, "1 + x*y^2")
     return {
-        "E": op.op_E(chart, X, p),
-        "E2": op.op_E(chart, X2, p),
-        "D": op.op_D(chart, Y, p),
-        "D-mixed": op.op_D(chart, [Y, cd.product_field(Y, Y)], p),
-        "f-corner": op.f_lrcorner(chart, f, p),
-        "Edag": op.op_Edag(chart, X, p),
-        "Edag2": op.op_Edag(chart, X2, p),
-        "Edag-theta": op.op_Edag_theta(chart, theta, p),
+        "E": op.op_E(X, p),
+        "E2": op.op_E(X2, p),
+        "D": op.op_D(Y, p),
+        "D-mixed": op.op_D([Y, cd.product_field(Y, Y)], p),
+        "f-corner": op.f_lrcorner(f, p),
+        "Edag": op.op_Edag(X, p),
+        "Edag2": op.op_Edag(X2, p),
+        "Edag-theta": op.op_Edag_theta(theta, p),
     }
 
 
