@@ -56,11 +56,22 @@ def _is_int(x, low):
     return isinstance(x, int) and not isinstance(x, bool) and x >= low
 
 
+def _is_finite_number(x):
+    """A JSON number, never a bool, that converts to a finite float (JSON
+    reads 1e400 as inf)."""
+    if not isinstance(x, (int, float)) or isinstance(x, bool):
+        return False
+    try:
+        return math.isfinite(float(x))
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
 def _check_exprs(bad, field, entries):
-    """Expression entries are strings or JSON numbers, never bools."""
+    """Expression entries are strings or finite JSON numbers, never bools."""
     for x in entries:
-        if not isinstance(x, (str, int, float)) or isinstance(x, bool):
-            bad(f"{field} entry {x!r} must be an expression string or a number")
+        if not (isinstance(x, str) or _is_finite_number(x)):
+            bad(f"{field} entry {x!r} must be an expression string or a finite number")
 
 
 def _check_keys(bad, field, table, bounds):
@@ -99,10 +110,9 @@ def validate_spec(data: dict, where: str = "<spec>") -> dict:
     if not isinstance(dom, dict) or set(dom) != set(coords):
         bad("domain must be an object giving one interval per coordinate")
     for c, box in dom.items():
-        if not (isinstance(box, list) and len(box) == 2 and all(
-                isinstance(x, (int, float)) and not isinstance(x, bool) for x in box)
-                and box[0] < box[1]):
-            bad(f"domain[{c!r}] must be a nonempty [lo, hi] of numbers")
+        if not (isinstance(box, list) and len(box) == 2
+                and all(_is_finite_number(x) for x in box) and box[0] < box[1]):
+            bad(f"domain[{c!r}] must be a nonempty [lo, hi] of finite numbers")
     if ("metric" in data) == ("christoffel" in data):
         bad("exactly one of 'metric' or 'christoffel' is required")
     g = data.get("metric")

@@ -237,7 +237,7 @@ class ChartConnection:
             row = []
             for j in range(n):
                 low = [(l, dg[l][j][i] + dg[l][i][j] - dg[i][j][l]) for l in range(n)]
-                low = [(l, b) for l, b in low if not b.is_zero()]
+                low = [(l, b) for l, b in low if b]
                 if low and ginv is None:
                     ginv = self._metric_inverse_jets(p, order)[0]
                 row.append([sum((ginv[k][l] * b for l, b in low), zero).scale(half)
@@ -248,6 +248,13 @@ class ChartConnection:
     def gamma1_jet(self, i, j, p, order, fiber=False):
         """Jet of the first-order symbol (base Gamma^._{i j} or fiber A^._{i j})."""
         return self._symbols(p, order, fiber)[i][j]
+
+    def symbol_values(self, p, fiber=False):
+        """The values of the first-order symbols at p, as a table
+        [i][j] -> scalars over k, read once per point from the order-0 jets."""
+        fiber = fiber and not self.fiber_is_tangent
+        return self._memo(p, ("g1-values", fiber), lambda: [
+            [[jet.value for jet in ks] for ks in row] for row in self._symbols(p, 0, fiber)])
 
     def higher_gamma_jets(self, I, j, p, order, fiber=False):
         """Jets of Gamma^k_{I,j} for all k, by the inductive formula."""
@@ -272,7 +279,7 @@ class ChartConnection:
             for r in range(len(rest)):
                 for l in range(self.n):
                     gam = self.gamma1_jet(i1, rest[r], p, order, fiber=False)[l]
-                    if gam.is_zero():
+                    if not gam:
                         continue
                     replaced = rest[:r] + (l,) + rest[r + 1:]
                     sub = self.higher_gamma_jets(replaced, j, p, order, fiber)
@@ -302,7 +309,7 @@ class ChartConnection:
                 for a in range(dim):
                     for b in range(dim):
                         jet = guv[a][b] - gvu[a][b]
-                        if jet.is_zero():
+                        if not jet:
                             continue
                         out[(b, a, u, v)] = jet
                         out[(b, a, v, u)] = -jet

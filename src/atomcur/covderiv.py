@@ -18,6 +18,14 @@ evaluated by the inductive formula
                   - sum_r nabla_{e_{I'} with slot r replaced by nabla-hat_{e_{i1}} e_{i_r}},
 
 reduced to jet arithmetic of component functions and first-order symbols.
+A word of length s needs the jets of its inner words up to order s, but its
+own top level only values at the point: Phi_p(v box alpha)(omega) reads
+(nabla_v omega)_p(alpha).  So the order-0 level runs on plain numbers
+(``nabla_word_values``): the e_{i1} coefficients and values of the order-1
+jets of the inner word, the symbol values the chart keeps per point, and
+the values of the substituted words, accumulated by the same loops as the
+jet levels (``covariant_step``, ``_add_product``).  Jets of order 0 are
+wrapped from those values only for callers that ask for jets.
 Everything here is a pure function of immutable inputs; per-field caches
 only memoize results.
 """
@@ -138,56 +146,114 @@ def _add_jet(acc: dict, idx, jet: Jet):
     acc[idx] = jet if cur is None else cur + jet
 
 
-def _add_product(acc: dict, idx, a: Jet, b: Jet, sign=1):
-    """acc[idx] += sign * a*b, as one fused pass where the jets allow it."""
+def _add_product(acc: dict, idx, a, b, sign=1):
+    """acc[idx] += sign * a*b for jets or for plain numbers; on jets, one
+    fused pass where the jets allow it."""
     cur = acc.get(idx)
     if cur is None:
         acc[idx] = a * b if sign > 0 else -(a * b)
-    else:
+    elif type(cur) is Jet:
         acc[idx] = cur.add_product(a, b, sign)
+    else:
+        acc[idx] = cur + a * b if sign > 0 else cur - a * b
 
 
-def covariant_step(chart, slots, comps, i, p, order):
-    """One covariant derivative along e_i of a section with component jets.
-
-    ``comps`` holds jets of order ``order + 1``; the result holds jets of
-    order ``order``.
+def covariant_step(chart, slots, derivs, lows, symbols):
+    """One covariant derivative along e_i of a section, from already lowered
+    inputs at the order of the result: ``derivs`` holds d/dx_i of each
+    component, ``lows`` each component, and ``symbols(fiber)`` the row
+    [a][b] = Gamma^b_{i a} of the first-order symbols (of the fiber
+    connection for ``fiber``).  They are jets of that order, or at order 0
+    plain values; a zero term is skipped either way.
     """
-    out = {}
-    for idx, jet in comps.items():
-        _add_jet(out, idx, jet.derivative(i))
+    out = dict(derivs)
     for pos, sl in enumerate(slots):
         fiber = sl in (FU, FD)
         dim = chart.d if fiber else chart.n
         up = sl in (TU, FU)
-        for idx, jet in comps.items():
-            jt = jet.truncate(order)
-            if jt.is_zero():
+        row = symbols(fiber)
+        for idx, jt in lows.items():
+            if not jt:
                 continue
             a = idx[pos]
             if up:
-                gam = chart.gamma1_jet(i, a, p, order, fiber=fiber)
+                gam = row[a]
                 for b in range(dim):
-                    if not gam[b].is_zero():
+                    if gam[b]:
                         _add_product(out, idx[:pos] + (b,) + idx[pos + 1:], gam[b], jt)
             else:
                 for b in range(dim):
-                    gam = chart.gamma1_jet(i, b, p, order, fiber=fiber)[a]
-                    if not gam.is_zero():
+                    gam = row[b][a]
+                    if gam:
                         _add_product(out, idx[:pos] + (b,) + idx[pos + 1:], gam, jt, -1)
+    return out
+
+
+def _nabla_word(field: Field, I, p, order):
+    """nabla_{e_I}(field) at p by one step of the recursion: component jets
+    of order ``order`` >= 1, or at order 0 their values.
+
+    Both levels run the same loops in the same order on inputs lowered to
+    the order of the result: the derivative and truncation of the order + 1
+    jets of the inner word, the first-order symbols, and the words with one
+    letter substituted.  So both give the same keys, zero-valued ones
+    included, and the same sums; a value differs from the value of the
+    order-0 jet at most in the sign of an exact zero (a jet product adds
+    its terms to +0.0).
+    """
+    chart = field.chart
+    if not I:
+        if order:
+            return {idx: field.comp_jet(idx, p, order) for idx in field.comps}
+        return {idx: field.comp_jet(idx, p, 0).value for idx in field.comps}
+    i1, rest = I[0], I[1:]
+    inner = nabla_word_jets(field, rest, p, order + 1)
+    if order:
+        derivs = {idx: jet.derivative(i1) for idx, jet in inner.items()}
+        lows = {idx: jet.truncate(order) for idx, jet in inner.items()} if field.slots else {}
+
+        def symbols(fiber):
+            return chart._symbols(p, order, fiber)[i1]
+
+        def word(J):
+            return nabla_word_jets(field, J, p, order)
+    else:
+        derivs = {idx: jet.derivative_value(i1) for idx, jet in inner.items()}
+        lows = {idx: jet.value for idx, jet in inner.items()} if field.slots else {}
+
+        def symbols(fiber):
+            return chart.symbol_values(p, fiber)[i1]
+
+        def word(J):
+            return nabla_word_values(field, J, p)
+    out = covariant_step(chart, field.slots, derivs, lows, symbols)
+    if rest:
+        row = symbols(False)
+        for r in range(len(rest)):
+            gam = row[rest[r]]
+            for l in range(chart.n):
+                if not gam[l]:
+                    continue
+                for idx, v in word(rest[:r] + (l,) + rest[r + 1:]).items():
+                    _add_product(out, idx, gam[l], v, -1)
     return out
 
 
 def nabla_word_jets(field: Field, I, p, order):
     """Component jets of nabla_{e_I}(field) at p, of jet order ``order``.
 
-    The field's memo holds each word's jets at every order asked for, and
-    under the bare word the highest order computed.  A lower order is the
-    truncation of that one: every coefficient below the cut sums the same
-    products in the same order (see :func:`atomcur.expr.jet_at`), so it
-    equals the jets derived afresh at the lower order, coefficient for
-    coefficient.  It may also keep a component whose truncated jet is
-    zero, which a fresh derivation could leave out.
+    The field's memo holds, per point, each word's jets at every order
+    asked for under ``(I, order)``, and under the bare word ``I`` the
+    highest order computed.  A lower order is the truncation of that one:
+    every coefficient below the cut sums the same products in the same
+    order (see :func:`atomcur.expr.jet_at`), so it equals the jets derived
+    afresh at the lower order, coefficient for coefficient.  It may also
+    keep a component whose truncated jet is zero, which a fresh derivation
+    could leave out.
+
+    Order 0 is the values of :func:`nabla_word_values`, which apply the
+    same rule, wrapped into order-0 jets once per (field, word, point) for
+    the callers that want jets.
     """
     I = tuple(I)
     cache = field._nabla_cache.setdefault(p, {})
@@ -195,28 +261,43 @@ def nabla_word_jets(field: Field, I, p, order):
     hit = cache.get(key)
     if hit is not None:
         return hit
+    if order == 0:
+        space = JetSpace(field.chart.n, 0)
+        out = cache[key] = {idx: Jet.const(space, p.mode, v)
+                            for idx, v in nabla_word_values(field, I, p).items()}
+        return out
     top = cache.get(I, -1)
     if top > order:
         out = cache[key] = {idx: jet.truncate(order)
                             for idx, jet in cache[(I, top)].items()}
         return out
-    chart = field.chart
-    if not I:
-        out = {idx: field.comp_jet(idx, p, order) for idx in field.comps}
-    else:
-        i1, rest = I[0], I[1:]
-        inner = nabla_word_jets(field, rest, p, order + 1)
-        out = covariant_step(chart, field.slots, inner, i1, p, order)
-        for r in range(len(rest)):
-            gam = chart.gamma1_jet(i1, rest[r], p, order, fiber=False)
-            for l in range(chart.n):
-                if gam[l].is_zero():
-                    continue
-                sub = nabla_word_jets(field, rest[:r] + (l,) + rest[r + 1:], p, order)
-                for idx, jet in sub.items():
-                    _add_product(out, idx, gam[l], jet, -1)
-    cache[key] = out
+    out = cache[key] = _nabla_word(field, I, p, order)
     cache[I] = order
+    return out
+
+
+def nabla_word_values(field: Field, I, p) -> dict:
+    """Component values of nabla_{e_I}(field) at p, every component that
+    :func:`nabla_word_jets` at order 0 keys, zero-valued ones included.
+
+    The first request at order 0, for values or for jets, fixes them under
+    ``(I, "values")`` in the field's memo.  If the word is held at a higher
+    jet order by then, they are read from that jet, as a truncation would
+    be; otherwise the order-0 level of the recursion runs on plain numbers.
+    The dict is shared, so callers must treat it as read-only.
+    """
+    I = tuple(I)
+    cache = field._nabla_cache.setdefault(p, {})
+    key = (I, "values")
+    hit = cache.get(key)
+    if hit is not None:
+        return hit
+    top = cache.get(I, -1)
+    if top > 0:
+        out = {idx: jet.value for idx, jet in cache[(I, top)].items()}
+    else:
+        out = _nabla_word(field, I, p, 0)
+    cache[key] = out
     return out
 
 
@@ -224,27 +305,27 @@ def nabla(field: Field, I, p) -> dict:
     """Nonzero components of the order-|I| higher covariant derivative at p
     along the frame word I."""
     field.chart.check_point(p)
-    jets = nabla_word_jets(field, tuple(I), p, 0)
-    return {idx: v for idx, j in jets.items() if (v := j.value) != 0}
+    return {idx: v for idx, v in nabla_word_values(field, I, p).items() if v != 0}
 
 
 def nabla_value(field: Field, I, p) -> dict:
     """Nonzero components of nabla_{e_I}(field) at p, memoized on the field.
 
-    The value dict is computed once per (word, point) and kept in
-    ``field._nabla_cache`` beside the jets it summarizes; later calls
-    return that same dict without re-checking the point.  It is shared, so
-    callers must treat it as read-only.  A miss runs :func:`nabla`, so an
+    The filtered dict is computed once per (word, point) from
+    :func:`nabla_word_values` and kept in ``field._nabla_cache`` under
+    ``(I, "nonzero")``, beside the values it filters; later calls return
+    that same dict without re-checking the point.  It is shared, so callers
+    must treat it as read-only.  A miss runs :func:`nabla`, so an
     out-of-domain point still raises on its first query.
     """
     I = tuple(I)
     bucket = field._nabla_cache.get(p)
     if bucket is not None:
-        hit = bucket.get((I, None))
+        hit = bucket.get((I, "nonzero"))
         if hit is not None:
             return hit
     comps = nabla(field, I, p)
-    field._nabla_cache.setdefault(p, {})[(I, None)] = comps
+    field._nabla_cache.setdefault(p, {})[(I, "nonzero")] = comps
     return comps
 
 
@@ -405,7 +486,7 @@ def covderiv(X: Field, Y: Field, p, order) -> dict:
     out = {}
     for i in range(X.chart.n):
         xi = X.comp_jet((i,), p, order)
-        if xi.is_zero():
+        if not xi:
             continue
         for idx, jet in nabla_word_jets(Y, (i,), p, order).items():
             _add_product(out, idx, xi, jet)
@@ -435,7 +516,7 @@ def covariant_product(X, Y, p, out_order=0) -> dict:
             raise ValueError("covariant product is defined for tangent tensor fields")
         for w in Xf.comps:
             Xw = Xf.comp_jet(w, p, out_order)
-            if Xw.is_zero():
+            if not Xw:
                 continue
             unit = Xw.is_constant() and Xw.value == 1
             for (A, B) in tensor_coproduct(w):
@@ -474,7 +555,7 @@ def exterior_derivative(omega: Field, p, out_order=0) -> Field:
                 continue
             term = jet if j % 2 == 0 else -jet
             acc = term if acc is None else acc + term
-        if acc is not None and not acc.is_zero():
+        if acc:
             comps[idx] = acc
     return jet_field(chart, (FD,) * (k + 1), comps, p, out_order)
 
@@ -499,16 +580,16 @@ def curvature_endomorphism(chart, S, ab_value: dict, p, fiber=False):
     on fiber indices (R^E)."""
     S = tuple(S)
     field = curvature_field(chart, "fiber" if fiber else "base", p, len(S))
-    jets = nabla_word_jets(field, S, p, 0)
+    values = nabla_word_values(field, S, p)
     dim = chart.d if fiber else chart.n
     end = [[0] * dim for _ in range(dim)]
     for (uv), c in ab_value.items():
         if c == 0 or len(uv) != 2:
             continue
         u, v = uv
-        for (k, l, uu, vv), jet in jets.items():
+        for (k, l, uu, vv), x in values.items():
             if (uu, vv) == (u, v):
-                end[k][l] += c * jet.value
+                end[k][l] += c * x
     return end
 
 

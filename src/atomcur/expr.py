@@ -25,7 +25,7 @@ import math
 from fractions import Fraction
 
 from .jets import (ELEMENTARY_FUNCTIONS, FLOAT, EvalDomainError, ExactModeError,
-                   Jet, JetSpace, apply_elementary, as_scalar)
+                   Jet, JetSpace, Point, apply_elementary, as_scalar)
 
 __all__ = [
     "Expression", "Const", "Sym", "Add", "Sub", "Mul", "Div", "Neg", "Pow",
@@ -422,31 +422,45 @@ def eval_jet(e: Expression, point, order: int, mode: str = FLOAT) -> Jet:
     The coefficient at multi-index T is (1/T!) d^T e(point); exact in
     rational mode for rational expressions, raising :class:`ExactModeError`
     if the expression contains an elementary function.
+
+    An interior node whose memo (see :func:`jet_at`) holds a jet at
+    ``point`` in ``mode`` of at least ``order`` is read from it, truncated
+    if need be, which gives the same coefficients bit for bit; nothing is
+    added to any memo.
     """
     n = len(point)
     space = JetSpace(n, order)
     vals = [as_scalar(x, mode) for x in point]
+    reuse = type(point) is Point and point.mode == mode
 
     def go(node):
-        if isinstance(node, Const):
+        t = type(node)
+        if t is Const:
             return Jet.const(space, mode, node.value)
-        if isinstance(node, Sym):
+        if t is Sym:
             if node.index >= n:
                 raise UndeclaredSymbolError(node.name)
             return Jet.variable(space, mode, node.index, vals[node.index])
-        if isinstance(node, Add):
-            return go(node.a) + go(node.b)
-        if isinstance(node, Sub):
-            return go(node.a) - go(node.b)
-        if isinstance(node, Mul):
+        if reuse:
+            held = getattr(node, "_jets", None)
+            held = held and held.get(point)
+            if held:
+                hit = _held_jet(held, order)
+                if hit is not None:
+                    return hit
+        if t is Mul:
             return go(node.a) * go(node.b)
-        if isinstance(node, Div):
-            return go(node.a) * go(node.b).reciprocal()
-        if isinstance(node, Neg):
-            return -go(node.a)
-        if isinstance(node, Pow):
+        if t is Pow:
             return go(node.a).power(node.k)
-        if isinstance(node, Call):
+        if t is Add:
+            return go(node.a) + go(node.b)
+        if t is Neg:
+            return -go(node.a)
+        if t is Sub:
+            return go(node.a) - go(node.b)
+        if t is Div:
+            return go(node.a) * go(node.b).reciprocal()
+        if t is Call:
             return apply_elementary(node.fn, go(node.a))
         raise TypeError(f"not an expression: {node!r}")
 
@@ -473,11 +487,22 @@ def jet_at(e: Expression, point, order: int) -> Jet:
     held = memo.get(point)
     if held is None:
         held = memo[point] = {}
+    hit = _held_jet(held, order)
+    if hit is None:
+        hit = eval_jet(e, point, order, point.mode)
+    held[order] = hit
+    return hit
+
+
+def _held_jet(held, order):
+    """The jet at ``order`` read from one node's memo at one point (order ->
+    jet): the entry, else a truncation of the highest order held, else
+    ``None`` when every held order is lower."""
     hit = held.get(order)
     if hit is None:
         top = max(held, default=-1)
-        hit = held[top].truncate(order) if top > order else eval_jet(e, point, order, point.mode)
-        held[order] = hit
+        if top > order:
+            hit = held[top].truncate(order)
     return hit
 
 

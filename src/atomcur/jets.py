@@ -349,9 +349,11 @@ class Jet:
             fact *= math.factorial(t)
         return self.coeff(T) * fact
 
-    def is_zero(self) -> bool:
-        """Whether every coefficient vanishes."""
-        return not any(self.coeffs)
+    def __bool__(self):
+        """Whether some coefficient is nonzero: the zero jet is false, as a
+        zero number is, so one loop can skip zero terms on jets and on their
+        values alike."""
+        return any(self.coeffs)
 
     def is_constant(self) -> bool:
         """Whether every coefficient above the value vanishes."""
@@ -485,6 +487,12 @@ class Jet:
         if self.mode == FLOAT:
             return _float(sp.lower, array("d", out))
         return _reduced(sp.lower, list(out), self.den)
+
+    def derivative_value(self, i: int):
+        """Value of d(self)/dx_i at the base point: the e_i coefficient, the
+        value of ``derivative(i)`` without building that jet."""
+        c = self.coeffs[self.space.units[i]]
+        return c if self.mode == FLOAT else Fraction(c, self.den)
 
     def truncate(self, order: int) -> "Jet":
         if order == self.space.order:

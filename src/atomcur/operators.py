@@ -455,9 +455,23 @@ def sharp(a: SharpElement, b: SharpElement) -> SharpElement:
                                           head_budget)
              for akey, fjet in a.coeffs.items()}
     kvecs = {Ka: cd.kvector_field(chart, len(Ka), {Ka: 1}) for (_wa, Ka) in a.coeffs}
+    # the loop runs on jets of the result's order, or at budget 0 on their
+    # values at p (plain numbers, wrapped into order-0 jets once per key)
+    if out_budget:
+        def low(jet):
+            return jet.truncate(out_budget)
+
+        def nabla_at(field, w):
+            return cd.nabla_word_jets(field, w, p, out_budget)
+    else:
+        def low(jet):
+            return jet.value
+
+        def nabla_at(field, w):
+            return cd.nabla_word_values(field, w, p)
     frames, prods = {}, {}
     for (wb, Kb), gjet in b.coeffs.items():
-        g0 = gjet.truncate(out_budget)
+        g0 = low(gjet)
         gprods = {}  # g * prod per (w1, a-key), shared by deshuffles repeating w1
         for (w1, w2) in tensor_coproduct(wb):
             for akey in a.coeffs:
@@ -470,7 +484,7 @@ def sharp(a: SharpElement, b: SharpElement) -> SharpElement:
                     prod = prods[(w1, akey)] = cd.covariant_product(
                         ew1, heads[akey], p, out_budget)
                 # exterior part: (nabla_{e_{w2}} eps_{Ka}) wedge eps_{Kb}
-                nb = cd.nabla_word_jets(kvecs[akey[1]], w2, p, out_budget)
+                nb = nabla_at(kvecs[akey[1]], w2)
                 gprod = gprods.get((w1, akey))
                 for KX in list(nb):
                     if not all(KX[i] < KX[i + 1] for i in range(len(KX) - 1)):
@@ -478,12 +492,15 @@ def sharp(a: SharpElement, b: SharpElement) -> SharpElement:
                     s, merged = wedge_merge(KX, Kb)
                     if not s:
                         continue
-                    wedge_jet = nb[KX] if s == 1 else -nb[KX]
+                    wedge = nb[KX] if s == 1 else -nb[KX]
                     if gprod is None:
-                        gprod = gprods[(w1, akey)] = [(wkey, g0 * pj)
+                        gprod = gprods[(w1, akey)] = [(wkey, g0 * low(pj))
                                                       for wkey, pj in prod.items()]
                     for wkey, gpj in gprod:
-                        cd._add_product(out.coeffs, (wkey, merged), gpj, wedge_jet)
+                        cd._add_product(out.coeffs, (wkey, merged), gpj, wedge)
+    if not out_budget:
+        space = JetSpace(chart.n, 0)
+        out.coeffs = {key: Jet.const(space, p.mode, v) for key, v in out.coeffs.items()}
     return out
 
 
@@ -597,7 +614,7 @@ def raise_form_jets(omega: Field, p, budget) -> dict:
             w = omega.comps.get(K)
         else:
             w = omega.comp_jet(K, p, budget)
-            if w.is_zero():
+            if not w:
                 w = None
         if w is not None:
             comps[K] = w.truncate(budget)

@@ -97,40 +97,46 @@ def _skip(check, statement, note):
 # ---------------------------------------------------------------------------
 # Random data generators (deterministic per seed).
 
-def rand_poly(ctx, rng, names, degree=2):
-    terms = []
+def rand_poly_tree(rng, names, degree=2):
+    """A sum of up to three monomials with coefficients in [-3, 3] and
+    exponents in [0, degree], as raw nodes: a negative coefficient is
+    ``Neg(Const(|c|))``, and the sum is ``Const(1)`` when every coefficient
+    is 0.  ``parse(to_string(e))`` gives the same tree."""
+    acc = None
     for _ in range(3):
         c = rng.randint(-3, 3)
         if c == 0:
             continue
-        mono = "*".join(f"{nm}^{rng.randint(0, degree)}" for nm in names)
-        terms.append(f"{c}*{mono}" if mono else str(c))
-    return " + ".join(terms) if terms else "1"
+        term = ex.Const(c) if c > 0 else ex.Neg(ex.Const(-c))
+        for i, nm in enumerate(names):
+            term = ex.Mul(term, ex.Pow(ex.Sym(i, nm), rng.randint(0, degree)))
+        acc = term if acc is None else ex.Add(acc, term)
+    return ex.Const(1) if acc is None else acc
 
 
 def rand_scalar_field(ctx, rng):
-    return cd.scalar_field(ctx.chart, rand_poly(ctx, rng, ctx.chart.names))
+    return cd.scalar_field(ctx.chart, rand_poly_tree(rng, ctx.chart.names))
 
 
 def rand_vector_field(ctx, rng):
-    return cd.vector_field(ctx.chart, {i: rand_poly(ctx, rng, ctx.chart.names)
+    return cd.vector_field(ctx.chart, {i: rand_poly_tree(rng, ctx.chart.names)
                                        for i in range(ctx.chart.n)})
 
 
 def rand_tensor_field(ctx, rng, order):
-    comps = {w: rand_poly(ctx, rng, ctx.chart.names)
+    comps = {w: rand_poly_tree(rng, ctx.chart.names)
              for w in itertools.product(range(ctx.chart.n), repeat=order)}
     return cd.tensor_field(ctx.chart, order, comps)
 
 
 def rand_form_field(ctx, rng, k):
-    comps = {K: rand_poly(ctx, rng, ctx.chart.names)
+    comps = {K: rand_poly_tree(rng, ctx.chart.names)
              for K in anti_indices(ctx.chart.d, k)}
     return cd.form_field(ctx.chart, k, comps)
 
 
 def rand_kvector_field(ctx, rng, k):
-    comps = {K: rand_poly(ctx, rng, ctx.chart.names)
+    comps = {K: rand_poly_tree(rng, ctx.chart.names)
              for K in anti_indices(ctx.chart.d, k)}
     return cd.kvector_field(ctx.chart, k, comps)
 
@@ -202,8 +208,8 @@ def check_jets_product(ctx):
     out = []
     names = ctx.chart.names
     for trial in range(4):
-        e1 = ex.parse(rand_poly(ctx, rng, names), names)
-        e2 = ex.parse(rand_poly(ctx, rng, names), names)
+        e1 = rand_poly_tree(rng, names)
+        e2 = rand_poly_tree(rng, names)
         p = ctx.probes[trial % len(ctx.probes)]
         j1 = ex.eval_jet(e1, p, 4, ctx.mode)
         j2 = ex.eval_jet(e2, p, 4, ctx.mode)
@@ -239,7 +245,7 @@ def check_roundtrip(ctx):
     worst = 0
     p = ctx.probes[0]
     for _ in range(6):
-        e = ex.parse(rand_poly(ctx, rng, names), names)
+        e = rand_poly_tree(rng, names)
         e2 = ex.parse(ex.to_string(e), names)
         worst = max(worst, abs(ex.evaluate(e, p, ctx.mode) - ex.evaluate(e2, p, ctx.mode)))
     return [_result("expr-roundtrip", stmt, p, worst, 0 if ctx.mode == RATIONAL else 0.0)]
@@ -400,7 +406,7 @@ def _is_flat(ctx):
                 for i in range(chart.n):
                     for j in range(dim):
                         jets = chart.gamma1_jet(i, j, p, order, fiber)
-                        if not all(jet.is_zero() for jet in jets):
+                        if any(jets):
                             return False
     return True
 
@@ -779,7 +785,7 @@ def check_exterior_derivative(ctx):
         for idx in set(d1.comps) | set(d2.comps):
             a = d1.comps.get(idx)
             b = d2.comps.get(idx)
-            worst = max(worst, abs((a.value if a else 0) - (b.value if b else 0)))
+            worst = max(worst, abs((0 if a is None else a.value) - (0 if b is None else b.value)))
         out.append(_result("d-connection-independent",
                            "d omega agrees across torsion-free connections", p,
                            worst, ctx.tolerance(1e-8)))

@@ -136,6 +136,7 @@ _GOOD_2D = {
     "coordinates": ["x", "y"], "domain": {"x": [-1, 1], "y": [-1, 1]},
     "metric": [["1", "0"], ["0", "1"]], "probe_points": [["1/4", "-1/3"]],
 }
+_BIG = "__1e400__"  # written into the spec file as the JSON number 1e400
 _BAD_SPECS = {
     "domain-bounds-strings": {"domain": {"x": ["a", "b"], "y": [-1, 1]}},
     "domain-bounds-mixed": {"domain": {"x": ["a", 1], "y": [-1, 1]}},
@@ -158,6 +159,15 @@ _BAD_SPECS = {
     "sampler-count": {"probe_points": None, "sampler": {"count": -2}},
     "sampler-no-grid-point": {"probe_points": None, "sampler": {"count": 2},
                               "domain": {"x": [0, 0.1], "y": [-1, 1]}},
+    # JSON reads 1e400 as inf: every numeric entry and bound must be finite
+    "metric-entry-1e400": {"metric": [[_BIG, "0"], ["0", "1"]]},
+    "metric-entry-nan": {"metric": [[float("nan"), "0"], ["0", "1"]]},
+    "christoffel-entry-1e400": {"metric": None, "christoffel": {"0,0,0": _BIG}},
+    "fiber-entry-1e400": {"fiber": {"dimension": 2, "connection": {"0,0,0": _BIG}}},
+    "domain-bound-1e400": {"domain": {"x": [-1, _BIG], "y": [-1, 1]}},
+    "domain-bound-huge-int": {"domain": {"x": [-1, 10 ** 400], "y": [-1, 1]}},
+    "sampler-domain-bound-1e400": {"probe_points": None, "sampler": {"count": 2},
+                                   "domain": {"x": [-1, _BIG], "y": [-1, 1]}},
 }
 _BAD_FLAGS = {
     "suite": ["--suite", "nosuch"],
@@ -176,7 +186,7 @@ def test_malformed_input_exits_2_without_traceback(tmp_path, case):
     spec = {k: v for k, v in {**_GOOD_2D, **_BAD_SPECS.get(case, {})}.items()
             if v is not None}
     path = tmp_path / "spec.json"
-    path.write_text(json.dumps(spec))
+    path.write_text(json.dumps(spec).replace(f'"{_BIG}"', "1e400"))
     proc = subprocess.run(
         [sys.executable, "-m", "atomcur.cli", "run", str(path), "--suite", "jets",
          "--mode", "rational", *_BAD_FLAGS.get(case, [])],

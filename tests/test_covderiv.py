@@ -425,7 +425,7 @@ def _coefficients(jets: dict, n, order):
     from atomcur.jets import JetSpace
     space = JetSpace(n, order)
     return {idx: [jet.coeff(T) for T in space.index_of] for idx, jet in jets.items()
-            if not jet.is_zero()}
+            if jet}
 
 
 @pytest.mark.parametrize("mode", ["float", "rational"])
@@ -476,3 +476,141 @@ def test_float_and_rational_points_never_share_a_cache_entry(poly2):
         assert values and all(type(v) is kind for v in values.values())
         assert all(jet.mode == p.mode for jet in chart.gamma1_jet(0, 1, p, 1))
         assert chart._memo(p, ("mode",), lambda: p.mode) == p.mode
+
+
+def _random_fields(chart, seed):
+    """A vector, a 2-tensor, a 1-form, a 2-vector and a scalar field with
+    random polynomial components, the same for every call with one seed."""
+    from atomcur import suites as su
+    rng = random.Random(seed)
+    names, n, d = chart.names, chart.n, chart.d
+
+    def poly():
+        return su.rand_poly_tree(rng, names)
+
+    return [cd.vector_field(chart, {i: poly() for i in range(n)}),
+            cd.tensor_field(chart, 2, {w: poly() for w in itertools.product(range(n), repeat=2)}),
+            cd.form_field(chart, 1, {(a,): poly() for a in range(d)}),
+            cd.kvector_field(chart, 2, {(0, 1): poly()}),
+            cd.scalar_field(chart, poly())]
+
+
+def _same_values(got: dict, want: dict):
+    """Equal keys in equal order, equal values (zero-valued keys included)."""
+    assert list(got) == list(want)
+    assert all(got[k] == want[k] and type(got[k]) is type(want[k]) for k in want)
+
+
+@pytest.mark.parametrize("mode", ["float", "rational"])
+@pytest.mark.parametrize("history", ["fresh", "higher", "longer"])
+def test_word_values_equal_order0_jets(poly2, poly2_point, mode, history):
+    """The order-0 level on plain numbers gives, under every memo history,
+    the values of the order-0 jets in their key order, zero-valued keys
+    kept; after a higher order of the word (asked for directly, or inside a
+    longer word) both are read from that jet, and they agree with a fresh
+    derivation on every key it has, the extra keys holding zero."""
+    from atomcur.connection import dual_chart
+    p = poly2.resolve(poly2_point, mode)
+    words = [(0,), (1, 0), (0, 1, 1)]
+    for chart in (poly2, dual_chart(poly2)):
+        for seed in range(3):
+            for I in words:
+                fresh = [cd.nabla_word_values(f, I, p) for f in _random_fields(chart, seed)]
+                for f, want in zip(_random_fields(chart, seed), fresh):
+                    if history == "higher":
+                        cd.nabla_word_jets(f, I, p, 2)
+                    elif history == "longer":
+                        cd.nabla_word_values(f, (1,) + I, p)
+                    values = cd.nabla_word_values(f, I, p)
+                    jets = cd.nabla_word_jets(f, I, p, 0)
+                    assert all(jet.space.order == 0 for jet in jets.values())
+                    _same_values(values, {idx: jet.value for idx, jet in jets.items()})
+                    assert cd.nabla_word_values(f, I, p) is values
+                    # every component of the inner word is kept, zero or not
+                    assert set(cd.nabla_word_jets(f, I[1:], p, 1)) <= set(values)
+                    if history == "fresh":
+                        _same_values(values, want)
+                    else:
+                        assert all(values[k] == v for k, v in want.items())
+                        assert all(v == 0 for k, v in values.items() if k not in want)
+                    assert cd.nabla(f, I, p) == {k: v for k, v in values.items() if v != 0}
+
+
+def test_word_values_keep_zero_valued_components(flat2):
+    f = cd.vector_field(flat2, {0: "1", 1: "x1"})
+    for p in (flat2.resolve((0.5, 0.25), FLOAT), flat2.resolve((1, 2), RATIONAL)):
+        values = cd.nabla_word_values(f, (0,), p)
+        assert values == {(0,): 0, (1,): 0}
+        assert all(type(v) is type(p[0]) for v in values.values())
+        assert list(cd.nabla_word_jets(f, (0,), p, 0)) == [(0,), (1,)]
+        assert cd.nabla(f, (0,), p) == {}
+
+
+def test_nabla_makes_no_order0_jet_product(poly2, monkeypatch):
+    """nabla on a fresh field runs its top level on numbers: no product and
+    no fused add on an order-0 jet space (the chart's symbols, shared by
+    every field, are derived by a twin field first)."""
+    p = poly2.resolve((0.25, -0.5), FLOAT)
+    words = [(0,), (1, 0), (0, 1, 1), (1, 1, 0)]
+    for f in _random_fields(poly2, 7):
+        for I in words:
+            cd.nabla(f, I, p)
+    seen = []
+    mul, add = Jet.__mul__, Jet.add_product
+
+    def counting_mul(a, b):
+        seen.append(a.space.order)
+        return mul(a, b)
+
+    def counting_add(c, a, b, sign=1):
+        seen.append(c.space.order)
+        return add(c, a, b, sign)
+
+    monkeypatch.setattr(Jet, "__mul__", counting_mul)
+    monkeypatch.setattr(Jet, "add_product", counting_add)
+    for f in _random_fields(poly2, 7):
+        for I in words:
+            cd.nabla(f, I, p)
+    assert seen and 0 not in seen
+
+
+def test_word_values_under_threads(hyperbolic):
+    """Threads that share one field's value memo, asking for values, order-0
+    jets and nonzero values in interleaved orders, read the serial values."""
+    import sys
+    import threading
+    p = hyperbolic.resolve((0.3, 1.1), FLOAT)
+    words = [w for ell in range(1, 4) for w in itertools.product(range(2), repeat=ell)]
+    want = {w: dict(cd.nabla_word_values(f, w, p)) for f in _random_fields(hyperbolic, 2)[:1]
+            for w in words}
+    (shared,) = _random_fields(hyperbolic, 2)[:1]
+    got, errors = [None] * 6, []
+
+    def work(t):
+        order = words if t % 2 == 0 else words[::-1]
+        try:
+            out = {}
+            for w in order:
+                if t % 3 == 1:
+                    cd.nabla_word_jets(shared, w, p, 0)
+                elif t % 3 == 2:
+                    cd.nabla_value(shared, w, p)
+                out[w] = dict(cd.nabla_word_values(shared, w, p))
+            got[t] = out
+        except Exception as exc:  # reported below with the thread's index
+            errors.append((t, exc))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(6)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(th.is_alive() for th in threads)
+    assert errors == []
+    for vals in got:
+        assert vals == want

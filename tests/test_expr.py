@@ -215,3 +215,96 @@ def test_jet_memo_evaluates_only_when_the_order_rises(monkeypatch):
         jet = ex.jet_at(e, p, order)
         assert bytes(jet.coeffs) == bytes(inner(e, p, order).coeffs)
     assert orders == [1, 3, 4]
+
+
+# eval_jet reads the jets that the memo of an interior node already holds at
+# the point
+
+def _memo_snapshot(e):
+    """Every (node, point, order) -> jet entry of the jet memos under e."""
+    out, stack = {}, [e]
+    while stack:
+        node = stack.pop()
+        for point, held in (getattr(node, "_jets", None) or {}).items():
+            for order, jet in held.items():
+                out[(id(node), point, order)] = jet
+        stack.extend(getattr(node, c) for c in ("a", "b") if hasattr(node, c))
+    return out
+
+
+def _subtrees(e):
+    stack, out = [e], []
+    while stack:
+        node = stack.pop()
+        out.append(node)
+        stack.extend(getattr(node, c) for c in ("a", "b") if hasattr(node, c))
+    return out
+
+
+@pytest.mark.parametrize("mode", [FLOAT, RATIONAL])
+@given(data=st.data())
+@settings(max_examples=120, deadline=None)
+def test_eval_jet_reusing_held_jets_is_bitwise_fresh(mode, data):
+    """Subtrees held at lower, equal and higher orders (a shared subtree
+    included) give the jet a fresh evaluation gives, bit for bit, and the
+    call adds no memo entry."""
+    sub = data.draw(_div_pow_exprs(2, calls=mode == FLOAT))
+    e = ex.Add(ex.Mul(sub, data.draw(_div_pow_exprs(2, calls=False))), ex.Neg(sub))
+    coords = (0.7, 1.3) if mode == FLOAT else (Fraction(3, 7), Fraction(-2, 5))
+    p = as_point(coords, mode)
+    order = data.draw(st.integers(0, 3))
+    try:
+        fresh = ex.eval_jet(e, coords, order, mode)  # a plain tuple reads no memo
+        for node in data.draw(st.lists(st.sampled_from(_subtrees(e)), max_size=4)):
+            ex.jet_at(node, p, data.draw(st.integers(0, 4)))
+    except (EvalDomainError, OverflowError, ZeroDivisionError):
+        return
+    before = _memo_snapshot(e)
+    got = ex.eval_jet(e, p, order, mode)
+    assert _memo_snapshot(e) == before
+    if mode == FLOAT:
+        assert bytes(got.coeffs) == bytes(fresh.coeffs), ex.to_string(e)
+    else:
+        assert (got.coeffs, got.den) == (fresh.coeffs, fresh.den), ex.to_string(e)
+
+
+def test_eval_jet_keeps_signed_zeros_and_shared_subtrees():
+    """-0.0 and 0.0 compare equal, yet each Const node keeps its own sign;
+    a node reached twice (a shared subtree) counts twice."""
+    e = ex.Add(ex.Neg(ex.Const(0.0)), ex.Const(-0.0))
+    for p in ((0.5,), as_point((0.5,), FLOAT)):
+        assert math.copysign(1.0, ex.eval_jet(e, p, 0).value) == -1.0
+    shared = ex.Sym(0, "x")
+    jet = ex.eval_jet(ex.Mul(shared, ex.Add(shared, ex.Const(1))), (0.5,), 2)
+    assert list(jet.coeffs) == [0.75, 2.0, 1.0]
+
+
+def _shape(e):
+    """Node types and their data, recursively."""
+    fields = {ex.Const: ("value",), ex.Sym: ("index", "name"), ex.Pow: ("a", "k"),
+              ex.Neg: ("a",), ex.Add: ("a", "b"), ex.Mul: ("a", "b")}[type(e)]
+    return (type(e).__name__,) + tuple(
+        _shape(v) if isinstance(v, ex.Expression) else (type(v).__name__, v)
+        for v in (getattr(e, f) for f in fields))
+
+
+@pytest.mark.parametrize("names", [("x",), ("x", "y"), ("u", "v", "w")])
+def test_random_poly_tree_survives_the_parser(names):
+    """A random polynomial tree printed and parsed back is the same tree,
+    so the random-field builders need no string."""
+    import random
+
+    from atomcur import suites as su
+    rng = random.Random(0)
+    for _ in range(40):
+        for degree in (1, 2, 3):
+            tree = su.rand_poly_tree(rng, names, degree)
+            parsed = ex.parse(ex.to_string(tree), names)
+            assert _shape(parsed) == _shape(tree)
+            assert ex.to_string(parsed) == ex.to_string(tree)
+
+    class Zeros:  # every coefficient drawn is 0
+        def randint(self, lo, hi):
+            return 0
+
+    assert _shape(su.rand_poly_tree(Zeros(), names)) == ("Const", ("Fraction", 1))

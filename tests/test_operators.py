@@ -535,3 +535,29 @@ def test_leaf_endo_rows_are_derived_once(poly2, poly2_point, monkeypatch, mode):
         assert [y.coeffs for y in first[name]] == images, name
         assert any(images), name
 
+
+
+@pytest.mark.parametrize("mode", ["float", RATIONAL])
+def test_sharp_at_budget_0_matches_the_jet_accumulation(poly2, poly2_point, mode):
+    """sharp at out budget 0 accumulates numbers and wraps each key once; its
+    coefficients equal the values of the same product accumulated on jets
+    one order up, key for key (a key the jets add holds zero)."""
+    p = poly2.resolve(poly2_point, mode)
+    tf = cd.tensor_field(poly2, 1, {(0,): "x*y + 1", (1,): "x - y^2"})
+    ef = cd.kvector_field(poly2, 1, {(0,): "1", (1,): "x*y"})
+    tg = cd.tensor_field(poly2, 2, {(0, 1): "1", (1, 0): "x^2", (1, 1): "x*y"})
+    eg = cd.kvector_field(poly2, 1, {(0,): "y", (1,): "2 - x"})
+
+    def product(budget):
+        return op.sharp(op.SharpElement.from_fields(tf, ef, p, budget),
+                        op.SharpElement.from_fields(tg, eg, p, budget))
+
+    got, ref = product(2), product(3)
+    assert got.budget == 0 and ref.budget == 1
+    assert got.coeffs and all(j.space.order == 0 and j.mode == mode for j in got.coeffs.values())
+    for key, jet in ref.coeffs.items():
+        if key in got.coeffs:
+            assert got.coeffs[key].value == jet.value, key
+        else:
+            assert jet.value == 0, key
+    assert set(got.coeffs) <= set(ref.coeffs)
