@@ -252,8 +252,9 @@ def kernel_element(chart: ChartConnection, p, I, i, j, J, K) -> TensorExtElement
         ab = ab_value(I3, I4)
         if not ab:
             continue
-        base_end = cd.curvature_endomorphism(chart, I2, ab, p)
-        acted = cd.apply_endomorphism_derivation(base_end, None, tJ, (TU,) * len(J))
+        # covariant_step reads the endomorphism by rows: the transpose
+        base_rows = [*zip(*cd.curvature_endomorphism(chart, I2, ab, p))]
+        acted = cd.covariant_step(chart, (TU,) * len(J), {}, tJ, lambda fiber: base_rows)
         for wJ, cJ in acted.items():
             out.add_term(I1 + wJ, K, cJ)
     return out
@@ -343,7 +344,7 @@ def transition_matrix(chartA: ChartConnection, chartB: ChartConnection,
     change = [ex.parse(c, chartA.names) if isinstance(c, str) else c for c in change]
     if len(change) != n:
         raise ValueError("chart change needs one expression per coordinate")
-    yjets_hi = [ex.eval_jet(c, p, r + 1, p.mode) for c in change]
+    yjets_hi = [ex.eval_jet(c, p, r + 1) for c in change]
     q = tuple(j.value for j in yjets_hi)
     chartB.check_point(q)
     ybar = [j.truncate(r) - j.value for j in yjets_hi]

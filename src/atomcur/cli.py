@@ -235,7 +235,7 @@ def run(spec_path, suite: str, r: int, k: int, mode: str, tol, seed: int,
             raise SpecFileError(
                 f"{spec_path}: rational mode needs polynomial/rational chart expressions")
         probes = resolve_probes(data, chart, mode, seed)
-        usage = _flag_error(chart, suite, r, k, trials, tol)
+        usage = _flag_error(chart, suite, r, k, trials, tol, jobs)
         if usage:
             print(f"usage error: {usage}", file=sys.stderr)
             return 2
@@ -272,7 +272,7 @@ def run(spec_path, suite: str, r: int, k: int, mode: str, tol, seed: int,
     return 1 if any(r.status == "FAIL" for r in results) else 0
 
 
-def _flag_error(chart, suite, r, k, trials, tol):
+def _flag_error(chart, suite, r, k, trials, tol, jobs):
     """What is wrong with the run flags for this chart, or None."""
     if suite not in su.SUITES:
         return f"--suite {suite!r} names no suite (see 'atomcur suites')"
@@ -282,6 +282,8 @@ def _flag_error(chart, suite, r, k, trials, tol):
         return f"--degree must lie in 0..{chart.d}, the fiber dimension"
     if trials is not None and trials < 1:
         return "--trials must be at least 1"
+    if jobs < 1:
+        return "--jobs must be at least 1"
     # no residual meets a nan or negative tolerance, and inf passes every one
     if tol is not None and not 0 <= tol < math.inf:
         return f"--tol must be a finite number >= 0, not {tol!r}"
@@ -404,6 +406,9 @@ def main(argv=None) -> int:
             print(line)
         return 0
     if args.command == "gen-poly":
+        if args.dimension < 1:
+            print("usage error: --dimension must be at least 1", file=sys.stderr)
+            return 2
         spec = make_random_polynomial_spec(args.dimension, args.seed)
         text = json.dumps(spec, indent=2, sort_keys=True)
         if args.out:

@@ -53,7 +53,7 @@ def _expression_table(gamma):
     """Symbols gamma[k][i][j] given as expressions, evaluated as a table
     [i][j] -> jets over k."""
     def table(p, order):
-        return [[[ex.eval_jet(plane[i][j], p, order, p.mode) for plane in gamma]
+        return [[[ex.eval_jet(plane[i][j], p, order) for plane in gamma]
                  for j in range(len(gamma[0][0]))] for i in range(len(gamma[0]))]
     return table
 

@@ -165,6 +165,11 @@ def covariant_step(chart, slots, derivs, lows, symbols):
     [a][b] = Gamma^b_{i a} of the first-order symbols (of the fiber
     connection for ``fiber``).  They are jets of that order, or at order 0
     plain values; a zero term is skipped either way.
+
+    The slot loop is the derivation rule of the calculus: with empty
+    ``derivs`` and the rows of pointwise endomorphisms, row[a][b] the
+    coefficient of e_b in the image of e_a, it applies them to a tensor
+    value, +M on up slots and -M^T on down slots.
     """
     out = dict(derivs)
     for pos, sl in enumerate(slots):
@@ -301,21 +306,15 @@ def nabla_word_values(field: Field, I, p) -> dict:
     return out
 
 
-def nabla(field: Field, I, p) -> dict:
-    """Nonzero components of the order-|I| higher covariant derivative at p
-    along the frame word I."""
-    field.chart.check_point(p)
-    return {idx: v for idx, v in nabla_word_values(field, I, p).items() if v != 0}
-
-
 def nabla_value(field: Field, I, p) -> dict:
-    """Nonzero components of nabla_{e_I}(field) at p, memoized on the field.
+    """Nonzero components of the order-|I| higher covariant derivative at p
+    along the frame word I, memoized on the field.
 
     The filtered dict is computed once per (word, point) from
     :func:`nabla_word_values` and kept in ``field._nabla_cache`` under
     ``(I, "nonzero")``, beside the values it filters; later calls return
     that same dict without re-checking the point.  It is shared, so callers
-    must treat it as read-only.  A miss runs :func:`nabla`, so an
+    must treat it as read-only.  A miss checks the point first, so an
     out-of-domain point still raises on its first query.
     """
     I = tuple(I)
@@ -324,7 +323,8 @@ def nabla_value(field: Field, I, p) -> dict:
         hit = bucket.get((I, "nonzero"))
         if hit is not None:
             return hit
-    comps = nabla(field, I, p)
+    field.chart.check_point(p)
+    comps = {idx: v for idx, v in nabla_word_values(field, I, p).items() if v != 0}
     field._nabla_cache.setdefault(p, {})[(I, "nonzero")] = comps
     return comps
 
@@ -502,7 +502,7 @@ def nabla_jets_mixed(parts, I, p, order) -> dict:
     return out
 
 
-def covariant_product(X, Y, p, out_order=0) -> dict:
+def covariant_product(X, Y, p, out_order) -> dict:
     """X (.) Y = X_(1) tensor nabla_{X_(2)} Y, as word-keyed jets at p.
 
     ``X`` and ``Y`` are tangent tensor fields or lists of such (mixed
@@ -534,7 +534,7 @@ def covariant_product_value(X, Y, p) -> dict:
 # ---------------------------------------------------------------------------
 # Exterior derivative (torsion-free): d omega = sum_i e^i wedge nabla_{e_i} omega.
 
-def exterior_derivative(omega: Field, p, out_order=0) -> Field:
+def exterior_derivative(omega: Field, p, out_order) -> Field:
     """d(omega) at p as a jet-backed (k+1)-form field.
 
     Valid for differential forms (fiber = tangent bundle, all slots down);
@@ -591,30 +591,6 @@ def curvature_endomorphism(chart, S, ab_value: dict, p, fiber=False):
             if (uu, vv) == (u, v):
                 end[k][l] += c * x
     return end
-
-
-def apply_endomorphism_derivation(base_end, fiber_end, comps: dict, slots) -> dict:
-    """Extend pointwise endomorphisms to a tensor value as a derivation.
-
-    Up slots receive +M, down slots receive -(M transpose), with the base
-    matrix on tangent slots and the fiber matrix on fiber slots.
-    """
-    out = {}
-    for pos, sl in enumerate(slots):
-        mat = fiber_end if sl in (FU, FD) else base_end
-        dim = len(mat)
-        up = sl in (TU, FU)
-        for idx, c in comps.items():
-            if c == 0:
-                continue
-            a = idx[pos]
-            for b in range(dim):
-                coef = mat[b][a] if up else -mat[a][b]
-                if coef == 0:
-                    continue
-                key = idx[:pos] + (b,) + idx[pos + 1:]
-                out[key] = out.get(key, 0) + coef * c
-    return {k: v for k, v in out.items() if v != 0}
 
 
 # ---------------------------------------------------------------------------
@@ -676,23 +652,25 @@ def fundamental_commutation_check(u, v, a, b, field: Field, p):
     ev = coordinate_tensor_field(chart, v) if v else None
     for (u1, u2, u3, u4) in iterated_tensor_coproduct(u, 4):
         abval = nabla_value(eab, u2, p)
-        base_end = curvature_endomorphism(chart, u1, abval, p)
-        fiber_end = curvature_endomorphism(chart, u1, abval, p, fiber=True)
+        # covariant_step reads each endomorphism by rows: the transpose
+        base_rows = [*zip(*curvature_endomorphism(chart, u1, abval, p))]
+        fiber_rows = [*zip(*curvature_endomorphism(chart, u1, abval, p, fiber=True))]
         vval = nabla_value(ev, u4, p) if v else ({(): 1} if not u4 else None)
         if vval is None:
             continue
         inner = nabla_mixed(field, u3, vval, p)
-        acted = apply_endomorphism_derivation(base_end, fiber_end, inner, field.slots)
+        acted = covariant_step(chart, field.slots, {}, inner,
+                               lambda fiber: fiber_rows if fiber else base_rows)
         for idx, c in acted.items():
             right[idx] = right.get(idx, 0) + c
     # right side, second group (subtracted)
     for (u1, u2, u3, u4) in iterated_tensor_coproduct(u, 4):
         abval = nabla_value(eab, u3, p)
-        base_end = curvature_endomorphism(chart, u2, abval, p)
+        base_rows = [*zip(*curvature_endomorphism(chart, u2, abval, p))]
         vval = nabla_value(ev, u4, p) if v else ({(): 1} if not u4 else None)
         if vval is None:
             continue
-        rv = apply_endomorphism_derivation(base_end, None, vval, (TU,) * len(v))
+        rv = covariant_step(chart, (TU,) * len(v), {}, vval, lambda fiber: base_rows)
         part = nabla_mixed(field, u1, rv, p)
         for idx, c in part.items():
             right[idx] = right.get(idx, 0) - c

@@ -24,8 +24,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .jets import (ELEMENTARY_FUNCTIONS, FLOAT, EvalDomainError, ExactModeError,
-                   Jet, JetSpace, Point, apply_elementary, as_scalar)
+from .jets import (ELEMENTARY_FUNCTIONS, EvalDomainError, ExactModeError,
+                   Jet, JetSpace, Point, apply_elementary)
 
 __all__ = [
     "Expression", "Const", "Sym", "Add", "Sub", "Mul", "Div", "Neg", "Pow",
@@ -416,22 +416,22 @@ def to_string(e: Expression) -> str:
 # ---------------------------------------------------------------------------
 # Evaluation through jet arithmetic.
 
-def eval_jet(e: Expression, point, order: int, mode: str = FLOAT) -> Jet:
-    """Jet of the expression at ``point`` up to ``order``.
+def eval_jet(e: Expression, point: Point, order: int) -> Jet:
+    """Jet of the expression at ``point`` up to ``order``, in the point's
+    scalar mode.
 
     The coefficient at multi-index T is (1/T!) d^T e(point); exact in
     rational mode for rational expressions, raising :class:`ExactModeError`
     if the expression contains an elementary function.
 
     An interior node whose memo (see :func:`jet_at`) holds a jet at
-    ``point`` in ``mode`` of at least ``order`` is read from it, truncated
-    if need be, which gives the same coefficients bit for bit; nothing is
-    added to any memo.
+    ``point`` of at least ``order`` is read from it, truncated if need be,
+    which gives the same coefficients bit for bit; nothing is added to any
+    memo.
     """
     n = len(point)
     space = JetSpace(n, order)
-    vals = [as_scalar(x, mode) for x in point]
-    reuse = type(point) is Point and point.mode == mode
+    mode = point.mode
 
     def go(node):
         t = type(node)
@@ -440,14 +440,13 @@ def eval_jet(e: Expression, point, order: int, mode: str = FLOAT) -> Jet:
         if t is Sym:
             if node.index >= n:
                 raise UndeclaredSymbolError(node.name)
-            return Jet.variable(space, mode, node.index, vals[node.index])
-        if reuse:
-            held = getattr(node, "_jets", None)
-            held = held and held.get(point)
-            if held:
-                hit = _held_jet(held, order)
-                if hit is not None:
-                    return hit
+            return Jet.variable(space, mode, node.index, point[node.index])
+        held = getattr(node, "_jets", None)
+        held = held and held.get(point)
+        if held:
+            hit = _held_jet(held, order)
+            if hit is not None:
+                return hit
         if t is Mul:
             return go(node.a) * go(node.b)
         if t is Pow:
@@ -468,7 +467,7 @@ def eval_jet(e: Expression, point, order: int, mode: str = FLOAT) -> Jet:
 
 
 def jet_at(e: Expression, point, order: int) -> Jet:
-    """``eval_jet(e, point, order, point.mode)``, memoized on the node ``e``.
+    """``eval_jet(e, point, order)``, memoized on the node ``e``.
 
     Per :class:`~atomcur.jets.Point` the memo holds the jet at the highest
     order asked for so far and the truncations taken from it.  Graded-lex
@@ -489,7 +488,7 @@ def jet_at(e: Expression, point, order: int) -> Jet:
         held = memo[point] = {}
     hit = _held_jet(held, order)
     if hit is None:
-        hit = eval_jet(e, point, order, point.mode)
+        hit = eval_jet(e, point, order)
     held[order] = hit
     return hit
 
@@ -506,9 +505,9 @@ def _held_jet(held, order):
     return hit
 
 
-def evaluate(e: Expression, point, mode: str = FLOAT):
-    """Plain value of the expression at a point."""
-    return eval_jet(e, point, 0, mode).value
+def evaluate(e: Expression, point: Point):
+    """Plain value of the expression at a point, in the point's mode."""
+    return eval_jet(e, point, 0).value
 
 
 def monomial_form(point, T, names) -> Expression:

@@ -122,19 +122,12 @@ def iterated_tensor_coproduct(w, parts: int):
 def wedge_coproduct(K):
     """Signed deshuffle coproduct on the exterior algebra.
 
-    Returns a list of (A, B, sign) with K = A union B (ordered splittings)
-    and the Koszul shuffle sign.
+    Returns a list of (A, B, sign) with K = A union B (the splittings of
+    :func:`_deshuffles`, in its order) and the Koszul shuffle sign: the
+    parity of the inversions across the split.
     """
-    K = tuple(K)
-    m = len(K)
-    out = []
-    for mask in range(1 << m):
-        A = tuple(K[i] for i in range(m) if mask >> i & 1)
-        B = tuple(K[i] for i in range(m) if not mask >> i & 1)
-        # sign of un-riffling K into (A, B): count inversions across the split
-        inv = sum(1 for a in A for b in B if a > b)
-        out.append((A, B, -1 if inv & 1 else 1))
-    return out
+    return [(A, B, -1 if sum(a > b for a in A for b in B) & 1 else 1)
+            for A, B in _deshuffles(tuple(K))]
 
 
 # ---------------------------------------------------------------------------

@@ -342,7 +342,7 @@ def op_Edag_theta(theta: Field, p) -> FiberEndo:
 # ---------------------------------------------------------------------------
 # Adjoint of covariant differentiation.
 
-def divergence_field(X: Field, p, budget=4) -> Field:
+def divergence_field(X: Field, p, budget) -> Field:
     """div X = trace of nabla X, as a jet-backed scalar field at p."""
     chart = X.chart
     chart.require_metric()
@@ -357,7 +357,7 @@ def divergence_field(X: Field, p, budget=4) -> Field:
     return cd.jet_field(chart, (), {(): total}, p, budget)
 
 
-def op_Ddag(X, p, budget=4) -> FiberEndo:
+def op_Ddag(X, p, budget) -> FiberEndo:
     """Adjoint of covariant differentiation.
 
     Vector case: Ddag_X = -div(X)_corner - D_X.  Tensor case, recursively:
@@ -669,7 +669,7 @@ def _sqrt_det(detg):
     return apply_elementary("sqrt", detg)
 
 
-def codifferential_form(omega: Field, p, budget=0) -> Field:
+def codifferential_form(omega: Field, p, budget) -> Field:
     """delta omega = (-1)^k star^{-1} d star omega, as a jet-backed field at p."""
     k = len(omega.slots)
     st = star_form_jets(omega, p, budget + 1)

@@ -176,6 +176,8 @@ _BAD_FLAGS = {
     "degree-above-fiber": ["--degree", "3"],
     "trials-zero": ["--suite", "composition", "--trials", "0"],
     "trials-negative": ["--suite", "composition", "--trials", "-1"],
+    "jobs-zero": ["--jobs", "0"],
+    "jobs-negative": ["--jobs", "-2"],
 }
 
 
@@ -299,6 +301,29 @@ def test_gen_poly_spec_roundtrip(tmp_path):
                     "--out", str(report)])
     assert code == 0
     assert json.loads(report.read_text())["summary"]["failed"] == 0
+
+
+@pytest.mark.parametrize("dimension", ["0", "-1"])
+def test_gen_poly_rejects_a_dimension_below_1(tmp_path, capsys, dimension):
+    # such a spec would be refused by run, so none is written
+    out = tmp_path / "gen.json"
+    assert run_cli(["gen-poly", "--dimension", dimension, "--out", str(out)]) == 2
+    assert "usage error: --dimension" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode,order", [("float", "2"), ("float", "3"),
+                                        ("rational", "2"), ("rational", "3")])
+def test_curved_1d_spec_passes_every_suite(tmp_path, mode, order):
+    # tr(DEdag)^2 lowers the degree by two, so on a 1-D chart it vanishes on
+    # every element: its check skips there instead of failing
+    spec = tmp_path / "g1.json"
+    assert run_cli(["gen-poly", "--dimension", "1", "--out", str(spec)]) == 0
+    out = tmp_path / "r.json"
+    assert run_cli(["run", str(spec), "--suite", "all", "--mode", mode,
+                    "--order", order, "--out", str(out)]) == 0
+    status, note = _statuses(json.loads(out.read_text()))["trace-lift-not-differential"]
+    assert status == "skip" and "dimension >= 2" in note
 
 
 def _statuses(report):

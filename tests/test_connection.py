@@ -33,7 +33,8 @@ def test_s2_levi_civita_fd_oracle(s2):
     h = 1e-6
     p = s2.resolve((1.3, 2.0), FLOAT)
     n = 2
-    g = lambda q: [[ex.evaluate(s2.metric[i][j], q) for j in range(n)] for i in range(n)]
+    g = lambda q: [[ex.evaluate(s2.metric[i][j], as_point(q, FLOAT)) for j in range(n)]
+                   for i in range(n)]
     g0 = s2.metric_value(p)  # diagonal
     ginv = [[1 / g0[i][i] if i == j else 0.0 for j in range(n)] for i in range(n)]
     for k in range(n):

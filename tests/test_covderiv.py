@@ -108,16 +108,44 @@ def test_zero_order_commutator_is_curvature(s2):
     for word, sgn in [((a, b) + v, 1), ((b, a) + v, -1)]:
         for idx, c in cd.nabla_value(om, word, p).items():
             lhs[idx] = lhs.get(idx, 0) + sgn * c
-    base_end = cd.curvature_endomorphism(s2, (), {(a, b): 1}, p)
-    fiber_end = cd.curvature_endomorphism(s2, (), {(a, b): 1}, p, fiber=True)
+    # covariant_step reads each endomorphism by rows: the transpose
+    base_rows = [*zip(*cd.curvature_endomorphism(s2, (), {(a, b): 1}, p))]
+    fiber_rows = [*zip(*cd.curvature_endomorphism(s2, (), {(a, b): 1}, p, fiber=True))]
     inner = cd.nabla_value(om, v, p)
-    rhs = cd.apply_endomorphism_derivation(base_end, fiber_end, inner, om.slots)
-    rv = cd.apply_endomorphism_derivation(base_end, None, {v: 1}, (cd.TU,))
+    rhs = cd.covariant_step(s2, om.slots, {}, inner,
+                            lambda fiber: fiber_rows if fiber else base_rows)
+    rv = cd.covariant_step(s2, (cd.TU,), {}, {v: 1}, lambda fiber: base_rows)
     for word, c in rv.items():
         for idx, c2 in cd.nabla_value(om, word, p).items():
             rhs[idx] = rhs.get(idx, 0) - c * c2
     keys = set(lhs) | set(rhs)
     assert max(abs(lhs.get(kk, 0) - rhs.get(kk, 0)) for kk in keys) < 1e-8
+
+
+def test_covariant_step_applies_endomorphisms_as_a_derivation():
+    """With the rows of pointwise endomorphisms A (tangent) and B (fiber),
+    covariant_step adds to ``derivs`` +A on the up tangent slot, -A^T on the
+    down one, and likewise B on the fiber slots, against a hand expansion."""
+    from types import SimpleNamespace
+    rng = random.Random(11)
+    n, d = 2, 3
+    A = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+    B = [[rng.randint(-3, 3) for _ in range(d)] for _ in range(d)]
+    keys = list(itertools.product(range(n), range(n), range(d), range(d)))
+    T = {key: Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for key in keys}
+    derivs = {key: Fraction(rng.randint(-2, 2)) for key in keys[::5]}
+    # row[a][b]: the coefficient of e_b in the image of e_a
+    rows = {False: [[A[b][a] for b in range(n)] for a in range(n)],
+            True: [[B[b][a] for b in range(d)] for a in range(d)]}
+    got = cd.covariant_step(SimpleNamespace(n=n, d=d), (cd.TU, cd.TD, cd.FU, cd.FD),
+                            derivs, T, rows.get)
+    for (i, j, al, be) in keys:
+        want = (derivs.get((i, j, al, be), 0)
+                + sum(A[i][k] * T[(k, j, al, be)] for k in range(n))
+                - sum(A[k][j] * T[(i, k, al, be)] for k in range(n))
+                + sum(B[al][g] * T[(i, j, g, be)] for g in range(d))
+                - sum(B[g][be] * T[(i, j, al, g)] for g in range(d)))
+        assert got.get((i, j, al, be), 0) == want
 
 
 def test_covariant_product_bracket(s2):
@@ -311,20 +339,24 @@ def test_nabla_value_memo_is_per_field_and_point(s2):
 
 
 def test_nabla_computed_once_per_key_in_operator_suite(tmp_path, monkeypatch):
-    """Every (field, word, point) value is derived once by `nabla`."""
+    """Every (field, word, point) nonzero value is derived once by
+    `nabla_value`: each miss reads the word's values once, and only a miss
+    does."""
+    import sys
     from pathlib import Path
 
     from atomcur import cli
     seen, fields = {}, []
-    inner = cd.nabla
+    inner = cd.nabla_word_values
 
     def counting(field, I, p):
-        fields.append(field)  # keeps ids unique for the whole run
-        key = (id(field), tuple(I), p)
-        seen[key] = seen.get(key, 0) + 1
+        if sys._getframe(1).f_code is cd.nabla_value.__code__:
+            fields.append(field)  # keeps ids unique for the whole run
+            key = (id(field), tuple(I), p)
+            seen[key] = seen.get(key, 0) + 1
         return inner(field, I, p)
 
-    monkeypatch.setattr(cd, "nabla", counting)
+    monkeypatch.setattr(cd, "nabla_word_values", counting)
     spec = Path(__file__).resolve().parent.parent / "src" / "atomcur" / "specs" / "hyperbolic.json"
     code = cli.main(["run", str(spec), "--suite", "operators", "--mode", "float",
                      "--trials", "1", "--seed", "0", "--out", str(tmp_path / "r.json")])
@@ -382,9 +414,9 @@ def test_expression_jet_memo_is_shared_and_dies_with_its_node(s2, monkeypatch):
     orders = []
     inner = ex.eval_jet
 
-    def counting(e, point, order, mode=FLOAT):
+    def counting(e, point, order):
         orders.append(order)
-        return inner(e, point, order, mode)
+        return inner(e, point, order)
 
     monkeypatch.setattr(ex, "eval_jet", counting)
     first = cd.scalar_field(s2, e)
@@ -412,7 +444,7 @@ def test_antisymmetrized_components_share_one_negation(flat3):
     assert len(odd) == 3
     assert all(g.comps[K] is g.comps[odd[0]] for K in odd)
     # jet components (the form-level Hodge star) go through the same expansion
-    jet = ex.eval_jet(ex.parse("x0*x1 + 2", flat3.names), (0.5, 0.25, 1.0), 1)
+    jet = ex.eval_jet(ex.parse("x0*x1 + 2", flat3.names), as_point((0.5, 0.25, 1.0), FLOAT), 1)
     full = cd.antisymmetrize({(0, 1, 2): jet}, Jet.__neg__)
     odd = [K for K in full if full[K] is not jet]
     assert sorted(odd) == [(0, 2, 1), (1, 0, 2), (2, 1, 0)]
@@ -533,7 +565,7 @@ def test_word_values_equal_order0_jets(poly2, poly2_point, mode, history):
                     else:
                         assert all(values[k] == v for k, v in want.items())
                         assert all(v == 0 for k, v in values.items() if k not in want)
-                    assert cd.nabla(f, I, p) == {k: v for k, v in values.items() if v != 0}
+                    assert cd.nabla_value(f, I, p) == {k: v for k, v in values.items() if v != 0}
 
 
 def test_word_values_keep_zero_valued_components(flat2):
@@ -543,7 +575,7 @@ def test_word_values_keep_zero_valued_components(flat2):
         assert values == {(0,): 0, (1,): 0}
         assert all(type(v) is type(p[0]) for v in values.values())
         assert list(cd.nabla_word_jets(f, (0,), p, 0)) == [(0,), (1,)]
-        assert cd.nabla(f, (0,), p) == {}
+        assert cd.nabla_value(f, (0,), p) == {}
 
 
 def test_nabla_makes_no_order0_jet_product(poly2, monkeypatch):
@@ -554,7 +586,7 @@ def test_nabla_makes_no_order0_jet_product(poly2, monkeypatch):
     words = [(0,), (1, 0), (0, 1, 1), (1, 1, 0)]
     for f in _random_fields(poly2, 7):
         for I in words:
-            cd.nabla(f, I, p)
+            cd.nabla_value(f, I, p)
     seen = []
     mul, add = Jet.__mul__, Jet.add_product
 
@@ -570,7 +602,7 @@ def test_nabla_makes_no_order0_jet_product(poly2, monkeypatch):
     monkeypatch.setattr(Jet, "add_product", counting_add)
     for f in _random_fields(poly2, 7):
         for I in words:
-            cd.nabla(f, I, p)
+            cd.nabla_value(f, I, p)
     assert seen and 0 not in seen
 
 

@@ -38,18 +38,18 @@ def test_precedence():
 
 
 def test_eval_jet_exp():
-    j = ex.eval_jet(ex.parse("exp(x)", ["x"]), (0.0,), 3)
+    j = ex.eval_jet(ex.parse("exp(x)", ["x"]), as_point((0.0,), FLOAT), 3)
     assert [round(c, 12) for c in j.coeffs] == [1.0, 1.0, 0.5, round(1 / 6, 12)]
 
 
 def test_eval_jet_constant():
-    j = ex.eval_jet(ex.parse("3.5", ["x", "y"]), (1.0, 2.0), 2)
+    j = ex.eval_jet(ex.parse("3.5", ["x", "y"]), as_point((1.0, 2.0), FLOAT), 2)
     assert j.value == 3.5
     assert all(c == 0 for c in list(j.coeffs)[1:])
 
 
 def test_eval_jet_mixed():
-    j = ex.eval_jet(ex.parse("x*y + sin(x)", ["x", "y"]), (0.0, 0.0), 2)
+    j = ex.eval_jet(ex.parse("x*y + sin(x)", ["x", "y"]), as_point((0.0, 0.0), FLOAT), 2)
     assert j.value == 0
     assert j.partial((1, 0)) == 1.0
     assert j.partial((0, 1)) == 0.0
@@ -59,23 +59,23 @@ def test_eval_jet_mixed():
 
 def test_rational_polynomial_exact():
     e = ex.parse("x^2*y/3 - 7/2", ["x", "y"])
-    j = ex.eval_jet(e, (Fraction(1, 2), Fraction(2, 3)), 3, RATIONAL)
+    j = ex.eval_jet(e, as_point((Fraction(1, 2), Fraction(2, 3)), RATIONAL), 3)
     assert j.value == Fraction(1, 4) * Fraction(2, 3) / 3 - Fraction(7, 2)
     assert j.partial((2, 1)) == Fraction(2, 3)
 
 
 def test_rational_mode_rejects_elementary():
     with pytest.raises(ExactModeError):
-        ex.eval_jet(ex.parse("sin(x)", ["x"]), (Fraction(0),), 2, RATIONAL)
+        ex.eval_jet(ex.parse("sin(x)", ["x"]), as_point((Fraction(0),), RATIONAL), 2)
 
 
 def test_domain_errors():
     with pytest.raises(EvalDomainError):
-        ex.eval_jet(ex.parse("log(x)", ["x"]), (-1.0,), 1)
+        ex.eval_jet(ex.parse("log(x)", ["x"]), as_point((-1.0,), FLOAT), 1)
     with pytest.raises(EvalDomainError):
-        ex.eval_jet(ex.parse("sqrt(x)", ["x"]), (-2.0,), 1)
+        ex.eval_jet(ex.parse("sqrt(x)", ["x"]), as_point((-2.0,), FLOAT), 1)
     with pytest.raises(EvalDomainError):
-        ex.eval_jet(ex.parse("1/x", ["x"]), (0.0,), 1)
+        ex.eval_jet(ex.parse("1/x", ["x"]), as_point((0.0,), FLOAT), 1)
 
 
 def test_monomial_form_printing():
@@ -90,7 +90,7 @@ def test_monomial_kronecker():
     p = (Fraction(1), Fraction(-2))
     for T in [(0, 0), (1, 0), (2, 1), (0, 3)]:
         m = ex.monomial_form(p, T, ["x", "y"])
-        jet = ex.eval_jet(m, p, sum(T), RATIONAL)
+        jet = ex.eval_jet(m, as_point(p, RATIONAL), sum(T))
         for S in [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (2, 1), (0, 3)]:
             if sum(S) > sum(T):
                 continue
@@ -125,8 +125,8 @@ def _exprs(depth):
 def test_roundtrip_bitwise_rational(e):
     text = ex.to_string(e)
     e2 = ex.parse(text, _names)
-    p = (Fraction(3, 7), Fraction(-2, 5))
-    assert ex.evaluate(e, p, RATIONAL) == ex.evaluate(e2, p, RATIONAL)
+    p = as_point((Fraction(3, 7), Fraction(-2, 5)), RATIONAL)
+    assert ex.evaluate(e, p) == ex.evaluate(e2, p)
 
 
 # truncating a higher-order jet gives the lower-order jet, so the expression
@@ -172,7 +172,7 @@ def _rooted_exprs(calls):
 
 def _jets_or_none(e, p, orders, mode):
     try:
-        return [ex.eval_jet(e, p, order, mode) for order in orders]
+        return [ex.eval_jet(e, as_point(p, mode), order) for order in orders]
     except (EvalDomainError, OverflowError, ZeroDivisionError):
         return None
 
@@ -206,9 +206,9 @@ def test_jet_memo_evaluates_only_when_the_order_rises(monkeypatch):
     orders = []
     inner = ex.eval_jet
 
-    def counting(e, point, order, mode=FLOAT):
+    def counting(e, point, order):
         orders.append(order)
-        return inner(e, point, order, mode)
+        return inner(e, point, order)
 
     monkeypatch.setattr(ex, "eval_jet", counting)
     for order in (1, 0, 3, 2, 1, 3, 4, 0):
@@ -253,14 +253,17 @@ def test_eval_jet_reusing_held_jets_is_bitwise_fresh(mode, data):
     coords = (0.7, 1.3) if mode == FLOAT else (Fraction(3, 7), Fraction(-2, 5))
     p = as_point(coords, mode)
     order = data.draw(st.integers(0, 3))
+    # the oracle runs before any jet_at call, so no interior node holds a jet
+    assert not any(getattr(node, "_jets", None) for node in _subtrees(e)
+                   if not isinstance(node, (ex.Const, ex.Sym)))
     try:
-        fresh = ex.eval_jet(e, coords, order, mode)  # a plain tuple reads no memo
+        fresh = ex.eval_jet(e, p, order)
         for node in data.draw(st.lists(st.sampled_from(_subtrees(e)), max_size=4)):
             ex.jet_at(node, p, data.draw(st.integers(0, 4)))
     except (EvalDomainError, OverflowError, ZeroDivisionError):
         return
     before = _memo_snapshot(e)
-    got = ex.eval_jet(e, p, order, mode)
+    got = ex.eval_jet(e, p, order)
     assert _memo_snapshot(e) == before
     if mode == FLOAT:
         assert bytes(got.coeffs) == bytes(fresh.coeffs), ex.to_string(e)
@@ -272,10 +275,10 @@ def test_eval_jet_keeps_signed_zeros_and_shared_subtrees():
     """-0.0 and 0.0 compare equal, yet each Const node keeps its own sign;
     a node reached twice (a shared subtree) counts twice."""
     e = ex.Add(ex.Neg(ex.Const(0.0)), ex.Const(-0.0))
-    for p in ((0.5,), as_point((0.5,), FLOAT)):
-        assert math.copysign(1.0, ex.eval_jet(e, p, 0).value) == -1.0
+    p = as_point((0.5,), FLOAT)
+    assert math.copysign(1.0, ex.eval_jet(e, p, 0).value) == -1.0
     shared = ex.Sym(0, "x")
-    jet = ex.eval_jet(ex.Mul(shared, ex.Add(shared, ex.Const(1))), (0.5,), 2)
+    jet = ex.eval_jet(ex.Mul(shared, ex.Add(shared, ex.Const(1))), p, 2)
     assert list(jet.coeffs) == [0.75, 2.0, 1.0]
 
 
