@@ -22,7 +22,6 @@ seed, mode, flags): all keys are sorted and wall times live in a separate
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import math
 import sys
@@ -261,9 +260,11 @@ def run(spec_path, suite: str, r: int, k: int, mode: str, tol, seed: int,
     report = make_report(data, suite, ctx, results, wall)
     text = json.dumps(report, indent=2, sort_keys=True)
     if out_path:
-        Path(out_path).write_text(text + "\n", encoding="utf-8")
-        csv_path = Path(str(out_path)).with_suffix(".csv")
-        csv_path.write_text(to_csv(results), encoding="utf-8")
+        out = Path(out_path)
+        out.write_text(text + "\n", encoding="utf-8")
+        # a device or pipe (--out /dev/null) gets the JSON alone
+        if out.is_file():
+            out.with_suffix(".csv").write_text(to_csv(results), encoding="utf-8")
     else:
         print(text)
     for row in results:
@@ -293,7 +294,9 @@ def _flag_error(chart, suite, r, k, trials, tol, jobs):
 def _run_parallel(ctx, jobs):
     # checks are pure; parallelize across suites with threads (the work is
     # Python-bound and holds the interpreter lock, so this does not cut wall
-    # time; it must give the same report as --jobs 1)
+    # time; it must give the same report as --jobs 1).  Imported here so
+    # that a serial run does not load concurrent.futures and logging
+    import concurrent.futures
     results = []
     with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
         futs = {pool.submit(su.run_suite, ctx, name): name for name in su.CHECKS}

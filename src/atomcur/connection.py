@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import copy
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import expr as ex
@@ -326,15 +325,15 @@ class ChartConnection:
         return [[jet.value for jet in row] for row in self._metric_jets(p, 0)]
 
 
-@dataclass
 class CurvatureAt:
     """Curvature components at a point: R(e_u, e_v) e_j = base[(k, j, u, v)] e_k,
     and likewise for the fiber bundle.  Covariant derivatives of R are read
     through ``covderiv.curvature_field``."""
 
-    point: tuple
-    base: dict
-    fiber: dict
+    def __init__(self, point: tuple, base: dict, fiber: dict):
+        self.point = point
+        self.base = base
+        self.fiber = fiber
 
 
 def curvature(cc: ChartConnection, p) -> CurvatureAt:

@@ -429,41 +429,40 @@ def eval_jet(e: Expression, point: Point, order: int) -> Jet:
     which gives the same coefficients bit for bit; nothing is added to any
     memo.
     """
-    n = len(point)
-    space = JetSpace(n, order)
-    mode = point.mode
+    return _eval_node(e, point, JetSpace(len(point), order))
 
-    def go(node):
-        t = type(node)
-        if t is Const:
-            return Jet.const(space, mode, node.value)
-        if t is Sym:
-            if node.index >= n:
-                raise UndeclaredSymbolError(node.name)
-            return Jet.variable(space, mode, node.index, point[node.index])
-        held = getattr(node, "_jets", None)
-        held = held and held.get(point)
-        if held:
-            hit = _held_jet(held, order)
-            if hit is not None:
-                return hit
-        if t is Mul:
-            return go(node.a) * go(node.b)
-        if t is Pow:
-            return go(node.a).power(node.k)
-        if t is Add:
-            return go(node.a) + go(node.b)
-        if t is Neg:
-            return -go(node.a)
-        if t is Sub:
-            return go(node.a) - go(node.b)
-        if t is Div:
-            return go(node.a) * go(node.b).reciprocal()
-        if t is Call:
-            return apply_elementary(node.fn, go(node.a))
-        raise TypeError(f"not an expression: {node!r}")
 
-    return go(e)
+def _eval_node(node, point, space):
+    # module-level: a nested function that calls itself is a reference
+    # cycle, which each eval_jet call would leave to the cyclic collector
+    t = type(node)
+    if t is Const:
+        return Jet.const(space, point.mode, node.value)
+    if t is Sym:
+        if node.index >= space.n:
+            raise UndeclaredSymbolError(node.name)
+        return Jet.variable(space, point.mode, node.index, point[node.index])
+    held = getattr(node, "_jets", None)
+    held = held and held.get(point)
+    if held:
+        hit = _held_jet(held, space.order)
+        if hit is not None:
+            return hit
+    if t is Mul:
+        return _eval_node(node.a, point, space) * _eval_node(node.b, point, space)
+    if t is Pow:
+        return _eval_node(node.a, point, space).power(node.k)
+    if t is Add:
+        return _eval_node(node.a, point, space) + _eval_node(node.b, point, space)
+    if t is Neg:
+        return -_eval_node(node.a, point, space)
+    if t is Sub:
+        return _eval_node(node.a, point, space) - _eval_node(node.b, point, space)
+    if t is Div:
+        return _eval_node(node.a, point, space) * _eval_node(node.b, point, space).reciprocal()
+    if t is Call:
+        return apply_elementary(node.fn, _eval_node(node.a, point, space))
+    raise TypeError(f"not an expression: {node!r}")
 
 
 def jet_at(e: Expression, point, order: int) -> Jet:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from . import atomic as at
@@ -28,16 +27,17 @@ from .multialg import (all_words, anti_indices, basis_element, delta_coproduct, 
                        row_reduce, tensor_coproduct, wedge_coproduct)
 
 
-@dataclass
 class CheckResult:
-    check: str
-    statement: str
-    probe: tuple | None
-    residual: float
-    tol: float
-    passed: bool
-    skipped: bool = False
-    note: str = ""
+    def __init__(self, check: str, statement: str, probe: tuple | None, residual: float,
+                 tol: float, passed: bool, skipped: bool = False, note: str = ""):
+        self.check = check
+        self.statement = statement
+        self.probe = probe
+        self.residual = residual
+        self.tol = tol
+        self.passed = passed
+        self.skipped = skipped
+        self.note = note
 
     @property
     def status(self) -> str:
@@ -55,20 +55,18 @@ class CheckResult:
         }
 
 
-@dataclass
 class SuiteContext:
-    chart: ChartConnection
-    mode: str = FLOAT
-    tol: float | None = None
-    seed: int = 0
-    r: int = 2
-    k: int = 1
-    probes: list = dc_field(default_factory=list)
-    trials: int | None = None
-
-    def __post_init__(self):
+    def __init__(self, chart: ChartConnection, mode: str = FLOAT, tol: float | None = None,
+                 seed: int = 0, r: int = 2, k: int = 1, probes=(), trials: int | None = None):
+        self.chart = chart
+        self.mode = mode
+        self.tol = tol
+        self.seed = seed
+        self.r = r
+        self.k = k
         # every check reads its probes in the scalar type of the mode
-        self.probes = [as_point(p, self.mode) for p in self.probes]
+        self.probes = [as_point(p, mode) for p in probes]
+        self.trials = trials
 
     def tolerance(self, default):
         if self.mode == RATIONAL:

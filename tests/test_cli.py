@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -33,6 +34,15 @@ def test_run_flat_rational(tmp_path, capsys):
     assert all(row["residual"] == "0" or float(row["residual"]) == 0
                for row in report["checks"] if row["status"] == "pass")
     assert out.with_suffix(".csv").exists()
+
+
+def test_out_to_a_device_writes_no_csv(tmp_path):
+    # the CSV goes beside a regular file only; out.json here is /dev/null
+    out = tmp_path / "out.json"
+    out.symlink_to(os.devnull)
+    assert run_cli(["run", str(SPECS / "flat-r1.json"), "--suite", "jets",
+                    "--out", str(out)]) == 0
+    assert not (tmp_path / "out.csv").exists()
 
 
 @pytest.mark.parametrize("spec, order", [("flat-r3", "3"), ("flat-r2", "4")])
@@ -290,6 +300,19 @@ def test_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "coalgebra" in proc.stdout
+
+
+def test_import_loads_only_what_a_serial_run_uses():
+    # --jobs > 1 imports concurrent.futures (and with it logging) itself
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, atomcur.cli; print(*sys.modules)"],
+        capture_output=True, text=True,
+        env={"PYTHONPATH": str(SPECS.parent.parent), "PATH": "/usr/bin:/bin"},
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "atomcur.suites" in loaded
+    assert not loaded & {"dataclasses", "concurrent.futures", "logging", "inspect"}
 
 
 def test_gen_poly_spec_roundtrip(tmp_path):

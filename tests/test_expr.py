@@ -1,3 +1,4 @@
+import gc
 import math
 from fractions import Fraction
 
@@ -55,6 +56,19 @@ def test_eval_jet_mixed():
     assert j.partial((0, 1)) == 0.0
     assert j.coeff((1, 1)) == 1.0
     assert j.coeff((2, 0)) == 0.0
+
+
+def test_eval_jet_leaves_no_reference_cycle():
+    # frames and jets of a call are freed by reference counting alone
+    e = ex.parse("x*y^2 + 3*x - y/(1 + x^2) + sin(x)", ["x", "y"])
+    point = as_point((0.5, 0.25), FLOAT)
+    gc.collect()
+    gc.disable()
+    try:
+        ex.eval_jet(e, point, 3)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_rational_polynomial_exact():
