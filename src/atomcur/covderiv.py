@@ -21,13 +21,13 @@ reduced to jet arithmetic of component functions and first-order symbols.
 A word of length s needs the jets of its inner words up to order s, but its
 own top level only values at the point: Phi_p(v box alpha)(omega) reads
 (nabla_v omega)_p(alpha).  So the order-0 level runs on plain numbers
-(``nabla_word_values``): the e_{i1} coefficients and values of the order-1
-jets of the inner word, the symbol values the chart keeps per point, and
-the values of the substituted words, accumulated by the same loops as the
-jet levels (``covariant_step``, ``_add_product``).  Jets of order 0 are
+(``nabla_value``): the e_{i1} coefficients and values of the order-1 jets
+of the inner word, the symbol values the chart keeps per point, and the
+nonzero values of the substituted words, accumulated by the same loops as
+the jet levels (``covariant_step``, ``_add_product``).  Jets of order 0 are
 wrapped from those values only for callers that ask for jets.
 Everything here is a pure function of immutable inputs; per-field caches
-only memoize results.
+only memoize results, one jet entry and one values dict per (word, point).
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ class Field:
     """A field over a chart: typed slots plus a component map."""
 
     __slots__ = ("chart", "slots", "comps", "jet_backed", "point", "budget",
-                 "_nabla_cache")
+                 "_nabla_cache", "_nabla_values")
 
     def __init__(self, chart: ChartConnection, slots, comps, jet_backed=False,
                  point=None, budget=None):
@@ -57,6 +57,7 @@ class Field:
         self.point = point
         self.budget = budget
         self._nabla_cache = {}
+        self._nabla_values = {}
         for idx in self.comps:
             if len(idx) != len(self.slots):
                 raise ValueError(f"component key {idx!r} does not match slots {self.slots!r}")
@@ -71,14 +72,10 @@ class Field:
                 raise ValueError("jet-backed field queried at a foreign point or mode")
             if order > self.budget:
                 raise ValueError(f"jet budget exceeded: need {order}, have {self.budget}")
-            jet = self.comps.get(idx)
-            if jet is None:
-                return Jet.zero(JetSpace(self.chart.n, order), p.mode)
-            return jet.truncate(order)
-        e = self.comps.get(idx)
-        if e is None:
+        c = self.comps.get(idx)
+        if c is None:
             return Jet.zero(JetSpace(self.chart.n, order), p.mode)
-        return ex.jet_at(e, p, order)
+        return c.truncate(order) if self.jet_backed else ex.jet_at(c, p, order)
 
     def value(self, p):
         return {idx: self.comp_jet(idx, p, 0).value for idx in self.comps}
@@ -201,16 +198,14 @@ def _nabla_word(field: Field, I, p, order):
     Both levels run the same loops in the same order on inputs lowered to
     the order of the result: the derivative and truncation of the order + 1
     jets of the inner word, the first-order symbols, and the words with one
-    letter substituted.  So both give the same keys, zero-valued ones
-    included, and the same sums; a value differs from the value of the
-    order-0 jet at most in the sign of an exact zero (a jet product adds
-    its terms to +0.0).
+    letter substituted, whose zero values the order-0 level never sees.  A
+    value thus differs from the value of a higher-order jet of the word at
+    most in the sign of an exact zero, which :func:`nabla_value` drops.
     """
     chart = field.chart
     if not I:
-        if order:
-            return {idx: field.comp_jet(idx, p, order) for idx in field.comps}
-        return {idx: field.comp_jet(idx, p, 0).value for idx in field.comps}
+        jets = {idx: field.comp_jet(idx, p, order) for idx in field.comps}
+        return jets if order else {idx: jet.value for idx, jet in jets.items()}
     i1, rest = I[0], I[1:]
     inner = nabla_word_jets(field, rest, p, order + 1)
     if order:
@@ -230,7 +225,7 @@ def _nabla_word(field: Field, I, p, order):
             return chart.symbol_values(p, fiber)[i1]
 
         def word(J):
-            return nabla_word_values(field, J, p)
+            return nabla_value(field, J, p)
     out = covariant_step(chart, field.slots, derivs, lows, symbols)
     if rest:
         row = symbols(False)
@@ -247,86 +242,50 @@ def _nabla_word(field: Field, I, p, order):
 def nabla_word_jets(field: Field, I, p, order):
     """Component jets of nabla_{e_I}(field) at p, of jet order ``order``.
 
-    The field's memo holds, per point, each word's jets at every order
-    asked for under ``(I, order)``, and under the bare word ``I`` the
-    highest order computed.  A lower order is the truncation of that one:
-    every coefficient below the cut sums the same products in the same
-    order (see :func:`atomcur.expr.jet_at`), so it equals the jets derived
-    afresh at the lower order, coefficient for coefficient.  It may also
-    keep a component whose truncated jet is zero, which a fresh derivation
-    could leave out.
-
-    Order 0 is the values of :func:`nabla_word_values`, which apply the
-    same rule, wrapped into order-0 jets once per (field, word, point) for
-    the callers that want jets.
+    The field's memo holds, per point, one entry per word, ``(top, jets)``:
+    its jets at the highest order computed, never lowered.  A lower order
+    is read as their truncation: every coefficient below the cut sums the
+    same products in the same order (see :func:`atomcur.expr.jet_at`), so
+    it equals the jets derived afresh at the lower order, coefficient for
+    coefficient.  It may also keep a component whose truncated jet is zero,
+    which a fresh derivation could leave out.  Order 0 wraps the values of
+    :func:`nabla_value` into order-0 jets.
     """
     I = tuple(I)
-    cache = field._nabla_cache.setdefault(p, {})
-    key = (I, order)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    if order == 0:
+    if not order:
         space = JetSpace(field.chart.n, 0)
-        out = cache[key] = {idx: Jet.const(space, p.mode, v)
-                            for idx, v in nabla_word_values(field, I, p).items()}
-        return out
-    top = cache.get(I, -1)
-    if top > order:
-        out = cache[key] = {idx: jet.truncate(order)
-                            for idx, jet in cache[(I, top)].items()}
-        return out
-    out = cache[key] = _nabla_word(field, I, p, order)
-    cache[I] = order
-    return out
-
-
-def nabla_word_values(field: Field, I, p) -> dict:
-    """Component values of nabla_{e_I}(field) at p, every component that
-    :func:`nabla_word_jets` at order 0 keys, zero-valued ones included.
-
-    The first request at order 0, for values or for jets, fixes them under
-    ``(I, "values")`` in the field's memo.  If the word is held at a higher
-    jet order by then, they are read from that jet, as a truncation would
-    be; otherwise the order-0 level of the recursion runs on plain numbers.
-    The dict is shared, so callers must treat it as read-only.
-    """
-    I = tuple(I)
+        return {idx: Jet.const(space, p.mode, v) for idx, v in nabla_value(field, I, p).items()}
     cache = field._nabla_cache.setdefault(p, {})
-    key = (I, "values")
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    top = cache.get(I, -1)
-    if top > 0:
-        out = {idx: jet.value for idx, jet in cache[(I, top)].items()}
-    else:
-        out = _nabla_word(field, I, p, 0)
-    cache[key] = out
-    return out
+    top, jets = cache.get(I, (-1, None))
+    if top >= order:
+        return jets if top == order else {idx: jet.truncate(order) for idx, jet in jets.items()}
+    jets = _nabla_word(field, I, p, order)
+    with ex.memo_lock:
+        if cache.get(I, (-1,))[0] < order:
+            cache[I] = (order, jets)
+    return jets
 
 
 def nabla_value(field: Field, I, p) -> dict:
     """Nonzero components of the order-|I| higher covariant derivative at p
     along the frame word I, memoized on the field.
 
-    The filtered dict is computed once per (word, point) from
-    :func:`nabla_word_values` and kept in ``field._nabla_cache`` under
-    ``(I, "nonzero")``, beside the values it filters; later calls return
-    that same dict without re-checking the point.  It is shared, so callers
-    must treat it as read-only.  A miss checks the point first, so an
-    out-of-domain point still raises on its first query.
+    Computed once per (word, point) into ``field._nabla_values``, from the
+    jets :func:`nabla_word_jets` holds for the word if any, else by the
+    order-0 level of the recursion on plain numbers.  The dict is shared:
+    callers must treat it as read-only.  A miss checks the point first, so
+    an out-of-domain point still raises on its first query.
     """
     I = tuple(I)
-    bucket = field._nabla_cache.get(p)
-    if bucket is not None:
-        hit = bucket.get((I, "nonzero"))
-        if hit is not None:
-            return hit
+    cache = field._nabla_values.setdefault(p, {})
+    hit = cache.get(I)
+    if hit is not None:
+        return hit
     field.chart.check_point(p)
-    comps = {idx: v for idx, v in nabla_word_values(field, I, p).items() if v != 0}
-    field._nabla_cache.setdefault(p, {})[(I, "nonzero")] = comps
-    return comps
+    held = field._nabla_cache.get(p, {}).get(I)
+    comps = ({idx: jet.value for idx, jet in held[1].items()} if held
+             else _nabla_word(field, I, p, 0))
+    return cache.setdefault(I, {idx: v for idx, v in comps.items() if v != 0})
 
 
 def nabla_mixed(field: Field, prefix, tensor_value: dict, p) -> dict:
@@ -580,7 +539,7 @@ def curvature_endomorphism(chart, S, ab_value: dict, p, fiber=False):
     on fiber indices (R^E)."""
     S = tuple(S)
     field = curvature_field(chart, "fiber" if fiber else "base", p, len(S))
-    values = nabla_word_values(field, S, p)
+    values = nabla_value(field, S, p)
     dim = chart.d if fiber else chart.n
     end = [[0] * dim for _ in range(dim)]
     for (uv), c in ab_value.items():

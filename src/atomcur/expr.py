@@ -22,6 +22,7 @@ carrying the value and all partial derivatives up to a requested order.
 from __future__ import annotations
 
 import math
+import threading
 from fractions import Fraction
 
 from .jets import (ELEMENTARY_FUNCTIONS, EvalDomainError, ExactModeError,
@@ -416,6 +417,10 @@ def to_string(e: Expression) -> str:
 # ---------------------------------------------------------------------------
 # Evaluation through jet arithmetic.
 
+# held by every jet memo's compare-and-store, so no store lowers a held order
+memo_lock = threading.Lock()
+
+
 def eval_jet(e: Expression, point: Point, order: int) -> Jet:
     """Jet of the expression at ``point`` up to ``order``, in the point's
     scalar mode.
@@ -442,12 +447,10 @@ def _eval_node(node, point, space):
         if node.index >= space.n:
             raise UndeclaredSymbolError(node.name)
         return Jet.variable(space, point.mode, node.index, point[node.index])
-    held = getattr(node, "_jets", None)
-    held = held and held.get(point)
-    if held:
-        hit = _held_jet(held, space.order)
-        if hit is not None:
-            return hit
+    memo = getattr(node, "_jets", None)
+    held = memo.get(point) if memo else None
+    if held is not None and held.space.order >= space.order:
+        return held.truncate(space.order)
     if t is Mul:
         return _eval_node(node.a, point, space) * _eval_node(node.b, point, space)
     if t is Pow:
@@ -468,40 +471,28 @@ def _eval_node(node, point, space):
 def jet_at(e: Expression, point, order: int) -> Jet:
     """``eval_jet(e, point, order)``, memoized on the node ``e``.
 
-    Per :class:`~atomcur.jets.Point` the memo holds the jet at the highest
-    order asked for so far and the truncations taken from it.  Graded-lex
-    order makes a truncation a prefix of the coefficients, and a truncated
-    jet equals the jet evaluated at the lower order (bit for bit in float
-    mode: each lower-order coefficient sums the same products in the same
-    order, and the extra terms of a higher-order series all carry a factor
-    of the zero-valued deviation).  So ``eval_jet`` runs again only when the
-    order rises.  The returned jet is shared; jets are never modified in
-    place.
+    Per :class:`~atomcur.jets.Point` the memo holds one jet, at the highest
+    order asked for so far; a lower order is read as its truncation.
+    Graded-lex order makes a truncation a prefix of the coefficients, and a
+    truncated jet equals the jet evaluated at the lower order (bit for bit
+    in float mode: each lower-order coefficient sums the same products in
+    the same order, and the extra terms of a higher-order series all carry
+    a factor of the zero-valued deviation).  So ``eval_jet`` runs again only
+    when the order rises.  The returned jet is shared; jets are never
+    modified in place.
     """
     try:
         memo = e._jets
     except AttributeError:
         memo = e._jets = {}
     held = memo.get(point)
-    if held is None:
-        held = memo[point] = {}
-    hit = _held_jet(held, order)
-    if hit is None:
-        hit = eval_jet(e, point, order)
-    held[order] = hit
-    return hit
-
-
-def _held_jet(held, order):
-    """The jet at ``order`` read from one node's memo at one point (order ->
-    jet): the entry, else a truncation of the highest order held, else
-    ``None`` when every held order is lower."""
-    hit = held.get(order)
-    if hit is None:
-        top = max(held, default=-1)
-        if top > order:
-            hit = held[top].truncate(order)
-    return hit
+    if held is not None and held.space.order >= order:
+        return held.truncate(order)
+    jet = eval_jet(e, point, order)
+    with memo_lock:
+        if memo.get(point, jet).space.order <= order:
+            memo[point] = jet
+    return jet
 
 
 def evaluate(e: Expression, point: Point):

@@ -42,7 +42,7 @@ import math
 import operator
 from array import array
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import gcd, lcm
 
 RATIONAL = "rational"
@@ -81,14 +81,24 @@ def _compositions(n: int, deg: int):
             yield (first,) + rest
 
 
-@lru_cache(maxsize=None)
 class JetSpace:
     """Shared immutable tables for jets of a fixed (dimension, order).
 
-    Instances are interned per (n, order); construction cost is paid once.
+    Instances are interned per (n, order) by ``dict.setdefault``, so threads
+    that build one space at once all keep the instance stored first.
     """
 
-    def __init__(self, n: int, order: int):
+    _interned = {}
+
+    def __new__(cls, n: int, order: int):
+        space = cls._interned.get((n, order))
+        if space is None:
+            space = super().__new__(cls)
+            space._build(n, order)
+            space = cls._interned.setdefault((n, order), space)
+        return space
+
+    def _build(self, n: int, order: int):
         if n < 1 or order < 0:
             raise ValueError("need n >= 1, order >= 0")
         self.n = n

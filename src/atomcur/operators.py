@@ -455,8 +455,8 @@ def sharp(a: SharpElement, b: SharpElement) -> SharpElement:
                                           head_budget)
              for akey, fjet in a.coeffs.items()}
     kvecs = {Ka: cd.kvector_field(chart, len(Ka), {Ka: 1}) for (_wa, Ka) in a.coeffs}
-    # the loop runs on jets of the result's order, or at budget 0 on their
-    # values at p (plain numbers, wrapped into order-0 jets once per key)
+    # the loop runs on jets of the result's order, or at budget 0 on values at
+    # p (plain numbers, zero nabla values left out; wrapped into order-0 jets)
     if out_budget:
         def low(jet):
             return jet.truncate(out_budget)
@@ -468,7 +468,7 @@ def sharp(a: SharpElement, b: SharpElement) -> SharpElement:
             return jet.value
 
         def nabla_at(field, w):
-            return cd.nabla_word_values(field, w, p)
+            return cd.nabla_value(field, w, p)
     frames, prods = {}, {}
     for (wb, Kb), gjet in b.coeffs.items():
         g0 = low(gjet)

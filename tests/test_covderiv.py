@@ -340,23 +340,26 @@ def test_nabla_value_memo_is_per_field_and_point(s2):
 
 def test_nabla_computed_once_per_key_in_operator_suite(tmp_path, monkeypatch):
     """Every (field, word, point) nonzero value is derived once by
-    `nabla_value`: each miss reads the word's values once, and only a miss
-    does."""
+    `nabla_value`: each miss checks the point once before it derives the
+    values, and only a miss does."""
     import sys
     from pathlib import Path
 
     from atomcur import cli
+    from atomcur.connection import ChartConnection
     seen, fields = {}, []
-    inner = cd.nabla_word_values
+    inner = ChartConnection.check_point
 
-    def counting(field, I, p):
-        if sys._getframe(1).f_code is cd.nabla_value.__code__:
+    def counting(chart, p):
+        frame = sys._getframe(1)
+        if frame.f_code is cd.nabla_value.__code__:
+            field = frame.f_locals["field"]
             fields.append(field)  # keeps ids unique for the whole run
-            key = (id(field), tuple(I), p)
+            key = (id(field), frame.f_locals["I"], p)
             seen[key] = seen.get(key, 0) + 1
-        return inner(field, I, p)
+        return inner(chart, p)
 
-    monkeypatch.setattr(cd, "nabla_word_values", counting)
+    monkeypatch.setattr(ChartConnection, "check_point", counting)
     spec = Path(__file__).resolve().parent.parent / "src" / "atomcur" / "specs" / "hyperbolic.json"
     code = cli.main(["run", str(spec), "--suite", "operators", "--mode", "float",
                      "--trials", "1", "--seed", "0", "--out", str(tmp_path / "r.json")])
@@ -536,46 +539,101 @@ def _same_values(got: dict, want: dict):
 @pytest.mark.parametrize("mode", ["float", "rational"])
 @pytest.mark.parametrize("history", ["fresh", "higher", "longer"])
 def test_word_values_equal_order0_jets(poly2, poly2_point, mode, history):
-    """The order-0 level on plain numbers gives, under every memo history,
-    the values of the order-0 jets in their key order, zero-valued keys
-    kept; after a higher order of the word (asked for directly, or inside a
-    longer word) both are read from that jet, and they agree with a fresh
-    derivation on every key it has, the extra keys holding zero."""
+    """The values of `nabla_value` are, under every memo history, the values
+    of the order-0 jets in their key order, all of them nonzero; after a
+    higher order of the word (asked for directly, or inside a longer word)
+    both are read from that jet, and they equal a fresh derivation."""
     from atomcur.connection import dual_chart
     p = poly2.resolve(poly2_point, mode)
     words = [(0,), (1, 0), (0, 1, 1)]
     for chart in (poly2, dual_chart(poly2)):
         for seed in range(3):
             for I in words:
-                fresh = [cd.nabla_word_values(f, I, p) for f in _random_fields(chart, seed)]
+                fresh = [cd.nabla_value(f, I, p) for f in _random_fields(chart, seed)]
                 for f, want in zip(_random_fields(chart, seed), fresh):
                     if history == "higher":
                         cd.nabla_word_jets(f, I, p, 2)
                     elif history == "longer":
-                        cd.nabla_word_values(f, (1,) + I, p)
-                    values = cd.nabla_word_values(f, I, p)
+                        cd.nabla_value(f, (1,) + I, p)
+                    values = cd.nabla_value(f, I, p)
                     jets = cd.nabla_word_jets(f, I, p, 0)
                     assert all(jet.space.order == 0 for jet in jets.values())
                     _same_values(values, {idx: jet.value for idx, jet in jets.items()})
-                    assert cd.nabla_word_values(f, I, p) is values
-                    # every component of the inner word is kept, zero or not
-                    assert set(cd.nabla_word_jets(f, I[1:], p, 1)) <= set(values)
+                    assert cd.nabla_value(f, I, p) is values
+                    assert all(v != 0 for v in values.values())
                     if history == "fresh":
                         _same_values(values, want)
                     else:
-                        assert all(values[k] == v for k, v in want.items())
-                        assert all(v == 0 for k, v in values.items() if k not in want)
-                    assert cd.nabla_value(f, I, p) == {k: v for k, v in values.items() if v != 0}
+                        _same_values(values, {k: want[k] for k in values})
+                        assert values == want
 
 
-def test_word_values_keep_zero_valued_components(flat2):
-    f = cd.vector_field(flat2, {0: "1", 1: "x1"})
+def test_word_values_drop_zero_valued_components(flat2):
+    """A word whose components all vanish at p keeps no key in its values or
+    in its order-0 jets, whether they are derived on numbers or read from
+    held jets, which do key both components."""
     for p in (flat2.resolve((0.5, 0.25), FLOAT), flat2.resolve((1, 2), RATIONAL)):
-        values = cd.nabla_word_values(f, (0,), p)
-        assert values == {(0,): 0, (1,): 0}
-        assert all(type(v) is type(p[0]) for v in values.values())
-        assert list(cd.nabla_word_jets(f, (0,), p, 0)) == [(0,), (1,)]
+        f = cd.vector_field(flat2, {0: "1", 1: "x1"})
         assert cd.nabla_value(f, (0,), p) == {}
+        assert cd.nabla_word_jets(f, (0,), p, 0) == {}
+        g = cd.vector_field(flat2, {0: "1", 1: "x1"})
+        assert list(cd.nabla_word_jets(g, (0,), p, 1)) == [(0,), (1,)]
+        assert cd.nabla_value(g, (0,), p) == {}
+        assert cd.nabla_word_jets(g, (0,), p, 0) == {}
+
+
+def test_nabla_memo_holds_one_form_per_word(poly2, poly2_point, monkeypatch):
+    """A word asked for at orders 3, 1, 2 and 0 and for its values is held
+    once: one (3, jets) entry and one values dict.  An expression node asked
+    for at orders 3, 1 and 0 holds one order-3 jet.  An order-1 result
+    stored after an order-3 one, as a racing thread would, lowers neither
+    memo."""
+    p = poly2.resolve(poly2_point, FLOAT)
+
+    def field():
+        return cd.vector_field(poly2, {0: "x*y^2 + 1", 1: "y^3 - x"})
+
+    f, I = field(), (1, 0)
+    top = cd.nabla_word_jets(f, I, p, 3)
+    for order in (1, 2, 0):
+        jets = cd.nabla_word_jets(f, I, p, order)
+        want = {idx: jet.truncate(order) for idx, jet in top.items()}
+        if not order:
+            want = {idx: jet for idx, jet in want.items() if jet.value != 0}
+        assert {idx: list(jet.coeffs) for idx, jet in jets.items()} == \
+            {idx: list(jet.coeffs) for idx, jet in want.items()}
+    values = cd.nabla_value(f, I, p)
+    assert f._nabla_cache[p][I] == (3, top)
+    assert f._nabla_values[p] == {I: values}
+    assert all(len(w) < len(I) for w in f._nabla_cache[p] if w != I)
+
+    e = ex.parse("x*y^2 + 1", poly2.names)
+    held = ex.jet_at(e, p, 3)
+    for order in (1, 0):
+        assert list(ex.jet_at(e, p, order).coeffs) == list(held.truncate(order).coeffs)
+    assert e._jets == {p: held}
+
+    # a racing thread stores order 3 while this one derives order 1
+    derive, evaluate = cd._nabla_word, ex.eval_jet
+
+    def racing_word(g, J, q, order):
+        if J == I and order == 1:
+            cd.nabla_word_jets(g, I, q, 3)
+        return derive(g, J, q, order)
+
+    def racing_eval(node, q, order):
+        if node is e and order == 1:
+            ex.jet_at(e, q, 3)
+        return evaluate(node, q, order)
+
+    monkeypatch.setattr(cd, "_nabla_word", racing_word)
+    monkeypatch.setattr(ex, "eval_jet", racing_eval)
+    g = field()
+    cd.nabla_word_jets(g, I, p, 1)
+    assert g._nabla_cache[p][I][0] == 3
+    e = ex.parse("x*y^2 + 1", poly2.names)
+    ex.jet_at(e, p, 1)
+    assert e._jets[p].space.order == 3
 
 
 def test_nabla_makes_no_order0_jet_product(poly2, monkeypatch):
@@ -607,13 +665,13 @@ def test_nabla_makes_no_order0_jet_product(poly2, monkeypatch):
 
 
 def test_word_values_under_threads(hyperbolic):
-    """Threads that share one field's value memo, asking for values, order-0
-    jets and nonzero values in interleaved orders, read the serial values."""
+    """Threads that share one field's memo, asking for values, order-0 jets
+    and order-1 jets in interleaved orders, read the serial values."""
     import sys
     import threading
     p = hyperbolic.resolve((0.3, 1.1), FLOAT)
     words = [w for ell in range(1, 4) for w in itertools.product(range(2), repeat=ell)]
-    want = {w: dict(cd.nabla_word_values(f, w, p)) for f in _random_fields(hyperbolic, 2)[:1]
+    want = {w: dict(cd.nabla_value(f, w, p)) for f in _random_fields(hyperbolic, 2)[:1]
             for w in words}
     (shared,) = _random_fields(hyperbolic, 2)[:1]
     got, errors = [None] * 6, []
@@ -624,10 +682,11 @@ def test_word_values_under_threads(hyperbolic):
             out = {}
             for w in order:
                 if t % 3 == 1:
-                    cd.nabla_word_jets(shared, w, p, 0)
+                    jets = cd.nabla_word_jets(shared, w, p, 0)
+                    assert {idx: jet.value for idx, jet in jets.items()} == want[w]
                 elif t % 3 == 2:
-                    cd.nabla_value(shared, w, p)
-                out[w] = dict(cd.nabla_word_values(shared, w, p))
+                    cd.nabla_word_jets(shared, w, p, 1)
+                out[w] = dict(cd.nabla_value(shared, w, p))
             got[t] = out
         except Exception as exc:  # reported below with the thread's index
             errors.append((t, exc))

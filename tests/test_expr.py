@@ -235,13 +235,12 @@ def test_jet_memo_evaluates_only_when_the_order_rises(monkeypatch):
 # the point
 
 def _memo_snapshot(e):
-    """Every (node, point, order) -> jet entry of the jet memos under e."""
+    """Every (node, point) -> jet entry of the jet memos under e."""
     out, stack = {}, [e]
     while stack:
         node = stack.pop()
-        for point, held in (getattr(node, "_jets", None) or {}).items():
-            for order, jet in held.items():
-                out[(id(node), point, order)] = jet
+        for point, jet in (getattr(node, "_jets", None) or {}).items():
+            out[(id(node), point)] = jet
         stack.extend(getattr(node, c) for c in ("a", "b") if hasattr(node, c))
     return out
 

@@ -293,3 +293,33 @@ def test_jets_product_check_across_denominators(monkeypatch):
     bump[0] = Fraction(1, 7)
     results = suites.check_jets_product(ctx)
     assert [r.residual for r in results] == [1 / 7] * 4
+
+
+def test_jet_space_interning_under_threads():
+    """Two threads that build the same fresh space at once get one instance,
+    so the jets they build share it."""
+    import sys
+    import threading
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        split = 0
+        for trial in range(200):
+            n = 50 + trial  # not interned yet: built by the racing threads
+            start = threading.Barrier(2)
+            got = [None, None]
+
+            def build(t):
+                start.wait()
+                got[t] = JetSpace(n, 0)
+
+            threads = [threading.Thread(target=build, args=(t,)) for t in range(2)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+            assert not any(th.is_alive() for th in threads)
+            split += got[0] is not got[1]
+    finally:
+        sys.setswitchinterval(old)
+    assert split == 0

@@ -365,15 +365,16 @@ def test_boundary_reuses_differentiated_probes(monkeypatch):
     for i, key in enumerate(at.pbw_keys(2, 2, 1, 1)):
         T.add_term(key[0], key[1], i + 1)
     misses = []
-    inner = cd.nabla_word_values
+    inner = ChartConnection.check_point
 
-    def counting(field, I, p):
-        # a miss of nabla_value reads the word's values once
-        if sys._getframe(1).f_code is cd.nabla_value.__code__:
-            misses.append(tuple(I))
-        return inner(field, I, p)
+    def counting(chart, p):
+        # a miss of nabla_value checks the point once
+        frame = sys._getframe(1)
+        if frame.f_code is cd.nabla_value.__code__:
+            misses.append(frame.f_locals["I"])
+        return inner(chart, p)
 
-    monkeypatch.setattr(cd, "nabla_word_values", counting)
+    monkeypatch.setattr(ChartConnection, "check_point", counting)
     first = op.boundary(chart, T)
     assert misses
     misses.clear()
