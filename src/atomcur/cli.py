@@ -249,8 +249,8 @@ def run(spec_path, suite: str, r: int, k: int, mode: str, tol, seed: int,
                           r=r, k=k, probes=probes, trials=trials)
     t0 = time.perf_counter()
     try:
-        if jobs > 1 and suite == "all":
-            results = _run_parallel(ctx, jobs)
+        if jobs > 1:
+            results = _run_parallel(ctx, suite, jobs)
         else:
             results = su.run_suite(ctx, suite)
     except (EvalDomainError, ExactModeError, ChartDomainError) as err:
@@ -291,19 +291,29 @@ def _flag_error(chart, suite, r, k, trials, tol, jobs):
     return None
 
 
-def _run_parallel(ctx, jobs):
-    # checks are pure; parallelize across suites with threads (the work is
-    # Python-bound and holds the interpreter lock, so this does not cut wall
-    # time; it must give the same report as --jobs 1).  Imported here so
-    # that a serial run does not load concurrent.futures and logging
+# the (context, suite) that the forked workers of _run_parallel inherit
+_pool_task = None
+
+
+def _run_check(i):
+    ctx, suite = _pool_task
+    return su.SUITES[suite][i](ctx)
+
+
+def _run_parallel(ctx, suite, jobs):
+    # checks share no state.  Forked workers inherit ctx and the registry
+    # lists, so a task is an index; a serial run imports no multiprocessing
+    global _pool_task
     import concurrent.futures
-    results = []
-    with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-        futs = {pool.submit(su.run_suite, ctx, name): name for name in su.CHECKS}
-        for fut in concurrent.futures.as_completed(futs):
-            results.extend(fut.result())
-    results.sort(key=lambda r: (r.check, str(r.probe)))
-    return results
+    import multiprocessing
+    checks = su.SUITES[suite]
+    _pool_task = ctx, suite
+    try:
+        with concurrent.futures.ProcessPoolExecutor(
+                min(jobs, len(checks)), multiprocessing.get_context("fork")) as pool:
+            return [row for rows in pool.map(_run_check, range(len(checks))) for row in rows]
+    finally:
+        _pool_task = None
 
 
 def make_report(data, suite, ctx, results, wall):

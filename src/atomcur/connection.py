@@ -32,7 +32,6 @@ never invalidated.
 from __future__ import annotations
 
 import copy
-import threading
 from fractions import Fraction
 
 from . import expr as ex
@@ -58,7 +57,7 @@ def _expression_table(gamma):
 
 
 class ChartConnection:
-    """Immutable chart + connection data with a synchronized jet cache.
+    """Immutable chart + connection data with a jet cache per point.
 
     ``base_gamma`` is ``None`` for the Levi-Civita connection of ``metric``.
     """
@@ -91,7 +90,6 @@ class ChartConnection:
             self.fiber_is_tangent = False
             self._fiber_table = _expression_table(self.fiber_gamma)
         self._cache = {}
-        self._lock = threading.Lock()
         self._check_points = tuple(as_point(p, FLOAT)
                                    for p in (check_points or [self._midpoint()]))
         self._validate()
@@ -118,7 +116,7 @@ class ChartConnection:
         drops the metric); ``fiber_table`` gives a non-tangent fiber.  Each
         maps (point, order) to a table [i][j] -> jets over k."""
         ch = copy.copy(self)
-        ch.name, ch._cache, ch._lock = name, {}, threading.Lock()
+        ch.name, ch._cache = name, {}
         ch.base_gamma = ch.fiber_gamma = None
         ch._base_table = self._symbols
         if base_table is not None:
@@ -181,12 +179,10 @@ class ChartConnection:
     # -- cached jet evaluation --------------------------------------------
 
     def _memo(self, p, key, build):
-        """The value under ``key`` in the cache of the point p, built on
-        first use; the per-point dict is created under the lock."""
+        """The value under ``key`` in the cache of the point p, built on first use."""
         cache = self._cache.get(p)
         if cache is None:
-            with self._lock:
-                cache = self._cache.setdefault(p, {})
+            cache = self._cache[p] = {}
         hit = cache.get(key)
         if hit is None:
             hit = cache[key] = build()

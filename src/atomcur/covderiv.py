@@ -243,13 +243,13 @@ def nabla_word_jets(field: Field, I, p, order):
     """Component jets of nabla_{e_I}(field) at p, of jet order ``order``.
 
     The field's memo holds, per point, one entry per word, ``(top, jets)``:
-    its jets at the highest order computed, never lowered.  A lower order
-    is read as their truncation: every coefficient below the cut sums the
-    same products in the same order (see :func:`atomcur.expr.jet_at`), so
-    it equals the jets derived afresh at the lower order, coefficient for
-    coefficient.  It may also keep a component whose truncated jet is zero,
-    which a fresh derivation could leave out.  Order 0 wraps the values of
-    :func:`nabla_value` into order-0 jets.
+    its jets at the highest order computed (a miss stores, and recursion
+    reads only shorter words).  A lower order is read as their truncation:
+    every coefficient below the cut sums the same products in the same
+    order (see :func:`atomcur.expr.jet_at`), so it equals the jets derived
+    afresh at the lower order.  It may also keep a component whose
+    truncated jet is zero, which a fresh derivation could leave out.
+    Order 0 wraps the values of :func:`nabla_value` into order-0 jets.
     """
     I = tuple(I)
     if not order:
@@ -260,9 +260,7 @@ def nabla_word_jets(field: Field, I, p, order):
     if top >= order:
         return jets if top == order else {idx: jet.truncate(order) for idx, jet in jets.items()}
     jets = _nabla_word(field, I, p, order)
-    with ex.memo_lock:
-        if cache.get(I, (-1,))[0] < order:
-            cache[I] = (order, jets)
+    cache[I] = (order, jets)
     return jets
 
 

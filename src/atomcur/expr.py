@@ -22,7 +22,6 @@ carrying the value and all partial derivatives up to a requested order.
 from __future__ import annotations
 
 import math
-import threading
 from fractions import Fraction
 
 from .jets import (ELEMENTARY_FUNCTIONS, EvalDomainError, ExactModeError,
@@ -417,10 +416,6 @@ def to_string(e: Expression) -> str:
 # ---------------------------------------------------------------------------
 # Evaluation through jet arithmetic.
 
-# held by every jet memo's compare-and-store, so no store lowers a held order
-memo_lock = threading.Lock()
-
-
 def eval_jet(e: Expression, point: Point, order: int) -> Jet:
     """Jet of the expression at ``point`` up to ``order``, in the point's
     scalar mode.
@@ -488,10 +483,7 @@ def jet_at(e: Expression, point, order: int) -> Jet:
     held = memo.get(point)
     if held is not None and held.space.order >= order:
         return held.truncate(order)
-    jet = eval_jet(e, point, order)
-    with memo_lock:
-        if memo.get(point, jet).space.order <= order:
-            memo[point] = jet
+    jet = memo[point] = eval_jet(e, point, order)
     return jet
 
 

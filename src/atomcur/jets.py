@@ -84,8 +84,7 @@ def _compositions(n: int, deg: int):
 class JetSpace:
     """Shared immutable tables for jets of a fixed (dimension, order).
 
-    Instances are interned per (n, order) by ``dict.setdefault``, so threads
-    that build one space at once all keep the instance stored first.
+    Instances are interned per (n, order): jets of one shape share one space.
     """
 
     _interned = {}
@@ -95,7 +94,7 @@ class JetSpace:
         if space is None:
             space = super().__new__(cls)
             space._build(n, order)
-            space = cls._interned.setdefault((n, order), space)
+            cls._interned[n, order] = space
         return space
 
     def _build(self, n: int, order: int):
@@ -232,6 +231,9 @@ class Point(tuple):
 
     def __ne__(self, other):
         return not self == other
+
+    def __reduce__(self):  # rebuilt by __new__, which computes the hash
+        return Point, (tuple(self), self.mode)
 
 
 def as_point(p, mode: str) -> Point:

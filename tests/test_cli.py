@@ -121,7 +121,7 @@ def test_evaluation_error_exit_code(tmp_path, capsys):
 
 def test_nonpositive_metric_determinant_exit_code(tmp_path):
     # det g = -1 - x^2 < 0: the Hodge star has no sqrt(det g), which is an
-    # evaluation error (exit 3), not a crash
+    # evaluation error (exit 3), not a crash, also where a worker raises it
     spec = {
         "spec_version": 1, "name": "negative-det", "dimension": 2,
         "coordinates": ["x", "y"], "domain": {"x": [-1, 1], "y": [-1, 1]},
@@ -130,15 +130,16 @@ def test_nonpositive_metric_determinant_exit_code(tmp_path):
     }
     path = tmp_path / "negdet.json"
     path.write_text(json.dumps(spec))
-    proc = subprocess.run(
-        [sys.executable, "-m", "atomcur.cli", "run", str(path), "--suite", "all",
-         "--mode", "float", "--out", str(tmp_path / "report.json")],
-        capture_output=True, text=True,
-        env={"PYTHONPATH": str(SPECS.parent.parent), "PATH": "/usr/bin:/bin"},
-    )
-    assert proc.returncode == 3
-    assert "evaluation error" in proc.stderr
-    assert "Traceback" not in proc.stderr
+    for jobs in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "atomcur.cli", "run", str(path), "--suite", "all",
+             "--mode", "float", "--jobs", jobs, "--out", str(tmp_path / "report.json")],
+            capture_output=True, text=True,
+            env={"PYTHONPATH": str(SPECS.parent.parent), "PATH": "/usr/bin:/bin"},
+        )
+        assert proc.returncode == 3
+        assert "evaluation error" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 _GOOD_2D = {
@@ -245,51 +246,59 @@ def test_report_determinism(tmp_path):
     assert json.dumps(ra, sort_keys=True) == json.dumps(rb, sort_keys=True)
 
 
-def test_jobs_flag(tmp_path):
-    reports = []
+@pytest.mark.parametrize("spec,mode,suite,trials", [
+    ("flat-r1", "rational", "all", "2"),
+    ("flat-r2", "float", "all", "1"),
+    ("poly2", "float", "all", "1"),
+    ("hyperbolic", "rational", "all", "1"),  # the exact oracle of the benchmark
+    ("poly2", "float", "operators", "1"),
+])
+def test_jobs_flag(tmp_path, capsys, spec, mode, suite, trials):
+    """--jobs 2 writes the report, the CSV and the stderr rows of --jobs 1."""
+    outputs = []
     for jobs in ("1", "2"):
         out = tmp_path / f"r{jobs}.json"
-        code = run_cli(["run", str(SPECS / "flat-r1.json"), "--suite", "all",
-                        "--mode", "rational", "--jobs", jobs, "--trials", "2",
+        code = run_cli(["run", str(SPECS / f"{spec}.json"), "--suite", suite,
+                        "--mode", mode, "--jobs", jobs, "--trials", trials,
                         "--out", str(out)])
         assert code == 0
         report = json.loads(out.read_text())
         report.pop("timing")
-        reports.append(report)
-    assert reports[1]["summary"]["failed"] == 0
-    assert json.dumps(reports[1], sort_keys=True) == json.dumps(reports[0], sort_keys=True)
+        outputs.append((report, out.with_suffix(".csv").read_text(), capsys.readouterr().err))
+    assert outputs[1][0]["summary"]["failed"] == 0
+    assert outputs[1] == outputs[0]
 
 
-def test_jobs_flag_float_shared_caches(tmp_path):
-    # the probe fields cached on the chart carry nabla value memos that both
-    # pool threads read and fill
-    reports = []
-    for jobs in ("1", "2"):
-        out = tmp_path / f"r{jobs}.json"
-        code = run_cli(["run", str(SPECS / "flat-r2.json"), "--suite", "all",
-                        "--mode", "float", "--jobs", jobs, "--trials", "1",
-                        "--out", str(out)])
-        assert code == 0
-        report = json.loads(out.read_text())
-        report.pop("timing")
-        reports.append(report)
-    assert json.dumps(reports[1], sort_keys=True) == json.dumps(reports[0], sort_keys=True)
+@pytest.mark.parametrize("suite,jobs,workers", [
+    ("composition", "64", 1),
+    ("jets", "64", 4),
+    ("operators", "3", 3),
+    ("all", "1000", 37),
+])
+def test_jobs_pool_has_at_most_one_worker_per_check(tmp_path, monkeypatch, suite, jobs, workers):
+    """The pool is sized from the suite.  Its stand-in maps in this process,
+    so no worker process starts."""
+    import concurrent.futures
+    sizes = []
 
+    class InlinePool:
+        def __init__(self, max_workers, mp_context):
+            sizes.append(max_workers)
 
-def test_jobs_flag_curved_chart(tmp_path):
-    # pool threads share the expression jet memos, the differentiated probes
-    # and the probe points' caches on a curved chart
-    reports = []
-    for jobs in ("1", "2"):
-        out = tmp_path / f"r{jobs}.json"
-        code = run_cli(["run", str(SPECS / "poly2.json"), "--suite", "all",
-                        "--mode", "float", "--jobs", jobs, "--trials", "1",
-                        "--out", str(out)])
-        assert code == 0
-        report = json.loads(out.read_text())
-        report.pop("timing")
-        reports.append(report)
-    assert json.dumps(reports[1], sort_keys=True) == json.dumps(reports[0], sort_keys=True)
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    code = run_cli(["run", str(SPECS / "flat-r1.json"), "--suite", suite, "--mode", "rational",
+                    "--jobs", jobs, "--trials", "1", "--out", str(tmp_path / "r.json")])
+    assert code == 0
+    assert sizes == [workers]
 
 
 def test_entry_point_runs():
@@ -303,7 +312,8 @@ def test_entry_point_runs():
 
 
 def test_import_loads_only_what_a_serial_run_uses():
-    # --jobs > 1 imports concurrent.futures (and with it logging) itself
+    # --jobs > 1 imports concurrent.futures (and with it logging) and
+    # multiprocessing itself
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, atomcur.cli; print(*sys.modules)"],
         capture_output=True, text=True,
@@ -312,7 +322,8 @@ def test_import_loads_only_what_a_serial_run_uses():
     assert proc.returncode == 0, proc.stderr
     loaded = set(proc.stdout.split())
     assert "atomcur.suites" in loaded
-    assert not loaded & {"dataclasses", "concurrent.futures", "logging", "inspect"}
+    assert not loaded & {"dataclasses", "concurrent.futures", "logging", "inspect",
+                         "multiprocessing"}
 
 
 def test_gen_poly_spec_roundtrip(tmp_path):

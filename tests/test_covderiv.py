@@ -368,45 +368,6 @@ def test_nabla_computed_once_per_key_in_operator_suite(tmp_path, monkeypatch):
     assert max(seen.values()) == 1
 
 
-def test_nabla_value_memo_under_threads(hyperbolic):
-    """Threads that share a field's memo read the same values as a serial run."""
-    import sys
-    import threading
-    words = [w for ell in range(3) for w in itertools.product(range(2), repeat=ell)]
-    p = hyperbolic.resolve((0.3, 1.1), FLOAT)
-
-    def make():
-        return cd.vector_field(hyperbolic, {0: "x*y", 1: "y^2 - x"})
-
-    ref = make()
-    want = {w: dict(cd.nabla_value(ref, w, p)) for w in words}
-    shared = make()
-    got, errors = [None] * 6, []
-
-    def work(t):
-        # odd threads walk the words backwards, so memo misses interleave
-        order = words if t % 2 == 0 else words[::-1]
-        try:
-            got[t] = {w: cd.nabla_value(shared, w, p) for w in order}
-        except Exception as exc:  # reported below with the thread's index
-            errors.append((t, exc))
-
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work, args=(t,)) for t in range(6)]
-        for th in threads:
-            th.start()
-        for th in threads:
-            th.join(timeout=60)
-    finally:
-        sys.setswitchinterval(old)
-    assert not any(th.is_alive() for th in threads)
-    assert errors == []
-    for vals in got:
-        assert vals == want
-
-
 def test_expression_jet_memo_is_shared_and_dies_with_its_node(s2, monkeypatch):
     """A second field holding the same expression at the same probe reads the
     node's jet memo, and the memo does not keep its node alive."""
@@ -582,12 +543,10 @@ def test_word_values_drop_zero_valued_components(flat2):
         assert cd.nabla_word_jets(g, (0,), p, 0) == {}
 
 
-def test_nabla_memo_holds_one_form_per_word(poly2, poly2_point, monkeypatch):
+def test_nabla_memo_holds_one_form_per_word(poly2, poly2_point):
     """A word asked for at orders 3, 1, 2 and 0 and for its values is held
     once: one (3, jets) entry and one values dict.  An expression node asked
-    for at orders 3, 1 and 0 holds one order-3 jet.  An order-1 result
-    stored after an order-3 one, as a racing thread would, lowers neither
-    memo."""
+    for at orders 3, 1 and 0 holds one order-3 jet."""
     p = poly2.resolve(poly2_point, FLOAT)
 
     def field():
@@ -612,28 +571,6 @@ def test_nabla_memo_holds_one_form_per_word(poly2, poly2_point, monkeypatch):
     for order in (1, 0):
         assert list(ex.jet_at(e, p, order).coeffs) == list(held.truncate(order).coeffs)
     assert e._jets == {p: held}
-
-    # a racing thread stores order 3 while this one derives order 1
-    derive, evaluate = cd._nabla_word, ex.eval_jet
-
-    def racing_word(g, J, q, order):
-        if J == I and order == 1:
-            cd.nabla_word_jets(g, I, q, 3)
-        return derive(g, J, q, order)
-
-    def racing_eval(node, q, order):
-        if node is e and order == 1:
-            ex.jet_at(e, q, 3)
-        return evaluate(node, q, order)
-
-    monkeypatch.setattr(cd, "_nabla_word", racing_word)
-    monkeypatch.setattr(ex, "eval_jet", racing_eval)
-    g = field()
-    cd.nabla_word_jets(g, I, p, 1)
-    assert g._nabla_cache[p][I][0] == 3
-    e = ex.parse("x*y^2 + 1", poly2.names)
-    ex.jet_at(e, p, 1)
-    assert e._jets[p].space.order == 3
 
 
 def test_nabla_makes_no_order0_jet_product(poly2, monkeypatch):
@@ -662,46 +599,3 @@ def test_nabla_makes_no_order0_jet_product(poly2, monkeypatch):
         for I in words:
             cd.nabla_value(f, I, p)
     assert seen and 0 not in seen
-
-
-def test_word_values_under_threads(hyperbolic):
-    """Threads that share one field's memo, asking for values, order-0 jets
-    and order-1 jets in interleaved orders, read the serial values."""
-    import sys
-    import threading
-    p = hyperbolic.resolve((0.3, 1.1), FLOAT)
-    words = [w for ell in range(1, 4) for w in itertools.product(range(2), repeat=ell)]
-    want = {w: dict(cd.nabla_value(f, w, p)) for f in _random_fields(hyperbolic, 2)[:1]
-            for w in words}
-    (shared,) = _random_fields(hyperbolic, 2)[:1]
-    got, errors = [None] * 6, []
-
-    def work(t):
-        order = words if t % 2 == 0 else words[::-1]
-        try:
-            out = {}
-            for w in order:
-                if t % 3 == 1:
-                    jets = cd.nabla_word_jets(shared, w, p, 0)
-                    assert {idx: jet.value for idx, jet in jets.items()} == want[w]
-                elif t % 3 == 2:
-                    cd.nabla_word_jets(shared, w, p, 1)
-                out[w] = dict(cd.nabla_value(shared, w, p))
-            got[t] = out
-        except Exception as exc:  # reported below with the thread's index
-            errors.append((t, exc))
-
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work, args=(t,)) for t in range(6)]
-        for th in threads:
-            th.start()
-        for th in threads:
-            th.join(timeout=60)
-    finally:
-        sys.setswitchinterval(old)
-    assert not any(th.is_alive() for th in threads)
-    assert errors == []
-    for vals in got:
-        assert vals == want

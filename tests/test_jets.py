@@ -1,11 +1,12 @@
 import math
+import pickle
 from array import array
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from atomcur.jets import (FLOAT, KERNEL_MAX_TERMS, RATIONAL, Jet, JetSpace,
+from atomcur.jets import (FLOAT, KERNEL_MAX_TERMS, RATIONAL, Jet, JetSpace, Point,
                           apply_elementary)
 
 
@@ -295,31 +296,12 @@ def test_jets_product_check_across_denominators(monkeypatch):
     assert [r.residual for r in results] == [1 / 7] * 4
 
 
-def test_jet_space_interning_under_threads():
-    """Two threads that build the same fresh space at once get one instance,
-    so the jets they build share it."""
-    import sys
-    import threading
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        split = 0
-        for trial in range(200):
-            n = 50 + trial  # not interned yet: built by the racing threads
-            start = threading.Barrier(2)
-            got = [None, None]
-
-            def build(t):
-                start.wait()
-                got[t] = JetSpace(n, 0)
-
-            threads = [threading.Thread(target=build, args=(t,)) for t in range(2)]
-            for th in threads:
-                th.start()
-            for th in threads:
-                th.join(timeout=60)
-            assert not any(th.is_alive() for th in threads)
-            split += got[0] is not got[1]
-    finally:
-        sys.setswitchinterval(old)
-    assert split == 0
+@pytest.mark.parametrize("coords,mode", [((0.25, -1.5), FLOAT),
+                                          ((Fraction(1, 4), Fraction(-3, 2)), RATIONAL)])
+def test_point_survives_pickle(coords, mode):
+    """Check rows cross the process boundary of --jobs with their probe."""
+    p = Point(coords, mode)
+    q = pickle.loads(pickle.dumps(p))
+    assert type(q) is Point and q.mode == mode
+    assert q == p and hash(q) == hash(p)
+    assert tuple(q) == coords and all(type(x) is type(y) for x, y in zip(q, coords))
