@@ -22,9 +22,9 @@ from . import covderiv as cd
 from . import expr as ex
 from .connection import ChartConnection
 from .covderiv import TU, Field
-from .jets import Jet, as_scalar
-from .multialg import (TensorExtElement, all_words, anti_indices, delta_coproduct, det,
-                       iterated_tensor_coproduct, sort_sign, sorted_word,
+from .jets import FLOAT, Jet, as_scalar
+from .multialg import (TensorExtElement, _delta_nums, _ratio_sum, _value, all_words,
+                       anti_indices, det, iterated_tensor_coproduct, sort_sign, sorted_word,
                        sorted_words, word_multidegree)
 
 
@@ -94,21 +94,35 @@ def monomial_probes(chart: ChartConnection, p, r, k, descending=False):
 
 
 def phi_apply(x: TensorExtElement, omega: Field, p):
-    """Phi_p(x) evaluated on a form field: the sum over the terms of x, in
-    PBW key order, of c_{w,K} (nabla_{e_w} omega)_p(eps_K), nabla of omega's chart."""
+    """Phi_p(x) evaluated on a form field: the sum over the terms of x of
+    c_{w,K} (nabla_{e_w} omega)_p(eps_K), nabla of omega's chart.
+
+    In float mode the terms are added in PBW key order.  In rational mode
+    the integer products are summed per denominator of the nabla values
+    they read, and the sums are joined over their lcm into one Fraction
+    (an int over den 1)."""
     degs = x.degrees()
     if len(degs) > 1:
         raise ValueError("phi_apply needs a homogeneous exterior degree")
     if degs and degs[0] != len(omega.slots):
         raise ValueError("degree mismatch between element and form")
-    total = 0
-    for (w, K), c in x.items():
-        if c == 0:
-            continue
-        v = cd.nabla_value(omega, w, p).get(K, 0)
-        if v != 0:
-            total += c * v
-    return total
+    if p.mode == FLOAT:
+        total = 0
+        for (w, K), c in x.items():
+            if c == 0:
+                continue
+            v = cd._nabla_num(omega, w, p)[0].get(K, 0)
+            if v != 0:
+                total += c * v
+        return total
+    sums = {}
+    for (w, K), c in x.nums.items():
+        vals, den = cd._nabla_num(omega, w, p)
+        v = vals.get(K)
+        if v:
+            sums[den] = sums.get(den, 0) + c * v
+    num, den = _ratio_sum(sums)
+    return _value(num, den * x.den)
 
 
 # ---------------------------------------------------------------------------
@@ -124,9 +138,9 @@ def to_pbw(chart: ChartConnection, x: TensorExtElement, p, r: int, k: int) -> At
     if x.max_order() > r:
         raise ValueError(f"element has tensor order {x.max_order()} > r={r}")
     # pure sorted-word elements are their own PBW coordinates
-    if all(w == tuple(sorted(w)) for (w, _K) in x.coeffs):
+    if all(w == tuple(sorted(w)) for (w, _K) in x.nums):
         cur = AtomicCurrent(p, r, k, chart.d)
-        cur.coeffs = dict(x.coeffs)
+        cur.nums, cur.den = dict(x.nums), x.den
         return cur
     return _pbw_solve(chart, p, r, k, lambda probe, _T, _L: phi_apply(x, probe, p))
 
@@ -137,20 +151,37 @@ def _pbw_solve(chart: ChartConnection, p, r, k, eval_fn) -> AtomicCurrent:
 
     Probes run in descending total degree; each coordinate is the probe
     value minus what the coordinates already found (all of higher word
-    length) contribute on that probe.
+    length) contribute on that probe.  In rational mode the correction is
+    summed on integers, as in :func:`phi_apply`, and the coordinate joins
+    the current's numerators, which are reduced once at the end.
     """
     cur = AtomicCurrent(p, r, k, chart.d)
+    exact = p.mode != FLOAT
     for T, L, probe in monomial_probes(chart, p, r, k, descending=True):
         g = sum(T)
         y = eval_fn(probe, T, L)
+        key = (sorted_word(T), L)
+        if exact:
+            corr = {}
+            for (I, K), c in cur.nums.items():
+                if len(I) > g:
+                    vals, den = cd._nabla_num(probe, I, p)
+                    gval = vals.get(K)
+                    if gval:
+                        corr[den] = corr.get(den, 0) + c * gval
+            num, den = _ratio_sum(corr)
+            den *= cur.den
+            cur._add_ratio(key, y.numerator * den - num * y.denominator, y.denominator * den)
+            continue
         corr = 0
-        for (I, K), c in cur.coeffs.items():
+        for (I, K), c in cur.nums.items():
             if len(I) <= g or c == 0:
                 continue
-            gval = cd.nabla_value(probe, I, p).get(K, 0)
+            gval = cd._nabla_num(probe, I, p)[0].get(K, 0)
             if gval != 0:
                 corr += c * gval
-        cur._add((sorted_word(T), L), y - corr)
+        cur._add(key, y - corr)
+    cur._reduce()
     return cur
 
 
@@ -189,7 +220,9 @@ def _apply_end_to_kvector(M, kdict):
 def kernel_element(chart: ChartConnection, p, I, i, j, J, K) -> TensorExtElement:
     """The kernel basis element E_{I,i,j,J,K}: three summand groups
     (antisymmetrized commutator with Sweedler factors, fiber-curvature
-    correction, base-curvature correction)."""
+    correction, base-curvature correction).  The factors are value pairs
+    (numerators, den); each summand joins the element over its own
+    denominator, and the element is reduced once at the end."""
     n, d = chart.n, chart.d
     I, J, K = tuple(I), tuple(J), tuple(K)
     out = TensorExtElement(n, d)
@@ -198,65 +231,67 @@ def kernel_element(chart: ChartConnection, p, I, i, j, J, K) -> TensorExtElement
     ej = cd.coordinate_tensor_field(chart, (j,))
 
     def nvec(fieldv, S):
-        # value of nabla_{e_S} of a coordinate vector field, as a dict idx -> scalar
-        return cd.nabla_value(fieldv, S, p)
+        # value of nabla_{e_S} of a coordinate vector field, as a pair over idx
+        return cd._nabla_num(fieldv, S, p)
 
     def ntens(S):
         # value of nabla_{e_S} e_J; for empty J the 0-tensor 1
         if J:
-            return cd.nabla_value(eJ, S, p)
-        return {(): 1} if not S else {}
+            return cd._nabla_num(eJ, S, p)
+        return ({(): 1} if not S else {}), 1
 
     def ab_value(S, T):
-        # value of nabla_{e_S} e_i (x) nabla_{e_T} e_j, as a dict (u, v) -> scalar
-        vi, vj = nvec(ei, S), nvec(ej, T)
+        # value of nabla_{e_S} e_i (x) nabla_{e_T} e_j, as a pair over (u, v)
+        (vi, di), (vj, dj) = nvec(ei, S), nvec(ej, T)
         ab = {}
         for (u,), cu in vi.items():
             for (v,), cv in vj.items():
                 ab[(u, v)] = ab.get((u, v), 0) + cu * cv
-        return ab
+        return ab, di * dj
 
     # group 1: e_{I1} (x) [nabla_{I2} e_i (x) nabla_{I3} e_j - (i <-> j)]
     #          (x) nabla_{I4} e_J  box eps_K
     for (I1, I2, I3, I4) in iterated_tensor_coproduct(I, 4):
-        vi, vj = nvec(ei, I2), nvec(ej, I3)
-        wi, wj = nvec(ej, I2), nvec(ei, I3)
-        tJ = ntens(I4)
+        pairs = ((1, nvec(ei, I2), nvec(ej, I3)), (-1, nvec(ej, I2), nvec(ei, I3)))
+        tJ, dJ = ntens(I4)
         if not tJ:
             continue
-        for sgn, left, right in ((1, vi, vj), (-1, wi, wj)):
+        for sgn, (left, dl), (right, dr) in pairs:
+            den = dl * dr * dJ
             for (a,), ca in left.items():
                 for (b,), cb in right.items():
                     for wJ, cJ in tJ.items():
-                        out.add_term(I1 + (a, b) + wJ, K, sgn * (ca * cb * cJ))
+                        out._add_ratio((I1 + (a, b) + wJ, K), sgn * (ca * cb * cJ), den)
 
     # group 2: e_{I1} (x) nabla_{I2} e_J box (nabla_{I3} R^E)_{nabla_{I4} e_i (x) nabla_{I5} e_j}(eps_K)
     for (I1, I2, I3, I4, I5) in iterated_tensor_coproduct(I, 5):
-        tJ = ntens(I2)
+        tJ, dJ = ntens(I2)
         if not tJ:
             continue
         ab = ab_value(I4, I5)
-        if not ab:
+        if not ab[0]:
             continue
-        fiber_end = cd.curvature_endomorphism(chart, I3, ab, p, fiber=True)
+        fiber_end, den = cd.curvature_endomorphism(chart, I3, ab, p, fiber=True)
         acted = _apply_end_to_kvector(fiber_end, {K: 1})
         for Kp, cK in acted.items():
             for wJ, cJ in tJ.items():
-                out.add_term(I1 + wJ, Kp, cJ * cK)
+                out._add_ratio((I1 + wJ, Kp), cJ * cK, dJ * den)
 
     # group 3: e_{I1} (x) (nabla_{I2} R^TM)_{nabla_{I3} e_i (x) nabla_{I4} e_j}(nabla_{I5} e_J) box eps_K
     for (I1, I2, I3, I4, I5) in iterated_tensor_coproduct(I, 5):
-        tJ = ntens(I5)
+        tJ, dJ = ntens(I5)
         if not tJ:
             continue
         ab = ab_value(I3, I4)
-        if not ab:
+        if not ab[0]:
             continue
+        base_end, den = cd.curvature_endomorphism(chart, I2, ab, p)
         # covariant_step reads the endomorphism by rows: the transpose
-        base_rows = [*zip(*cd.curvature_endomorphism(chart, I2, ab, p))]
+        base_rows = [*zip(*base_end)]
         acted = cd.covariant_step(chart, (TU,) * len(J), {}, tJ, lambda fiber: base_rows)
         for wJ, cJ in acted.items():
-            out.add_term(I1 + wJ, K, cJ)
+            out._add_ratio((I1 + wJ, K), cJ, den * dJ)
+    out._reduce()
     return out
 
 
@@ -306,20 +341,35 @@ def coproduct_pair_evaluate(T: AtomicCurrent, omega: Field, eta: Field):
     Sorted-word PBW lifts stay sorted under the deshuffle coproducts, so
     the summands of :func:`~atomcur.multialg.delta_coproduct` are already
     PBW keys of the two factors."""
-    pairs = delta_coproduct(T)
+    pairs = _delta_nums(T)
     p = T.point
-    total = 0
+    if p.mode == FLOAT:
+        total = 0
+        for ((Il, Kl), (Ir, Kr)), c in pairs.items():
+            if len(Kl) != len(omega.slots) or len(Kr) != len(eta.slots):
+                continue
+            a = cd._nabla_num(omega, Il, p)[0].get(Kl, 0)
+            if a == 0:
+                continue
+            b = cd._nabla_num(eta, Ir, p)[0].get(Kr, 0)
+            if b == 0:
+                continue
+            total += c * a * b
+        return total
+    sums = {}  # integer products summed per denominator, as in phi_apply
     for ((Il, Kl), (Ir, Kr)), c in pairs.items():
         if len(Kl) != len(omega.slots) or len(Kr) != len(eta.slots):
             continue
-        a = cd.nabla_value(omega, Il, p).get(Kl, 0)
-        if a == 0:
+        avals, da = cd._nabla_num(omega, Il, p)
+        a = avals.get(Kl)
+        if not a:
             continue
-        b = cd.nabla_value(eta, Ir, p).get(Kr, 0)
-        if b == 0:
-            continue
-        total += c * a * b
-    return total
+        bvals, db = cd._nabla_num(eta, Ir, p)
+        b = bvals.get(Kr)
+        if b:
+            sums[da * db] = sums.get(da * db, 0) + c * a * b
+    num, den = _ratio_sum(sums)
+    return _value(num, den * T.den)
 
 
 # ---------------------------------------------------------------------------

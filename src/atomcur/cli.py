@@ -234,7 +234,7 @@ def run(spec_path, suite: str, r: int, k: int, mode: str, tol, seed: int,
             raise SpecFileError(
                 f"{spec_path}: rational mode needs polynomial/rational chart expressions")
         probes = resolve_probes(data, chart, mode, seed)
-        usage = _flag_error(chart, suite, r, k, trials, tol, jobs)
+        usage = _flag_error(chart, suite, r, k, trials, tol, jobs) or _out_error(out_path)
         if usage:
             print(f"usage error: {usage}", file=sys.stderr)
             return 2
@@ -250,14 +250,18 @@ def run(spec_path, suite: str, r: int, k: int, mode: str, tol, seed: int,
     t0 = time.perf_counter()
     try:
         if jobs > 1:
-            results = _run_parallel(ctx, suite, jobs)
+            runs = _run_parallel(ctx, suite, jobs)
         else:
-            results = su.run_suite(ctx, suite)
+            runs = [_timed_check(fn, ctx) for fn in su.SUITES[suite]]
     except (EvalDomainError, ExactModeError, ChartDomainError) as err:
         print(f"evaluation error: {err}", file=sys.stderr)
         return 3
     wall = time.perf_counter() - t0
-    report = make_report(data, suite, ctx, results, wall)
+    results = [row for rows, _name, _secs in runs for row in rows]
+    per_check = {}
+    for _rows, name, secs in runs:
+        per_check[name] = per_check.get(name, 0.0) + secs
+    report = make_report(data, suite, ctx, results, wall, per_check)
     text = json.dumps(report, indent=2, sort_keys=True)
     if out_path:
         out = Path(out_path)
@@ -291,13 +295,34 @@ def _flag_error(chart, suite, r, k, trials, tol, jobs):
     return None
 
 
+def _out_error(out_path):
+    """What is wrong with an --out path, or None: it must name a file (new
+    or not) in an existing directory, so that no run fails at its last
+    step, after every check."""
+    if not out_path:
+        return None
+    out = Path(out_path)
+    if out.is_dir():
+        return f"--out {out_path!r} is a directory"
+    if not out.parent.is_dir():
+        return f"--out {out_path!r}: no directory {str(out.parent)!r}"
+    return None
+
+
+def _timed_check(fn, ctx):
+    """The rows of one registry check, its name and its wall seconds."""
+    t0 = time.perf_counter()
+    rows = fn(ctx)
+    return rows, fn.__name__, time.perf_counter() - t0
+
+
 # the (context, suite) that the forked workers of _run_parallel inherit
 _pool_task = None
 
 
 def _run_check(i):
     ctx, suite = _pool_task
-    return su.SUITES[suite][i](ctx)
+    return _timed_check(su.SUITES[suite][i], ctx)
 
 
 def _run_parallel(ctx, suite, jobs):
@@ -311,12 +336,12 @@ def _run_parallel(ctx, suite, jobs):
     try:
         with concurrent.futures.ProcessPoolExecutor(
                 min(jobs, len(checks)), multiprocessing.get_context("fork")) as pool:
-            return [row for rows in pool.map(_run_check, range(len(checks))) for row in rows]
+            return list(pool.map(_run_check, range(len(checks))))
     finally:
         _pool_task = None
 
 
-def make_report(data, suite, ctx, results, wall):
+def make_report(data, suite, ctx, results, wall, per_check):
     checks = sorted((r.row() for r in results),
                     key=lambda row: (row["check"], str(row["probe"])))
     return {
@@ -335,7 +360,8 @@ def make_report(data, suite, ctx, results, wall):
             "failed": sum(1 for r in results if r.status == "FAIL"),
             "skipped": sum(1 for r in results if r.status == "skip"),
         },
-        "timing": {"wall_seconds": wall},
+        # seconds per registry check function, summed over its probes
+        "timing": {"wall_seconds": wall, "per_check": per_check},
     }
 
 
@@ -421,6 +447,10 @@ def main(argv=None) -> int:
     if args.command == "gen-poly":
         if args.dimension < 1:
             print("usage error: --dimension must be at least 1", file=sys.stderr)
+            return 2
+        usage = _out_error(args.out)
+        if usage:
+            print(f"usage error: {usage}", file=sys.stderr)
             return 2
         spec = make_random_polynomial_spec(args.dimension, args.seed)
         text = json.dumps(spec, indent=2, sort_keys=True)

@@ -35,7 +35,7 @@ import copy
 from fractions import Fraction
 
 from . import expr as ex
-from .jets import FLOAT, Jet, JetSpace, as_point, as_scalar
+from .jets import FLOAT, Jet, JetSpace, as_point, as_scalar, common_values
 from .multialg import det
 
 
@@ -244,12 +244,23 @@ class ChartConnection:
         """Jet of the first-order symbol (base Gamma^._{i j} or fiber A^._{i j})."""
         return self._symbols(p, order, fiber)[i][j]
 
-    def symbol_values(self, p, fiber=False):
-        """The values of the first-order symbols at p, as a table
-        [i][j] -> scalars over k, read once per point from the order-0 jets."""
-        fiber = fiber and not self.fiber_is_tangent
-        return self._memo(p, ("g1-values", fiber), lambda: [
-            [[jet.value for jet in ks] for ks in row] for row in self._symbols(p, 0, fiber)])
+    def symbol_values(self, p):
+        """The values of the first-order symbols at p, read once per point
+        from the order-0 jets, as (base, fiber, den): tables [i][j] -> numbers
+        over k.  In rational mode both tables hold integer numerators over
+        the one denominator den; in float mode they hold the values and den
+        is 1."""
+        def build():
+            tables = [self._symbols(p, 0), self._symbols(p, 0, fiber=True)]
+            jets = {(t, i, j, k): jet for t, table in enumerate(tables)
+                    for i, row in enumerate(table) for j, ks in enumerate(row)
+                    for k, jet in enumerate(ks)}
+            nums, den = common_values(jets)
+            base, fiber = ([[[nums[t, i, j, k] for k in range(len(ks))]
+                             for j, ks in enumerate(row)] for i, row in enumerate(table)]
+                           for t, table in enumerate(tables))
+            return base, fiber, den
+        return self._memo(p, ("g1-values",), build)
 
     def higher_gamma_jets(self, I, j, p, order, fiber=False):
         """Jets of Gamma^k_{I,j} for all k, by the inductive formula."""

@@ -21,13 +21,17 @@ reduced to jet arithmetic of component functions and first-order symbols.
 A word of length s needs the jets of its inner words up to order s, but its
 own top level only values at the point: Phi_p(v box alpha)(omega) reads
 (nabla_v omega)_p(alpha).  So the order-0 level runs on plain numbers
-(``nabla_value``): the e_{i1} coefficients and values of the order-1 jets
+(``_nabla_num``): the e_{i1} coefficients and values of the order-1 jets
 of the inner word, the symbol values the chart keeps per point, and the
 nonzero values of the substituted words, accumulated by the same loops as
-the jet levels (``covariant_step``, ``_add_product``).  Jets of order 0 are
-wrapped from those values only for callers that ask for jets.
+the jet levels (``covariant_step``, ``_add_product``).  In rational mode
+those numbers are Python-int numerators over one denominator per dict, as
+in a rational jet, so a value dict is the pair (numerators, den); in float
+mode it is the pair (values, 1).  Fractions are built only for callers
+that read values (``nabla_value``), and jets of order 0 only for callers
+that ask for jets.
 Everything here is a pure function of immutable inputs; per-field caches
-only memoize results, one jet entry and one values dict per (word, point).
+only memoize results, one jet entry and one value pair per (word, point).
 """
 
 from __future__ import annotations
@@ -36,8 +40,9 @@ import itertools
 
 from . import expr as ex
 from .connection import ChartConnection
-from .jets import Jet, JetSpace
-from .multialg import (merge_sign, sort_sign, tensor_coproduct)
+from .jets import FLOAT, Jet, JetSpace, common_values
+from .multialg import (_aligned, _combine, _fractions, _reduced, _value, merge_sign, sort_sign,
+                       tensor_coproduct)
 
 TU, TD, FU, FD = "tu", "td", "fu", "fd"
 
@@ -193,19 +198,24 @@ def covariant_step(chart, slots, derivs, lows, symbols):
 
 def _nabla_word(field: Field, I, p, order):
     """nabla_{e_I}(field) at p by one step of the recursion: component jets
-    of order ``order`` >= 1, or at order 0 their values.
+    of order ``order`` >= 1, or at order 0 their values as a pair
+    (numerators, den).
 
     Both levels run the same loops in the same order on inputs lowered to
     the order of the result: the derivative and truncation of the order + 1
     jets of the inner word, the first-order symbols, and the words with one
     letter substituted, whose zero values the order-0 level never sees.  A
     value thus differs from the value of a higher-order jet of the word at
-    most in the sign of an exact zero, which :func:`nabla_value` drops.
+    most in the sign of an exact zero, which :func:`_nabla_num` drops.  At
+    order 0 in rational mode the values of the inner jets and of the
+    substituted words are numerators over their least common denominator v,
+    the symbols over theirs, s, and the e_{i1} coefficients over s * v, so
+    every term of the result is over s * v (s and v are 1 in float mode).
     """
     chart = field.chart
     if not I:
         jets = {idx: field.comp_jet(idx, p, order) for idx in field.comps}
-        return jets if order else {idx: jet.value for idx, jet in jets.items()}
+        return jets if order else common_values(jets)
     i1, rest = I[0], I[1:]
     inner = nabla_word_jets(field, rest, p, order + 1)
     if order:
@@ -218,14 +228,35 @@ def _nabla_word(field: Field, I, p, order):
         def word(J):
             return nabla_word_jets(field, J, p, order)
     else:
-        derivs = {idx: jet.derivative_value(i1) for idx, jet in inner.items()}
-        lows = {idx: jet.value for idx, jet in inner.items()} if field.slots else {}
+        base, fib, sden = chart.symbol_values(p)
+        brow, frow = base[i1], fib[i1]
 
         def symbols(fiber):
-            return chart.symbol_values(p, fiber)[i1]
+            return frow if fiber else brow
 
-        def word(J):
-            return nabla_value(field, J, p)
+        u = JetSpace(chart.n, 1).units[i1]
+        if p.mode == FLOAT:
+            derivs = {idx: jet.coeffs[u] for idx, jet in inner.items()}
+            lows = {idx: jet.coeffs[0] for idx, jet in inner.items()} if field.slots else {}
+            vden = 1
+
+            def word(J):
+                return _nabla_num(field, J, p)[0]
+        else:
+            words = {}
+            for r in range(len(rest)):
+                gam = brow[rest[r]]
+                for l in range(chart.n):
+                    if gam[l]:
+                        J = rest[:r] + (l,) + rest[r + 1:]
+                        words[J] = _nabla_num(field, J, p)
+            derivs, vden = common_values(inner, u)
+            lows = common_values(inner)[0] if field.slots else {}
+            (derivs, lows, *wvals), vden = _aligned([(derivs, vden), (lows, vden),
+                                                     *words.values()])
+            if sden != 1:
+                derivs = {idx: c * sden for idx, c in derivs.items()}
+            word = dict(zip(words, wvals)).__getitem__
     out = covariant_step(chart, field.slots, derivs, lows, symbols)
     if rest:
         row = symbols(False)
@@ -236,7 +267,7 @@ def _nabla_word(field: Field, I, p, order):
                     continue
                 for idx, v in word(rest[:r] + (l,) + rest[r + 1:]).items():
                     _add_product(out, idx, gam[l], v, -1)
-    return out
+    return out if order else (out, sden * vden)
 
 
 def nabla_word_jets(field: Field, I, p, order):
@@ -249,12 +280,13 @@ def nabla_word_jets(field: Field, I, p, order):
     order (see :func:`atomcur.expr.jet_at`), so it equals the jets derived
     afresh at the lower order.  It may also keep a component whose
     truncated jet is zero, which a fresh derivation could leave out.
-    Order 0 wraps the values of :func:`nabla_value` into order-0 jets.
+    Order 0 wraps the values of :func:`_nabla_num` into order-0 jets.
     """
     I = tuple(I)
     if not order:
         space = JetSpace(field.chart.n, 0)
-        return {idx: Jet.const(space, p.mode, v) for idx, v in nabla_value(field, I, p).items()}
+        nums, den = _nabla_num(field, I, p)
+        return {idx: Jet.const(space, p.mode, v, den) for idx, v in nums.items()}
     cache = field._nabla_cache.setdefault(p, {})
     top, jets = cache.get(I, (-1, None))
     if top >= order:
@@ -264,42 +296,48 @@ def nabla_word_jets(field: Field, I, p, order):
     return jets
 
 
-def nabla_value(field: Field, I, p) -> dict:
+def _nabla_num(field: Field, I: tuple, p):
     """Nonzero components of the order-|I| higher covariant derivative at p
-    along the frame word I, memoized on the field.
+    along the frame word I, as the pair (numerators, den): integer
+    numerators over one denominator, canonical as a rational jet is, in
+    rational mode, and the values over den 1 in float mode.
 
     Computed once per (word, point) into ``field._nabla_values``, from the
     jets :func:`nabla_word_jets` holds for the word if any, else by the
-    order-0 level of the recursion on plain numbers.  The dict is shared:
-    callers must treat it as read-only.  A miss checks the point first, so
-    an out-of-domain point still raises on its first query.
+    order-0 level of the recursion.  The pair is shared: callers must
+    treat it as read-only.  A miss checks the point first, so an
+    out-of-domain point still raises on its first query.
     """
-    I = tuple(I)
     cache = field._nabla_values.setdefault(p, {})
     hit = cache.get(I)
     if hit is not None:
         return hit
     field.chart.check_point(p)
     held = field._nabla_cache.get(p, {}).get(I)
-    comps = ({idx: jet.value for idx, jet in held[1].items()} if held
-             else _nabla_word(field, I, p, 0))
-    return cache.setdefault(I, {idx: v for idx, v in comps.items() if v != 0})
+    nums, den = common_values(held[1]) if held else _nabla_word(field, I, p, 0)
+    return cache.setdefault(I, _reduced({idx: v for idx, v in nums.items() if v != 0}, den))
 
 
-def nabla_mixed(field: Field, prefix, tensor_value: dict, p) -> dict:
-    """nabla_{e_prefix tensor Z}(field) at p for a tangent-tensor value Z.
+def nabla_value(field: Field, I, p) -> dict:
+    """Nonzero components of the order-|I| higher covariant derivative at p
+    along the frame word I: the values of :func:`_nabla_num`, as Fractions
+    in rational mode, and in float mode its memoized dict itself, which
+    callers must treat as read-only."""
+    nums, den = _nabla_num(field, tuple(I), p)
+    return nums if p.mode == FLOAT else _fractions(nums, den)
+
+
+def nabla_mixed(field: Field, prefix, tensor_value, p):
+    """nabla_{e_prefix tensor Z}(field) at p for a tangent-tensor value Z,
+    given and returned as a pair (numerators, den).
 
     Tensoriality in the vector slots reduces Z to its components:
     the result is sum_w Z[w] * nabla_{e_{prefix + w}}(field)(p).
     """
-    out = {}
-    for w, c in tensor_value.items():
-        if c == 0:
-            continue
-        part = nabla_value(field, tuple(prefix) + tuple(w), p)
-        for idx, v in part.items():
-            out[idx] = out.get(idx, 0) + c * v
-    return {k: v for k, v in out.items() if v != 0}
+    znums, zden = tensor_value
+    out, den = _combine([(c, _nabla_num(field, tuple(prefix) + tuple(w), p))
+                         for w, c in znums.items() if c != 0])
+    return _reduced({k: v for k, v in out.items() if v != 0}, zden * den)
 
 
 # ---------------------------------------------------------------------------
@@ -531,23 +569,25 @@ def curvature_field(chart: ChartConnection, which: str, p, budget) -> Field:
         chart, slots, chart.curvature_jets(p, budget, fiber), p, budget))
 
 
-def curvature_endomorphism(chart, S, ab_value: dict, p, fiber=False):
-    """(nabla_{e_S} R)_{Z} at p for a 2-tensor value Z = ab_value, as one
-    matrix: end[k][l] on tangent indices (R^TM), or with ``fiber`` end[b][a]
-    on fiber indices (R^E)."""
+def curvature_endomorphism(chart, S, ab_value, p, fiber=False):
+    """(nabla_{e_S} R)_{Z} at p for a 2-tensor value Z, given as a pair
+    (numerators, den), as one matrix and its denominator, (end, den):
+    end[k][l] on tangent indices (R^TM), or with ``fiber`` end[b][a] on
+    fiber indices (R^E)."""
     S = tuple(S)
     field = curvature_field(chart, "fiber" if fiber else "base", p, len(S))
-    values = nabla_value(field, S, p)
+    values, vden = _nabla_num(field, S, p)
+    ab, abden = ab_value
     dim = chart.d if fiber else chart.n
     end = [[0] * dim for _ in range(dim)]
-    for (uv), c in ab_value.items():
+    for (uv), c in ab.items():
         if c == 0 or len(uv) != 2:
             continue
         u, v = uv
         for (k, l, uu, vv), x in values.items():
             if (uu, vv) == (u, v):
                 end[k][l] += c * x
-    return end
+    return end, abden * vden
 
 
 # ---------------------------------------------------------------------------
@@ -558,6 +598,15 @@ def _dict_residual(a: dict, b: dict):
     return max((abs(a.get(k, 0) - b.get(k, 0)) for k in keys), default=0)
 
 
+def _pair_residual(a, b):
+    """:func:`_dict_residual` of two (numerators, den) pairs, as a value."""
+    (x, y), den = _aligned([a, b])
+    return _value(_dict_residual(x, y), den)
+
+
+_UNIT = ({(): 1}, 1)  # the 0-tensor 1 as a value pair
+
+
 def nabla_compose_check(v, w, field: Field, p):
     """Residual of nabla_v o nabla_w = nabla_{v_(1) tensor nabla-hat_{v_(2)} w}."""
     chart = field.chart
@@ -565,21 +614,19 @@ def nabla_compose_check(v, w, field: Field, p):
     # left side: jets of nabla_w(field) to order |v|, then nabla_v of that
     inner = nabla_word_jets(field, w, p, len(v))
     inner_field = jet_field(chart, field.slots, inner, p, len(v))
-    left = nabla_value(inner_field, v, p)
+    left = _nabla_num(inner_field, v, p)
     # right side: Sweedler sum over the tensor coproduct of v
-    right = {}
+    right = []
     ew = coordinate_tensor_field(chart, w) if w else None
     for (v1, v2) in tensor_coproduct(v):
         if w:
-            zval = nabla_value(ew, v2, p)
+            zval = _nabla_num(ew, v2, p)
+        elif v2:
+            continue
         else:
-            zval = {(): 1} if not v2 else {}
-            if v2:
-                continue
-        part = nabla_mixed(field, v1, zval, p)
-        for idx, c in part.items():
-            right[idx] = right.get(idx, 0) + c
-    return _dict_residual(left, right)
+            zval = _UNIT
+        right.append((1, nabla_mixed(field, v1, zval, p)))
+    return _pair_residual(left, _combine(right))
 
 
 def fundamental_commutation_check(u, v, a, b, field: Field, p):
@@ -596,39 +643,40 @@ def fundamental_commutation_check(u, v, a, b, field: Field, p):
     u, v, a, b = tuple(u), tuple(v), int(a), int(b)
     comm_words = [((a, b) + v, 1), ((b, a) + v, -1)]
     # left side
-    left = {}
+    left = []
     for (u1, u2) in tensor_coproduct(u):
         for word, sgn in comm_words:
-            zval = nabla_value(coordinate_tensor_field(chart, word), u2, p)
-            part = nabla_mixed(field, u1, zval, p)
-            for idx, c in part.items():
-                left[idx] = left.get(idx, 0) + sgn * c
+            zval = _nabla_num(coordinate_tensor_field(chart, word), u2, p)
+            left.append((sgn, nabla_mixed(field, u1, zval, p)))
     # right side, first group
-    right = {}
+    right = []
     eab = coordinate_tensor_field(chart, (a, b))
     ev = coordinate_tensor_field(chart, v) if v else None
     for (u1, u2, u3, u4) in iterated_tensor_coproduct(u, 4):
-        abval = nabla_value(eab, u2, p)
+        abval = _nabla_num(eab, u2, p)
+        base_end, den = curvature_endomorphism(chart, u1, abval, p)
+        fiber_end, fden = curvature_endomorphism(chart, u1, abval, p, fiber=True)
+        if fden != den:  # both matrices over den * fden
+            base_end = [[c * fden for c in row] for row in base_end]
+            fiber_end = [[c * den for c in row] for row in fiber_end]
+            den *= fden
         # covariant_step reads each endomorphism by rows: the transpose
-        base_rows = [*zip(*curvature_endomorphism(chart, u1, abval, p))]
-        fiber_rows = [*zip(*curvature_endomorphism(chart, u1, abval, p, fiber=True))]
-        vval = nabla_value(ev, u4, p) if v else ({(): 1} if not u4 else None)
+        base_rows, fiber_rows = [*zip(*base_end)], [*zip(*fiber_end)]
+        vval = _nabla_num(ev, u4, p) if v else (_UNIT if not u4 else None)
         if vval is None:
             continue
-        inner = nabla_mixed(field, u3, vval, p)
+        inner, iden = nabla_mixed(field, u3, vval, p)
         acted = covariant_step(chart, field.slots, {}, inner,
                                lambda fiber: fiber_rows if fiber else base_rows)
-        for idx, c in acted.items():
-            right[idx] = right.get(idx, 0) + c
+        right.append((1, (acted, den * iden)))
     # right side, second group (subtracted)
     for (u1, u2, u3, u4) in iterated_tensor_coproduct(u, 4):
-        abval = nabla_value(eab, u3, p)
-        base_rows = [*zip(*curvature_endomorphism(chart, u2, abval, p))]
-        vval = nabla_value(ev, u4, p) if v else ({(): 1} if not u4 else None)
+        abval = _nabla_num(eab, u3, p)
+        base_end, den = curvature_endomorphism(chart, u2, abval, p)
+        base_rows = [*zip(*base_end)]
+        vval = _nabla_num(ev, u4, p) if v else (_UNIT if not u4 else None)
         if vval is None:
             continue
-        rv = covariant_step(chart, (TU,) * len(v), {}, vval, lambda fiber: base_rows)
-        part = nabla_mixed(field, u1, rv, p)
-        for idx, c in part.items():
-            right[idx] = right.get(idx, 0) - c
-    return _dict_residual(left, right)
+        rv = covariant_step(chart, (TU,) * len(v), {}, vval[0], lambda fiber: base_rows)
+        right.append((-1, nabla_mixed(field, u1, (rv, den * vval[1]), p)))
+    return _pair_residual(_combine(left), _combine(right))

@@ -318,11 +318,16 @@ class Jet:
         return _exact(space, _zero_coeffs(space, mode), 1)
 
     @staticmethod
-    def const(space: JetSpace, mode: str, value) -> "Jet":
+    def const(space: JetSpace, mode: str, value, den: int = 1) -> "Jet":
+        """The constant jet value / den; a den other than 1 divides an int
+        numerator in rational mode."""
         c = _zero_coeffs(space, mode)
         if mode == FLOAT:
             c[0] = float(value)
             return _float(space, c)
+        if den != 1:
+            c[0] = value
+            return _reduced(space, c, den)
         q = value if type(value) is int else as_scalar(value, mode)
         c[0] = q.numerator
         return _exact(space, c, q.denominator)
@@ -435,16 +440,37 @@ class Jet:
     __rmul__ = __mul__
 
     def add_product(self, a: "Jet", b: "Jet", sign: int = 1) -> "Jet":
-        """self + a*b for sign 1, self - a*b for sign -1: one fused pass on a
-        float space with a straight-line kernel, the product and then the sum
-        otherwise.  Both give the same coefficients bit for bit."""
+        """self + a*b for sign 1, self - a*b for sign -1.
+
+        A float space with a straight-line kernel runs one fused pass; a
+        larger float space forms the product and then the sum, which gives
+        the same bits.  A rational jet takes self over a.den * b.den,
+        accumulates the product rows into those numerators and reduces
+        once; the canonical form is unique, so the result equals
+        ``self + a*b``."""
+        sp = self.space
         if self.mode == FLOAT:
-            kernel = self.space.float_kernel
-            if kernel is not None:
-                self._check(a)
-                self._check(b)
-                return _float(self.space, kernel[sign](self.coeffs, a.coeffs, b.coeffs))
-        return self + a * b if sign > 0 else self - a * b
+            kernel = sp.float_kernel
+            if kernel is None:
+                return self + a * b if sign > 0 else self - a * b
+            self._check(a)
+            self._check(b)
+            return _float(sp, kernel[sign](self.coeffs, a.coeffs, b.coeffs))
+        self._check(a)
+        self._check(b)
+        prod_den = a.den * b.den
+        g = gcd(self.den, prod_den)
+        fs, fab = prod_den // g, self.den // g
+        out = [x * fs for x in self.coeffs]
+        if sign < 0:
+            fab = -fab
+        bc = b.coeffs
+        for x, row in zip(a.coeffs, sp.mul_rows):
+            if x:
+                x *= fab
+                for o, j in row:
+                    out[o] += x * bc[j]
+        return _reduced(sp, out, self.den * fs)
 
     def power(self, k: int) -> "Jet":
         if k < 0:
@@ -518,6 +544,16 @@ class Jet:
 
     def __repr__(self):
         return f"Jet(order={self.space.order}, value={self.value!r})"
+
+
+def common_values(jets: dict, index: int = 0):
+    """Coefficient ``index`` (0: the value) of each jet of a map, as a pair
+    (numerators, den) over the least common denominator of the jets.  Float
+    jets have den 1, so their coefficients come back as they are."""
+    den = lcm(*(jet.den for jet in jets.values()))
+    if den == 1:
+        return {k: jet.coeffs[index] for k, jet in jets.items()}, 1
+    return {k: jet.coeffs[index] * (den // jet.den) for k, jet in jets.items()}, den
 
 
 # ---------------------------------------------------------------------------

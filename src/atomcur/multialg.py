@@ -7,6 +7,12 @@ with absent keys meaning zero.  The key order used everywhere (and in
 particular for the PBW basis) is graded-lexicographic: sort by length,
 then lexicographically.
 
+Exact maps are held as rational jets are: a ``(nums, den)`` pair of
+Python-int numerators over one positive denominator, so sums and products
+are integer arithmetic with one gcd per result.  A float map is the pair
+(values, 1), so the same loops run on it unchanged.  The private helpers
+below align, reduce and read such pairs.
+
 Deshuffle coproducts and the pointwise linear algebra shared by every
 layer (a ring-generic determinant and one Gauss-Jordan elimination) live
 here; everything is a pure function of immutable values.
@@ -17,6 +23,79 @@ from __future__ import annotations
 import functools
 import itertools
 from fractions import Fraction
+from math import gcd, lcm
+
+
+# ---------------------------------------------------------------------------
+# Maps of numerators over one denominator.
+
+def _reduced(nums: dict, den: int):
+    """The pair (nums, den) in canonical form, gcd(den, *nums) == 1 (an
+    empty map gets den 1), by one gcd over the map; den 1 is returned as
+    it is, so float maps pass through."""
+    if den != 1:
+        g = gcd(den, *nums.values())
+        if g != 1:
+            nums = {k: c // g for k, c in nums.items()}
+            den //= g
+    return nums, den
+
+
+def _aligned(pairs):
+    """The numerator maps of ``(nums, den)`` pairs over their least common
+    denominator, as (list of maps, lcm), in the order given.  A map already
+    over the lcm is returned as it is, so float pairs pass through."""
+    den = lcm(*(d for _nums, d in pairs))
+    out = []
+    for nums, d in pairs:
+        if d != den:
+            f = den // d
+            nums = {k: c * f for k, c in nums.items()}
+        out.append(nums)
+    return out, den
+
+
+def _combine(parts):
+    """The sum of s * nums/den over ``parts`` of (s, (nums, den)), with s a
+    factor of its own (an int, or a float in float mode), as one (nums, den)
+    pair over the lcm of the dens.  Every key is summed in the order of the
+    parts, so a float sum keeps its order; keys whose sum is zero stay."""
+    maps, den = _aligned([pair for _s, pair in parts])
+    out = {}
+    for (s, _pair), nums in zip(parts, maps):
+        for k, c in nums.items():
+            out[k] = out.get(k, 0) + s * c
+    return out, den
+
+
+def _scales(dens):
+    """The lcm L of some denominators, and the map {den: L // den}."""
+    dens = set(dens)
+    den = lcm(*dens)
+    return den, {d: den // d for d in dens}
+
+
+def _ratio_sum(sums: dict):
+    """The sum of num/den over a map {den: num}, as (num, lcm of the dens)."""
+    den = lcm(*sums)
+    return sum(num * (den // d) for d, num in sums.items()), den
+
+
+def _fractions(nums: dict, den: int) -> dict:
+    """The map of Fractions that a pair (nums, den) stands for."""
+    return {k: Fraction(c, den) for k, c in nums.items()}
+
+
+def _value(num, den):
+    """The scalar num/den: a Fraction, or num itself when den is 1."""
+    return num if den == 1 else Fraction(num, den)
+
+
+def _ratios(values: dict):
+    """A map of ints and Fractions as a (nums, den) pair over the lcm of
+    their denominators."""
+    den = lcm(*(v.denominator for v in values.values()))
+    return {k: v.numerator * (den // v.denominator) for k, v in values.items()}, den
 
 
 # ---------------------------------------------------------------------------
@@ -196,40 +275,78 @@ class TensorExtElement:
 
     Mixed word lengths and exterior degrees are allowed; degree/order
     homogeneity is asserted only by operations that need it.
+
+    The map is stored as ``nums`` over ``den``, as a rational jet is: in
+    rational mode Python-int numerators over one positive denominator, kept
+    canonical (gcd(den, *nums) == 1, so the zero element has den 1); in
+    float mode the coefficients themselves over den 1.  Read coefficients
+    through ``coeffs``, ``items`` or ``to_json`` (Fractions in rational
+    mode).
     """
 
-    __slots__ = ("n", "d", "coeffs")
+    __slots__ = ("n", "d", "nums", "den")
 
     def __init__(self, n: int, d: int, coeffs=None):
         self.n = n
         self.d = d
-        self.coeffs = {}
+        self.nums = {}
+        self.den = 1
         if coeffs:
             for (w, K), c in coeffs.items():
                 self.add_term(w, K, c)
 
     def add_term(self, w, K, c):
-        """Accumulate c on the checked key (w, K); for keys from outside."""
+        """Accumulate c (an int, Fraction or float) on the checked key
+        (w, K); for keys and scalars from outside."""
         if c == 0:
             return
-        self._add((check_word(w, self.n), check_anti_index(K, self.d)), c)
+        key = (check_word(w, self.n), check_anti_index(K, self.d))
+        if isinstance(c, float):
+            if self.den != 1:
+                raise ValueError("float coefficient on a rational element")
+            self._add(key, c)
+        else:
+            self._add_ratio(key, c.numerator, c.denominator)
+            self._reduce()
 
     def _add(self, key, c):
-        """Accumulate c on a (word, anti-index) tuple key that is already
-        valid, e.g. built by a coproduct or a wedge merge of checked keys."""
+        """Accumulate the numerator c (over ``den``) on a (word, anti-index)
+        tuple key that is already valid, e.g. built by a coproduct or a
+        wedge merge of checked keys."""
         if c == 0:
             return
-        cur = self.coeffs.get(key, 0)
+        cur = self.nums.get(key, 0)
         new = cur + c
         if new == 0:
-            self.coeffs.pop(key, None)
+            self.nums.pop(key, None)
         else:
-            self.coeffs[key] = new
+            self.nums[key] = new
+
+    def _add_ratio(self, key, num, den):
+        """Accumulate num/den on a valid key, first raising ``den`` to a
+        multiple of den; the caller restores the canonical form
+        (``_reduce``) once it has added every term."""
+        if den != self.den:
+            if self.den % den:
+                f = den // gcd(self.den, den)
+                self.nums = {k: c * f for k, c in self.nums.items()}
+                self.den *= f
+            num *= self.den // den
+        self._add(key, num)
+
+    def _reduce(self):
+        self.nums, self.den = _reduced(self.nums, self.den)
 
     def _like(self) -> "TensorExtElement":
         """An empty element of the same kind, so that a subclass keeps its
         own data through ``scale``, ``+`` and ``-``."""
         return TensorExtElement(self.n, self.d)
+
+    @property
+    def coeffs(self) -> dict:
+        """The coefficient map {(word, anti-index): scalar}, read-only:
+        Fractions over a denominator other than 1, else the stored numbers."""
+        return self.nums if self.den == 1 else _fractions(self.nums, self.den)
 
     def items(self):
         return sorted(self.coeffs.items(),
@@ -238,40 +355,52 @@ class TensorExtElement:
     def scale(self, a) -> "TensorExtElement":
         out = self._like()
         if a != 0:
-            for (w, K), c in self.coeffs.items():
-                out.coeffs[(w, K)] = a * c
+            num, den = (a.numerator, a.denominator) if isinstance(a, Fraction) else (a, 1)
+            nums = out.nums
+            for key, c in self.nums.items():
+                nums[key] = num * c
+            out.den = self.den * den
+            if out.den != 1:
+                out._reduce()
         return out
 
     def __add__(self, other: "TensorExtElement") -> "TensorExtElement":
         out = self._like()
-        out.coeffs = dict(self.coeffs)
-        for key, c in other.coeffs.items():
+        if self.den == other.den:
+            mine, theirs, out.den = self.nums, other.nums, self.den
+        else:
+            (mine, theirs), out.den = _aligned([(self.nums, self.den), (other.nums, other.den)])
+        out.nums = dict(mine)
+        for key, c in theirs.items():
             out._add(key, c)
+        if out.den != 1:
+            out._reduce()
         return out
 
     def __sub__(self, other):
         return self + other.scale(-1)
 
     def max_order(self) -> int:
-        return max((len(w) for (w, _K) in self.coeffs), default=0)
+        return max((len(w) for (w, _K) in self.nums), default=0)
 
     def degrees(self):
-        return sorted({len(K) for (_w, K) in self.coeffs})
+        return sorted({len(K) for (_w, K) in self.nums})
 
     def max_abs(self):
-        return max((abs(c) for c in self.coeffs.values()), default=0)
+        return _value(max((abs(c) for c in self.nums.values()), default=0), self.den)
 
     def __repr__(self):
         parts = [f"{c!r}*[{','.join(map(str, w))}|{','.join(map(str, K))}]"
                  for (w, K), c in self.items()]
         return "TensorExt(" + " + ".join(parts or ["0"]) + ")"
 
-    # JSON keys use "i,j,...|a,b,..." for (word, anti-index).
+    # JSON keys use "i,j,...|a,b,..." for (word, anti-index); exact
+    # coefficients are strings, so no numerator is rounded
     def to_json(self) -> dict:
         out = {}
         for (w, K), c in self.items():
             key = ",".join(map(str, w)) + "|" + ",".join(map(str, K))
-            out[key] = float(c) if not isinstance(c, Fraction) else str(c)
+            out[key] = float(c) if isinstance(c, float) else str(c)
         return out
 
     @staticmethod
@@ -296,12 +425,18 @@ def delta_coproduct(x: TensorExtElement) -> dict:
     deshuffle both factors, with Koszul signs on the wedge side.
 
     Returns the merged map {((wL, KL), (wR, KR)): coeff}.  Summands are
-    added in the insertion order of ``x.coeffs``, and keys whose sum is zero
+    added in the insertion order of ``x.nums``, and keys whose sum is zero
     are dropped.  The operation is combinatorial and exact in both scalar
     modes.
     """
+    nums = _delta_nums(x)
+    return nums if x.den == 1 else _fractions(nums, x.den)
+
+
+def _delta_nums(x: TensorExtElement) -> dict:
+    """:func:`delta_coproduct` of x as numerators over ``x.den``."""
     out = {}
-    for (w, K), c in x.coeffs.items():
+    for (w, K), c in x.nums.items():
         for (wl, wr) in tensor_coproduct(w):
             for (Kl, Kr, s) in wedge_coproduct(K):
                 key = ((wl, Kl), (wr, Kr))

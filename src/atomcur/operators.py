@@ -35,6 +35,9 @@ PBW coordinates of a functional come from the triangular probe solve in
 :mod:`atomcur.atomic`.  Endomorphisms are closures over immutable chart
 data; a leaf lift also holds its rows, what its action reads of each
 Sweedler factor, derived once per endomorphism (``_sweedler_lift``).
+In rational mode a row holds integer numerators over one denominator,
+read straight from the nabla value pairs (numerators, den) of
+:func:`atomcur.covderiv._nabla_num`, and an action multiplies integers.
 """
 
 from __future__ import annotations
@@ -46,9 +49,10 @@ from . import covderiv as cd
 from . import expr as ex
 from .connection import ChartConnection
 from .covderiv import FD, FU, TU, Field
-from .jets import EvalDomainError, Jet, JetSpace, apply_elementary
-from .multialg import (TensorExtElement, all_words, anti_indices, delta_coproduct, det,
-                       iterated_tensor_coproduct, merge_sign, tensor_coproduct, wedge_merge)
+from .jets import FLOAT, EvalDomainError, Jet, JetSpace, apply_elementary, common_values
+from .multialg import (TensorExtElement, _combine, _delta_nums, _ratios, _reduced, _scales,
+                       all_words, anti_indices, det, iterated_tensor_coproduct, merge_sign,
+                       tensor_coproduct, wedge_merge)
 
 
 class FiberEndo:
@@ -95,44 +99,71 @@ def _incr_items(val: dict):
 
 
 def _nabla_values(parts, B, p):
+    """nabla_{e_B} of a field or a mixed list of fields at p, as a value
+    pair (numerators, den)."""
     parts = cd.as_field_list(parts)
     if len(parts) == 1:
-        return cd.nabla_value(parts[0], B, p)
-    out = {}
-    for f in parts:
-        for idx, c in cd.nabla_value(f, B, p).items():
-            out[idx] = out.get(idx, 0) + c
-    return {k: v for k, v in out.items() if v != 0}
+        return cd._nabla_num(parts[0], B, p)
+    out, den = _combine([(1, cd._nabla_num(f, B, p)) for f in parts])
+    return _reduced({k: v for k, v in out.items() if v != 0}, den)
 
 
 # ---------------------------------------------------------------------------
 # Interior-product and covariant-differentiation actions.
 
-def _sweedler_lift(key, row, act) -> FiberEndo:
-    """The lift of a Sweedler-sum recipe: each term c (v box eps_K) maps to
-    the sum over deshuffles (A, B) = (v_(1), v_(2)) of v, where
-    ``act(out, A, B, K, c, row(key(A, B, K)))`` adds one summand to ``out``.
+def _sweedler_lift(key, row, act, p) -> FiberEndo:
+    """The lift of a Sweedler-sum recipe at p: each term c (v box eps_K)
+    maps to the sum over deshuffles (A, B) = (v_(1), v_(2)) of v, where
+    ``act(out, A, B, K, c, entries)`` adds one summand to ``out``.
 
     ``key`` names the Sweedler factor that the action reads, and ``row``
     derives what the action needs of it with unit coefficient (a nabla
-    value, or a signed contraction).  A row is built on first use and held
-    by this endomorphism, so each is derived once however many terms and
-    deshuffles read it, and it goes when the endomorphism goes.  ``act``
-    scales the row by c with the same operations as a fresh derivation."""
-    rows = {}
+    value, or a signed contraction), as (entries, den).  A row is built on
+    first use and held by this endomorphism, so each is derived once
+    however many terms and deshuffles read it, and it goes when the
+    endomorphism goes.  ``act`` multiplies c into the entries.
 
-    def fn(x: TensorExtElement) -> TensorExtElement:
-        out = TensorExtElement(x.n, x.d)
-        for (w, K), c in x.coeffs.items():
+    In float mode the entries are values (den is 1) and are used as they
+    are.  In rational mode they are integer numerators: an image first
+    reads the rows of its terms, then runs each action with c rescaled to
+    the lcm L of their denominators, so the image is integer numerators
+    over x.den * L, reduced once."""
+    rows = {}
+    if p.mode == FLOAT:
+        def fn(x: TensorExtElement) -> TensorExtElement:
+            out = TensorExtElement(x.n, x.d)
+            for (w, K), c in x.nums.items():
+                for (A, B) in tensor_coproduct(w):
+                    rk = key(A, B, K)
+                    r = rows.get(rk)
+                    if r is None:
+                        r = rows[rk] = row(rk)[0]
+                    act(out, A, B, K, c, r)
+            return out
+
+        return FiberEndo(fn)
+
+    def exact_fn(x: TensorExtElement) -> TensorExtElement:
+        read = []  # the row of each (term, deshuffle), in the order of the action pass
+        for (w, K), _c in x.nums.items():
             for (A, B) in tensor_coproduct(w):
                 rk = key(A, B, K)
                 r = rows.get(rk)
                 if r is None:
                     r = rows[rk] = row(rk)
-                act(out, A, B, K, c, r)
+                read.append(r)
+        den, scale = _scales(rden for _entries, rden in read)
+        out = TensorExtElement(x.n, x.d)
+        rit = iter(read)
+        for (w, K), c in x.nums.items():
+            for (A, B) in tensor_coproduct(w):
+                entries, rden = next(rit)
+                act(out, A, B, K, c * scale[rden], entries)
+        out.den = x.den * den
+        out._reduce()
         return out
 
-    return FiberEndo(fn)
+    return FiberEndo(exact_fn)
 
 
 def op_E(X: Field, p) -> FiberEndo:
@@ -140,14 +171,17 @@ def op_E(X: Field, p) -> FiberEndo:
     if not (set(X.slots) <= {FU}):
         raise ValueError("op_E takes a fiber multivector field (or scalar)")
 
+    def row(B):
+        nums, den = cd._nabla_num(X, B, p)
+        return list(_incr_items(nums)), den
+
     def act(out, A, B, K, c, row):
         for KX, cx in row:
             s, merged = wedge_merge(KX, K)
             if s:
                 out._add((A, merged), s * c * cx)
 
-    return _sweedler_lift(lambda A, B, K: B,
-                          lambda B: list(_incr_items(cd.nabla_value(X, B, p))), act)
+    return _sweedler_lift(lambda A, B, K: B, row, act, p)
 
 
 def op_D(Y, p) -> FiberEndo:
@@ -160,7 +194,7 @@ def op_D(Y, p) -> FiberEndo:
         for wy, cy in row.items():
             out._add((A + wy, K), c * cy)
 
-    return _sweedler_lift(lambda A, B, K: B, lambda B: _nabla_values(Y, B, p), act)
+    return _sweedler_lift(lambda A, B, K: B, lambda B: _nabla_values(Y, B, p), act, p)
 
 
 def f_lrcorner(f: Field, p) -> FiberEndo:
@@ -168,12 +202,15 @@ def f_lrcorner(f: Field, p) -> FiberEndo:
     if f.slots != ():
         raise ValueError("f_lrcorner needs a scalar field")
 
+    def row(A):
+        nums, den = cd._nabla_num(f, A, p)
+        return nums.get((), 0), den
+
     def act(out, A, B, K, c, fa):
         if fa != 0:
             out._add((B, K), c * fa)
 
-    return _sweedler_lift(lambda A, B, K: A,
-                          lambda A: cd.nabla_value(f, A, p).get((), 0), act)
+    return _sweedler_lift(lambda A, B, K: A, row, act, p)
 
 
 def identity_endo(n, d) -> FiberEndo:
@@ -272,23 +309,24 @@ def _gram_pair(minors, val: dict, A) -> object:
     return total
 
 
-def _edag_contraction(field: Field, p, pair) -> FiberEndo:
+def _edag_contraction(field: Field, p, pair, pair_den) -> FiberEndo:
     """v box alpha |-> v_(1) box Edag_{nabla_{v_(2)} field} alpha, the signed
     contraction of :func:`_edag_fiber` with ``pair(value, KL)`` pairing the
-    value dict of nabla_{v_(2)} field against eps_{KL}.  Its row per
+    value numerators of nabla_{v_(2)} field against eps_{KL}, a numerator
+    over the value's denominator times ``pair_den``.  Its row per
     (v_(2), K) holds the pairs of that contraction, pairings included."""
     r = len(field.slots)
 
     def row(BK):
         B, K = BK
-        val = cd.nabla_value(field, B, p)
-        return list(_edag_fiber(pair, val, r, K)) if val else []
+        val, den = cd._nabla_num(field, B, p)
+        return (list(_edag_fiber(pair, val, r, K)) if val else []), den * pair_den
 
     def act(out, A, B, K, c, row):
         for K2, v in row:
             out._add((A, K2), v * c)
 
-    return _sweedler_lift(lambda A, B, K: (B, K), row, act)
+    return _sweedler_lift(lambda A, B, K: (B, K), row, act, p)
 
 
 def _perp_conjugate(chart: ChartConnection, endo: FiberEndo, sign, p,
@@ -326,9 +364,9 @@ def op_Edag(X: Field, p, route="contract") -> FiberEndo:
     r = len(X.slots)
     if route == "conjugate":
         return _perp_conjugate(chart, op_E(X, p), lambda k: (-1) ** (r * (k + r)), p)
-    g = chart.metric_value(p)
-    return _edag_contraction(X, p, lambda val, KL: _gram_pair(
-        _minors(chart, p, ("g-minors", len(KL)), g, len(KL)), val, KL))
+    minors = _minors(chart, p, ("g-minors", r), chart.metric_value(p), r)
+    minors, den = (minors, 1) if p.mode == FLOAT else _ratios(minors)
+    return _edag_contraction(X, p, lambda val, KL: _gram_pair(minors, val, KL), den)
 
 
 def op_Edag_theta(theta: Field, p) -> FiberEndo:
@@ -336,7 +374,7 @@ def op_Edag_theta(theta: Field, p) -> FiberEndo:
     the contraction pairing theta_p(alpha_{L_r}) replaces <X(p), alpha_{L_r}>."""
     if not (set(theta.slots) <= {FD}):
         raise ValueError("op_Edag_theta takes a fiber form field")
-    return _edag_contraction(theta, p, lambda val, KL: val.get(KL, 0))
+    return _edag_contraction(theta, p, lambda val, KL: val.get(KL, 0), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -455,23 +493,24 @@ def sharp(a: SharpElement, b: SharpElement) -> SharpElement:
                                           head_budget)
              for akey, fjet in a.coeffs.items()}
     kvecs = {Ka: cd.kvector_field(chart, len(Ka), {Ka: 1}) for (_wa, Ka) in a.coeffs}
-    # the loop runs on jets of the result's order, or at budget 0 on values at
-    # p (plain numbers, zero nabla values left out; wrapped into order-0 jets)
+    # the loop runs on jets of the result's order (den 1), or at budget 0 on
+    # value pairs (numerators, den) at p: zero nabla values left out, the
+    # products summed per denominator and wrapped into order-0 jets
     if out_budget:
-        def low(jet):
-            return jet.truncate(out_budget)
+        def low(jets):
+            return {k: jet.truncate(out_budget) for k, jet in jets.items()}, 1
 
         def nabla_at(field, w):
-            return cd.nabla_word_jets(field, w, p, out_budget)
+            return cd.nabla_word_jets(field, w, p, out_budget), 1
     else:
-        def low(jet):
-            return jet.value
+        low = common_values
 
         def nabla_at(field, w):
-            return cd.nabla_value(field, w, p)
+            return cd._nabla_num(field, w, p)
+    gvals, gden = low(b.coeffs)
     frames, prods = {}, {}
-    for (wb, Kb), gjet in b.coeffs.items():
-        g0 = low(gjet)
+    sinks = {}  # den -> {key: sum of products over den}
+    for (wb, Kb), g0 in gvals.items():
         gprods = {}  # g * prod per (w1, a-key), shared by deshuffles repeating w1
         for (w1, w2) in tensor_coproduct(wb):
             for akey in a.coeffs:
@@ -484,7 +523,7 @@ def sharp(a: SharpElement, b: SharpElement) -> SharpElement:
                     prod = prods[(w1, akey)] = cd.covariant_product(
                         ew1, heads[akey], p, out_budget)
                 # exterior part: (nabla_{e_{w2}} eps_{Ka}) wedge eps_{Kb}
-                nb = nabla_at(kvecs[akey[1]], w2)
+                nb, nden = nabla_at(kvecs[akey[1]], w2)
                 gprod = gprods.get((w1, akey))
                 for KX in list(nb):
                     if not all(KX[i] < KX[i + 1] for i in range(len(KX) - 1)):
@@ -494,13 +533,24 @@ def sharp(a: SharpElement, b: SharpElement) -> SharpElement:
                         continue
                     wedge = nb[KX] if s == 1 else -nb[KX]
                     if gprod is None:
-                        gprod = gprods[(w1, akey)] = [(wkey, g0 * low(pj))
-                                                      for wkey, pj in prod.items()]
-                    for wkey, gpj in gprod:
-                        cd._add_product(out.coeffs, (wkey, merged), gpj, wedge)
-    if not out_budget:
+                        pvals, pden = low(prod)
+                        gprod = gprods[(w1, akey)] = (
+                            [(wkey, g0 * pj) for wkey, pj in pvals.items()], gden * pden)
+                    terms, tden = gprod
+                    sink = sinks.get(tden * nden)
+                    if sink is None:
+                        sink = sinks[tden * nden] = {}
+                    for wkey, gpj in terms:
+                        cd._add_product(sink, (wkey, merged), gpj, wedge)
+    if len(sinks) == 1:
+        (den, vals), = sinks.items()
+    else:
+        vals, den = _combine([(1, (sink, d)) for d, sink in sinks.items()])
+    if out_budget:
+        out.coeffs = vals
+    else:
         space = JetSpace(chart.n, 0)
-        out.coeffs = {key: Jet.const(space, p.mode, v) for key, v in out.coeffs.items()}
+        out.coeffs = {key: Jet.const(space, p.mode, v, den) for key, v in vals.items()}
     return out
 
 
@@ -705,17 +755,15 @@ def delta_commutation_residual(image, key):
     factor of each summand.  ``image(key)`` is endo of the basis element at
     key, so a caller that memoizes it applies endo once per key."""
     out = image(key)
-    lhs = delta_coproduct(out)
-    rhs = {}
-    for (kl, kr), c in delta_coproduct(TensorExtElement(out.n, out.d, {key: 1})).items():
-        for key1, c1 in image(kl).coeffs.items():
-            kk = (key1, kr)
-            rhs[kk] = rhs.get(kk, 0) + c * c1
+    rhs = []
+    for (kl, kr), c in _delta_nums(TensorExtElement(out.n, out.d, {key: 1})).items():
+        left = image(kl)
+        rhs.append((1, ({(key1, kr): c * c1 for key1, c1 in left.nums.items()}, left.den)))
         s = (-1) ** len(kl[1])
-        for key2, c2 in image(kr).coeffs.items():
-            kk = (kl, key2)
-            rhs[kk] = rhs.get(kk, 0) + s * c * c2
-    return cd._dict_residual(lhs, rhs)
+        right = image(kr)
+        rhs.append((1, ({(kl, key2): s * c * c2 for key2, c2 in right.nums.items()},
+                        right.den)))
+    return cd._pair_residual((_delta_nums(out), out.den), _combine(rhs))
 
 
 def probe_annihilation_residual(chart, el: TensorExtElement, p, r_probe, k_probe):
@@ -758,7 +806,7 @@ def trace_DEdag_lift_check(chart: ChartConnection, p, r: int, k: int):
                 report["delta_commutation"], delta_commutation_residual(image, (w, K)))
             out = image((w, K))
             if out.max_order() > len(w) + 1 or any(len(K2) != k - 1
-                                                   for (_w, K2) in out.coeffs):
+                                                   for (_w, K2) in out.nums):
                 report["order_degree_ok"] = False
     return report
 

@@ -384,11 +384,11 @@ def check_flat_lemma(ctx):
         worst = max(worst, max(abs(v) for v in ctx.chart.higher_gamma(I, j, p)))
     for s in range(5):
         S = rand_word(ctx, rng, s)
-        ab = {(0, min(1, ctx.chart.n - 1)): 1}
-        base_end = cd.curvature_endomorphism(ctx.chart, S, ab, p)
-        fiber_end = cd.curvature_endomorphism(ctx.chart, S, ab, p, fiber=True)
-        worst = max(worst, max(abs(v) for row in base_end for v in row),
-                    max(abs(v) for row in fiber_end for v in row))
+        ab = ({(0, min(1, ctx.chart.n - 1)): 1}, 1)
+        for fiber in (False, True):
+            end, den = cd.curvature_endomorphism(ctx.chart, S, ab, p, fiber=fiber)
+            top = max(abs(v) for row in end for v in row)
+            worst = max(worst, top if den == 1 else Fraction(top, den))
     return [_result("flat-lemma", stmt, p, worst, 0 if ctx.mode == RATIONAL else 1e-14)]
 
 

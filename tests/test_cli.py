@@ -189,6 +189,10 @@ _BAD_FLAGS = {
     "trials-negative": ["--suite", "composition", "--trials", "-1"],
     "jobs-zero": ["--jobs", "0"],
     "jobs-negative": ["--jobs", "-2"],
+    # refused before any check runs, not after them all (a FileNotFoundError
+    # or IsADirectoryError, exit 1, at the parent commit)
+    "out-in-missing-dir": ["--out", "/nonexistent-atomcur-dir/r.json"],
+    "out-is-a-dir": ["--out", "/"],
 }
 
 
@@ -254,7 +258,10 @@ def test_report_determinism(tmp_path):
     ("poly2", "float", "operators", "1"),
 ])
 def test_jobs_flag(tmp_path, capsys, spec, mode, suite, trials):
-    """--jobs 2 writes the report, the CSV and the stderr rows of --jobs 1."""
+    """--jobs 2 writes the report, the CSV and the stderr rows of --jobs 1.
+    Its timing gives the seconds of every registry check run, which the
+    workers send back with their rows."""
+    from atomcur import suites as su
     outputs = []
     for jobs in ("1", "2"):
         out = tmp_path / f"r{jobs}.json"
@@ -263,7 +270,12 @@ def test_jobs_flag(tmp_path, capsys, spec, mode, suite, trials):
                         "--out", str(out)])
         assert code == 0
         report = json.loads(out.read_text())
-        report.pop("timing")
+        timing = report.pop("timing")
+        per_check = timing["per_check"]
+        assert sorted(per_check) == sorted(fn.__name__ for fn in su.SUITES[suite])
+        assert all(secs >= 0 for secs in per_check.values())
+        # the checks of a worker run one after another inside the wall time
+        assert sum(per_check.values()) <= int(jobs) * timing["wall_seconds"]
         outputs.append((report, out.with_suffix(".csv").read_text(), capsys.readouterr().err))
     assert outputs[1][0]["summary"]["failed"] == 0
     assert outputs[1] == outputs[0]
@@ -344,6 +356,26 @@ def test_gen_poly_rejects_a_dimension_below_1(tmp_path, capsys, dimension):
     assert run_cli(["gen-poly", "--dimension", dimension, "--out", str(out)]) == 2
     assert "usage error: --dimension" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("out", ["/nonexistent-atomcur-dir/gen.json", "/"])
+def test_gen_poly_refuses_an_out_it_cannot_write(capsys, out):
+    assert run_cli(["gen-poly", "--dimension", "2", "--out", out]) == 2
+    assert "usage error: --out" in capsys.readouterr().err
+    assert not Path("/nonexistent-atomcur-dir").exists()
+
+
+def test_run_refuses_a_bad_out_before_any_check(tmp_path, capsys, monkeypatch):
+    """A bad --out is a usage error found before the first check, so no
+    check runs and nothing is written."""
+    from atomcur import suites as su
+    ran = []
+    monkeypatch.setitem(su.SUITES, "all", [lambda ctx: ran.append(ctx) or []])
+    missing = tmp_path / "missing" / "r.json"
+    for out in (missing, tmp_path):
+        assert run_cli(["run", str(SPECS / "flat-r1.json"), "--out", str(out)]) == 2
+        assert "usage error: --out" in capsys.readouterr().err
+    assert ran == [] and list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("mode,order", [("float", "2"), ("float", "3"),
@@ -470,6 +502,12 @@ ORACLE_DIGESTS = [
     # every exact star route across all suites, not only the operators (about 1 s)
     ("flat-r2", "all", "rational",
      "cc5fc8376485cbafa8b5611b90512c6f987e901e24c6e5d1025b663c972f34f2"),
+    # the widest exact oracles: poly3 carries the largest denominators (lcm up
+    # to 77 bits), flat-r3 the exact adjoint block on n = 3 (about 3 s each)
+    ("poly3", "all", "rational",
+     "17259044b1b66f23c71f3577ed57ac6ac84b50268431cab293a21c4efe81196a"),
+    ("flat-r3", "all", "rational",
+     "a8814d179e9b474d69fe1866cfb3bb7bdf4d06527c8d73f3f013aba64c51d812"),
 ]
 
 

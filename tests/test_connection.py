@@ -144,7 +144,7 @@ def test_flat_lemma_rational(flat2):
             assert all(v == 0 for v in flat2.higher_gamma(I, j, p))
     for s in range(4):
         S = (0, 1, 0, 1)[:s]
-        base_end = cd.curvature_endomorphism(flat2, S, {(0, 1): 1}, p)
-        fiber_end = cd.curvature_endomorphism(flat2, S, {(0, 1): 1}, p, fiber=True)
+        base_end, _ = cd.curvature_endomorphism(flat2, S, ({(0, 1): 1}, 1), p)
+        fiber_end, _ = cd.curvature_endomorphism(flat2, S, ({(0, 1): 1}, 1), p, fiber=True)
         assert all(v == 0 for row in base_end for v in row)
         assert all(v == 0 for row in fiber_end for v in row)

@@ -109,8 +109,10 @@ def test_zero_order_commutator_is_curvature(s2):
         for idx, c in cd.nabla_value(om, word, p).items():
             lhs[idx] = lhs.get(idx, 0) + sgn * c
     # covariant_step reads each endomorphism by rows: the transpose
-    base_rows = [*zip(*cd.curvature_endomorphism(s2, (), {(a, b): 1}, p))]
-    fiber_rows = [*zip(*cd.curvature_endomorphism(s2, (), {(a, b): 1}, p, fiber=True))]
+    # the matrices come over den 1: the values of a float chart
+    ab = ({(a, b): 1}, 1)
+    base_rows = [*zip(*cd.curvature_endomorphism(s2, (), ab, p)[0])]
+    fiber_rows = [*zip(*cd.curvature_endomorphism(s2, (), ab, p, fiber=True)[0])]
     inner = cd.nabla_value(om, v, p)
     rhs = cd.covariant_step(s2, om.slots, {}, inner,
                             lambda fiber: fiber_rows if fiber else base_rows)
@@ -265,7 +267,8 @@ def test_tensoriality_in_word_slots(s2):
     p = s2.resolve((1.2, 1.7), FLOAT)
     om = cd.form_field(s2, 1, {(0,): "theta*phi", (1,): "phi^2"})
     z = {(0,): 2.5, (1,): -1.25}
-    got = cd.nabla_mixed(om, (1,), z, p)
+    got, den = cd.nabla_mixed(om, (1,), (z, 1), p)
+    assert den == 1
     want = {}
     for (i,), c in z.items():
         for idx, v in cd.nabla_value(om, (1, i), p).items():
@@ -340,8 +343,8 @@ def test_nabla_value_memo_is_per_field_and_point(s2):
 
 def test_nabla_computed_once_per_key_in_operator_suite(tmp_path, monkeypatch):
     """Every (field, word, point) nonzero value is derived once by
-    `nabla_value`: each miss checks the point once before it derives the
-    values, and only a miss does."""
+    `_nabla_num`, the memo behind `nabla_value`: each miss checks the point
+    once before it derives the values, and only a miss does."""
     import sys
     from pathlib import Path
 
@@ -352,7 +355,7 @@ def test_nabla_computed_once_per_key_in_operator_suite(tmp_path, monkeypatch):
 
     def counting(chart, p):
         frame = sys._getframe(1)
-        if frame.f_code is cd.nabla_value.__code__:
+        if frame.f_code is cd._nabla_num.__code__:
             field = frame.f_locals["field"]
             fields.append(field)  # keeps ids unique for the whole run
             key = (id(field), frame.f_locals["I"], p)
@@ -520,7 +523,13 @@ def test_word_values_equal_order0_jets(poly2, poly2_point, mode, history):
                     jets = cd.nabla_word_jets(f, I, p, 0)
                     assert all(jet.space.order == 0 for jet in jets.values())
                     _same_values(values, {idx: jet.value for idx, jet in jets.items()})
-                    assert cd.nabla_value(f, I, p) is values
+                    # a second read derives nothing: the stored pair stays, and
+                    # float values are its dict itself
+                    held = f._nabla_values[p][I]
+                    again = cd.nabla_value(f, I, p)
+                    assert f._nabla_values[p][I] is held and again == values
+                    if mode == "float":
+                        assert again is values
                     assert all(v != 0 for v in values.values())
                     if history == "fresh":
                         _same_values(values, want)
@@ -563,7 +572,7 @@ def test_nabla_memo_holds_one_form_per_word(poly2, poly2_point):
             {idx: list(jet.coeffs) for idx, jet in want.items()}
     values = cd.nabla_value(f, I, p)
     assert f._nabla_cache[p][I] == (3, top)
-    assert f._nabla_values[p] == {I: values}
+    assert f._nabla_values[p] == {I: (values, 1)}
     assert all(len(w) < len(I) for w in f._nabla_cache[p] if w != I)
 
     e = ex.parse("x*y^2 + 1", poly2.names)

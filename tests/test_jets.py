@@ -263,6 +263,29 @@ def test_fused_product_rational(n, order, data):
     assert _canonical_values(acc.add_product(a, b, -1)) == [c - x for c, x in zip(cc, prod)]
 
 
+@pytest.mark.parametrize("n,order", [(1, 5), (2, 3), (3, 2)])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_fused_rational_product_equals_product_then_sum(n, order, data):
+    """The one-pass rational fused product stores the numerators and the
+    denominator of ``acc + a*b`` / ``acc - a*b``, also where the sum cancels
+    to zero, in part or in full (den 1)."""
+    sp = JetSpace(n, order)
+    cc, ac, bc = (data.draw(st.lists(_fracs, min_size=sp.size, max_size=sp.size))
+                  for _ in range(3))
+    acc, a, b = Jet(sp, RATIONAL, cc), Jet(sp, RATIONAL, ac), Jet(sp, RATIONAL, bc)
+    prod = a * b
+    # a prefix of the product's coefficients cancels against acc
+    cut = data.draw(st.integers(0, sp.size))
+    part = Jet(sp, RATIONAL, [prod.coeff(T) for T in sp.indices[:cut]] + cc[cut:])
+    for start in (acc, prod, -prod, part, -part, Jet.zero(sp, RATIONAL)):
+        for sign, want in ((1, start + prod), (-1, start - prod)):
+            got = start.add_product(a, b, sign)
+            assert (got.coeffs, got.den) == (want.coeffs, want.den)
+    assert prod.add_product(a, b, -1).den == 1
+    assert not any(prod.add_product(a, b, -1).coeffs)
+
+
 def test_jets_product_check_across_denominators(monkeypatch):
     # the check compares jets whose numerators sit over different denominators;
     # its residual must come from their difference, not from the raw storage

@@ -1,6 +1,8 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from atomcur.jets import FLOAT, RATIONAL, Jet, JetSpace
 from atomcur.multialg import (TensorExtElement, basis_element, det, row_reduce,
@@ -133,3 +135,63 @@ def test_tensor_coproduct_returns_fresh_lists():
     assert tensor_coproduct((0, 1, 1)) == want
     assert tensor_coproduct([0, 1, 1]) == want
     assert tensor_coproduct((0, 1, 1)) is not tensor_coproduct((0, 1, 1))
+
+
+_KEYS = st.tuples(st.sampled_from([(), (0,), (1,), (0, 1), (1, 1, 0)]),
+                  st.sampled_from([(), (0,), (1,), (0, 1)]))
+_COEFS = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+_TERMS = st.lists(st.tuples(_KEYS, _COEFS), max_size=8)
+
+
+def _oracle(*signed_terms):
+    """The plain {(w, K): Fraction} map of sums of signed term lists."""
+    out = {}
+    for sign, terms in signed_terms:
+        for key, c in terms:
+            out[key] = out.get(key, 0) + sign * c
+    return {key: c for key, c in out.items() if c != 0}
+
+
+def _element(terms):
+    el = TensorExtElement(2, 2)
+    for (w, K), c in terms:
+        el.add_term(w, K, c)
+    return el
+
+
+def _assert_canonical(el):
+    assert el.den > 0 and gcd(el.den, *el.nums.values()) == 1
+    assert all(type(c) is int and c != 0 for c in el.nums.values())
+
+
+@given(_TERMS, _TERMS, _COEFS, st.integers(0, 8))
+@settings(max_examples=150, deadline=None)
+def test_rational_element_matches_fraction_oracle(ta, tb, alpha, cut):
+    """A rational element holds int numerators over one canonical
+    denominator and reads as the Fraction map it stands for, through
+    add_term (keys summing to zero are dropped), +, -, scale (by 0 too)
+    and a to_json/from_json round trip."""
+    # the negated prefix cancels: some keys sum to zero on the way
+    tc = ta + [(key, -c) for key, c in ta[:cut]]
+    a, b, c = _element(ta), _element(tb), _element(tc)
+    cases = [(a, _oracle((1, ta))), (b, _oracle((1, tb))), (c, _oracle((1, tc))),
+             (a + b, _oracle((1, ta), (1, tb))), (a - b, _oracle((1, ta), (-1, tb))),
+             (a - a, {}), (a.scale(alpha), _oracle((alpha, ta))), (a.scale(0), {})]
+    for el, want in cases:
+        _assert_canonical(el)
+        assert el.coeffs == want
+        back = TensorExtElement.from_json(2, 2, el.to_json())
+        _assert_canonical(back)
+        assert back.coeffs == want
+    assert (a - a).den == 1 and (a - a).nums == {}
+
+
+def test_element_numerators_accumulating_to_zero_drop_the_key():
+    el = TensorExtElement(2, 2, {((0,), (1,)): Fraction(1, 6), ((1,), ()): Fraction(1, 4)})
+    assert (el.nums, el.den) == ({((0,), (1,)): 2, ((1,), ()): 3}, 12)
+    el._add(((0,), (1,)), -2)
+    assert el.nums == {((1,), ()): 3}
+    el._reduce()
+    assert (el.nums, el.den) == ({((1,), ()): 1}, 4)
+    el.add_term((1,), (), Fraction(-1, 4))
+    assert (el.nums, el.den) == ({}, 1)

@@ -1,6 +1,7 @@
 import random
 import sys
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -11,7 +12,8 @@ from atomcur import operators as op
 from atomcur import suites as su
 from atomcur.connection import ChartConnection, ChartValidationError
 from atomcur.jets import FLOAT, RATIONAL
-from atomcur.multialg import all_words, anti_indices, basis_element
+from atomcur.multialg import (all_words, anti_indices, basis_element, tensor_coproduct,
+                              wedge_merge)
 
 ELEMS2 = [basis_element(2, 2, w, K)
           for w in [(), (0,), (1,), (0, 1), (1, 0), (1, 1)]
@@ -368,9 +370,9 @@ def test_boundary_reuses_differentiated_probes(monkeypatch):
     inner = ChartConnection.check_point
 
     def counting(chart, p):
-        # a miss of nabla_value checks the point once
+        # a miss of the nabla memo (_nabla_num) checks the point once
         frame = sys._getframe(1)
-        if frame.f_code is cd.nabla_value.__code__:
+        if frame.f_code is cd._nabla_num.__code__:
             misses.append(frame.f_locals["I"])
         return inner(chart, p)
 
@@ -565,3 +567,66 @@ def test_sharp_at_budget_0_matches_the_jet_accumulation(poly2, poly2_point, mode
         else:
             assert jet.value == 0, key
     assert set(got.coeffs) <= set(ref.coeffs)
+
+
+
+def _reference_lift(x, act):
+    """A lift term by term on Fractions: each term c (w, K) of x and each
+    deshuffle (A, B) of w add the (key, value) summands of act(A, B, K, c)."""
+    out = {}
+    for (w, K), c in x.coeffs.items():
+        for A, B in tensor_coproduct(w):
+            for key, v in act(A, B, K, c):
+                out[key] = out.get(key, 0) + v
+    return {key: v for key, v in out.items() if v != 0}
+
+
+def test_rational_lifts_match_fraction_reference(hyperbolic):
+    """op_E, op_D, f_lrcorner and op_Edag_theta at a rational probe of the
+    hyperbolic chart map elements whose coefficients have several
+    denominators to the Fractions of a term-by-term reference that reads
+    every factor from cd.nabla_value."""
+    p = hyperbolic.resolve((Fraction(1, 4), Fraction(5, 4)), RATIONAL)
+    X = cd.kvector_field(hyperbolic, 1, {(0,): "x*y + 1/3", (1,): "y^2/5"})
+    Y = cd.vector_field(hyperbolic, {0: "x/2 + y", 1: "x*y/3"})
+    f = cd.scalar_field(hyperbolic, "x^2*y/5 + 1/7")
+    theta = cd.form_field(hyperbolic, 1, {(0,): "y/3", (1,): "x - 1/2"})
+
+    def nv(field, w):
+        return cd.nabla_value(field, w, p)
+
+    def act_E(A, B, K, c):
+        for KX, cx in nv(X, B).items():
+            s, merged = wedge_merge(KX, K)
+            if s:
+                yield (A, merged), s * c * cx
+
+    def act_D(A, B, K, c):
+        for wy, cy in nv(Y, B).items():
+            yield (A + wy, K), c * cy
+
+    def act_f(A, B, K, c):
+        yield (B, K), c * nv(f, A).get((), 0)
+
+    def act_theta(A, B, K, c):
+        # Edag_theta(eps_K) = sum over positions q of (-1)^q theta(e_{K_q}) eps_{K - K_q}
+        for q, a in enumerate(K):
+            yield (A, K[:q] + K[q + 1:]), (-1) ** q * nv(theta, B).get((a,), 0) * c
+
+    lifts = [(op.op_E(X, p), act_E), (op.op_D(Y, p), act_D),
+             (op.f_lrcorner(f, p), act_f), (op.op_Edag_theta(theta, p), act_theta)]
+    rng = random.Random(5)
+    words = all_words(2, 2)
+    for k in (0, 1, 2):
+        for _ in range(4):
+            x = at.AtomicCurrent(p, 2, k, 2)
+            keys = [(w, K) for w in rng.sample(words, 4) for K in anti_indices(2, k)]
+            for (w, K), den in zip(keys, (2, 3, 7, 4, 1, 6, 5, 9)):
+                x.add_term(w, K, Fraction(rng.choice((-9, -4, -1, 1, 2, 5, 8)), den))
+            assert len({c.denominator for c in x.coeffs.values()}) > 2
+            for endo, act in lifts:
+                if k == 0 and act is act_theta:
+                    continue
+                got = endo(x)
+                assert got.coeffs == _reference_lift(x, act)
+                assert got.den > 0 and gcd(got.den, *got.nums.values()) == 1
