@@ -62,8 +62,9 @@ def pbw_dimension(n: int, d: int, r: int, k: int) -> int:
 def probe_form(chart: ChartConnection, p, T, L) -> Field:
     """The monomial probe (e - p)^T / T! * d eps^L as a form field on E.
 
-    Probe fields are cached per point on the chart so repeated PBW
-    resolutions share their covariant-derivative caches.
+    Probe fields are cached per point on the chart until
+    :func:`release_probes`, so the PBW resolutions of one check share their
+    covariant-derivative caches.
     """
     return chart._memo(p, ("probe", tuple(T), tuple(L)), lambda: cd.form_field(
         chart, len(L), {tuple(L): ex.monomial_form(p, T, chart.names)}))
@@ -72,13 +73,21 @@ def probe_form(chart: ChartConnection, p, T, L) -> Field:
 def probe_differential(chart: ChartConnection, p, T, L, out_order) -> Field:
     """d of the monomial probe (T, L) at p, with jets of order ``out_order``.
 
-    Cached beside :func:`probe_form`, so every boundary evaluated at p
-    shares one jet-backed field per probe, and with it that field's
-    covariant-derivative memo.
+    Cached beside :func:`probe_form` until :func:`release_probes`, so the
+    boundaries one check evaluates at p share one jet-backed field per
+    probe, and with it that field's covariant-derivative memo.
     """
     return chart._memo(p, ("dprobe", tuple(T), tuple(L), out_order),
                        lambda: cd.exterior_derivative(probe_form(chart, p, T, L), p,
                                                       out_order=out_order))
+
+
+def release_probes(chart: ChartConnection):
+    """Drop every cached probe and probe differential of ``chart``, and with
+    them their nabla and jet memos; the CLI calls it after each check."""
+    for cache in chart._cache.values():
+        for key in [key for key in cache if key[0] in ("probe", "dprobe")]:
+            del cache[key]
 
 
 def monomial_probes(chart: ChartConnection, p, r, k, descending=False):

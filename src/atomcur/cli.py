@@ -30,6 +30,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import suites as su
+from .atomic import release_probes
 from .connection import ChartConnection, ChartDomainError, ChartValidationError
 from .jets import FLOAT, RATIONAL, EvalDomainError, ExactModeError
 from .expr import ExprSyntaxError, UndeclaredSymbolError
@@ -310,10 +311,13 @@ def _out_error(out_path):
 
 
 def _timed_check(fn, ctx):
-    """The rows of one registry check, its name and its wall seconds."""
+    """The rows of one registry check, its name and its wall seconds.  The
+    probes the check built are released after it, so none outlives it."""
     t0 = time.perf_counter()
     rows = fn(ctx)
-    return rows, fn.__name__, time.perf_counter() - t0
+    secs = time.perf_counter() - t0
+    release_probes(ctx.chart)
+    return rows, fn.__name__, secs
 
 
 # the (context, suite) that the forked workers of _run_parallel inherit

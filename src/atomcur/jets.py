@@ -526,12 +526,6 @@ class Jet:
             return _float(sp.lower, array("d", out))
         return _reduced(sp.lower, list(out), self.den)
 
-    def derivative_value(self, i: int):
-        """Value of d(self)/dx_i at the base point: the e_i coefficient, the
-        value of ``derivative(i)`` without building that jet."""
-        c = self.coeffs[self.space.units[i]]
-        return c if self.mode == FLOAT else Fraction(c, self.den)
-
     def truncate(self, order: int) -> "Jet":
         if order == self.space.order:
             return self

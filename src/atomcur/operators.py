@@ -597,8 +597,9 @@ def boundary(chart: ChartConnection, T: at.AtomicCurrent) -> at.AtomicCurrent:
 
     Probes of order r+1 and degree k-1 are evaluated against the exterior
     derivative and the PBW coordinates re-solved.  The differentiated
-    probes are cached per point (:func:`atomcur.atomic.probe_differential`),
-    so later boundaries at p derive no covariant derivative again.
+    probes are cached per point for the running check
+    (:func:`atomcur.atomic.probe_differential`), so later boundaries at p
+    in that check derive no covariant derivative again.
     Degree-0 input returns the zero functional.
     """
     if T.k == 0:

@@ -255,6 +255,7 @@ def test_report_determinism(tmp_path):
     ("flat-r2", "float", "all", "1"),
     ("poly2", "float", "all", "1"),
     ("hyperbolic", "rational", "all", "1"),  # the exact oracle of the benchmark
+    ("poly3", "rational", "all", "1"),  # its checks build and release probes
     ("poly2", "float", "operators", "1"),
 ])
 def test_jobs_flag(tmp_path, capsys, spec, mode, suite, trials):
@@ -279,6 +280,32 @@ def test_jobs_flag(tmp_path, capsys, spec, mode, suite, trials):
         outputs.append((report, out.with_suffix(".csv").read_text(), capsys.readouterr().err))
     assert outputs[1][0]["summary"]["failed"] == 0
     assert outputs[1] == outputs[0]
+
+
+def test_timed_check_releases_the_probes_it_built():
+    """A probe field and its memos live only for the check that built them:
+    after the check, no point cache of the chart holds a probe key."""
+    from atomcur import suites as su
+    data = cli.load_spec(SPECS / "hyperbolic.json")
+    chart = cli.build_chart(data)
+    ctx = su.SuiteContext(chart=chart, mode="rational",
+                          probes=cli.resolve_probes(data, chart, "rational", 0))
+
+    def probe_keys():
+        return [key for cache in chart._cache.values() for key in cache
+                if key[0] in ("probe", "dprobe")]
+
+    held = []
+
+    def check_boundary(ctx):
+        rows = su.check_boundary(ctx)
+        held.append(probe_keys())
+        return rows
+
+    rows, name, _secs = cli._timed_check(check_boundary, ctx)
+    assert rows and name == "check_boundary"
+    assert held[0], "the check reads probes"
+    assert probe_keys() == []
 
 
 @pytest.mark.parametrize("suite,jobs,workers", [
