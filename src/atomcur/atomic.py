@@ -102,11 +102,19 @@ def monomial_probes(chart: ChartConnection, p, r, k, descending=False):
                 yield T, L, probe_form(chart, p, T, L)
 
 
-def phi_apply(x: TensorExtElement, omega: Field, p):
+def phi_terms(x: TensorExtElement, p):
+    """The terms of x in the order float :func:`phi_apply` adds them, sorted
+    once by a caller that evaluates x on many forms; None in rational mode,
+    where phi_apply reads the numerators of x."""
+    return x.items() if p.mode == FLOAT else None
+
+
+def phi_apply(x: TensorExtElement, omega: Field, p, terms=None):
     """Phi_p(x) evaluated on a form field: the sum over the terms of x of
     c_{w,K} (nabla_{e_w} omega)_p(eps_K), nabla of omega's chart.
 
-    In float mode the terms are added in PBW key order.  In rational mode
+    In float mode the terms are added in PBW key order, read from ``terms``
+    (:func:`phi_terms`) when the caller passes them.  In rational mode
     the integer products are summed per denominator of the nabla values
     they read, and the sums are joined over their lcm into one Fraction
     (an int over den 1)."""
@@ -117,7 +125,7 @@ def phi_apply(x: TensorExtElement, omega: Field, p):
         raise ValueError("degree mismatch between element and form")
     if p.mode == FLOAT:
         total = 0
-        for (w, K), c in x.items():
+        for (w, K), c in (x.items() if terms is None else terms):
             if c == 0:
                 continue
             v = cd._nabla_num(omega, w, p)[0].get(K, 0)
@@ -151,7 +159,8 @@ def to_pbw(chart: ChartConnection, x: TensorExtElement, p, r: int, k: int) -> At
         cur = AtomicCurrent(p, r, k, chart.d)
         cur.nums, cur.den = dict(x.nums), x.den
         return cur
-    return _pbw_solve(chart, p, r, k, lambda probe, _T, _L: phi_apply(x, probe, p))
+    terms = phi_terms(x, p)
+    return _pbw_solve(chart, p, r, k, lambda probe, _T, _L: phi_apply(x, probe, p, terms))
 
 
 def _pbw_solve(chart: ChartConnection, p, r, k, eval_fn) -> AtomicCurrent:

@@ -413,6 +413,8 @@ def op_Ddag(X, p, budget) -> FiberEndo:
         return _endo_sum((f_lrcorner(divergence_field(f, p, budget), p).scaled(-1)
                           + op_D(f, p).scaled(-1) for f in parts), chart.n, chart.d)
 
+    tails = {}  # w[1:] -> (e_{w[1:]}, its adjoint), built once per call
+
     def terms():
         # higher order: decompose each component word, attaching the scalar
         # coefficient to the leading vector factor
@@ -422,9 +424,12 @@ def op_Ddag(X, p, budget) -> FiberEndo:
                     head = cd.jet_field(chart, (TU,), {(w[0],): f.comps[w]}, p, f.budget)
                 else:
                     head = Field(chart, (TU,), {(w[0],): f.comps[w]})
-                rest = cd.coordinate_tensor_field(chart, w[1:])
                 d_head = op_Ddag(head, p, budget)
-                d_rest = op_Ddag(rest, p, budget)
+                tail = tails.get(w[1:])
+                if tail is None:
+                    rest = cd.coordinate_tensor_field(chart, w[1:])
+                    tail = tails[w[1:]] = (rest, op_Ddag(rest, p, budget))
+                rest, d_rest = tail
                 # correction: Ddag_{nabla_head rest}
                 corr_jets = cd.covderiv(head, rest, p, budget)
                 term = d_head.compose(d_rest)
@@ -475,7 +480,9 @@ def sharp(a: SharpElement, b: SharpElement) -> SharpElement:
     """(v box alpha) sharp (w box beta) = (w_(1) (.) v) box (nabla_{w_(2)} alpha) wedge beta.
 
     The result loses jet budget: top tensor order of b plus one covers the
-    covariant product and nabla contractions.
+    covariant product and nabla contractions.  Each covariant product
+    e_{w1} (.) f e_{wa} is derived once per call and freed as soon as no
+    later term of b reads the left word w1.
     """
     chart, p = a.chart, a.point
     top_b = max((len(w) for (w, _K) in b.coeffs), default=0)
@@ -485,9 +492,10 @@ def sharp(a: SharpElement, b: SharpElement) -> SharpElement:
     out = SharpElement(chart, p, out_budget)
     # per-call memos: one jet-backed head f e_{wa} per key of a, at the budget
     # of the longest w1, so every covariant product for that key shares its
-    # nabla memo (truncation is a prefix, so no product changes); the frame
-    # tensor e_{w1} and the k-vector eps_{Ka}; and the covariant product,
-    # which does not depend on the term of b
+    # nabla memo (truncation is a prefix, so no product changes); the
+    # k-vector eps_{Ka}; and, per left word w1, the frame tensor e_{w1} and
+    # its covariant products, which do not depend on the term of b: they
+    # live until the last b-term whose deshuffles read w1 is done
     head_budget = out_budget + top_b
     heads = {akey: cd.mixed_tensor_fields(chart, {akey[0]: fjet.truncate(head_budget)}, p,
                                           head_budget)
@@ -508,19 +516,22 @@ def sharp(a: SharpElement, b: SharpElement) -> SharpElement:
         def nabla_at(field, w):
             return cd._nabla_num(field, w, p)
     gvals, gden = low(b.coeffs)
-    frames, prods = {}, {}
+    last = {w1: bi for bi, (wb, _Kb) in enumerate(gvals) for (w1, _w2) in tensor_coproduct(wb)}
+    frames, prods = {}, {}  # w1 -> e_{w1}; w1 -> {a-key: covariant product}
     sinks = {}  # den -> {key: sum of products over den}
-    for (wb, Kb), g0 in gvals.items():
+    for bi, ((wb, Kb), g0) in enumerate(gvals.items()):
         gprods = {}  # g * prod per (w1, a-key), shared by deshuffles repeating w1
-        for (w1, w2) in tensor_coproduct(wb):
+        deshuffles = tensor_coproduct(wb)
+        for (w1, w2) in deshuffles:
+            w1prods = prods.setdefault(w1, {})
             for akey in a.coeffs:
                 # tensor part: g * (e_{w1} (.) f e_{wa})
-                prod = prods.get((w1, akey))
+                prod = w1prods.get(akey)
                 if prod is None:
                     ew1 = frames.get(w1)
                     if ew1 is None:
                         ew1 = frames[w1] = cd.coordinate_tensor_field(chart, w1)
-                    prod = prods[(w1, akey)] = cd.covariant_product(
+                    prod = w1prods[akey] = cd.covariant_product(
                         ew1, heads[akey], p, out_budget)
                 # exterior part: (nabla_{e_{w2}} eps_{Ka}) wedge eps_{Kb}
                 nb, nden = nabla_at(kvecs[akey[1]], w2)
@@ -542,6 +553,11 @@ def sharp(a: SharpElement, b: SharpElement) -> SharpElement:
                         sink = sinks[tden * nden] = {}
                     for wkey, gpj in terms:
                         cd._add_product(sink, (wkey, merged), gpj, wedge)
+        # after the whole b-term, which may repeat w1 among its deshuffles
+        for (w1, _w2) in deshuffles:
+            if last[w1] == bi:
+                frames.pop(w1, None)
+                prods.pop(w1, None)
     if len(sinks) == 1:
         (den, vals), = sinks.items()
     else:
@@ -554,28 +570,35 @@ def sharp(a: SharpElement, b: SharpElement) -> SharpElement:
     return out
 
 
-def _sum_D_compose(chart: ChartConnection, pairs, lower, p) -> FiberEndo:
-    """sum over (Y, Z) in ``pairs`` of D_Y o lower(Z), folded left in order;
-    ``lower`` is op_E, op_Edag or op_Edag_theta."""
-    return _endo_sum((op_D(Y, p).compose(lower(Z, p)) for Y, Z in pairs), chart.n, chart.d)
+def _sum_D_compose(chart: ChartConnection, pairs, p) -> FiberEndo:
+    """sum over (Y, L) in ``pairs`` of D_Y o L, folded left in order; each
+    lower lift L is op_E, op_Edag or op_Edag_theta of a field, and one L may
+    serve several pairs."""
+    return _endo_sum((op_D(Y, p).compose(low) for Y, low in pairs), chart.n, chart.d)
 
 
-def _sharp_pairs(a: SharpElement):
-    """(v, eps_K) per key of a: the tensor part with its jet, the exterior
-    part as a constant k-vector field."""
+def _sharp_pairs(a: SharpElement, lower):
+    """(v, lower(eps_K)) per key (w, K) of a: the tensor part with its jet,
+    and the lower lift of the constant k-vector field eps_K, built once per
+    distinct exterior key K, so the keys sharing K share its rows."""
+    lowers = {}
     for (w, K), jet in a.coeffs.items():
-        yield (cd.mixed_tensor_fields(a.chart, {w: jet}, a.point, a.budget),
-               cd.kvector_field(a.chart, len(K), {K: 1}))
+        low = lowers.get(K)
+        if low is None:
+            low = lowers[K] = lower(cd.kvector_field(a.chart, len(K), {K: 1}), a.point)
+        yield cd.mixed_tensor_fields(a.chart, {w: jet}, a.point, a.budget), low
 
 
 def op_DE(a: SharpElement) -> FiberEndo:
-    """DE_{v box alpha} = D_v o E_alpha, extended linearly over the keys of a."""
-    return _sum_D_compose(a.chart, _sharp_pairs(a), op_E, a.point)
+    """DE_{v box alpha} = D_v o E_alpha, extended linearly over the keys of a,
+    with one op_E per exterior key."""
+    return _sum_D_compose(a.chart, _sharp_pairs(a, op_E), a.point)
 
 
 def op_DEdag(a: SharpElement) -> FiberEndo:
-    """DEdag_{v box alpha} = D_v o Edag_alpha (metric route on the exterior part)."""
-    return _sum_D_compose(a.chart, _sharp_pairs(a), op_Edag, a.point)
+    """DEdag_{v box alpha} = D_v o Edag_alpha (metric route on the exterior
+    part), with one op_Edag per exterior key."""
+    return _sum_D_compose(a.chart, _sharp_pairs(a, op_Edag), a.point)
 
 
 # ---------------------------------------------------------------------------
@@ -605,10 +628,11 @@ def boundary(chart: ChartConnection, T: at.AtomicCurrent) -> at.AtomicCurrent:
     if T.k == 0:
         return at.AtomicCurrent(T.point, T.r + 1, 0, chart.d)
     p = T.point
+    terms = at.phi_terms(T, p)
 
     def eval_fn(_probe, mono, L):
         dpr = at.probe_differential(chart, p, mono, L, T.r)
-        return at.phi_apply(T, dpr, p)
+        return at.phi_apply(T, dpr, p, terms)
 
     return resolve_functional(chart, p, T.r + 1, T.k - 1, eval_fn)
 
@@ -627,8 +651,9 @@ def trace_DEdag_endo(chart: ChartConnection, p, frame=None, coframe=None) -> Fib
     its dual coframe (coordinate frame by default; the trace is frame
     independent and metric-free in this Koszul form)."""
     pairs = ((frame[i] if frame else frame_field(chart, i),
-              coframe[i] if coframe else coframe_field(chart, i)) for i in range(chart.n))
-    return _sum_D_compose(chart, pairs, op_Edag_theta, p)
+              op_Edag_theta(coframe[i] if coframe else coframe_field(chart, i), p))
+             for i in range(chart.n))
+    return _sum_D_compose(chart, pairs, p)
 
 
 def boundary_via_trace(chart: ChartConnection, T: at.AtomicCurrent) -> at.AtomicCurrent:
@@ -736,9 +761,9 @@ def trace_DE_endo(chart: ChartConnection, p) -> FiberEndo:
     where e^i is the coordinate co-frame seen as a section of E."""
     if chart.fiber_is_tangent:
         raise ValueError("trace_DE_endo expects the dual-fiber chart")
-    pairs = ((frame_field(chart, i), cd.kvector_field(chart, 1, {(i,): 1}))
+    pairs = ((frame_field(chart, i), op_E(cd.kvector_field(chart, 1, {(i,): 1}), p))
              for i in range(chart.n))
-    return _sum_D_compose(chart, pairs, op_E, p)
+    return _sum_D_compose(chart, pairs, p)
 
 
 def adjoint_of_Edag(chart: ChartConnection, endo: FiberEndo, r: int, p) -> FiberEndo:
@@ -771,8 +796,9 @@ def probe_annihilation_residual(chart, el: TensorExtElement, p, r_probe, k_probe
     """Worst probe evaluation of Phi(el) over monomial probes of order <=
     r_probe and degree k_probe."""
     worst = 0
+    terms = at.phi_terms(el, p)
     for _T, _L, probe in at.monomial_probes(chart, p, r_probe, k_probe):
-        worst = max(worst, abs(at.phi_apply(el, probe, p)))
+        worst = max(worst, abs(at.phi_apply(el, probe, p, terms)))
     return worst
 
 

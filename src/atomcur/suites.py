@@ -939,9 +939,9 @@ def check_coalgebra(ctx):
 
             # express the same functional in the perturbed connection's PBW
             # basis; Phi reads the connection from the form, so rebuild the probe on T's chart
-            def eval_fn(_probe, Tm, L, T=T):
+            def eval_fn(_probe, Tm, L, T=T, terms=at.phi_terms(T, p)):
                 own = at.probe_form(ctx.chart, p, Tm, L)
-                return at.phi_apply(T, own, p)
+                return at.phi_apply(T, own, p, terms)
 
             T2 = op.resolve_functional(pert, p, r, kk, eval_fn)
             om2 = cd.form_field(pert, k1, _incr_comps(om))

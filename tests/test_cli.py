@@ -257,6 +257,7 @@ def test_report_determinism(tmp_path):
     ("hyperbolic", "rational", "all", "1"),  # the exact oracle of the benchmark
     ("poly3", "rational", "all", "1"),  # its checks build and release probes
     ("poly2", "float", "operators", "1"),
+    ("poly3", "float", "operators", "1"),  # sharp and Ddag on the n = 3 chart
 ])
 def test_jobs_flag(tmp_path, capsys, spec, mode, suite, trials):
     """--jobs 2 writes the report, the CSV and the stderr rows of --jobs 1.

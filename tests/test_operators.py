@@ -495,6 +495,58 @@ def test_sharp_one_covariant_product_per_key(s2, monkeypatch):
     assert len(calls) < b_terms * len(a.coeffs)
 
 
+@pytest.mark.parametrize("action, lower", [("op_DE", "op_E"), ("op_DEdag", "op_Edag")])
+def test_combined_actions_build_one_lower_lift_per_exterior_key(s2, monkeypatch, action, lower):
+    """op_DE and op_DEdag build one op_E / op_Edag per distinct exterior key
+    of a sharp element, not one per key, and map every element as the left
+    fold of D_v o lower(eps_K) with a fresh lower lift per key does."""
+    p = s2.resolve((1.1, 0.8), FLOAT)
+    tf = cd.tensor_field(s2, 1, {(0,): "phi", (1,): "theta"})
+    ef = cd.kvector_field(s2, 1, {(0,): "1", (1,): "theta"})
+    a = op.SharpElement.from_fields(tf, ef, p, 4)
+    ext_keys = {K for (_w, K) in a.coeffs}
+    assert len(ext_keys) < len(a.coeffs)
+    inner = getattr(op, lower)
+    fresh = op._endo_sum((op.op_D(cd.mixed_tensor_fields(s2, {w: jet}, p, a.budget), p)
+                          .compose(inner(cd.kvector_field(s2, len(K), {K: 1}), p))
+                          for (w, K), jet in a.coeffs.items()), s2.n, s2.d)
+    built = []
+    monkeypatch.setattr(op, lower, lambda Z, q: built.append(Z) or inner(Z, q))
+    endo = getattr(op, action)(a)
+    assert sorted(K for Z in built for K in Z.comps) == sorted(ext_keys)
+    for x in ELEMS2:
+        assert endo(x).coeffs == fresh(x).coeffs
+
+
+def test_ddag_of_an_order_2_tensor_builds_each_tail_adjoint_once(monkeypatch):
+    """op_Ddag of an order-2 tensor field with 9 component words on n = 3
+    builds the adjoint of each coordinate tail e_j once: 3 tail adjoints."""
+    chart = ChartConnection.from_metric(
+        ["x", "y", "z"], [["1 + x^2", "x*y/4", "0"], ["x*y/4", "1 + y^2", "y*z/4"],
+                          ["0", "y*z/4", "1 + z^2"]], [(-1.0, 1.0)] * 3, name="poly3")
+    p = chart.resolve((0.25, -0.3, 0.2), FLOAT)
+    X = cd.vector_field(chart, {0: "1 + y", 1: "x*z", 2: "y - z"})
+    Y = cd.vector_field(chart, {0: "z", 1: "1 + x^2", 2: "x*y"})
+    T2 = cd.product_field(X, Y)
+    assert len(T2.comps) == 9
+    made, tails = [], []
+    frame, ddag = cd.coordinate_tensor_field, op.op_Ddag
+
+    def building(chart, w):
+        made.append(frame(chart, w))
+        return made[-1]
+
+    def adjoint(Z, *args, **kwargs):
+        if any(Z is f for f in made):
+            tails.extend(Z.comps)
+        return ddag(Z, *args, **kwargs)
+
+    monkeypatch.setattr(cd, "coordinate_tensor_field", building)
+    monkeypatch.setattr(op, "op_Ddag", adjoint)
+    ddag(T2, p, budget=3)
+    assert sorted(tails) == [(0,), (1,), (2,)]
+
+
 def _leaf_endos(chart, p):
     """Each leaf lift of the operator layer, built afresh on every call."""
     X = cd.kvector_field(chart, 1, {(0,): "x*y + 1", (1,): "x - y/2"})
