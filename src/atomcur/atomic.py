@@ -22,8 +22,8 @@ from . import covderiv as cd
 from . import expr as ex
 from .connection import ChartConnection
 from .covderiv import TU, Field
-from .jets import FLOAT, Jet, as_scalar
-from .multialg import (TensorExtElement, _delta_nums, _ratio_sum, _value, all_words,
+from .jets import Jet, as_scalar
+from .multialg import (TensorExtElement, _delta_nums, _ratio_sum, _term_key, _value, all_words,
                        anti_indices, det, iterated_tensor_coproduct, sort_sign, sorted_word,
                        sorted_words, word_multidegree)
 
@@ -102,44 +102,37 @@ def monomial_probes(chart: ChartConnection, p, r, k, descending=False):
                 yield T, L, probe_form(chart, p, T, L)
 
 
-def phi_terms(x: TensorExtElement, p):
-    """The terms of x in the order float :func:`phi_apply` adds them, sorted
-    once by a caller that evaluates x on many forms; None in rational mode,
-    where phi_apply reads the numerators of x."""
-    return x.items() if p.mode == FLOAT else None
+def phi_terms(x: TensorExtElement):
+    """The stored terms of x, numerators over ``x.den``, in the PBW key
+    order :func:`phi_apply` adds them in; a caller that evaluates x on many
+    forms sorts them once."""
+    return sorted(x.nums.items(), key=_term_key)
 
 
 def phi_apply(x: TensorExtElement, omega: Field, p, terms=None):
     """Phi_p(x) evaluated on a form field: the sum over the terms of x of
-    c_{w,K} (nabla_{e_w} omega)_p(eps_K), nabla of omega's chart.
-
-    In float mode the terms are added in PBW key order, read from ``terms``
-    (:func:`phi_terms`) when the caller passes them.  In rational mode
-    the integer products are summed per denominator of the nabla values
-    they read, and the sums are joined over their lcm into one Fraction
-    (an int over den 1)."""
+    c_{w,K} (nabla_{e_w} omega)_p(eps_K), nabla of omega's chart, added in
+    PBW key order (from ``terms``, :func:`phi_terms`, when given)."""
     degs = x.degrees()
     if len(degs) > 1:
         raise ValueError("phi_apply needs a homogeneous exterior degree")
     if degs and degs[0] != len(omega.slots):
         raise ValueError("degree mismatch between element and form")
-    if p.mode == FLOAT:
-        total = 0
-        for (w, K), c in (x.items() if terms is None else terms):
-            if c == 0:
-                continue
-            v = cd._nabla_num(omega, w, p)[0].get(K, 0)
-            if v != 0:
-                total += c * v
-        return total
+    num, den = _phi_sum(phi_terms(x) if terms is None else terms, omega, p)
+    return _value(num, den * x.den)
+
+
+def _phi_sum(terms, omega: Field, p):
+    """The sum of c * (nabla_{e_w} omega)_p(eps_K) over ``terms`` ((w, K), c)
+    as (num, den): products are summed in order per denominator of the
+    nabla values and joined over their lcm; in float mode every den is 1."""
     sums = {}
-    for (w, K), c in x.nums.items():
+    for (w, K), c in terms:
         vals, den = cd._nabla_num(omega, w, p)
         v = vals.get(K)
         if v:
             sums[den] = sums.get(den, 0) + c * v
-    num, den = _ratio_sum(sums)
-    return _value(num, den * x.den)
+    return _ratio_sum(sums)
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +152,7 @@ def to_pbw(chart: ChartConnection, x: TensorExtElement, p, r: int, k: int) -> At
         cur = AtomicCurrent(p, r, k, chart.d)
         cur.nums, cur.den = dict(x.nums), x.den
         return cur
-    terms = phi_terms(x, p)
+    terms = phi_terms(x)
     return _pbw_solve(chart, p, r, k, lambda probe, _T, _L: phi_apply(x, probe, p, terms))
 
 
@@ -169,36 +162,20 @@ def _pbw_solve(chart: ChartConnection, p, r, k, eval_fn) -> AtomicCurrent:
 
     Probes run in descending total degree; each coordinate is the probe
     value minus what the coordinates already found (all of higher word
-    length) contribute on that probe.  In rational mode the correction is
-    summed on integers, as in :func:`phi_apply`, and the coordinate joins
-    the current's numerators, which are reduced once at the end.
+    length, in the order they were found) contribute on that probe, summed
+    by :func:`_phi_sum`.  The correction is stored first and the value added
+    to it, which in float mode rounds as y - correction does; the current's
+    numerators are reduced once at the end.
     """
     cur = AtomicCurrent(p, r, k, chart.d)
-    exact = p.mode != FLOAT
     for T, L, probe in monomial_probes(chart, p, r, k, descending=True):
         g = sum(T)
         y = eval_fn(probe, T, L)
         key = (sorted_word(T), L)
-        if exact:
-            corr = {}
-            for (I, K), c in cur.nums.items():
-                if len(I) > g:
-                    vals, den = cd._nabla_num(probe, I, p)
-                    gval = vals.get(K)
-                    if gval:
-                        corr[den] = corr.get(den, 0) + c * gval
-            num, den = _ratio_sum(corr)
-            den *= cur.den
-            cur._add_ratio(key, y.numerator * den - num * y.denominator, y.denominator * den)
-            continue
-        corr = 0
-        for (I, K), c in cur.nums.items():
-            if len(I) <= g or c == 0:
-                continue
-            gval = cd._nabla_num(probe, I, p)[0].get(K, 0)
-            if gval != 0:
-                corr += c * gval
-        cur._add(key, y - corr)
+        higher = (((I, K), c) for (I, K), c in cur.nums.items() if len(I) > g)
+        num, den = _phi_sum(higher, probe, p)
+        cur._add_ratio(key, -num, den * cur.den)
+        cur._add_value(key, y)
     cur._reduce()
     return cur
 
@@ -358,24 +335,10 @@ def coproduct_pair_evaluate(T: AtomicCurrent, omega: Field, eta: Field):
 
     Sorted-word PBW lifts stay sorted under the deshuffle coproducts, so
     the summands of :func:`~atomcur.multialg.delta_coproduct` are already
-    PBW keys of the two factors."""
-    pairs = _delta_nums(T)
+    PBW keys of the two factors.  Products are summed as in :func:`_phi_sum`."""
     p = T.point
-    if p.mode == FLOAT:
-        total = 0
-        for ((Il, Kl), (Ir, Kr)), c in pairs.items():
-            if len(Kl) != len(omega.slots) or len(Kr) != len(eta.slots):
-                continue
-            a = cd._nabla_num(omega, Il, p)[0].get(Kl, 0)
-            if a == 0:
-                continue
-            b = cd._nabla_num(eta, Ir, p)[0].get(Kr, 0)
-            if b == 0:
-                continue
-            total += c * a * b
-        return total
-    sums = {}  # integer products summed per denominator, as in phi_apply
-    for ((Il, Kl), (Ir, Kr)), c in pairs.items():
+    sums = {}
+    for ((Il, Kl), (Ir, Kr)), c in _delta_nums(T).items():
         if len(Kl) != len(omega.slots) or len(Kr) != len(eta.slots):
             continue
         avals, da = cd._nabla_num(omega, Il, p)

@@ -33,7 +33,7 @@ from . import suites as su
 from .atomic import release_probes
 from .connection import ChartConnection, ChartDomainError, ChartValidationError
 from .jets import FLOAT, RATIONAL, EvalDomainError, ExactModeError
-from .expr import ExprSyntaxError, UndeclaredSymbolError
+from .expr import ExprSyntaxError, UndeclaredSymbolError, is_symbol_name
 
 
 class SpecFileError(ValueError):
@@ -45,15 +45,26 @@ def load_spec(path) -> dict:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as err:
         raise SpecFileError(f"cannot read spec file {path}: {err}") from err
+
+    def unique_keys(pairs):
+        # json.loads alone keeps the last of two equal keys without a word
+        seen = set()
+        for key, _value in pairs:
+            if key in seen:
+                raise SpecFileError(f"{path}: key {key!r} is given twice in one object")
+            seen.add(key)
+        return dict(pairs)
+
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as err:
         raise SpecFileError(f"{path}: invalid JSON at line {err.lineno}, column {err.colno}") from err
     return validate_spec(data, str(path))
 
 
-def _is_int(x, low):
-    return isinstance(x, int) and not isinstance(x, bool) and x >= low
+def _is_int(x, low=None):
+    """An int, never a bool, and at least ``low`` when one is given."""
+    return isinstance(x, int) and not isinstance(x, bool) and (low is None or x >= low)
 
 
 def _is_finite_number(x):
@@ -75,14 +86,20 @@ def _check_exprs(bad, field, entries):
 
 
 def _check_keys(bad, field, table, bounds):
-    """Every key of ``table`` must be comma-separated indices below ``bounds``."""
+    """Every key of ``table`` must be comma-separated indices below ``bounds``,
+    and no two keys may name the same indices."""
     if not isinstance(table, dict):
         bad(f"{field} must be an object")
+    seen = set()
     for key in table:
         parts = key.split(",")
         if len(parts) != len(bounds) or not all(
-                x.strip().isdigit() and int(x) < b for x, b in zip(parts, bounds)):
+                x.strip().isdecimal() and int(x) < b for x, b in zip(parts, bounds)):
             bad(f"{field} key {key!r} must be indices below {','.join(map(str, bounds))}")
+        idx = tuple(int(x) for x in parts)
+        if idx in seen:
+            bad(f"{field} key {key!r} repeats the indices of another key")
+        seen.add(idx)
     _check_exprs(bad, field, table.values())
 
 
@@ -99,6 +116,8 @@ def validate_spec(data: dict, where: str = "<spec>") -> dict:
     for key in ("name", "dimension", "coordinates", "domain"):
         if key not in data:
             bad(f"missing required field {key!r}")
+    if not isinstance(data["name"], str):
+        bad("name must be a string")
     n = data["dimension"]
     if not _is_int(n, 1):
         bad("dimension must be a positive integer")
@@ -106,6 +125,10 @@ def validate_spec(data: dict, where: str = "<spec>") -> dict:
     if not (isinstance(coords, list) and all(isinstance(c, str) for c in coords)
             and len(set(coords)) == len(coords) == n):
         bad(f"coordinates must be {n} distinct names")
+    for c in coords:
+        if not is_symbol_name(c):
+            bad(f"coordinate {c!r} must be one name (a letter or _, then letters, digits"
+                " or _) that is not an elementary function")
     dom = data["domain"]
     if not isinstance(dom, dict) or set(dom) != set(coords):
         bad("domain must be an object giving one interval per coordinate")
@@ -142,6 +165,8 @@ def validate_spec(data: dict, where: str = "<spec>") -> dict:
         samp = data["sampler"]
         if not (isinstance(samp, dict) and _is_int(samp.get("count", 3), 1)):
             bad("sampler must be an object with a positive integer count")
+        if not _is_int(samp.get("seed", 0)):
+            bad("sampler seed must be an integer")
         for c in coords:
             # the sampler draws points k/8 strictly inside the box
             if int(float(dom[c][0]) * 8) + 1 > int(float(dom[c][1]) * 8) - 1:

@@ -349,6 +349,17 @@ def parse(text: str, symbols) -> Expression:
     return _Parser(text, tuple(symbols)).parse()
 
 
+def is_symbol_name(text: str) -> bool:
+    """Whether ``text`` can name a coordinate: the tokenizer reads it back
+    as one name, and that name is not an elementary function."""
+    try:
+        toks = _tokenize(text)
+    except ExprSyntaxError:
+        return False
+    return toks == [("name", text, 0), ("end", "", len(text))] \
+        and text not in ELEMENTARY_FUNCTIONS
+
+
 def as_expr(v, names):
     """Expression of a string (parsed over ``names``) or a number; an
     expression is returned as is, and nested lists give nested tuples."""

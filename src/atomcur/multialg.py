@@ -10,8 +10,9 @@ then lexicographically.
 Exact maps are held as rational jets are: a ``(nums, den)`` pair of
 Python-int numerators over one positive denominator, so sums and products
 are integer arithmetic with one gcd per result.  A float map is the pair
-(values, 1), so the same loops run on it unchanged.  The private helpers
-below align, reduce and read such pairs.
+(values, 1), so the same loops run on it unchanged (a sum kept per
+denominator, such as Phi's, is one running float sum over den 1).  The
+private helpers below align, reduce and read such pairs.
 
 Deshuffle coproducts and the pointwise linear algebra shared by every
 layer (a ring-generic determinant and one Gauss-Jordan elimination) live
@@ -135,6 +136,11 @@ def sorted_word(T) -> tuple:
 def gradlex_key(key):
     """Sort key: by length first, then lexicographic."""
     return (len(key), key)
+
+
+def _term_key(term):
+    """Sort key of a term ((word, anti-index), c) in PBW key order."""
+    return gradlex_key(term[0][0]), gradlex_key(term[0][1])
 
 
 def sort_sign(seq) -> int:
@@ -300,14 +306,18 @@ class TensorExtElement:
         (w, K); for keys and scalars from outside."""
         if c == 0:
             return
-        key = (check_word(w, self.n), check_anti_index(K, self.d))
+        self._add_value((check_word(w, self.n), check_anti_index(K, self.d)), c)
+        self._reduce()
+
+    def _add_value(self, key, c):
+        """Accumulate the scalar c (an int, Fraction or float) on a valid
+        key; the caller restores the canonical form (``_reduce``)."""
         if isinstance(c, float):
             if self.den != 1:
                 raise ValueError("float coefficient on a rational element")
             self._add(key, c)
         else:
             self._add_ratio(key, c.numerator, c.denominator)
-            self._reduce()
 
     def _add(self, key, c):
         """Accumulate the numerator c (over ``den``) on a (word, anti-index)
@@ -349,8 +359,7 @@ class TensorExtElement:
         return self.nums if self.den == 1 else _fractions(self.nums, self.den)
 
     def items(self):
-        return sorted(self.coeffs.items(),
-                      key=lambda kv: (gradlex_key(kv[0][0]), gradlex_key(kv[0][1])))
+        return sorted(self.coeffs.items(), key=_term_key)
 
     def scale(self, a) -> "TensorExtElement":
         out = self._like()

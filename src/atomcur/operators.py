@@ -628,7 +628,7 @@ def boundary(chart: ChartConnection, T: at.AtomicCurrent) -> at.AtomicCurrent:
     if T.k == 0:
         return at.AtomicCurrent(T.point, T.r + 1, 0, chart.d)
     p = T.point
-    terms = at.phi_terms(T, p)
+    terms = at.phi_terms(T)
 
     def eval_fn(_probe, mono, L):
         dpr = at.probe_differential(chart, p, mono, L, T.r)
@@ -796,7 +796,7 @@ def probe_annihilation_residual(chart, el: TensorExtElement, p, r_probe, k_probe
     """Worst probe evaluation of Phi(el) over monomial probes of order <=
     r_probe and degree k_probe."""
     worst = 0
-    terms = at.phi_terms(el, p)
+    terms = at.phi_terms(el)
     for _T, _L, probe in at.monomial_probes(chart, p, r_probe, k_probe):
         worst = max(worst, abs(at.phi_apply(el, probe, p, terms)))
     return worst

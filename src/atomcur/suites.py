@@ -246,7 +246,7 @@ def check_roundtrip(ctx):
         e = rand_poly_tree(rng, names)
         e2 = ex.parse(ex.to_string(e), names)
         worst = max(worst, abs(ex.evaluate(e, p) - ex.evaluate(e2, p)))
-    return [_result("expr-roundtrip", stmt, p, worst, 0 if ctx.mode == RATIONAL else 0.0)]
+    return [_result("expr-roundtrip", stmt, p, worst, 0)]
 
 
 # ---------------------------------------------------------------------------
@@ -939,7 +939,7 @@ def check_coalgebra(ctx):
 
             # express the same functional in the perturbed connection's PBW
             # basis; Phi reads the connection from the form, so rebuild the probe on T's chart
-            def eval_fn(_probe, Tm, L, T=T, terms=at.phi_terms(T, p)):
+            def eval_fn(_probe, Tm, L, T=T, terms=at.phi_terms(T)):
                 own = at.probe_form(ctx.chart, p, Tm, L)
                 return at.phi_apply(T, own, p, terms)
 
@@ -1040,8 +1040,7 @@ def check_adjoint_identities(ctx):
     out = []
     rng = ctx.rng("adjoints")
     elems = _op_elems(ctx)
-    exact_ok = ctx.mode == FLOAT or _metric_is_identity(ctx.chart, ctx.probes[0])
-    if not exact_ok:
+    if not _stars_run(ctx, ctx.probes[0]):
         return [_skip("op-adjoints", stmt_need,
                       "rational mode needs an orthonormal chart for star routes")]
     if not ctx.chart.fiber_is_tangent:
@@ -1121,6 +1120,13 @@ def _metric_is_identity(chart, p):
                for i in range(chart.n) for j in range(chart.n))
 
 
+def _stars_run(ctx, p):
+    """Whether the checks that take the star routes (op_Edag, op_Ddag, perp,
+    the adjoints) run at p: always in float mode, and in rational mode only
+    where g(p) = I, the one case where those routes stay exact."""
+    return ctx.mode == FLOAT or _metric_is_identity(ctx.chart, p)
+
+
 def _bracket_field(X, Y, p, budget):
     """[X, Y]^k = X^i d_i Y^k - Y^i d_i X^k as a jet-backed field at p."""
     chart = X.chart
@@ -1141,7 +1147,7 @@ def check_clifford(ctx):
     if ctx.chart.metric is None:
         return [_skip("op-clifford", stmt, "no metric")]
     p = ctx.probes[0]
-    if not (_metric_is_identity(ctx.chart, p) or ctx.mode == FLOAT):
+    if not _stars_run(ctx, p):
         return [_skip("op-clifford", stmt, "rational mode needs an orthonormal chart")]
     if not _metric_is_identity(ctx.chart, p):
         return [_skip("op-clifford", stmt,
@@ -1172,7 +1178,7 @@ def check_perp_duality(ctx):
     if ctx.chart.metric is None or not ctx.chart.fiber_is_tangent:
         return [_skip("op-perp-duality", stmt, "needs metric + tangent fiber")]
     p = ctx.probes[0]
-    if ctx.mode == RATIONAL and not _metric_is_identity(ctx.chart, p):
+    if not _stars_run(ctx, p):
         return [_skip("op-perp-duality", stmt, "rational mode needs an orthonormal chart")]
     rng = ctx.rng("perp")
     n = ctx.chart.n
@@ -1228,8 +1234,7 @@ def check_sharp(ctx):
     out.append(_result("op-DE-unit", "DE of the unit is the identity", p,
                        op.endo_residual(op.op_DE(u), op.identity_endo(ctx.chart.n, ctx.chart.d),
                                         elems), ctx.tolerance(1e-12)))
-    metric_ok = ctx.chart.metric is not None and \
-        (ctx.mode == FLOAT or _metric_is_identity(ctx.chart, p))
+    metric_ok = ctx.chart.metric is not None and _stars_run(ctx, p)
     if metric_ok and ctx.chart.fiber_is_tangent:
         lhs = op.op_DEdag(ab)
         rhs = op.op_DEdag(a).compose(op.op_DEdag(b))
@@ -1259,8 +1264,7 @@ def check_kernel_preservation(ctx):
              ("D", op.op_D(Y, p), r + 1, k),
              ("f", op.f_lrcorner(f, p), r, k),
              ("trDEdag", op.trace_DEdag_endo(ctx.chart, p), r + 1, k - 1)]
-    if ctx.chart.metric is not None and ctx.chart.fiber_is_tangent and \
-            (ctx.mode == FLOAT or _metric_is_identity(ctx.chart, p)):
+    if ctx.chart.metric is not None and ctx.chart.fiber_is_tangent and _stars_run(ctx, p):
         endos.append(("Edag", op.op_Edag(X, p), r, k - 1))
         endos.append(("Ddag", op.op_Ddag(Y, p, budget=r + 2), r + 1, k))
         endos.append(("perp", op.op_perp(ctx.chart, p), r, None))
@@ -1346,7 +1350,7 @@ def check_boundary(ctx):
                        rep["kernel_preservation"], ctx.tolerance(1e-8)))
     out.append(_result("trace-lift-coproduct",
                        "tr(DEdag) lift satisfies the signed co-derivation law with Delta",
-                       p, rep["delta_commutation"], 0 if ctx.mode == RATIONAL else ctx.tolerance(1e-9)))
+                       p, rep["delta_commutation"], ctx.tolerance(1e-9)))
     out.append(_result("trace-lift-order-degree",
                        "tr(DEdag) raises order by one and drops degree by one", p,
                        0 if rep["order_degree_ok"] else 1, 0))

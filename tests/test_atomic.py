@@ -11,7 +11,7 @@ from atomcur import operators as op
 from atomcur.connection import ChartConnection, curvature
 from atomcur.jets import FLOAT, RATIONAL
 from atomcur.multialg import (TensorExtElement, anti_indices, basis_element, delta_coproduct,
-                              row_reduce)
+                              row_reduce, sorted_word)
 
 
 def test_phi_zeroth_derivative(s2):
@@ -55,6 +55,67 @@ def test_phi_monomial_probes(poly2, poly2_point):
                     from atomcur.multialg import word_multidegree
                     want = 1 if (word_multidegree(S, 2) == T and K == L) else 0
                     assert got == want
+
+
+def _pbw_order(term):
+    (w, K), _c = term
+    return len(w), w, len(K), K
+
+
+def test_float_phi_adds_terms_in_pbw_key_order(s2):
+    # keys inserted out of PBW order, with coefficients whose products cancel
+    # in the leading digits, so the order of the float additions shows
+    p = s2.resolve((1.1, 0.8), FLOAT)
+    om = cd.form_field(s2, 1, {(0,): "theta^2*phi", (1,): "sin(phi) + theta"})
+    terms = [(((1, 0), (1,)), -1e16), (((0, 1), (0,)), 0.1), (((), (1,)), 0.1),
+             (((1,), (0,)), -1e16), (((0,), (1,)), 1.0), (((1, 1), (0,)), 0.1)]
+    x = TensorExtElement(2, 2)
+    for (w, K), c in terms:
+        x.add_term(w, K, c)
+
+    def total(ordered):
+        out = 0
+        for (w, K), c in ordered:
+            out += c * cd.nabla_value(om, w, p).get(K, 0)
+        return out
+
+    want = total(sorted(terms, key=_pbw_order))
+    assert want != total(terms)  # the insertion order rounds differently
+    assert at.phi_apply(x, om, p) == want
+    assert at.phi_apply(x, om, p, at.phi_terms(x)) == want
+
+
+def test_exact_phi_pbw_and_coproduct_match_fraction_reference(poly2, poly2_point):
+    """The integer sums over one denominator per nabla value give what
+    Fraction arithmetic over ``coeffs`` gives."""
+    rng = random.Random(5)
+    p = poly2_point
+    x = TensorExtElement(2, 2)
+    for w in [(1, 0), (0, 1, 1), (1,), (), (1, 1, 0)]:
+        x.add_term(w, (rng.randint(0, 1),), Fraction(rng.randint(-5, 5), rng.randint(1, 6)))
+    om = cd.form_field(poly2, 1, {(0,): "x^2*y - 2", (1,): "3*x*y^2 + y"})
+
+    def phi_ref(el, form):
+        return sum((Fraction(c) * cd.nabla_value(form, w, p).get(K, 0)
+                    for (w, K), c in el.coeffs.items()), Fraction(0))
+
+    assert at.phi_apply(x, om, p) == phi_ref(x, om)
+
+    # the triangular probe solve, in Fractions
+    want = {}
+    for T, L, probe in at.monomial_probes(poly2, p, 3, 1, descending=True):
+        found = sum((c * cd.nabla_value(probe, I, p).get(K, 0)
+                     for (I, K), c in want.items() if len(I) > sum(T)), Fraction(0))
+        want[(sorted_word(T), L)] = phi_ref(x, probe) - found
+    cur = at.to_pbw(poly2, x, p, 3, 1)
+    assert cur.coeffs == {key: c for key, c in want.items() if c}
+
+    et = cd.form_field(poly2, 0, {(): "x - y^2"})
+    ref = sum((Fraction(c) * cd.nabla_value(et, wl, p).get(Kl, 0)
+               * cd.nabla_value(om, wr, p).get(Kr, 0)
+               for ((wl, Kl), (wr, Kr)), c in delta_coproduct(cur).items()), Fraction(0))
+    assert ref != 0
+    assert at.coproduct_pair_evaluate(cur, et, om) == ref
 
 
 def test_to_pbw_flat_unit(flat2):

@@ -161,6 +161,8 @@ _BAD_SPECS = {
     "fiber-entry-null": {"fiber": {"dimension": 2, "connection": {"0,0,0": None}}},
     "christoffel-key-short": {"metric": None, "christoffel": {"0,0": "x"}},
     "christoffel-key-range": {"metric": None, "christoffel": {"5,0,0": "x"}},
+    # "²" is a digit to str.isdigit but not to int(): a ValueError traceback
+    "christoffel-key-superscript": {"metric": None, "christoffel": {"²,0,0": "x"}},
     "fiber-no-dimension": {"fiber": {"connection": {}}},
     "fiber-key-range": {"fiber": {"dimension": 2, "connection": {"3,0,0": "x"}}},
     "metric-1x1": {"metric": [["1"]]},
@@ -179,6 +181,20 @@ _BAD_SPECS = {
     "domain-bound-huge-int": {"domain": {"x": [-1, 10 ** 400], "y": [-1, 1]}},
     "sampler-domain-bound-1e400": {"probe_points": None, "sampler": {"count": 2},
                                    "domain": {"x": [-1, _BIG], "y": [-1, 1]}},
+    # a coordinate must read back as one symbol of its expressions (each one
+    # crashed the expression round-trip check with a traceback, exit 1)
+    **{f"coordinate-{tag}": {"coordinates": [c, "y"], "domain": {c: [-1, 1], "y": [-1, 1]}}
+       for tag, c in [("elementary-function", "sin"), ("empty", ""), ("with-space", "x y"),
+                      ("leading-digit", "1x"), ("trailing-operator", "x+")]},
+    "sampler-seed-list": {"probe_points": None, "sampler": {"count": 2, "seed": [1]}},
+    "sampler-seed-object": {"probe_points": None, "sampler": {"count": 2, "seed": {}}},
+    "sampler-seed-bool": {"probe_points": None, "sampler": {"count": 2, "seed": True}},
+    "name-list": {"name": ["metric-2d"]},
+    # two keys for one index triple: the later one silently won
+    "christoffel-key-repeated": {"metric": None,
+                                 "christoffel": {"0,0,0": "x", " 0,0,0": "y"}},
+    "fiber-key-repeated": {"fiber": {"dimension": 2,
+                                     "connection": {"0,0,0": "x", "0,0, 0": "y"}}},
 }
 _BAD_FLAGS = {
     "suite": ["--suite", "nosuch"],
@@ -213,6 +229,27 @@ def test_malformed_input_exits_2_without_traceback(tmp_path, case):
     assert proc.returncode == 2, proc.stderr
     assert "spec error" in proc.stderr or "usage" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_a_key_given_twice_in_the_spec_file_is_refused(tmp_path, capsys):
+    # json.loads would keep the later of the two "0,0,0" entries
+    spec = {k: v for k, v in _GOOD_2D.items() if k != "metric"}
+    text = json.dumps({**spec, "christoffel": {"0,0,0": "x"}})
+    path = tmp_path / "spec.json"
+    path.write_text(text.replace('{"0,0,0": "x"}', '{"0,0,0": "x", "0,0,0": "y"}'))
+    assert run_cli(["run", str(path), "--suite", "jets"]) == 2
+    assert "key '0,0,0' is given twice" in capsys.readouterr().err
+
+
+def test_coordinate_names_that_read_back_as_one_symbol_run(tmp_path):
+    coords = ["α", "_a"]
+    spec = {**_GOOD_2D, "coordinates": coords,
+            "domain": {c: [-1, 1] for c in coords},
+            "metric": [[f"1 + {coords[0]}^2", "0"], ["0", "1"]]}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    for mode in ("float", "rational"):
+        assert run_cli(["run", str(path), "--suite", "jets", "--mode", mode]) == 0
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
@@ -536,6 +573,10 @@ ORACLE_DIGESTS = [
      "17259044b1b66f23c71f3577ed57ac6ac84b50268431cab293a21c4efe81196a"),
     ("flat-r3", "all", "rational",
      "a8814d179e9b474d69fe1866cfb3bb7bdf4d06527c8d73f3f013aba64c51d812"),
+    # the one n = 3 float report not pinned above, and the only one that runs
+    # the float adjoint block on an orthonormal chart (about 2 s)
+    ("flat-r3", "all", "float",
+     "e54d07f6d25d7e4a8351d3ae0a17ede6cfa1f5ad8a4504fe65deae9c9abd7346"),
 ]
 
 
